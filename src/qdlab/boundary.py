@@ -11,7 +11,6 @@ group algebra of the subgroup of admissible anchors.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ from .lattice import (
     RegionClassification,
     classify_region,
 )
-from .linalg import FeasibilityError, dagger, kron
+from .linalg import FeasibilityError, kron
 from .peps import star_leg_weights, weight_plaq
 from .quantum_double import gamma_beta
 
@@ -319,16 +318,15 @@ def _propagate_anchor_words(
 class BoundaryBlock:
     f_hat: tuple[int, ...]
     anchors_words: list[dict]  # per component: vertex -> conjugating word
-    valid_tuples: list[tuple[int, ...]]  # admissible anchor values per component
     coeffs: dict  # anchor tuple -> scalar coefficient (kappa-normalized)
-    subgroup: list[tuple[int, ...]]  # the product subgroup the tuples live in
+    subgroup: list[tuple[int, ...]]  # admissible anchor tuples: a product subgroup
     m_matrix: np.ndarray  # group-algebra matrix over the subgroup
 
 
 class BlockBoundary:
     """Structured slim boundary state of a proper rectangle or cylinder region."""
 
-    def __init__(self, group: FiniteGroup, region: Region, beta: float, brute_force_fallback: bool = True):
+    def __init__(self, group: FiniteGroup, region: Region, beta: float):
         self.group = group
         self.region = region
         self.beta = beta
@@ -339,7 +337,6 @@ class BlockBoundary:
         self.boundary_vertices = list(self.cls.boundary_vertices)
         self.n = group.order
         self.gamma = gamma_beta(beta, group.order)
-        self.brute_force_fallback = brute_force_fallback
         self._block_cache: dict = {}
         walk_edges = {s.edge for c in self.components for s in c.steps}
         if walk_edges != set(self.boundary_edges):
@@ -350,9 +347,6 @@ class BlockBoundary:
                 self._inverted[s.edge] = s.gamma_inverted
 
     # -- label plumbing ---------------------------------------------------------
-
-    def gamma_of_phys(self, e: Edge, g: int) -> int:
-        return self.group.inv[g] if self._inverted[e] else g
 
     def phys_of_gamma(self, e: Edge, gam: int) -> int:
         return self.group.inv[gam] if self._inverted[e] else gam
@@ -384,14 +378,9 @@ class BlockBoundary:
             e: self.phys_of_gamma(e, gam) for e, gam in zip(self.boundary_edges, f_hat)
         }
         all_trivial = all(a == 0 for a in anchors)
-        if all_trivial or G.is_abelian():
-            if self.region.kind == RECT:
-                return interior_sum_closed_form(G, self.region,
-                    {e: f for e, f in zip(self.boundary_edges, f_hat)}, self.beta)
-            if not self.brute_force_fallback:
-                raise BoundaryError("no closed form for this region kind")
-        elif not self.brute_force_fallback:
-            raise BoundaryError("non-abelian off-identity blocks need brute force")
+        if (all_trivial or G.is_abelian()) and self.region.kind == RECT:
+            return interior_sum_closed_form(G, self.region,
+                {e: f for e, f in zip(self.boundary_edges, f_hat)}, self.beta)
         return self._interior_sum_brute(g_phys, anchors, words)
 
     def _interior_sum_brute(self, g_phys: dict[Edge, int], anchors: tuple[int, ...], words) -> float:
@@ -399,11 +388,7 @@ class BlockBoundary:
         interior = list(self.cls.interior_edges)
         lat = self.region.lattice
         plaqs = self.region.plaquettes()
-        # seed vertex values on the boundary from the anchor words
-        seed = {}
-        for comp, w_map, a in zip(self.components, words, anchors):
-            for v, w in w_map.items():
-                seed[v] = G.conj(w, a)
+        seed = self._anchor_values(words, anchors)
         total = 0.0
         for assign in itertools.product(G.elements(), repeat=len(interior)):
             g_all = dict(g_phys)
@@ -444,7 +429,7 @@ class BlockBoundary:
             for t in subgroup:
                 prod = tuple(G.mul[z, a] for z, a in zip(t, anchors))
                 m[order[prod], order[t]] += c
-        blk = BoundaryBlock(f_hat, words, list(subgroup), coeffs, subgroup, m)
+        blk = BoundaryBlock(f_hat, words, coeffs, subgroup, m)
         self._block_cache[f_hat] = blk
         return blk
 
@@ -495,38 +480,17 @@ class BlockBoundary:
 
     # -- lifting block data to reduced-basis vectors ---------------------------------
 
+    def _anchor_values(self, words: list[dict], anchors: tuple[int, ...]) -> dict:
+        """Per boundary vertex, its chain value a(v) = u_v a u_v^{-1} for the component anchors."""
+        return {v: self.group.conj(w, a) for w_map, a in zip(words, anchors) for v, w in w_map.items()}
+
     def _vertex_perm_indices(self, blk: BoundaryBlock, anchors: tuple[int, ...]) -> list[np.ndarray]:
         """Per boundary vertex, the index map of right-multiplication by a(v)^{-1}."""
         G = self.group
-        value = {}
-        for comp, w_map, a in zip(self.components, blk.anchors_words, anchors):
-            for v, w in w_map.items():
-                value[v] = G.conj(w, a)
-        maps = []
-        for v in self.boundary_vertices:
-            av = value[v]
-            maps.append(G.mul[:, G.inv[av]])
-        return maps
+        value = self._anchor_values(blk.anchors_words, anchors)
+        return [G.mul[:, G.inv[value[v]]] for v in self.boundary_vertices]
 
-    def apply_group_function(self, y: np.ndarray, coeff_of: dict) -> np.ndarray:
-        """Apply sum_a coeff_of[f][a] * (chain permutation) blockwise to a reduced vector."""
-        n, ne, nv = self.n, len(self.boundary_edges), len(self.boundary_vertices)
-        y = np.asarray(y).reshape((n,) * (ne + nv))
-        out = np.zeros_like(y, dtype=complex if np.iscomplexobj(y) else float)
-        for f_hat in self.f_hat_iter():
-            blk_coeffs = coeff_of[f_hat]
-            blk = blk_coeffs["block"]
-            sl = y[f_hat]
-            acc = np.zeros_like(sl)
-            for anchors, d in blk_coeffs["weights"].items():
-                if d == 0.0:
-                    continue
-                idx = self._vertex_perm_indices(blk, anchors)
-                acc = acc + d * sl[np.ix_(*idx)]
-            out[f_hat] = acc
-        return out.reshape(-1)
-
-    def matrix_function_weights(self, func, regularize: float = 1e-12) -> dict:
+    def matrix_function_weights(self, func) -> dict:
         """Per-block weights of func(m) back in the group algebra (e.g. x -> x^{-1/2})."""
         table = {}
         for f_hat in self.f_hat_iter():
@@ -559,10 +523,7 @@ class BlockBoundary:
             for anchors, d in entry["weights"].items():
                 if d == 0.0:
                     continue
-                value = {}
-                for comp, w_map, a in zip(self.components, blk.anchors_words, anchors):
-                    for v, w in w_map.items():
-                        value[v] = G.conj(w, a)
+                value = self._anchor_values(blk.anchors_words, anchors)
                 maps = [G.mul[:, value[v]] for v in self.boundary_vertices]  # h -> h a(v)
                 grids = np.meshgrid(*maps, indexing="ij") if maps else []
                 dest = (
@@ -683,23 +644,6 @@ class FactorizationCertificate:
     method: str
     seed: int
     extras: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {
-            "region": self.region,
-            "beta": self.beta,
-            "kappa": self.kappa,
-            "epsilon": self.epsilon,
-            "measured": self.measured,
-            "bound": self.bound,
-            "pass": self.passed,
-            "vacuous": self.vacuous,
-            "exact": self.exact,
-            "method": self.method,
-            "seed": self.seed,
-            **self.extras,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 PASS_TOL = 1e-8

@@ -3,14 +3,13 @@ the GNS-vectorized Hamiltonian H~, kernel projectors, and the gap chain."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .groups import FiniteGroup
-from .lattice import Edge, Region, rectangles_up_to
+from .lattice import Edge
 from .linalg import (
     FeasibilityError,
     LinearMapHandle,
@@ -21,7 +20,7 @@ from .linalg import (
     vectorize,
     devectorize,
 )
-from .quantum_double import QuantumDoubleModel, full_hamiltonian, gibbs_state
+from .quantum_double import QuantumDoubleModel, gibbs_state
 
 BOHR_FREQUENCIES = tuple(range(-4, 5))
 
@@ -169,19 +168,25 @@ class JumpDecomposition:
     components: dict  # omega -> dense operator on the support edges
 
 
-def _local_terms(model: QuantumDoubleModel, e: Edge):
-    """Stars/plaquettes of the edge present in the model, with their support edges."""
+def _local_term_sum(model: QuantumDoubleModel, e: Edge) -> tuple[QuantumDoubleModel, np.ndarray]:
+    """The patch supporting the edge's stars and plaquettes, and their sum on it."""
     lat = model.lattice
     have_stars = set(map(tuple, model.stars()))
     have_plaqs = set(map(tuple, model.plaquettes()))
-    terms = []
-    for v in lat.vertices_of_edge(e):
-        if tuple(v) in have_stars:
-            terms.append(("star", v, [ed for ed, _ in lat.edges_of_star(v)]))
-    for p in lat.plaquettes_of_edge(e):
-        if tuple(p) in have_plaqs:
-            terms.append(("plaq", p, [ed for ed, _ in lat.edges_of_plaquette(p)]))
-    return terms
+    stars = [v for v in lat.vertices_of_edge(e) if tuple(v) in have_stars]
+    plaqs = [p for p in lat.plaquettes_of_edge(e) if tuple(p) in have_plaqs]
+    support = {e}
+    for v in stars:
+        support.update(ed for ed, _ in lat.edges_of_star(v))
+    for p in plaqs:
+        support.update(ed for ed, _ in lat.edges_of_plaquette(p))
+    sub = QuantumDoubleModel(model.group, lat, tuple(sorted(support, key=lat.edge_index)))
+    total = np.zeros((sub.dim, sub.dim))
+    for v in stars:
+        total += sub.star_operator(v, embed=True)
+    for p in plaqs:
+        total += sub.plaquette_operator(p, embed=True)
+    return sub, total
 
 
 def fourier_components(
@@ -193,18 +198,7 @@ def fourier_components(
     transitions raising the number of satisfied terms by w, so that
     e^{itH} S e^{-itH} = sum_w e^{-iwt} S(w).
     """
-    terms = _local_terms(model, e)
-    support = {e}
-    for _, _, eds in terms:
-        support.update(eds)
-    support = tuple(sorted(support, key=model.lattice.edge_index))
-    sub = QuantumDoubleModel(model.group, model.lattice, support)
-    total = np.zeros((sub.dim, sub.dim))
-    for kind, obj, _ in terms:
-        if kind == "star":
-            total += sub.star_operator(obj, embed=True)
-        else:
-            total += sub.plaquette_operator(obj, embed=True)
+    sub, total = _local_term_sum(model, e)
     s_emb = sub._embed_multi([e], s_op)
     vals, vecs = hermitian_spectrum(total)
     ks = np.round(vals).astype(int)
@@ -222,15 +216,10 @@ def fourier_components(
             if pk2 is not None:
                 acc = acc + pk2 @ s_emb @ pk
         comps[w] = acc
-    return JumpDecomposition(edge=e, alpha=-1, support=support, components=comps)
+    return JumpDecomposition(edge=e, alpha=-1, support=sub.edge_list, components=comps)
 
 
 # -- GNS plumbing -----------------------------------------------------------------------
-
-
-def gns_inner(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> complex:
-    """<A, B>_beta = Tr(rho A^dagger B)."""
-    return complex(np.trace(rho @ dagger(a) @ b))
 
 
 def iota(q: np.ndarray, rho_sqrt: np.ndarray) -> np.ndarray:
@@ -430,15 +419,7 @@ def thermofield_vector(model: QuantumDoubleModel, beta: float, rho: np.ndarray |
 
 def c1_constant(model: QuantumDoubleModel, e: Edge) -> float:
     """Operator norm of the sum of the local terms of the edge (stars + plaquettes)."""
-    terms = _local_terms(model, e)
-    support = {e}
-    for _, _, eds in terms:
-        support.update(eds)
-    support = tuple(sorted(support, key=model.lattice.edge_index))
-    sub = QuantumDoubleModel(model.group, model.lattice, support)
-    total = np.zeros((sub.dim, sub.dim))
-    for kind, obj, _ in terms:
-        total += sub.star_operator(obj, embed=True) if kind == "star" else sub.plaquette_operator(obj, embed=True)
+    _, total = _local_term_sum(model, e)
     vals, _ = hermitian_spectrum(total)
     return float(vals[-1])
 
@@ -532,10 +513,6 @@ class ChainInequality:
     passed: bool
     note: str = ""
 
-    def as_dict(self):
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "sense": self.sense, "pass": self.passed, "note": self.note}
-
 
 @dataclass
 class GapChainReport:
@@ -552,23 +529,6 @@ class GapChainReport:
     passed: bool
     seed: int
 
-    def to_json(self) -> str:
-        payload = {
-            "group": self.group,
-            "lattice_n": self.lattice_n,
-            "beta": self.beta,
-            "coupling": self.coupling,
-            "rate_form": self.rate_form,
-            "n_parent": self.n_parent,
-            "constants": self.constants,
-            "gaps": self.gaps,
-            "inequalities": [iq.as_dict() for iq in self.inequalities],
-            "final_bound": self.final_bound,
-            "pass": self.passed,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 def gap_chain(
     model: QuantumDoubleModel,
@@ -581,7 +541,7 @@ def gap_chain(
     probes: int = 12,
 ) -> GapChainReport:
     """Numerically certify every link of the Davies-to-parent-Hamiltonian chain."""
-    from .gap_tools import RegionProjector, EmbeddedProjector, n_beta
+    from .gap_tools import n_beta, parent_gap, parent_hamiltonian, sum_of_complements
 
     if model.edges is not None:
         raise FeasibilityError("the gap chain runs on the full torus model")
@@ -594,53 +554,23 @@ def gap_chain(
     # stage gaps
     gap_l = davies_gap(ht, tfd, seed=seed, tol=tol)
     pis = {e: IotaKernelProjector(model, rho, (e,)) for e in model.edge_list}
-
-    def sum_pi_perp(x):
-        acc = len(pis) * np.asarray(x, dtype=complex)
-        for p in pis.values():
-            acc -= p.apply(x)
-        return acc
-
     gap_pi = float(
         lowest_eigs_matrix_free(
-            LinearMapHandle(dim=ht.dim, apply=sum_pi_perp), k=1, seed=seed, tol=tol,
+            sum_of_complements(list(pis.values()), ht.dim), k=1, seed=seed, tol=tol,
             deflate=[tfd], shift=50.0,
         )[0]
     )
 
     # parent Hamiltonian on the torus with rectangles up to n_parent per side
-    family = rectangles_up_to(model.lattice, n_parent, min_side=1)
-    ambient = list(model.lattice.edges())
-    projs = [EmbeddedProjector(RegionProjector(model, x, beta), ambient) for x in family]
-    m_count = 0
-    for e in ambient:
-        m_count = max(m_count, sum(e in set(x.edges()) for x in family))
-
-    def parent_apply(x):
-        acc = len(projs) * np.asarray(x, dtype=complex)
-        for p in projs:
-            acc -= p.apply(x)
-        return acc
-
-    tfd_residual = float(np.linalg.norm(parent_apply(tfd)))
-    gap_par = float(
-        lowest_eigs_matrix_free(
-            LinearMapHandle(dim=ht.dim, apply=parent_apply), k=1, seed=seed + 1, tol=tol,
-            deflate=[tfd], shift=50.0,
-        )[0]
-    )
-
-    # constants
-    e0 = model.edge_list[0]
-    c1 = c1_constant(model, e0)
-    c2 = c2_constant(gen.coupling)
-    g_min = gen.rates.g_min
-    n_om = len(BOHR_FREQUENCIES)
-    local_pref = (c2 / n_om) * g_min * float(np.exp(-c1 * beta))
+    ph = parent_hamiltonian(model, beta, n_max=n_parent)
+    m_count = ph.max_terms_per_edge()
+    gap_par, tfd_residual = parent_gap(ph, [tfd], seed=seed + 1, tol=tol)
 
     ineqs = []
-    # (0) per-edge local bound H~_e >= local_pref Pi_e^perp, checked at one edge
-    lg = local_gap_check(gen, ht, e0, rho, seed=seed, tol=tol)
+    # (0) per-edge local bound H~_e >= local_pref Pi_e^perp, checked at one edge;
+    # the chain reuses its constants
+    lg = local_gap_check(gen, ht, model.edge_list[0], rho, seed=seed, tol=tol)
+    local_pref = lg.bound
     ineqs.append(
         ChainInequality(
             name="local: min_eig(Htilde_e - c Pi_e_perp) >= 0",
@@ -656,7 +586,7 @@ def gap_chain(
     # (2) probe check Pi_X^perp <= sum_{e in X} Pi_e^perp and P_X >= Pi_X
     worst_sub = 0.0
     worst_ker = 0.0
-    for x_reg, proj in zip(family[: min(4, len(family))], projs[:4]):
+    for x_reg, proj in zip(ph.family[:4], ph.projectors[:4]):
         x_edges = tuple(x_reg.edges())
         pi_x = IotaKernelProjector(model, rho, x_edges)
         for _ in range(max(2, probes // 4)):
@@ -694,7 +624,7 @@ def gap_chain(
         rate_form=gen.rates.form,
         n_parent=n_parent,
         constants={
-            "C1": c1, "C2": c2, "g_min": g_min, "n_omega": n_om,
+            "C1": lg.c1, "C2": lg.c2, "g_min": lg.g_min, "n_omega": lg.n_omega,
             "m_X": m_count, "n_beta": n_beta(beta, model.group.order),
             "local_prefactor": local_pref,
         },

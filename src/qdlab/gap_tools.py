@@ -3,25 +3,22 @@ the gap-recursion combinators."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import BlockBoundary, kappa_epsilon
-from .groups import FiniteGroup
 from .lattice import Region, RegionSplit, classify_region, rectangles_up_to
 from .linalg import (
     ConvergenceError,
     FeasibilityError,
     LinearMapHandle,
     dagger,
-    hermitian_spectrum,
     lowest_eigs_matrix_free,
     orthonormal_columns,
 )
-from .peps import RegionNetwork, star_leg_weights, weight_plaq
+from .peps import RegionNetwork, star_leg_weights
 from .quantum_double import QuantumDoubleModel, gamma_beta
 
 
@@ -40,13 +37,12 @@ class OverlapReport:
         return self.lemma_min_eig >= -1e-10
 
 
-def overlap_constant(pu: np.ndarray, pv: np.ndarray, pw: np.ndarray, check_containment: bool = True) -> OverlapReport:
+def overlap_constant(pu: np.ndarray, pv: np.ndarray, pw: np.ndarray) -> OverlapReport:
     """c = ||Pu Pv - Pw|| for W inside U and V, with the eigenvalue-form check."""
-    if check_containment:
-        for p, name in ((pu, "U"), (pv, "V")):
-            dev = np.abs(pw @ p - pw).max()
-            if dev > 1e-10:
-                raise ValueError(f"W is not contained in {name} (deviation {dev:.3e})")
+    for p, name in ((pu, "U"), (pv, "V")):
+        dev = np.abs(pw @ p - pw).max()
+        if dev > 1e-10:
+            raise ValueError(f"W is not contained in {name} (deviation {dev:.3e})")
     c = float(np.linalg.norm(pu @ pv - pw, 2))
     eye = np.eye(pw.shape[0])
     wperp = eye - pw
@@ -73,15 +69,20 @@ def _reduced_weight_factors(bb: BlockBoundary, beta: float) -> list[np.ndarray]:
     return factors
 
 
-def _apply_reduced_factors(mat: np.ndarray, factors: list[np.ndarray], inverse: bool) -> np.ndarray:
-    """Right-multiply a (phys, reduced) matrix by the kron of per-axis factors."""
+def _apply_factors(mat: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """Right-multiply a (m, reduced) matrix by the kron of per-axis factors.
+
+    The factors are symmetric, so on a single row this is also their left action
+    on the reduced vector.
+    """
     n = factors[0].shape[0]
-    k = len(factors)
-    out = mat.reshape(mat.shape[0], *([n] * k))
+    out = mat.reshape(mat.shape[0], *([n] * len(factors)))
     for ax, f in enumerate(factors, start=1):
-        use = np.linalg.inv(f) if inverse else f
-        out = np.moveaxis(np.tensordot(out, use, axes=(ax, 0)), -1, ax)
+        out = np.moveaxis(np.tensordot(out, f, axes=(ax, 0)), -1, ax)
     return out.reshape(mat.shape)
+
+
+DENSE_PROJECTOR_DIM = 2**15  # doubled dimension up to which RegionProjector holds W densely
 
 
 class RegionProjector:
@@ -91,7 +92,7 @@ class RegionProjector:
     the tensor network and the block Gram of the boundary state.
     """
 
-    def __init__(self, model: QuantumDoubleModel, region: Region, beta: float, dense_limit: int = 2**15):
+    def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):
         self.model = model
         self.region = region
         self.beta = beta
@@ -101,8 +102,8 @@ class RegionProjector:
         self.rank: int | None = None
         self._w: np.ndarray | None = None
         self._halfinv = None  # sparse Gram^{-1/2} on the reduced basis
-        self._factors = None
-        if self.dim <= dense_limit:
+        self._inv_factors = None  # inverse boundary weight factors, one per reduced axis
+        if self.dim <= DENSE_PROJECTOR_DIM:
             self._build_dense()
         else:
             self._build_matrix_free()
@@ -110,7 +111,7 @@ class RegionProjector:
     def _gram_halfinv(self):
         bb = BlockBoundary(self.model.group, self.region, self.beta)
         self._bb = bb
-        self._factors = _reduced_weight_factors(bb, self.beta)
+        self._inv_factors = [np.linalg.inv(f) for f in _reduced_weight_factors(bb, self.beta)]
         kappa = bb.kappa
 
         def halfinv(vals):
@@ -131,7 +132,7 @@ class RegionProjector:
             self._w = w
             return
         self._gram_halfinv()
-        t = _apply_reduced_factors(t, self._factors, inverse=True)
+        t = _apply_factors(t, self._inv_factors)
         self._w = (self._halfinv.T @ t.T).T
 
     def _build_matrix_free(self):
@@ -141,12 +142,12 @@ class RegionProjector:
 
     def _w_dagger_apply(self, x: np.ndarray) -> np.ndarray:
         y = self.net.t_dagger_apply(x)
-        y = _apply_vector_factors(y, self._factors, inverse=True)
+        y = _apply_factors(y[None, :], self._inv_factors)[0]
         return self._halfinv.T.conj() @ y
 
     def _w_apply(self, y: np.ndarray) -> np.ndarray:
         y = self._halfinv @ y
-        y = _apply_vector_factors(y, self._factors, inverse=True)
+        y = _apply_factors(y[None, :], self._inv_factors)[0]
         return self.net.t_apply(y)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -168,20 +169,6 @@ class RegionProjector:
     def dense(self) -> np.ndarray:
         w = self.isometry()
         return w @ dagger(w)
-
-
-def _apply_vector_factors(y: np.ndarray, factors: list[np.ndarray], inverse: bool) -> np.ndarray:
-    n = factors[0].shape[0]
-    k = len(factors)
-    out = y.reshape([n] * k)
-    for ax, f in enumerate(factors):
-        use = np.linalg.inv(f) if inverse else f
-        out = np.moveaxis(np.tensordot(use, out, axes=(1, ax)), 0, ax)
-    return out.reshape(-1)
-
-
-def ground_projector(model: QuantumDoubleModel, region: Region, beta: float) -> RegionProjector:
-    return RegionProjector(model, region, beta)
 
 
 class EmbeddedProjector:
@@ -215,6 +202,19 @@ class EmbeddedProjector:
         return t.transpose(inv).reshape(-1)
 
 
+def sum_of_complements(projectors, dim: int) -> LinearMapHandle:
+    """sum_i (1 - P_i) = count x - sum_i P_i x, matrix-free, for projectors with `apply`."""
+    count = len(projectors)
+
+    def apply(x):
+        acc = count * np.asarray(x, dtype=complex)
+        for p in projectors:
+            acc -= p.apply(x)
+        return acc
+
+    return LinearMapHandle(dim=dim, apply=apply)
+
+
 # -- martingale measurements ------------------------------------------------------------
 
 
@@ -231,9 +231,6 @@ class MartingaleReport:
     lemma_min_eig: float | None
     method: str
     seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
 
 
 def martingale_bound(group_order: int, split: RegionSplit, beta: float) -> tuple[float, float, bool]:
@@ -262,7 +259,7 @@ def martingale_measurement(
     p2 = EmbeddedProjector(RegionProjector(model, r2, beta), ambient)
     dim = model.local_dim ** (2 * len(ambient))
 
-    if p_whole._w is not None and dim <= 2**15:
+    if p_whole._w is not None:
         w = p_whole.dense()
         a = _embed_dense(p1)
         b = _embed_dense(p2)
@@ -345,20 +342,6 @@ class RecursionBound:
     tail_lower_factor: float
     final_constant: float  # includes the 1/16 torus-to-rectangle prefactor
 
-    @property
-    def tail_error(self) -> float:
-        return 1.0 - self.tail_lower_factor
-
-    def to_json(self) -> str:
-        payload = {
-            "r": self.r,
-            "terms": self.terms,
-            "truncated_product": self.truncated_product,
-            "tail_error": self.tail_error,
-            "final_constant": self.final_constant,
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 def recursion_bound(r: int, delta_fn, k_terms: int = 200) -> RecursionBound:
     """Truncated evaluation of prod_k (1 - delta_k)/(1 + 1/s_k) with a rigorous tail factor.
@@ -418,18 +401,7 @@ class ParentHamiltonian:
     dim: int
 
     def handle(self) -> LinearMapHandle:
-        count = len(self.projectors)
-
-        def apply(x):
-            acc = count * np.asarray(x, dtype=complex)
-            for p in self.projectors:
-                acc -= p.apply(x)
-            return acc
-
-        return LinearMapHandle(dim=self.dim, apply=apply)
-
-    def term_count(self) -> int:
-        return len(self.projectors)
+        return sum_of_complements(self.projectors, self.dim)
 
     def max_terms_per_edge(self) -> int:
         worst = 0
@@ -474,28 +446,19 @@ def parent_hamiltonian(
 
 def parent_gap(
     ph: ParentHamiltonian,
-    kernel_projector,
+    kernel_vectors,
     k: int = 1,
     seed: int = 0,
     tol: float = 1e-9,
     shift: float = 50.0,
 ) -> tuple[float, float]:
-    """(gap, kernel_check) of the parent Hamiltonian.
+    """(gap, kernel residual) of the parent Hamiltonian.
 
-    kernel_projector applies the projector onto the expected kernel; the gap is
-    the smallest eigenvalue of H + shift * P_ker, and kernel_check is the
-    smallest eigenvalue of H restricted (should be ~0) obtained from H P_ker probes.
+    The gap is the smallest eigenvalue of H on the orthogonal complement of the
+    expected kernel, spanned by the orthonormal `kernel_vectors`; the residual
+    is max ||H v|| over them (~0 when they do lie in the kernel).
     """
     handle = ph.handle()
-
-    def matvec(x):
-        return handle.apply(x) + shift * kernel_projector(x)
-
-    vals = lowest_eigs_matrix_free(
-        LinearMapHandle(dim=ph.dim, apply=matvec), k=k, seed=seed, tol=tol
-    )
-    rng = np.random.default_rng(seed + 1)
-    probe = kernel_projector(rng.standard_normal(ph.dim))
-    nrm = np.linalg.norm(probe)
-    residual = float(np.linalg.norm(handle.apply(probe)) / max(nrm, 1e-300))
+    vals = lowest_eigs_matrix_free(handle, k=k, seed=seed, tol=tol, deflate=kernel_vectors, shift=shift)
+    residual = max(float(np.linalg.norm(handle.apply(v))) for v in kernel_vectors)
     return float(vals[0]), residual

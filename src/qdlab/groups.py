@@ -92,9 +92,6 @@ class FiniteGroup:
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         return self._classes
 
-    def centralizer(self, a: int) -> list[int]:
-        return [g for g in self.elements() if self.mul[g, a] == self.mul[a, g]]
-
     def prod(self, elements) -> int:
         """Left-to-right product of a sequence of element indices."""
         out = 0

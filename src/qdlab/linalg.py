@@ -1,4 +1,4 @@
-"""Dense/labeled tensor algebra, vectorization, and (matrix-free) eigensolvers."""
+"""Dense tensor algebra, vectorization, and (matrix-free) eigensolvers."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg as spla
 
 RANK_CUTOFF = 1e-10  # singular values below cutoff * sigma_max count as zero
@@ -23,113 +22,6 @@ class ConvergenceError(RuntimeError):
 
 class FeasibilityError(RuntimeError):
     """Raised before allocating when a dense request would not fit."""
-
-
-# -- labeled tensors ---------------------------------------------------------
-
-
-@dataclass
-class LabeledTensor:
-    """An ndarray with named legs; the substrate for network contraction."""
-
-    legs: tuple[str, ...]
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data)
-        if self.data.ndim != len(self.legs):
-            raise LinalgError(f"{len(self.legs)} legs for ndim {self.data.ndim}")
-        if len(set(self.legs)) != len(self.legs):
-            raise LinalgError(f"duplicate leg labels in {self.legs}")
-
-    def dim(self, leg: str) -> int:
-        return self.data.shape[self.legs.index(leg)]
-
-    def rename(self, mapping: dict[str, str]) -> "LabeledTensor":
-        return LabeledTensor(tuple(mapping.get(l, l) for l in self.legs), self.data)
-
-    def transpose_to(self, order: Sequence[str]) -> "LabeledTensor":
-        perm = [self.legs.index(l) for l in order]
-        return LabeledTensor(tuple(order), self.data.transpose(perm))
-
-
-def _pair_two(a: LabeledTensor, b: LabeledTensor, pairs: list[tuple[str, str]]) -> LabeledTensor:
-    ax_a = [a.legs.index(la) for la, _ in pairs]
-    ax_b = [b.legs.index(lb) for _, lb in pairs]
-    for (la, lb), ia, ib in zip(pairs, ax_a, ax_b):
-        if a.data.shape[ia] != b.data.shape[ib]:
-            raise LinalgError(
-                f"dimension mismatch contracting {la}({a.data.shape[ia]}) with {lb}({b.data.shape[ib]})"
-            )
-    data = np.tensordot(a.data, b.data, axes=(ax_a, ax_b))
-    legs = tuple(l for i, l in enumerate(a.legs) if i not in ax_a) + tuple(
-        l for i, l in enumerate(b.legs) if i not in ax_b
-    )
-    return LabeledTensor(legs, data)
-
-
-def contract(tensors: Sequence[LabeledTensor], pairings: Sequence[tuple[int, str, int, str]]) -> LabeledTensor:
-    """Contract a network; `pairings` entries are (tensor_i, leg, tensor_j, leg).
-
-    Free legs keep their labels (must stay globally unique).  The contraction
-    order is greedy on the smallest intermediate size; the result does not
-    depend on it.
-    """
-    nodes = {i: LabeledTensor(t.legs, t.data) for i, t in enumerate(tensors)}
-    owner = {}  # leg label -> node id (labels stay unique across the network)
-    for i, t in nodes.items():
-        for leg in t.legs:
-            if leg in owner:
-                raise LinalgError(f"leg label {leg!r} appears on two tensors")
-            owner[leg] = i
-    pending = []
-    for ti, la, tj, lb in pairings:
-        if owner.get(la) != ti or owner.get(lb) != tj:
-            raise LinalgError(f"pairing ({ti},{la})-({tj},{lb}) does not match tensor legs")
-        if ti == tj:
-            raise LinalgError("self-pairings (traces) are not supported; reshape first")
-        pending.append((la, lb))
-
-    def bonds_between():
-        grouped: dict[tuple[int, int], list[tuple[str, str]]] = {}
-        for la, lb in pending:
-            i, j = owner[la], owner[lb]
-            if i == j:
-                raise LinalgError("pairing became internal; unsupported network")
-            if i < j:
-                grouped.setdefault((i, j), []).append((la, lb))
-            else:
-                grouped.setdefault((j, i), []).append((lb, la))
-        return grouped
-
-    while pending:
-        grouped = bonds_between()
-
-        def merged_size(key):
-            i, j = key
-            cdim = 1
-            for la, _ in grouped[key]:
-                cdim *= nodes[i].dim(la)
-            return nodes[i].data.size * nodes[j].data.size // max(cdim * cdim, 1)
-
-        i, j = min(grouped, key=merged_size)
-        pairs = grouped[(i, j)]
-        merged = _pair_two(nodes[i], nodes[j], pairs)
-        del nodes[j]
-        nodes[i] = merged
-        done = {p for p in pairs} | {(b, a) for a, b in pairs}
-        pending = [p for p in pending if p not in done and (p[1], p[0]) not in done]
-        for leg in merged.legs:
-            owner[leg] = i
-    # remaining nodes: tensor product
-    out = None
-    for i in sorted(nodes):
-        t = nodes[i]
-        if out is None:
-            out = t
-        else:
-            out = LabeledTensor(out.legs + t.legs, np.multiply.outer(out.data, t.data))
-    return out
 
 
 # -- vectorization -----------------------------------------------------------
@@ -245,15 +137,6 @@ class LinearMapHandle:
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
 
-    def to_operator(self) -> spla.LinearOperator:
-        return spla.LinearOperator((self.dim, self.dim), matvec=self.apply, dtype=complex)
-
-    def to_dense(self, limit: int = 4096) -> np.ndarray:
-        if self.dim > limit:
-            raise FeasibilityError(f"dense materialization of dim {self.dim} refused (limit {limit})")
-        eye = np.eye(self.dim, dtype=complex)
-        return np.column_stack([self.apply(eye[:, i]) for i in range(self.dim)])
-
     def spot_check_linearity(self, seed: int = 0, tol: float = 1e-10) -> float:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
@@ -368,9 +251,3 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def principal_angle_cos(u: np.ndarray, v: np.ndarray) -> float:
-    """Largest principal-angle cosine between the column spans of two isometries."""
-    s = np.linalg.svd(dagger(u) @ v, compute_uv=False)
-    return float(s[0]) if s.size else 0.0

@@ -16,8 +16,7 @@ a vertex the loop factors are diagonal, so their order is immaterial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +30,8 @@ from .lattice import (
     RegionClassification,
     classify_region,
 )
-from .linalg import FeasibilityError, dagger, vectorize
+from .linalg import FeasibilityError
 from .quantum_double import QuantumDoubleModel, gamma_beta
-
-
-class WeightError(ValueError):
-    pass
 
 
 # -- weights -------------------------------------------------------------------
@@ -97,12 +92,6 @@ class EdgeTensor:
     sides: tuple[str, ...]
     data: np.ndarray  # shape (n, n) + (n, n) per side
 
-    def leg_names(self) -> list[str]:
-        names = ["ket", "pur"]
-        for s in self.sides:
-            names += [f"{s}:out", f"{s}:in"]
-        return names
-
 
 def _slim_edge_data(group: FiniteGroup) -> np.ndarray:
     n = group.order
@@ -117,6 +106,8 @@ def _slim_edge_data(group: FiniteGroup) -> np.ndarray:
     return data
 
 
+# Keyed by the group table's bytes, so equal groups share an entry and no group
+# is handed another's data. The data does not depend on the edge orientation.
 _EDGE_CACHE: dict = {}
 
 
@@ -124,7 +115,7 @@ def edge_tensor(group: FiniteGroup, beta: float, orientation: str, variant: str 
     """The PEPS tensor of one edge; `variant` is 'slim' or 'full' (with weights)."""
     if variant not in ("slim", "full"):
         raise ValueError(f"unknown edge tensor variant {variant!r}")
-    key = (id(group.mul), group.order, round(beta, 14), orientation, variant)
+    key = (group.mul.tobytes(), round(beta, 14), variant)
     if key in _EDGE_CACHE:
         data = _EDGE_CACHE[key]
     else:
@@ -183,6 +174,8 @@ def edge_tensor_from_quarters(group: FiniteGroup, beta: float, orientation: str,
 
 
 # -- region networks --------------------------------------------------------------
+
+DENSE_MAP_LIMIT = 2**28  # entries of a dense t_matrix / v_matrix
 
 
 @dataclass
@@ -450,9 +443,9 @@ class RegionNetwork:
     def phys_dim(self) -> int:
         return self.group.order ** (2 * len(self.edges))
 
-    def t_matrix(self, limit: float = 2**28) -> np.ndarray:
+    def t_matrix(self) -> np.ndarray:
         """Dense reduced boundary map, shape (phys_doubled, reduced_dim)."""
-        if self.phys_dim * self.reduced.dim > limit:
+        if self.phys_dim * self.reduced.dim > DENSE_MAP_LIMIT:
             raise FeasibilityError(
                 f"dense reduced map {self.phys_dim} x {self.reduced.dim} exceeds limit"
             )
@@ -478,11 +471,11 @@ class RegionNetwork:
         out = self._contract((data, self._phys_legs()), reduce_boundary=True, out_legs=self._red_legs())
         return out.conj().reshape(self.reduced.dim)
 
-    def v_matrix(self, limit: float = 2**28) -> np.ndarray:
+    def v_matrix(self) -> np.ndarray:
         """Unreduced PEPS map on raw dangling legs ((out,in) per pair), or the torus vector."""
         n_dangle = 2 * (len(self.reduced.edges) + len(self.reduced.vertices))
         bdry = self.group.order**n_dangle
-        if self.phys_dim * bdry > limit:
+        if self.phys_dim * bdry > DENSE_MAP_LIMIT:
             raise FeasibilityError(f"dense map {self.phys_dim} x {bdry} exceeds limit")
         out = self._contract(None, reduce_boundary=False, out_legs=self._phys_legs() + self._raw_dangling_legs())
         return out.reshape(self.phys_dim, bdry)
@@ -494,15 +487,3 @@ def contract_region(model: QuantumDoubleModel, region: Region, beta: float, vari
     if region.kind == TORUS:
         return net.v_matrix().reshape(net.phys_dim)
     return net.v_matrix()
-
-
-def thermofield_state(model: QuantumDoubleModel, beta: float, rho_sqrt: np.ndarray | None = None) -> np.ndarray:
-    """Normalized |rho_beta^{1/2}> = vec(rho^{1/2}) on the doubled torus space."""
-    from .quantum_double import full_hamiltonian, gibbs_state
-    from .linalg import matrix_power_hermitian
-
-    if rho_sqrt is None:
-        rho = gibbs_state(model, beta)
-        rho_sqrt = matrix_power_hermitian(rho, 0.5)
-    v = vectorize(rho_sqrt)
-    return v / np.linalg.norm(v)

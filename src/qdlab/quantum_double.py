@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .groups import FiniteGroup
 from .lattice import Edge, Region, TorusLattice
-from .linalg import FeasibilityError, dagger, hermitian_spectrum, kron, matrix_exp_hermitian
-
-DENSE_EDGE_LIMIT = 14  # |G|^edges beyond ~2^14 local dims is refused for dense work
+from .linalg import FeasibilityError, dagger, kron
 
 
 def gamma_beta(beta: float, order: int) -> float:
@@ -98,12 +96,6 @@ class QuantumDoubleModel:
             mat[G.mul[h, G.inv[g]], h] = 1.0
         return mat
 
-    def _embed(self, factors: dict[Edge, np.ndarray]) -> np.ndarray:
-        """Kronecker-embed per-edge factors into the full patch, identity elsewhere."""
-        self.require_dense()
-        eye = np.eye(self.local_dim)
-        return kron(*[factors.get(e, eye) for e in self.edge_list])
-
     def star_operator(self, v: tuple[int, int], embed: bool = False) -> np.ndarray:
         """A(v) = (1/|G|) sum_g tensor of T^g over the four incident edges."""
         G = self.group
@@ -169,9 +161,6 @@ class HamiltonianAssembly:
         yield from self.star_terms.items()
         yield from self.plaquette_terms.items()
 
-    def ground_energy(self) -> float:
-        return -float(self.n_terms)
-
 
 def full_hamiltonian(model: QuantumDoubleModel, dense: bool = True) -> HamiltonianAssembly:
     """H = -sum_v A(v) - sum_p B(p) with only the terms fully inside the patch."""
@@ -215,8 +204,3 @@ def exp_projector_term(term: np.ndarray, beta: float) -> np.ndarray:
     if np.abs(vals * (1 - vals)).max() > 1e-10:
         raise ValueError("exp_projector_term requires a projector (spectrum in {0,1})")
     return np.eye(term.shape[0]) + np.expm1(beta / 2) * term
-
-
-def hamiltonian_spectrum_check(model: QuantumDoubleModel, assembly: HamiltonianAssembly) -> np.ndarray:
-    vals, _ = hermitian_spectrum(assembly.dense)
-    return vals

@@ -150,9 +150,6 @@ class TestEdgeBoundary:
         assert np.abs(rho @ s - rho).max() < 1e-10
         # commutes with the boundary weight product
         wp = weight_plaq(grp, 0.9).matrix
-        ws = np.diag(star_leg_weights(grp, 0.9, power=0.25))
-        g = kron(wp, wp, wp, wp, ws, ws, ws, ws)
-        g = None  # the pair layout interleaves; use factor-wise check below instead
         d = delta_projector(grp)
         ww = kron(wp, wp)
         assert np.abs(ww @ d - d @ ww).max() < 1e-12

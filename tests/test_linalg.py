@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from qdlab.linalg import (
-    LabeledTensor,
-    LinalgError,
     LinearMapHandle,
-    contract,
     dagger,
     devectorize,
     handle_from_dense,
@@ -21,54 +18,6 @@ from qdlab.linalg import (
     random_state,
     vectorize,
 )
-
-
-def rand_tensor(rng, legs, dims):
-    return LabeledTensor(legs, rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
-
-
-class TestContract:
-    def test_tensor_product(self):
-        rng = np.random.default_rng(0)
-        a = rand_tensor(rng, ("i", "j"), (2, 3))
-        b = rand_tensor(rng, ("k",), (4,))
-        out = contract([a, b], [])
-        assert out.data.size == 24
-        assert np.allclose(out.data, np.multiply.outer(a.data, b.data))
-
-    def test_identity_contraction(self):
-        rng = np.random.default_rng(1)
-        t = rand_tensor(rng, ("i", "j", "k"), (3, 4, 5))
-        eye = LabeledTensor(("a", "b"), np.eye(4))
-        out = contract([t, eye], [(0, "j", 1, "a")])
-        out = out.transpose_to(("i", "k", "b"))
-        assert np.allclose(out.data, t.data.transpose(0, 2, 1))
-
-    def test_against_explicit_loop(self):
-        rng = np.random.default_rng(2)
-        a = rand_tensor(rng, ("i", "j", "k"), (2, 3, 4))
-        b = rand_tensor(rng, ("p", "q", "r"), (4, 2, 5))
-        out = contract([a, b], [(0, "k", 1, "p")]).transpose_to(("i", "j", "q", "r"))
-        expect = np.einsum("ijk,kqr->ijqr", a.data, b.data)
-        assert np.allclose(out.data, expect)
-
-    def test_result_independent_of_pairing_order(self):
-        rng = np.random.default_rng(3)
-        a = rand_tensor(rng, ("a1", "a2"), (3, 3))
-        b = rand_tensor(rng, ("b1", "b2"), (3, 3))
-        c = rand_tensor(rng, ("c1", "c2"), (3, 3))
-        pairs = [(0, "a2", 1, "b1"), (1, "b2", 2, "c1")]
-        out1 = contract([a, b, c], pairs).transpose_to(("a1", "c2"))
-        out2 = contract([a, b, c], list(reversed(pairs))).transpose_to(("a1", "c2"))
-        assert np.allclose(out1.data, out2.data, atol=1e-12)
-        assert np.allclose(out1.data, a.data @ b.data @ c.data)
-
-    def test_dimension_mismatch(self):
-        rng = np.random.default_rng(4)
-        a = rand_tensor(rng, ("i",), (2,))
-        b = rand_tensor(rng, ("j",), (3,))
-        with pytest.raises(LinalgError, match="i"):
-            contract([a, b], [(0, "i", 1, "j")])
 
 
 class TestVectorize:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from qdlab.groups import make_cyclic, make_symmetric
+from qdlab import peps
+from qdlab.davies import thermofield_vector
+from qdlab.groups import FiniteGroup, make_cyclic, make_symmetric
 from qdlab.lattice import RECT, TORUS, Region, TorusLattice
 from qdlab.linalg import matrix_power_hermitian, vectorize
 from qdlab.peps import (
@@ -10,7 +12,6 @@ from qdlab.peps import (
     edge_tensor,
     edge_tensor_from_quarters,
     star_leg_weights,
-    thermofield_state,
     weight_plaq,
     weight_star,
 )
@@ -90,6 +91,19 @@ class TestEdgeTensor:
             assert ket == pur  # only g-diagonal terms survive at beta=0
             assert idx[6] == idx[7] == 0 and idx[8] == idx[9] == 0  # h = k = identity
 
+    def test_cache_is_keyed_by_group_table(self):
+        a = np.arange(4)
+        klein = FiniteGroup(order=4, mul=a[:, None] ^ a[None, :], inv=a, label="V4")
+        z4 = edge_tensor(make_cyclic(4), 1.0, "v", "slim").data
+        v4 = edge_tensor(klein, 1.0, "v", "slim").data
+        assert not np.array_equal(z4, v4)
+        assert np.abs(v4 - edge_tensor_from_quarters(klein, 1.0, "v", "slim")).max() < 1e-12
+        edge_tensor(make_cyclic(2), 1.0, "v", "full")
+        size = len(peps._EDGE_CACHE)
+        # an equal group built anew, at the other orientation, reuses the entry
+        edge_tensor(make_cyclic(2), 1.0, "h", "full")
+        assert len(peps._EDGE_CACHE) == size
+
 
 class TestRegionContraction:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
@@ -129,7 +143,7 @@ class TestRegionContraction:
     def test_thermofield_state(self, z2_model):
         beta = 1.0
         rho = gibbs_state(z2_model, beta)
-        tfd = thermofield_state(z2_model, beta)
+        tfd = thermofield_vector(z2_model, beta)
         assert np.linalg.norm(tfd) == pytest.approx(1.0)
         vec = contract_region(z2_model, Region(z2_model.lattice, TORUS), beta)
         vec = vec / np.linalg.norm(vec)
