@@ -25,7 +25,7 @@ from .lattice import (
     RegionClassification,
     classify_region,
 )
-from .linalg import FeasibilityError, kron
+from .linalg import kron, require_fits
 from .peps import star_leg_weights, weight_plaq
 from .quantum_double import gamma_beta
 
@@ -131,7 +131,6 @@ class PerimeterStep:
     edge: Edge
     from_vertex: tuple[int, int]
     to_vertex: tuple[int, int]
-    gamma_inverted: bool  # reduced label gamma = g^{-1} on south/east dangling pairs
 
 
 @dataclass
@@ -152,13 +151,7 @@ def _rectangle_perimeter(region: Region) -> BoundaryComponent:
     steps = []
 
     def step(edge, frm, to):
-        north_or_west, _ = lat.plaquettes_of_edge(edge)
-        plaqs = set(region.plaquettes())
-        if edge.orientation == HORIZONTAL:
-            inverted = north_or_west in plaqs  # inside plaquette north => dangling south
-        else:
-            inverted = north_or_west in plaqs  # inside west => dangling east
-        steps.append(PerimeterStep(edge, frm, to, inverted))
+        steps.append(PerimeterStep(edge, frm, to))
 
     for i in range(a):  # bottom, walking east
         step(lat.norm_edge(HORIZONTAL, x0 + i, y0), ((x0 + i) % N, y0 % N), ((x0 + i + 1) % N, y0 % N))
@@ -176,7 +169,6 @@ def _cylinder_rings(region: Region) -> list[BoundaryComponent]:
     """The two boundary rings of a cylinder, each walked in its wrap direction."""
     lat = region.lattice
     N = lat.N
-    plaqs = set(region.plaquettes())
     rings = []
     if region.kind == "cylinder-horizontal":
         rows = [(region.y0 + region.b) % N, region.y0 % N]  # top ring, bottom ring
@@ -184,8 +176,7 @@ def _cylinder_rings(region: Region) -> list[BoundaryComponent]:
             steps = []
             for i in range(N):
                 e = lat.norm_edge(HORIZONTAL, i, row)
-                inverted = (e.x, e.y) in plaqs
-                steps.append(PerimeterStep(e, ((i + 1) % N, row), (i % N, row), inverted))
+                steps.append(PerimeterStep(e, ((i + 1) % N, row), (i % N, row)))
             rings.append(BoundaryComponent(steps[0].from_vertex, steps))
     elif region.kind == "cylinder-vertical":
         cols = [(region.x0 + region.a) % N, region.x0 % N]
@@ -193,8 +184,7 @@ def _cylinder_rings(region: Region) -> list[BoundaryComponent]:
             steps = []
             for j in range(N):
                 e = lat.norm_edge(VERTICAL, col, j)
-                inverted = ((col - 1) % N, j) in plaqs
-                steps.append(PerimeterStep(e, (col, (j + 1) % N), (col, j % N), inverted))
+                steps.append(PerimeterStep(e, (col, (j + 1) % N), (col, j % N)))
             rings.append(BoundaryComponent(steps[0].from_vertex, steps))
     else:
         raise BoundaryError(f"no boundary rings for region kind {region.kind}")
@@ -245,17 +235,6 @@ def interior_sum_closed_form(group: FiniteGroup, region: Region, f_hat: dict[Edg
     )
 
 
-def inverted_flags(region: Region) -> dict[Edge, bool]:
-    """Which boundary edges carry gamma = g^{-1} on the dangling pair (south/east sides)."""
-    lat = region.lattice
-    plaqs = set(region.plaquettes())
-    flags = {}
-    for e in classify_region(region).boundary_edges:
-        north_or_west, _ = lat.plaquettes_of_edge(e)
-        flags[e] = north_or_west in plaqs
-    return flags
-
-
 def interior_sum_brute_force(group: FiniteGroup, region: Region, f_hat: dict[Edge, int], beta: float) -> float:
     """Oracle: sum over all interior extensions of prod_p (1 + gamma chi_reg(g|_p)).
 
@@ -264,8 +243,7 @@ def interior_sum_brute_force(group: FiniteGroup, region: Region, f_hat: dict[Edg
     """
     cls = classify_region(region)
     lat = region.lattice
-    flags = inverted_flags(region)
-    g_bdry = {e: (group.inv[f_hat[e]] if flags[e] else f_hat[e]) for e in cls.boundary_edges}
+    g_bdry = {e: (group.inv[f_hat[e]] if cls.gamma_inverted[e] else f_hat[e]) for e in cls.boundary_edges}
     gamma = gamma_beta(beta, group.order)
     total = 0.0
     interior = list(cls.interior_edges)
@@ -341,15 +319,11 @@ class BlockBoundary:
         walk_edges = {s.edge for c in self.components for s in c.steps}
         if walk_edges != set(self.boundary_edges):
             raise BoundaryError("boundary walk does not cover the boundary edges")
-        self._inverted = {}
-        for c in self.components:
-            for s in c.steps:
-                self._inverted[s.edge] = s.gamma_inverted
 
     # -- label plumbing ---------------------------------------------------------
 
     def phys_of_gamma(self, e: Edge, gam: int) -> int:
-        return self.group.inv[gam] if self._inverted[e] else gam
+        return self.group.inv[gam] if self.cls.gamma_inverted[e] else gam
 
     def f_hat_iter(self):
         return itertools.product(range(self.n), repeat=len(self.boundary_edges))
@@ -577,8 +551,7 @@ def boundary_state_edge(group: FiniteGroup, beta: float, slim: bool = True, orie
     """
     G = group
     n2 = group.order**2
-    if n2**4 > 2**14:
-        raise FeasibilityError("dense edge boundary too large; use probe comparison")
+    require_fits((n2**4, n2**4))
     out = np.zeros((n2**4, n2**4))
     for g in G.elements():
         psi1 = psi_operator(G, g, beta, slim)

@@ -530,6 +530,12 @@ class GapChainReport:
     seed: int
 
 
+def final_link_passed(gap_l: float, final_bound: float, gap_parent: float, tol: float) -> bool:
+    """gap(L) >= final_bound, with the parent gap resolved above the eigensolver
+    tolerance `tol`; a parent gap at roundoff level (either sign) fails."""
+    return gap_parent > tol and final_bound > 0 and gap_l >= final_bound - 1e-9
+
+
 def gap_chain(
     model: QuantumDoubleModel,
     beta: float,
@@ -613,7 +619,7 @@ def gap_chain(
     ineqs.append(
         ChainInequality(name="final: gap(L) >= c gap(H_parent)/m > 0",
                         lhs=gap_l, rhs=final_bound, sense=">=",
-                        passed=(gap_l >= final_bound - 1e-9) and final_bound > 0)
+                        passed=final_link_passed(gap_l, final_bound, gap_par, tol))
     )
     passed = all(iq.passed for iq in ineqs)
     return GapChainReport(

@@ -22,37 +22,6 @@ from .peps import RegionNetwork, star_leg_weights
 from .quantum_double import QuantumDoubleModel, gamma_beta
 
 
-# -- projector overlap lemma -------------------------------------------------------
-
-
-@dataclass
-class OverlapReport:
-    c: float
-    second_route: float
-    lemma_min_eig: float
-    dims: tuple[int, int, int]
-
-    @property
-    def lemma_holds(self) -> bool:
-        return self.lemma_min_eig >= -1e-10
-
-
-def overlap_constant(pu: np.ndarray, pv: np.ndarray, pw: np.ndarray) -> OverlapReport:
-    """c = ||Pu Pv - Pw|| for W inside U and V, with the eigenvalue-form check."""
-    for p, name in ((pu, "U"), (pv, "V")):
-        dev = np.abs(pw @ p - pw).max()
-        if dev > 1e-10:
-            raise ValueError(f"W is not contained in {name} (deviation {dev:.3e})")
-    c = float(np.linalg.norm(pu @ pv - pw, 2))
-    eye = np.eye(pw.shape[0])
-    wperp = eye - pw
-    second = float(np.linalg.norm(wperp @ pu @ pv @ wperp, 2))
-    form = (eye - pu) + (eye - pv) - (1 - c) * wperp
-    vals = np.linalg.eigvalsh((form + dagger(form)) / 2)
-    ranks = tuple(int(round(np.trace(p).real)) for p in (pu, pv, pw))
-    return OverlapReport(c=c, second_route=second, lemma_min_eig=float(vals[0]), dims=ranks)
-
-
 # -- region ground projectors ---------------------------------------------------------
 
 
@@ -161,15 +130,6 @@ class RegionProjector:
             return self._w @ (dagger(self._w) @ mat)
         return np.column_stack([self.apply(mat[:, j]) for j in range(mat.shape[1])])
 
-    def isometry(self) -> np.ndarray:
-        if self._w is None:
-            raise FeasibilityError("projector is matrix-free; no dense isometry")
-        return self._w
-
-    def dense(self) -> np.ndarray:
-        w = self.isometry()
-        return w @ dagger(w)
-
 
 class EmbeddedProjector:
     """A region projector acting on the doubled space of an ambient edge set."""
@@ -228,7 +188,6 @@ class MartingaleReport:
     epsilon: float
     hypothesis_ok: bool
     passed: bool
-    lemma_min_eig: float | None
     method: str
     seed: int
 
@@ -248,10 +207,11 @@ def martingale_measurement(
     beta: float,
     split: RegionSplit,
     seed: int = 0,
-    with_lemma_check: bool = False,
     tol: float = 1e-7,
 ) -> MartingaleReport:
-    """Measured || P_r1 P_r2 - P_whole || against the theorem bound."""
+    """Measured || P_r1 P_r2 - P_whole || against the theorem bound, matrix-free."""
+    if model.local_dim < 2:
+        raise ValueError("the martingale measurement needs a group of order >= 2")
     whole, r1, r2 = split.whole, split.r1, split.r2
     ambient = list(whole.edges())
     p_whole = RegionProjector(model, whole, beta)
@@ -259,24 +219,13 @@ def martingale_measurement(
     p2 = EmbeddedProjector(RegionProjector(model, r2, beta), ambient)
     dim = model.local_dim ** (2 * len(ambient))
 
-    if p_whole._w is not None:
-        w = p_whole.dense()
-        a = _embed_dense(p1)
-        b = _embed_dense(p2)
-        measured = float(np.linalg.norm(a @ b - w, 2))
-        lemma = overlap_constant(a, b, w).lemma_min_eig if with_lemma_check else None
-        method = "dense"
-    else:
-        # || P1 P2 - Pw ||^2 = lambda_max(P1 P2 P1 - Pw)
-        def matvec(x):
-            y = p1.apply(p2.apply(p1.apply(x)))
-            return y - p_whole.apply(x)
+    # || P1 P2 - Pw ||^2 = lambda_max(P1 P2 P1 - Pw)
+    def matvec(x):
+        y = p1.apply(p2.apply(p1.apply(x)))
+        return y - p_whole.apply(x)
 
-        handle = LinearMapHandle(dim=dim, apply=matvec)
-        top = _largest_eig(handle, seed=seed, tol=tol)
-        measured = float(np.sqrt(max(top, 0.0)))
-        lemma = None
-        method = "matrix-free"
+    top = _largest_eig(LinearMapHandle(dim=dim, apply=matvec), seed=seed, tol=tol)
+    measured = float(np.sqrt(max(top, 0.0)))
 
     bound, eps, ok = martingale_bound(model.local_dim, beta=beta, split=split)
     passed = measured <= 1.0 + 1e-9 and (not ok or measured <= bound + 1e-8)
@@ -289,15 +238,9 @@ def martingale_measurement(
         epsilon=eps,
         hypothesis_ok=ok,
         passed=passed,
-        lemma_min_eig=lemma,
-        method=method,
+        method="matrix-free",
         seed=seed,
     )
-
-
-def _embed_dense(ep: EmbeddedProjector) -> np.ndarray:
-    eye = np.eye(ep.dim)
-    return np.column_stack([ep.apply(eye[:, i]) for i in range(ep.dim)])
 
 
 def _largest_eig(handle: LinearMapHandle, seed: int, tol: float) -> float:

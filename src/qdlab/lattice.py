@@ -175,6 +175,9 @@ class RegionClassification:
     n_plaquettes: int
     edge_multiplicity: dict = field(hash=False, repr=False, default=None)
     vertex_multiplicity: dict = field(hash=False, repr=False, default=None)
+    # boundary edge -> True when its reduced label is gamma = g^{-1}: the
+    # north/west plaquette is inside, so the dangling pair is on the south/east
+    gamma_inverted: dict = field(hash=False, repr=False, default=None)
 
 
 def classify_region(region: Region) -> RegionClassification:
@@ -182,12 +185,10 @@ def classify_region(region: Region) -> RegionClassification:
     lat = region.lattice
     plaqs = set(region.plaquettes())
     edges = region.edges()
-    edge_set = set(edges)
 
-    boundary_edges, interior_edges = [], []
-    for e in edges:
-        inside = sum(p in plaqs for p in lat.plaquettes_of_edge(e))
-        (interior_edges if inside == 2 else boundary_edges).append(e)
+    edge_mult = {e: sum(p in plaqs for p in lat.plaquettes_of_edge(e)) for e in edges}
+    boundary_edges = [e for e in edges if edge_mult[e] < 2]
+    interior_edges = [e for e in edges if edge_mult[e] == 2]
 
     vertex_mult: dict[tuple[int, int], int] = {}
     for e in edges:
@@ -197,7 +198,6 @@ def classify_region(region: Region) -> RegionClassification:
     boundary_vertices = [v for v in vertices if vertex_mult[v] < 4]
     interior_vertices = [v for v in vertices if vertex_mult[v] == 4]
 
-    edge_mult = {e: sum(p in plaqs for p in lat.plaquettes_of_edge(e)) for e in edges}
     return RegionClassification(
         edges=tuple(edges),
         boundary_edges=tuple(boundary_edges),
@@ -208,6 +208,7 @@ def classify_region(region: Region) -> RegionClassification:
         n_plaquettes=len(plaqs),
         edge_multiplicity=edge_mult,
         vertex_multiplicity=vertex_mult,
+        gamma_inverted={e: lat.plaquettes_of_edge(e)[0] in plaqs for e in boundary_edges},
     )
 
 

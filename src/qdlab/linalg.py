@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,6 +23,22 @@ class ConvergenceError(RuntimeError):
 
 class FeasibilityError(RuntimeError):
     """Raised before allocating when a dense request would not fit."""
+
+
+# The largest single dense array the package makes. It admits the largest array
+# of every certificate in the benchmark (a 1 GiB contraction step of the smallest
+# martingale split) and refuses requests that would exhaust a desk machine.
+DENSE_BUDGET_BYTES = 2**31
+
+
+def require_fits(shape: Sequence[int], dtype=np.float64) -> None:
+    """Raise FeasibilityError if an array of `shape` and `dtype` would exceed the budget."""
+    nbytes = math.prod(int(s) for s in shape) * np.dtype(dtype).itemsize
+    if nbytes > DENSE_BUDGET_BYTES:
+        raise FeasibilityError(
+            f"dense {np.dtype(dtype)} array of shape {tuple(shape)} needs {nbytes / 2**30:.3g} GiB, "
+            f"above the {DENSE_BUDGET_BYTES / 2**30:.3g} GiB budget"
+        )
 
 
 # -- vectorization -----------------------------------------------------------
@@ -52,23 +69,6 @@ def kron(*mats: np.ndarray) -> np.ndarray:
 
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
-
-
-def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Trace out all factors not in `keep` from an operator on a tensor product."""
-    dims = list(dims)
-    n = len(dims)
-    keep = sorted(keep)
-    m = np.asarray(m).reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
-    for off, i in enumerate(traced):
-        axis = i - off
-        m = np.trace(m, axis1=axis, axis2=axis + (n - off))
-        dims.pop(axis)
-        n -= 1
-        traced = [j - 1 if j > i else j for j in traced]
-    d = int(np.prod([1] + dims))
-    return m.reshape(d, d)
 
 
 # -- spectra -----------------------------------------------------------------
@@ -109,16 +109,6 @@ def matrix_power_hermitian(m: np.ndarray, power: float, pseudo: bool = False) ->
     return (vecs * out) @ dagger(vecs)
 
 
-def projector_onto_columns(v: np.ndarray, cutoff: float = RANK_CUTOFF) -> tuple[np.ndarray, int]:
-    """Orthogonal projector onto the column space of v, plus its numerical rank."""
-    q, s, _ = np.linalg.svd(np.asarray(v), full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return np.zeros((v.shape[0], v.shape[0]), dtype=complex), 0
-    rank = int(np.sum(s > cutoff * s[0]))
-    qr = q[:, :rank]
-    return qr @ dagger(qr), rank
-
-
 def orthonormal_columns(v: np.ndarray, cutoff: float = RANK_CUTOFF) -> np.ndarray:
     q, s, _ = np.linalg.svd(np.asarray(v), full_matrices=False)
     if s.size == 0 or s[0] == 0:
@@ -136,18 +126,6 @@ class LinearMapHandle:
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
-
-    def spot_check_linearity(self, seed: int = 0, tol: float = 1e-10) -> float:
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        y = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        a, b = complex(rng.standard_normal(), rng.standard_normal()), complex(rng.standard_normal())
-        lhs = self.apply(a * x + b * y)
-        rhs = a * self.apply(x) + b * self.apply(y)
-        dev = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        if dev > tol:
-            raise LinalgError(f"handle is not linear to tolerance ({dev:.3e})")
-        return dev
 
 
 def handle_from_dense(m: np.ndarray) -> LinearMapHandle:
@@ -202,35 +180,6 @@ def lowest_eigs_matrix_free(
     return vals[:k]
 
 
-def operator_norm(m, method: str = "dense", tol: float = 1e-10, seed: int = 0) -> float:
-    """Largest singular value, dense or by power iteration on M^dagger M."""
-    if method == "dense":
-        m = np.asarray(m)
-        return float(np.linalg.norm(m, 2)) if m.size else 0.0
-    if method != "power-iteration":
-        raise LinalgError(f"unknown norm method {method!r}")
-    if isinstance(m, LinearMapHandle):
-        apply, applyH, dim = m.apply, m.apply, m.dim  # Hermitian handle
-    else:
-        m = np.asarray(m)
-        apply, applyH, dim = (lambda x: m @ x), (lambda x: dagger(m) @ x), m.shape[1]
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    x /= np.linalg.norm(x)
-    last = 0.0
-    for _ in range(10000):
-        y = applyH(apply(x))
-        nrm = np.linalg.norm(y)
-        if nrm == 0:
-            return 0.0
-        x = y / nrm
-        val = np.sqrt(nrm)
-        if abs(val - last) <= tol * max(1.0, val):
-            return float(val)
-        last = val
-    raise ConvergenceError(f"power iteration stalled at {last} (last gap above {tol})")
-
-
 # -- random generators --------------------------------------------------------
 
 
@@ -244,10 +193,3 @@ def random_state(dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def random_unitary(dim: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(m)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -30,7 +30,7 @@ from .lattice import (
     RegionClassification,
     classify_region,
 )
-from .linalg import FeasibilityError
+from . import linalg
 from .quantum_double import QuantumDoubleModel, gamma_beta
 
 
@@ -108,6 +108,7 @@ def _slim_edge_data(group: FiniteGroup) -> np.ndarray:
 
 # Keyed by the group table's bytes, so equal groups share an entry and no group
 # is handed another's data. The data does not depend on the edge orientation.
+# Holds at most DENSE_BUDGET_BYTES in all; the oldest entries go first.
 _EDGE_CACHE: dict = {}
 
 
@@ -119,6 +120,7 @@ def edge_tensor(group: FiniteGroup, beta: float, orientation: str, variant: str 
     if key in _EDGE_CACHE:
         data = _EDGE_CACHE[key]
     else:
+        linalg.require_fits((group.order,) * 10)
         data = _slim_edge_data(group)
         if variant == "full":
             ws = star_leg_weights(group, beta, power=1 / 8)
@@ -132,6 +134,8 @@ def edge_tensor(group: FiniteGroup, beta: float, orientation: str, variant: str 
                 data = data * ws.reshape(shape)
         data.setflags(write=False)
         _EDGE_CACHE[key] = data
+        while sum(a.nbytes for a in _EDGE_CACHE.values()) > linalg.DENSE_BUDGET_BYTES:
+            del _EDGE_CACHE[next(iter(_EDGE_CACHE))]
     return EdgeTensor(variant, beta, orientation, side_order(orientation), data)
 
 
@@ -175,9 +179,6 @@ def edge_tensor_from_quarters(group: FiniteGroup, beta: float, orientation: str,
 
 # -- region networks --------------------------------------------------------------
 
-DENSE_MAP_LIMIT = 2**28  # entries of a dense t_matrix / v_matrix
-
-
 @dataclass
 class ReducedBoundary:
     """Ordering and dimensions of the reduced (leading-term) boundary basis."""
@@ -185,8 +186,6 @@ class ReducedBoundary:
     group: FiniteGroup
     edges: tuple[Edge, ...]
     vertices: tuple[tuple[int, int], ...]
-    edge_gamma_inverted: dict  # edge -> True when gamma = g^{-1} on the dangling pair
-    vertex_chain_lengths: dict
 
     @property
     def dim(self) -> int:
@@ -246,8 +245,8 @@ class RegionNetwork:
         plaqs = set(region.plaquettes())
         edge_set = set(self.edges)
         self.bonds: list[tuple[tuple, tuple]] = []  # (out-leg, in-leg)
-        self.dangling_edge_pairs: dict[Edge, tuple[tuple, tuple, bool]] = {}
-        self.dangling_vertex_pairs: dict[tuple[int, int], tuple[tuple, tuple, int]] = {}
+        self.dangling_edge_pairs: dict[Edge, tuple[tuple, tuple]] = {}
+        self.dangling_vertex_pairs: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
         for p in plaqs:
             ring = lat.edges_of_plaquette(p)  # [(top,+),(left,+),(bottom,-),(right,-)]
@@ -259,15 +258,10 @@ class RegionNetwork:
                     (self._pair_leg(e_cur, sides[i], "out"), self._pair_leg(e_nxt, sides[(i + 1) % 4], "in"))
                 )
 
-        for e in self.edges:
-            for p in lat.plaquettes_of_edge(e):
-                if p not in plaqs:
-                    side = self._facing_side(e, p)
-                    out_leg = self._pair_leg(e, side, "out")
-                    in_leg = self._pair_leg(e, side, "in")
-                    # gamma label: the V-layer carries L^g on north/west pairs, L^{g^-1} on south/east
-                    inverted = side in ("south", "east")
-                    self.dangling_edge_pairs[e] = (out_leg, in_leg, inverted)
+        for e in self.cls.boundary_edges:
+            # the dangling pair faces the outside plaquette: south/east when gamma is inverted
+            side = PLAQ_SIDES[e.orientation][self.cls.gamma_inverted[e]]
+            self.dangling_edge_pairs[e] = (self._pair_leg(e, side, "out"), self._pair_leg(e, side, "in"))
 
         for v in self.cls.vertices:
             ring = lat.edges_of_star(v)
@@ -295,14 +289,12 @@ class RegionNetwork:
                 )
             first_in = self._pair_leg(ordered[0][0], ordered[0][1], "in")
             last_out = self._pair_leg(ordered[-1][0], ordered[-1][1], "out")
-            self.dangling_vertex_pairs[v] = (first_in, last_out, m)
+            self.dangling_vertex_pairs[v] = (first_in, last_out)
 
         self.reduced = ReducedBoundary(
             group=self.group,
-            edges=tuple(e for e in self.edges if e in self.dangling_edge_pairs),
+            edges=self.cls.boundary_edges,
             vertices=tuple(sorted(self.dangling_vertex_pairs)),
-            edge_gamma_inverted={e: self.dangling_edge_pairs[e][2] for e in self.dangling_edge_pairs},
-            vertex_chain_lengths={v: self.dangling_vertex_pairs[v][2] for v in self.dangling_vertex_pairs},
         )
 
     # -- tensors -----------------------------------------------------------------
@@ -331,13 +323,13 @@ class RegionNetwork:
         for gam in range(n):
             psi[self.group.mul[gam, np.arange(n)], np.arange(n), gam] = 1.0 / np.sqrt(n)
         for e in self.reduced.edges:
-            out_leg, in_leg, _ = self.dangling_edge_pairs[e]
+            out_leg, in_leg = self.dangling_edge_pairs[e]
             nodes.append((psi, [out_leg, in_leg, ("red", "e", e)]))
         phi = np.zeros((n, n, n))  # [in_first, out_last, h]
         for h in range(n):
             phi[h, h, h] = 1.0
         for v in self.reduced.vertices:
-            first_in, last_out, _ = self.dangling_vertex_pairs[v]
+            first_in, last_out = self.dangling_vertex_pairs[v]
             nodes.append((phi, [first_in, last_out, ("red", "v", v)]))
         return nodes
 
@@ -353,15 +345,10 @@ class RegionNetwork:
                 by_edge[last].append((data, legs))
         bundles = []
         for i, e in enumerate(order):
-            data, legs = self._edge_array(e)
-            for rdata, rlegs in by_edge[i]:
-                ax_here = [k for k, l in enumerate(rlegs) if l in legs]
-                ax_edge = [legs.index(rlegs[k]) for k in ax_here]
-                data = np.tensordot(data, rdata, axes=(ax_edge, ax_here))
-                legs = [l for k, l in enumerate(legs) if k not in ax_edge] + [
-                    l for k, l in enumerate(rlegs) if k not in ax_here
-                ]
-            bundles.append((data, legs))
+            bundle = self._edge_array(e)
+            for node in by_edge[i]:
+                bundle = self._merge(bundle, node)  # dangling legs have no bond partner
+            bundles.append(bundle)
         return bundles
 
     def _merge(self, x, y):
@@ -373,6 +360,11 @@ class RegionNetwork:
             if partner in xl:
                 ax_x.append(xl.index(partner))
                 ax_y.append(k)
+        linalg.require_fits(
+            [d for k, d in enumerate(xd.shape) if k not in ax_x]
+            + [d for k, d in enumerate(yd.shape) if k not in ax_y],
+            np.result_type(xd, yd),
+        )
         data = np.tensordot(xd, yd, axes=(ax_x, ax_y))
         legs = [l for k, l in enumerate(xl) if k not in ax_x] + [
             l for k, l in enumerate(yl) if k not in ax_y
@@ -430,11 +422,9 @@ class RegionNetwork:
     def _raw_dangling_legs(self) -> list:
         out = []
         for e in self.reduced.edges:
-            out_leg, in_leg, _ = self.dangling_edge_pairs[e]
-            out += [out_leg, in_leg]
+            out += list(self.dangling_edge_pairs[e])
         for v in self.reduced.vertices:
-            first_in, last_out, _ = self.dangling_vertex_pairs[v]
-            out += [first_in, last_out]
+            out += list(self.dangling_vertex_pairs[v])
         return out
 
     # -- public maps ---------------------------------------------------------------
@@ -445,10 +435,7 @@ class RegionNetwork:
 
     def t_matrix(self) -> np.ndarray:
         """Dense reduced boundary map, shape (phys_doubled, reduced_dim)."""
-        if self.phys_dim * self.reduced.dim > DENSE_MAP_LIMIT:
-            raise FeasibilityError(
-                f"dense reduced map {self.phys_dim} x {self.reduced.dim} exceeds limit"
-            )
+        linalg.require_fits((self.phys_dim, self.reduced.dim))
         out = self._contract(None, reduce_boundary=True, out_legs=self._phys_legs() + self._red_legs())
         return out.reshape(self.phys_dim, self.reduced.dim)
 
@@ -475,8 +462,7 @@ class RegionNetwork:
         """Unreduced PEPS map on raw dangling legs ((out,in) per pair), or the torus vector."""
         n_dangle = 2 * (len(self.reduced.edges) + len(self.reduced.vertices))
         bdry = self.group.order**n_dangle
-        if self.phys_dim * bdry > DENSE_MAP_LIMIT:
-            raise FeasibilityError(f"dense map {self.phys_dim} x {bdry} exceeds limit")
+        linalg.require_fits((self.phys_dim, bdry))
         out = self._contract(None, reduce_boundary=False, out_legs=self._phys_legs() + self._raw_dangling_legs())
         return out.reshape(self.phys_dim, bdry)
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .lattice import Edge, Region, TorusLattice
-from .linalg import FeasibilityError, dagger, kron
+from .linalg import dagger, kron, require_fits
 
 
 def gamma_beta(beta: float, order: int) -> float:
@@ -50,13 +50,6 @@ class QuantumDoubleModel:
     @property
     def dim(self) -> int:
         return self.group.order ** self.n_edges
-
-    def require_dense(self, doubled: bool = False):
-        n = self.n_edges * (2 if doubled else 1)
-        if self.local_dim**n > 2**22:
-            raise FeasibilityError(
-                f"dense request for |G|^{n} = {self.local_dim**n} refused"
-            )
 
     def restrict(self, region: Region) -> "QuantumDoubleModel":
         return QuantumDoubleModel(self.group, self.lattice, tuple(region.edges()))
@@ -127,7 +120,7 @@ class QuantumDoubleModel:
 
     def _embed_multi(self, support: list[Edge], op: np.ndarray) -> np.ndarray:
         """Embed an operator given on `support` (in that leg order) into the patch."""
-        self.require_dense()
+        require_fits((self.dim, self.dim))
         n = self.local_dim
         k = len(support)
         ne = self.n_edges
@@ -168,7 +161,7 @@ def full_hamiltonian(model: QuantumDoubleModel, dense: bool = True) -> Hamiltoni
     plaqs = {p: model.plaquette_operator(p, embed=dense) for p in model.plaquettes()}
     h = None
     if dense:
-        model.require_dense()
+        require_fits((model.dim, model.dim))
         h = np.zeros((model.dim, model.dim))
         for term in stars.values():
             h -= term

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from qdlab.groups import make_cyclic, make_symmetric
-from qdlab.lattice import RECT, CYL_H, Region, TorusLattice, classify_region
+from qdlab.groups import group_by_name, make_cyclic, make_symmetric
+from qdlab.lattice import RECT, CYL_H, Region, TorusLattice, classify_region, parse_region
 from qdlab.linalg import dagger, kron
 from qdlab.peps import RegionNetwork, edge_tensor, weight_plaq, star_leg_weights
 from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
@@ -219,6 +219,23 @@ class TestKappaEpsilon:
 
 
 class TestBlocks:
+    @pytest.mark.parametrize("name, n, spec", [
+        ("Z2", 4, "rect:0,0,2,2"),
+        ("Z2", 3, "cyl:v,0,1"),
+        ("Z2", 3, "cyl:h,1,1"),
+        ("S3", 3, "rect:0,0,1,1"),
+        ("Z2", 4, "rect:0,0,3,1"),
+    ])
+    def test_reduced_basis_order_matches_blocks(self, name, n, spec):
+        """The projector pairs the network's reduced axes with the block boundary's
+        weight factors by position, so the two orders must agree."""
+        grp, lat = group_by_name(name), TorusLattice(n)
+        region = parse_region(lat, spec)
+        net = RegionNetwork(QuantumDoubleModel(grp, lat), region, 1.0)
+        bb = BlockBoundary(grp, region, 1.0)
+        assert list(net.reduced.edges) == bb.boundary_edges
+        assert list(net.reduced.vertices) == bb.boundary_vertices
+
     def test_block_gram_matches_network(self):
         grp = make_cyclic(2)
         lat = TorusLattice(4)

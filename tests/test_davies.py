@@ -5,6 +5,7 @@ from qdlab.davies import (
     DaviesGenerator,
     HTilde,
     IotaKernelProjector,
+    final_link_passed,
     iota,
     iota_inverse,
     thermofield_vector,
@@ -60,3 +61,10 @@ def test_edge_kernel_projector_is_an_orthogonal_projector(patch):
     p = dense_of(pi.apply, ht.dim)
     assert np.abs(p - dagger(p)).max() < TOL
     assert np.abs(p @ p - p).max() < TOL
+
+
+@pytest.mark.parametrize("gap_parent, passed", [(-8.0e-15, False), (8.0e-15, False), (0.45, True)])
+def test_final_link_needs_a_resolved_parent_gap(gap_parent, passed):
+    """Z2 N=2, beta=1 figures: gap(L) = 2.19, local prefactor 1.65e-3, m = 2, tol 1e-7."""
+    final_bound = 1.65e-3 * gap_parent / 2
+    assert final_link_passed(2.19, final_bound, gap_parent, tol=1e-7) is passed

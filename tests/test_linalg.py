@@ -10,10 +10,7 @@ from qdlab.linalg import (
     kron,
     lowest_eigs_matrix_free,
     matrix_exp_hermitian,
-    operator_norm,
     orthonormal_columns,
-    partial_trace,
-    projector_onto_columns,
     random_hermitian,
     random_state,
     vectorize,
@@ -106,54 +103,9 @@ class TestEigsMatrixFree:
         assert val == pytest.approx(dense_vals[1], abs=1e-8)
 
 
-class TestOperatorNorm:
-    def test_unitary(self):
-        from qdlab.linalg import random_unitary
-
-        u = random_unitary(7, 1)
-        assert operator_norm(u) == pytest.approx(1.0)
-
-    def test_rank_one(self):
-        rng = np.random.default_rng(11)
-        u, v = rng.standard_normal(5), rng.standard_normal(6)
-        m = np.outer(u, v)
-        assert operator_norm(m) == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v))
-
-    def test_power_iteration_matches_dense(self):
-        rng = np.random.default_rng(12)
-        m = rng.standard_normal((100, 100))
-        assert operator_norm(m, "power-iteration", tol=1e-12, seed=3) == pytest.approx(
-            operator_norm(m), abs=1e-8
-        )
-
-
 class TestProjectors:
-    def test_projector_onto_columns(self):
-        rng = np.random.default_rng(13)
-        v = rng.standard_normal((10, 4))
-        v[:, 3] = v[:, 0] + v[:, 1]  # rank 3
-        p, rank = projector_onto_columns(v)
-        assert rank == 3
-        assert np.allclose(p @ p, p, atol=1e-12)
-        assert np.allclose(p, dagger(p), atol=1e-12)
-        assert np.allclose(p @ v, v, atol=1e-10)
-
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(14)
         v = rng.standard_normal((8, 3))
         q = orthonormal_columns(v)
         assert np.allclose(dagger(q) @ q, np.eye(3), atol=1e-12)
-
-
-def test_partial_trace():
-    rng = np.random.default_rng(15)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = kron(a, b)
-    assert np.allclose(partial_trace(m, [3, 4], keep=[0]), a * np.trace(b))
-    assert np.allclose(partial_trace(m, [3, 4], keep=[1]), b * np.trace(a))
-
-
-def test_handle_linearity_check():
-    h = handle_from_dense(random_hermitian(16, 16))
-    assert h.spot_check_linearity() < 1e-10

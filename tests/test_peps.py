@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from qdlab import peps
+from qdlab import linalg, peps
 from qdlab.davies import thermofield_vector
 from qdlab.groups import FiniteGroup, make_cyclic, make_symmetric
 from qdlab.lattice import RECT, TORUS, Region, TorusLattice
-from qdlab.linalg import matrix_power_hermitian, vectorize
+from qdlab.linalg import FeasibilityError, matrix_power_hermitian, vectorize
 from qdlab.peps import (
     RegionNetwork,
     contract_region,
@@ -104,8 +104,48 @@ class TestEdgeTensor:
         edge_tensor(make_cyclic(2), 1.0, "h", "full")
         assert len(peps._EDGE_CACHE) == size
 
+    def test_cache_evicts_oldest_entries_beyond_budget(self, monkeypatch):
+        z3 = make_cyclic(3)
+        entry = 8 * 3**10
+        monkeypatch.setattr(peps, "_EDGE_CACHE", {})
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 3 * entry)
+        for beta in (1.0, 1.1, 1.2):
+            edge_tensor(z3, beta, "v")
+        oldest = next(iter(peps._EDGE_CACHE))
+        edge_tensor(z3, 1.3, "v")
+        assert oldest not in peps._EDGE_CACHE
+        assert len(peps._EDGE_CACHE) == 3
+        assert sum(a.nbytes for a in peps._EDGE_CACHE.values()) <= linalg.DENSE_BUDGET_BYTES
+
+    def test_over_budget_tensor_is_refused(self):
+        """Z7: 7^10 float64 entries, 2.1 GiB."""
+        with pytest.raises(FeasibilityError, match="2.1 GiB"):
+            edge_tensor(make_cyclic(7), 1.0, "v")
+
 
 class TestRegionContraction:
+    @staticmethod
+    def _z2_plaquette_network():
+        lat = TorusLattice(3)
+        return RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), Region(lat, RECT, a=1, b=1), 1.0)
+
+    @pytest.mark.parametrize("method", ["t_apply", "t_dagger_apply"])
+    def test_contraction_step_over_budget_is_refused(self, monkeypatch, method):
+        """Edge tensors (8 KiB) fit a 16 KiB budget; the column merges (64 KiB) do not."""
+        monkeypatch.setattr(peps, "_EDGE_CACHE", {})
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**14)
+        net = self._z2_plaquette_network()
+        with pytest.raises(FeasibilityError) as info:
+            getattr(net, method)(np.ones(256))
+        assert "_merge" in [entry.name for entry in info.traceback]
+
+    def test_t_matrix_over_budget_is_refused_before_contracting(self, monkeypatch):
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**18)
+        net = self._z2_plaquette_network()
+        with pytest.raises(FeasibilityError, match=r"\(256, 256\)") as info:
+            net.t_matrix()
+        assert "_contract" not in [entry.name for entry in info.traceback]
+
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_pepo_equals_exponential(self, z2_model, beta):
         asm = full_hamiltonian(z2_model)

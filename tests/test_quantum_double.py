@@ -3,7 +3,7 @@ import pytest
 
 from qdlab.groups import make_cyclic, make_symmetric
 from qdlab.lattice import Edge, TorusLattice
-from qdlab.linalg import dagger, hermitian_spectrum, matrix_exp_hermitian, vectorize
+from qdlab.linalg import FeasibilityError, dagger, hermitian_spectrum, matrix_exp_hermitian, vectorize
 from qdlab.quantum_double import (
     QuantumDoubleModel,
     exp_minus_beta_h,
@@ -162,3 +162,9 @@ def test_open_patch_hamiltonian():
     asm = full_hamiltonian(patch)
     assert asm.n_terms == 0
     assert np.allclose(asm.dense, 0.0)
+
+
+def test_gibbs_state_over_budget_is_refused():
+    """Z2 on N=3 has 2^18 states: a dense Gibbs state would take 512 GiB."""
+    with pytest.raises(FeasibilityError, match="512 GiB"):
+        gibbs_state(QuantumDoubleModel(make_cyclic(2), TorusLattice(3)), 1.0)
