@@ -173,7 +173,6 @@ class RegionClassification:
     boundary_vertices: tuple[tuple[int, int], ...]
     interior_vertices: tuple[tuple[int, int], ...]
     n_plaquettes: int
-    edge_multiplicity: dict = field(hash=False, repr=False, default=None)
     vertex_multiplicity: dict = field(hash=False, repr=False, default=None)
     # boundary edge -> True when its reduced label is gamma = g^{-1}: the
     # north/west plaquette is inside, so the dangling pair is on the south/east
@@ -206,7 +205,6 @@ def classify_region(region: Region) -> RegionClassification:
         boundary_vertices=tuple(boundary_vertices),
         interior_vertices=tuple(interior_vertices),
         n_plaquettes=len(plaqs),
-        edge_multiplicity=edge_mult,
         vertex_multiplicity=vertex_mult,
         gamma_inverted={e: lat.plaquettes_of_edge(e)[0] in plaqs for e in boundary_edges},
     )

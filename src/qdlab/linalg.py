@@ -26,8 +26,9 @@ class FeasibilityError(RuntimeError):
 
 
 # The largest single dense array the package makes. It admits the largest array
-# of every certificate in the benchmark (a 1 GiB contraction step of the smallest
-# martingale split) and refuses requests that would exhaust a desk machine.
+# of every certificate in the benchmark and the tests (512 MiB: the dense T of each
+# half of the smallest martingale split; the contraction steps of its matrix-free
+# whole region take 256 MiB) and refuses requests that would exhaust a desk machine.
 DENSE_BUDGET_BYTES = 2**31
 
 
@@ -39,6 +40,11 @@ def require_fits(shape: Sequence[int], dtype=np.float64) -> None:
             f"dense {np.dtype(dtype)} array of shape {tuple(shape)} needs {nbytes / 2**30:.3g} GiB, "
             f"above the {DENSE_BUDGET_BYTES / 2**30:.3g} GiB budget"
         )
+
+
+# ARPACK restarts allowed per solve; ARPACK's own default is 10 n. The two solves
+# of the benchmark's gap_chain workload take 151 matvecs in all, so fewer restarts.
+ARPACK_MAXITER = 1000
 
 
 # -- vectorization -----------------------------------------------------------
@@ -140,12 +146,13 @@ def lowest_eigs_matrix_free(
     seed: int = 0,
     deflate: Sequence[np.ndarray] = (),
     shift: float = 100.0,
-    maxiter: int | None = None,
+    maxiter: int = ARPACK_MAXITER,
 ) -> np.ndarray:
     """k lowest eigenvalues of a Hermitian PSD map, deflating the given orthonormal vectors.
 
     Deflation adds `shift` on the span of the supplied vectors, so the returned
     values are the lowest of H restricted to their orthogonal complement.
+    Raises ConvergenceError when ARPACK has not converged after `maxiter` restarts.
     """
     defl = [np.asarray(v, dtype=complex).reshape(-1) for v in deflate]
     for i, v in enumerate(defl):

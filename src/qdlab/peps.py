@@ -16,6 +16,8 @@ a vertex the loop factors are diagonal, so their order is immaterial.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,16 +95,28 @@ class EdgeTensor:
     data: np.ndarray  # shape (n, n) + (n, n) per side
 
 
-def _slim_edge_data(group: FiniteGroup) -> np.ndarray:
+def _edge_data(group: FiniteGroup, beta: float, variant: str) -> np.ndarray:
+    """Entries of the edge tensor, written in place: one (n,)*10 array and no copy.
+
+    The full variant carries wp on both legs of each plaquette pair, which makes
+    the pair wp L^g wp, and ws on each of the four star legs, one scalar per
+    (h, k).
+    """
     n = group.order
+    if variant == "full":
+        wp = weight_plaq(group, beta).matrix
+        ws = star_leg_weights(group, beta, power=1 / 8)
+    else:
+        wp, ws = np.eye(n), np.ones(n)
     data = np.zeros((n, n) + (n, n) * 4)
     for g in range(n):
-        lg = group.left_regular_matrix(g)            # L^g[out, in]
-        lginv = group.left_regular_matrix(group.inv[g])
+        lg = wp @ group.left_regular_matrix(g) @ wp  # [out, in]
+        lginv = wp @ group.left_regular_matrix(group.inv[g]) @ wp
+        pair = np.multiply.outer(lg, lginv)
         for h in range(n):
             for k in range(n):
                 phys = group.mul[group.mul[h, g], group.inv[k]]
-                data[phys, g, :, :, :, :, h, h, k, k] += np.multiply.outer(lg, lginv)
+                data[phys, g, :, :, :, :, h, h, k, k] += pair * (ws[h] * ws[h] * ws[k] * ws[k])
     return data
 
 
@@ -121,17 +135,7 @@ def edge_tensor(group: FiniteGroup, beta: float, orientation: str, variant: str 
         data = _EDGE_CACHE[key]
     else:
         linalg.require_fits((group.order,) * 10)
-        data = _slim_edge_data(group)
-        if variant == "full":
-            ws = star_leg_weights(group, beta, power=1 / 8)
-            wp = weight_plaq(group, beta).matrix
-            # plaquette pairs occupy axes (2,3) and (4,5); star pairs (6,7), (8,9)
-            for ax in (2, 3, 4, 5):
-                data = np.moveaxis(np.tensordot(wp, data, axes=(1, ax)), 0, ax)
-            for ax in (6, 7, 8, 9):
-                shape = [1] * data.ndim
-                shape[ax] = group.order
-                data = data * ws.reshape(shape)
+        data = _edge_data(group, beta, variant)
         data.setflags(write=False)
         _EDGE_CACHE[key] = data
         while sum(a.nbytes for a in _EDGE_CACHE.values()) > linalg.DENSE_BUDGET_BYTES:
@@ -202,6 +206,11 @@ class RegionNetwork:
     The reduced map T feeds each dangling plaquette pair with |L^gamma> and each
     dangling vertex chain with |h, h>; its columns span Im(V_R) exactly (the
     boundary state is supported inside the leading-term product subspace).
+
+    Every map contracts one node per edge (its tensor with the reduction nodes
+    of its dangling pairs) and, for t_apply/t_dagger_apply, the input vector,
+    pairwise in a greedy order (see `_contract`); each step is checked against
+    the dense budget before it allocates.
     """
 
     def __init__(self, model: QuantumDoubleModel, region: Region, beta: float, variant: str = "full"):
@@ -216,7 +225,6 @@ class RegionNetwork:
         self.cls: RegionClassification = classify_region(region)
         self.edges = list(self.cls.edges)
         self.edge_pos = {e: i for i, e in enumerate(self.edges)}
-        self._supernode_cache: dict = {}
         self._build_graph()
         self._bond_of = {}
         for a, b in self.bonds:
@@ -307,13 +315,6 @@ class RegionNetwork:
             legs += [(i, s, "out"), (i, s, "in")]
         return t.data, legs
 
-    def _edge_order(self) -> list[Edge]:
-        def key(e: Edge):
-            cx = e.x + (0.5 if e.orientation == HORIZONTAL else 0.0)
-            return (cx, e.y, e.orientation)
-
-        return sorted(self.edges, key=key)
-
     def _reduction_nodes(self):
         """3-leg reduction tensors for every dangling pair, keyed by reduced label."""
         n = self.group.order
@@ -334,32 +335,19 @@ class RegionNetwork:
         return nodes
 
     def _bundles(self, reduce_boundary: bool) -> list:
-        """Edge tensors in absorption order, each pre-merged with the reduction
-        nodes whose last touched edge it is (dangling pairs never linger)."""
-        order = self._edge_order()
-        rank_of = {self.edge_pos[e]: i for i, e in enumerate(order)}
-        by_edge: dict[int, list] = {i: [] for i in range(len(order))}
+        """Edge tensors, in `self.edges` order, each pre-merged with the reduction
+        nodes whose last leg lies on it (so no pairwise step carries a dangling pair)."""
+        bundles = [self._edge_array(e) for e in self.edges]
         if reduce_boundary:
             for data, legs in self._reduction_nodes():
-                last = max(rank_of[l[0]] for l in legs if l[0] != "red")
-                by_edge[last].append((data, legs))
-        bundles = []
-        for i, e in enumerate(order):
-            bundle = self._edge_array(e)
-            for node in by_edge[i]:
-                bundle = self._merge(bundle, node)  # dangling legs have no bond partner
-            bundles.append(bundle)
+                i = max(l[0] for l in legs if l[0] != "red")
+                bundles[i] = self._merge(bundles[i], (data, legs))  # dangling legs have no bond partner
         return bundles
 
     def _merge(self, x, y):
         xd, xl = x
         yd, yl = y
-        ax_x, ax_y = [], []
-        for k, leg in enumerate(yl):
-            partner = self._bond_of.get(leg, leg)
-            if partner in xl:
-                ax_x.append(xl.index(partner))
-                ax_y.append(k)
+        ax_x, ax_y = self._shared_axes(xl, yl)
         linalg.require_fits(
             [d for k, d in enumerate(xd.shape) if k not in ax_x]
             + [d for k, d in enumerate(yd.shape) if k not in ax_y],
@@ -371,38 +359,43 @@ class RegionNetwork:
         ]
         return data, legs
 
-    def _supernodes(self, reduce_boundary: bool) -> list:
-        """Column-grouped contractions of the edge bundles, cached per variant."""
-        key = bool(reduce_boundary)
-        if key in self._supernode_cache:
-            return self._supernode_cache[key]
-        bundles = self._bundles(reduce_boundary)
-        order = self._edge_order()
-        cols: dict[int, list] = {}
-        for (data, legs), e in zip(bundles, order):
-            cols.setdefault(e.x, []).append((data, legs))
-        merged = []
-        for cx in sorted(cols):
-            node = cols[cx][0]
-            for other in cols[cx][1:]:
-                node = self._merge(node, other)
-            merged.append(node)
-        self._supernode_cache[key] = merged
-        return merged
+    def _shared_axes(self, xl: list, yl: list) -> tuple[list[int], list[int]]:
+        """Axes of x and y joined by a bond, or by the same leg name (e.g. a vector's)."""
+        pos = {l: k for k, l in enumerate(xl)}
+        ax_x, ax_y = [], []
+        for k, leg in enumerate(yl):
+            a = pos.get(self._bond_of.get(leg, leg))
+            if a is not None:
+                ax_x.append(a)
+                ax_y.append(k)
+        return ax_x, ax_y
 
     def _contract(self, extra, reduce_boundary: bool, out_legs: list) -> np.ndarray:
-        """Column-sweep contraction; returns the array over `out_legs`.
+        """Greedy pairwise contraction of the edge bundles; returns the array over `out_legs`.
 
-        extra: optional starting tensor (data, legs) contracted against matching
-        legs, e.g. a physical vector or a reduced boundary vector.  Absorbing it
-        first keeps boundary legs from lingering in the accumulator.
+        extra: optional start tensor (data, legs) joined to the bundles by leg
+        name, e.g. a physical vector or a reduced boundary vector.  Each step
+        merges, among the pairs that share a leg, the pair whose output grows
+        least over its inputs (output size minus both input sizes), ties broken
+        by the multiply-add count: the greedy rule of opt_einsum (Smith & Gray,
+        JOSS 3(26):753, 2018).  Pairs that share no leg rank after all others.
         """
-        acc = (np.array(1.0), [])
+        nodes = self._bundles(reduce_boundary)
         if extra is not None:
-            acc = (extra[0], list(extra[1]))
-        for node in self._supernodes(reduce_boundary):
-            acc = self._merge(acc, node)
-        acc_data, acc_legs = acc
+            nodes.append((extra[0], list(extra[1])))
+
+        def cost(pair):
+            (xd, xl), (yd, yl) = nodes[pair[0]], nodes[pair[1]]
+            ax_x, _ = self._shared_axes(xl, yl)
+            inner = math.prod(xd.shape[k] for k in ax_x)
+            out = (xd.size // inner) * (yd.size // inner)
+            return (not ax_x, out - xd.size - yd.size, out * inner)
+
+        while len(nodes) > 1:
+            i, j = min(itertools.combinations(range(len(nodes)), 2), key=cost)
+            merged = self._merge(nodes[i], nodes[j])
+            nodes = [node for k, node in enumerate(nodes) if k not in (i, j)] + [merged]
+        acc_data, acc_legs = nodes[0]
         remaining = set(acc_legs) - set(out_legs)
         if remaining:
             raise RuntimeError(f"unconsumed legs after contraction: {remaining}")

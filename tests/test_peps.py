@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qdlab import linalg, peps
 from qdlab.davies import thermofield_vector
 from qdlab.groups import FiniteGroup, make_cyclic, make_symmetric
-from qdlab.lattice import RECT, TORUS, Region, TorusLattice
+from qdlab.lattice import RECT, TORUS, Region, TorusLattice, parse_region
 from qdlab.linalg import FeasibilityError, matrix_power_hermitian, vectorize
 from qdlab.peps import (
     RegionNetwork,
@@ -122,6 +127,20 @@ class TestEdgeTensor:
         with pytest.raises(FeasibilityError, match="2.1 GiB"):
             edge_tensor(make_cyclic(7), 1.0, "v")
 
+    def test_full_build_peak_stays_near_one_tensor(self):
+        """Z5 (75 MiB tensor), in a fresh process: the build adds at most twice its size to peak RSS."""
+        code = (
+            "import resource; from qdlab.groups import make_cyclic; from qdlab.peps import edge_tensor\n"
+            "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+            "before = rss(); data = edge_tensor(make_cyclic(5), 1.0, 'v', 'full').data\n"
+            "print(rss() - before, data.nbytes)"
+        )
+        src = str(Path(peps.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        added, nbytes = map(int, out.stdout.split())
+        assert added <= 2 * nbytes
+
 
 class TestRegionContraction:
     @staticmethod
@@ -131,7 +150,7 @@ class TestRegionContraction:
 
     @pytest.mark.parametrize("method", ["t_apply", "t_dagger_apply"])
     def test_contraction_step_over_budget_is_refused(self, monkeypatch, method):
-        """Edge tensors (8 KiB) fit a 16 KiB budget; the column merges (64 KiB) do not."""
+        """Edge tensors (8 KiB) fit a 16 KiB budget; the pairwise merges (up to 128 KiB) do not."""
         monkeypatch.setattr(peps, "_EDGE_CACHE", {})
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**14)
         net = self._z2_plaquette_network()
@@ -168,17 +187,38 @@ class TestRegionContraction:
         y = rng.standard_normal(t.shape[1])
         assert np.allclose(t.T @ (t @ y), gram_t @ y, atol=1e-10)
 
-    def test_t_apply_matches_t_matrix(self):
-        grp = make_cyclic(2)
-        model = QuantumDoubleModel(grp, TorusLattice(4))
-        reg = Region(model.lattice, RECT, x0=1, a=1, y0=2, b=1)
-        net = RegionNetwork(model, reg, 0.8, "full")
+    @staticmethod
+    def _assert_applies_match_t_matrix(net):
         t = net.t_matrix()
         rng = np.random.default_rng(1)
         y = rng.standard_normal(t.shape[1])
         assert np.allclose(net.t_apply(y), t @ y, atol=1e-11)
         x = rng.standard_normal(t.shape[0])
         assert np.allclose(net.t_dagger_apply(x), t.T @ x, atol=1e-11)
+
+    def test_t_apply_matches_t_matrix(self):
+        grp = make_cyclic(2)
+        model = QuantumDoubleModel(grp, TorusLattice(4))
+        reg = Region(model.lattice, RECT, x0=1, a=1, y0=2, b=1)
+        self._assert_applies_match_t_matrix(RegionNetwork(model, reg, 0.8, "full"))
+
+    def test_t_apply_matches_t_matrix_z3(self):
+        lat = TorusLattice(3)
+        model = QuantumDoubleModel(make_cyclic(3), lat)
+        self._assert_applies_match_t_matrix(RegionNetwork(model, parse_region(lat, "rect:0,0,1,1"), 1.0))
+
+    def test_martingale_region_fits_a_quarter_gib_budget(self, monkeypatch):
+        """The whole region of the smallest martingale split (2^20 doubled dims): the
+        pairwise order's largest step is 256 MiB; a column sweep needs 1 GiB."""
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**28)
+        lat = TorusLattice(4)
+        net = RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,3,1"), 1.0)
+        rng = np.random.default_rng(2)
+        y = rng.standard_normal(net.reduced.dim)
+        x = rng.standard_normal(net.phys_dim)
+        lhs = np.vdot(net.t_apply(y), x)
+        rhs = np.vdot(y, net.t_dagger_apply(x))
+        assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
     def test_thermofield_state(self, z2_model):
         beta = 1.0
