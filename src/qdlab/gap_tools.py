@@ -244,15 +244,15 @@ def martingale_measurement(
     )
 
 
-def _largest_eig(handle: LinearMapHandle, seed: int, tol: float, maxiter: int = ARPACK_MAXITER) -> float:
-    """Largest eigenvalue; ConvergenceError when ARPACK has not converged after `maxiter` restarts."""
+def _largest_eig(handle: LinearMapHandle, seed: int, tol: float) -> float:
+    """Largest eigenvalue; ConvergenceError when ARPACK has not converged after ARPACK_MAXITER restarts."""
     import scipy.sparse.linalg as spla
 
     rng = np.random.default_rng(seed)
     op = spla.LinearOperator((handle.dim, handle.dim), matvec=handle.apply, dtype=float)
     try:
         vals = spla.eigsh(op, k=1, which="LA", v0=rng.standard_normal(handle.dim), tol=tol,
-                          maxiter=maxiter, return_eigenvectors=False)
+                          maxiter=ARPACK_MAXITER, return_eigenvectors=False)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(f"largest-eigenvalue solve failed: {exc}") from exc
     return float(vals[0])

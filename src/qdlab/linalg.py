@@ -42,8 +42,9 @@ def require_fits(shape: Sequence[int], dtype=np.float64) -> None:
         )
 
 
-# ARPACK restarts allowed per solve; ARPACK's own default is 10 n. The two solves
-# of the benchmark's gap_chain workload take 151 matvecs in all, so fewer restarts.
+# ARPACK restarts allowed per solve (each restart takes up to ncv - k matvecs);
+# ARPACK's own default is 10 n. The two solves of the benchmark's gap_chain
+# workload take 151 matvecs in all, a few restarts, far below this cap.
 ARPACK_MAXITER = 1000
 
 
@@ -146,13 +147,12 @@ def lowest_eigs_matrix_free(
     seed: int = 0,
     deflate: Sequence[np.ndarray] = (),
     shift: float = 100.0,
-    maxiter: int = ARPACK_MAXITER,
 ) -> np.ndarray:
     """k lowest eigenvalues of a Hermitian PSD map, deflating the given orthonormal vectors.
 
     Deflation adds `shift` on the span of the supplied vectors, so the returned
     values are the lowest of H restricted to their orthogonal complement.
-    Raises ConvergenceError when ARPACK has not converged after `maxiter` restarts.
+    Raises ConvergenceError when ARPACK has not converged after ARPACK_MAXITER restarts.
     """
     defl = [np.asarray(v, dtype=complex).reshape(-1) for v in deflate]
     for i, v in enumerate(defl):
@@ -175,7 +175,7 @@ def lowest_eigs_matrix_free(
     v0 = rng.standard_normal(h.dim)
     op = spla.LinearOperator((h.dim, h.dim), matvec=matvec, dtype=complex)
     try:
-        vals, vecs = spla.eigsh(op, k=k, sigma=None, which="SA", v0=v0, tol=tol, maxiter=maxiter)
+        vals, vecs = spla.eigsh(op, k=k, sigma=None, which="SA", v0=v0, tol=tol, maxiter=ARPACK_MAXITER)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(f"Lanczos failed to converge: {exc}") from exc
     order = np.argsort(vals)

@@ -335,13 +335,16 @@ class RegionNetwork:
         return nodes
 
     def _bundles(self, reduce_boundary: bool) -> list:
-        """Edge tensors, in `self.edges` order, each pre-merged with the reduction
-        nodes whose last leg lies on it (so no pairwise step carries a dangling pair)."""
+        """Edge tensors, in `self.edges` order, with the reduction nodes merged in.
+
+        Each reduction node is merged into the edge holding its last leg; a vertex
+        node's other leg, on another edge, is joined to that edge by name in a later
+        pairwise step."""
         bundles = [self._edge_array(e) for e in self.edges]
         if reduce_boundary:
             for data, legs in self._reduction_nodes():
                 i = max(l[0] for l in legs if l[0] != "red")
-                bundles[i] = self._merge(bundles[i], (data, legs))  # dangling legs have no bond partner
+                bundles[i] = self._merge(bundles[i], (data, legs))
         return bundles
 
     def _merge(self, x, y):

@@ -130,13 +130,15 @@ class TestEdgeTensor:
     def test_full_build_peak_stays_near_one_tensor(self):
         """Z5 (75 MiB tensor), in a fresh process: the build adds at most twice its size to peak RSS."""
         code = (
-            "import resource; from qdlab.groups import make_cyclic; from qdlab.peps import edge_tensor\n"
-            "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+            "import resource, sys; from qdlab.groups import make_cyclic; from qdlab.peps import edge_tensor\n"
+            "unit = 1 if sys.platform == 'darwin' else 1024  # ru_maxrss is in bytes on macOS, KiB elsewhere\n"
+            "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit\n"
             "before = rss(); data = edge_tensor(make_cyclic(5), 1.0, 'v', 'full').data\n"
             "print(rss() - before, data.nbytes)"
         )
         src = str(Path(peps.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         added, nbytes = map(int, out.stdout.split())
         assert added <= 2 * nbytes
