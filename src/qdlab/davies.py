@@ -4,7 +4,6 @@ the GNS-vectorized Hamiltonian H~, kernel projectors, and the gap chain."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -43,10 +42,6 @@ class CouplingSet:
     operators: tuple[np.ndarray, ...]
     label: str = "matrix-units"
 
-    @property
-    def count(self) -> int:
-        return len(self.operators)
-
 
 def hermitian_unit_basis(d: int) -> list[np.ndarray]:
     """{E_gg} + {E_gh + E_hg} + {i(E_gh - E_hg)} for g < h: spans all of M_d."""
@@ -79,12 +74,8 @@ def commutant_dimension(operators) -> int:
     return d * d - rank
 
 
-def default_coupling(group: FiniteGroup, check: bool = True) -> CouplingSet:
-    ops = tuple(hermitian_unit_basis(group.order))
-    cs = CouplingSet(operators=ops)
-    if check and commutant_dimension(ops) != 1:
-        raise CouplingError("default coupling unexpectedly fails the trivial-commutant assumption")
-    return cs
+def default_coupling(group: FiniteGroup) -> CouplingSet:
+    return CouplingSet(operators=tuple(hermitian_unit_basis(group.order)))
 
 
 def validate_coupling(operators) -> None:
@@ -143,18 +134,6 @@ def kms_rates(beta: float, form: str = "exponential-half", table: dict | None = 
     if defect > 1e-10:
         raise RateError(f"rate table violates the KMS condition (worst ratio defect {defect:.3e})")
     return rf
-
-
-def load_rate_table(path: str | Path, beta: float) -> RateFunction:
-    """Two-column (omega, rate) plain-text rate table."""
-    table = {}
-    for ln in Path(path).read_text().splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        w, v = ln.split()
-        table[int(w)] = float(v)
-    return kms_rates(beta, form="custom", table=table)
 
 
 # -- Fourier components --------------------------------------------------------------
@@ -248,6 +227,7 @@ class DaviesGenerator:
     def build(cls, model: QuantumDoubleModel, beta: float, coupling: CouplingSet | None = None,
               rates: RateFunction | None = None) -> "DaviesGenerator":
         coupling = coupling or default_coupling(model.group)
+        validate_coupling(coupling.operators)
         rates = rates or kms_rates(beta)
         gen = cls(model=model, beta=beta, coupling=coupling, rates=rates)
         for e in model.edge_list:
@@ -496,10 +476,10 @@ def local_gap_check(
 # -- gaps and the chain ------------------------------------------------------------------------
 
 
-def davies_gap(htilde: HTilde, tfd: np.ndarray, seed: int = 0, tol: float = 1e-8, shift: float = 50.0) -> float:
+def davies_gap(htilde: HTilde, tfd: np.ndarray, seed: int = 0, tol: float = 1e-8) -> float:
     """Smallest nonzero eigenvalue of H~ (deflating the thermofield double)."""
     vals = lowest_eigs_matrix_free(
-        htilde.handle(), k=1, seed=seed, tol=tol, deflate=[tfd], shift=shift
+        htilde.handle(), k=1, seed=seed, tol=tol, deflate=[tfd], shift=50.0
     )
     return float(vals[0])
 

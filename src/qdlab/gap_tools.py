@@ -19,37 +19,11 @@ from .linalg import (
     lowest_eigs_matrix_free,
     orthonormal_columns,
 )
-from .peps import RegionNetwork, star_leg_weights
+from .peps import RegionNetwork
 from .quantum_double import QuantumDoubleModel, gamma_beta
 
 
 # -- region ground projectors ---------------------------------------------------------
-
-
-def _reduced_weight_factors(bb: BlockBoundary, beta: float) -> list[np.ndarray]:
-    """Per reduced index axis, the boundary weight matrix of G_dR (edges then vertices)."""
-    G = bb.group
-    n = G.order
-    q = gamma_beta(beta / 2, n)
-    mw = np.full((n, n), ((1 + q) ** 0.25 - q**0.25) / n) + q**0.25 * np.eye(n)
-    factors = [mw for _ in bb.boundary_edges]
-    for v in bb.boundary_vertices:
-        m = bb.cls.vertex_multiplicity[v]
-        factors.append(np.diag(star_leg_weights(G, beta, power=m / 4.0)))
-    return factors
-
-
-def _apply_factors(mat: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    """Right-multiply a (m, reduced) matrix by the kron of per-axis factors.
-
-    The factors are symmetric, so on a single row this is also their left action
-    on the reduced vector.
-    """
-    n = factors[0].shape[0]
-    out = mat.reshape(mat.shape[0], *([n] * len(factors)))
-    for ax, f in enumerate(factors, start=1):
-        out = np.moveaxis(np.tensordot(out, f, axes=(ax, 0)), -1, ax)
-    return out.reshape(mat.shape)
 
 
 DENSE_PROJECTOR_DIM = 2**15  # doubled dimension up to which RegionProjector holds W densely
@@ -58,21 +32,23 @@ DENSE_PROJECTOR_DIM = 2**15  # doubled dimension up to which RegionProjector hol
 class RegionProjector:
     """Orthogonal projector onto Im(V_X) on the doubled space of the region.
 
-    Dense mode holds W with P = W W^dagger; matrix-free mode applies W through
-    the tensor network and the block Gram of the boundary state.
+    P = W W^dagger with W = T G_dR^{-1} (kappa S~)^{-1/2}: the network's reduced
+    map (boundary weights already undone) times the half-inverse of its Gram, the
+    slim block boundary.  Dense mode holds W; matrix-free mode applies it through
+    the network.  The half-inverse is built on `BlockBoundary`'s reduced basis,
+    whose order the network's reduced axes share.
     """
 
     def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):
         self.model = model
         self.region = region
         self.beta = beta
-        self.net = RegionNetwork(model, region, beta, "full")
+        self.net = RegionNetwork(model, region, beta)
         self.edges = self.net.edges
         self.dim = self.net.phys_dim
         self.rank: int | None = None
         self._w: np.ndarray | None = None
         self._halfinv = None  # sparse Gram^{-1/2} on the reduced basis
-        self._inv_factors = None  # inverse boundary weight factors, one per reduced axis
         if self.dim <= DENSE_PROJECTOR_DIM:
             self._build_dense()
         else:
@@ -80,8 +56,6 @@ class RegionProjector:
 
     def _gram_halfinv(self):
         bb = BlockBoundary(self.model.group, self.region, self.beta)
-        self._bb = bb
-        self._inv_factors = [np.linalg.inv(f) for f in _reduced_weight_factors(bb, self.beta)]
         kappa = bb.kappa
 
         def halfinv(vals):
@@ -97,12 +71,12 @@ class RegionProjector:
     def _build_dense(self):
         t = self.net.t_matrix()
         if self.beta <= 0:
-            w = orthonormal_columns(t)
+            # the pseudo-inverse weights leave most columns exactly zero; drop them
+            w = orthonormal_columns(t[:, np.any(t != 0, axis=0)])
             self.rank = w.shape[1]
             self._w = w
             return
         self._gram_halfinv()
-        t = _apply_factors(t, self._inv_factors)
         self._w = (self._halfinv.T @ t.T).T
 
     def _build_matrix_free(self):
@@ -111,14 +85,10 @@ class RegionProjector:
         self._gram_halfinv()
 
     def _w_dagger_apply(self, x: np.ndarray) -> np.ndarray:
-        y = self.net.t_dagger_apply(x)
-        y = _apply_factors(y[None, :], self._inv_factors)[0]
-        return self._halfinv.T.conj() @ y
+        return self._halfinv.T.conj() @ self.net.t_dagger_apply(x)
 
     def _w_apply(self, y: np.ndarray) -> np.ndarray:
-        y = self._halfinv @ y
-        y = _apply_factors(y[None, :], self._inv_factors)[0]
-        return self.net.t_apply(y)
+        return self.net.t_apply(self._halfinv @ y)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self._w is not None:
@@ -140,10 +110,10 @@ class EmbeddedProjector:
         self.n = proj.model.local_dim
         self.ambient = list(ambient_edges)
         pos = {e: i for i, e in enumerate(self.ambient)}
-        self.inner = [pos[e] for e in proj.edges]
         missing = [e for e in proj.edges if e not in pos]
         if missing:
             raise ValueError(f"region edges {missing} missing from ambient patch")
+        self.inner = [pos[e] for e in proj.edges]
         self.outer = [i for i in range(len(self.ambient)) if i not in self.inner]
         self.dim = self.n ** (2 * len(self.ambient))
 
@@ -336,10 +306,8 @@ def recursion_bound(r: int, delta_fn, k_terms: int = 200) -> RecursionBound:
 @dataclass
 class ParentHamiltonian:
     model: QuantumDoubleModel
-    region: Region | None  # None = the ambient torus / patch itself
     beta: float
     n_max: int
-    min_side: int
     family: list[Region]
     projectors: list[EmbeddedProjector]
     ambient_edges: list
@@ -355,33 +323,15 @@ class ParentHamiltonian:
         return worst
 
 
-def parent_hamiltonian(
-    model: QuantumDoubleModel,
-    beta: float,
-    region: Region | None = None,
-    n_max: int = 2,
-    min_side: int = 1,
-) -> ParentHamiltonian:
-    """H = sum_X P_X^perp over rectangles with sides in [min_side, n_max] inside the region."""
-    lat = model.lattice
-    if region is None:
-        ambient = list(lat.edges())
-        inside = None
-    else:
-        ambient = list(region.edges())
-        inside = set(region.plaquettes())
-    family = []
-    for x in rectangles_up_to(lat, n_max, min_side=min_side):
-        if inside is not None and not set(x.plaquettes()) <= inside:
-            continue
-        family.append(x)
+def parent_hamiltonian(model: QuantumDoubleModel, beta: float, n_max: int = 2) -> ParentHamiltonian:
+    """H = sum_X P_X^perp over the rectangles X of the torus with sides in [1, n_max]."""
+    ambient = list(model.lattice.edges())
+    family = rectangles_up_to(model.lattice, n_max)
     projectors = [EmbeddedProjector(RegionProjector(model, x, beta), ambient) for x in family]
     return ParentHamiltonian(
         model=model,
-        region=region,
         beta=beta,
         n_max=n_max,
-        min_side=min_side,
         family=family,
         projectors=projectors,
         ambient_edges=ambient,
@@ -389,14 +339,7 @@ def parent_hamiltonian(
     )
 
 
-def parent_gap(
-    ph: ParentHamiltonian,
-    kernel_vectors,
-    k: int = 1,
-    seed: int = 0,
-    tol: float = 1e-9,
-    shift: float = 50.0,
-) -> tuple[float, float]:
+def parent_gap(ph: ParentHamiltonian, kernel_vectors, seed: int = 0, tol: float = 1e-9) -> tuple[float, float]:
     """(gap, kernel residual) of the parent Hamiltonian.
 
     The gap is the smallest eigenvalue of H on the orthogonal complement of the
@@ -404,6 +347,6 @@ def parent_gap(
     is max ||H v|| over them (~0 when they do lie in the kernel).
     """
     handle = ph.handle()
-    vals = lowest_eigs_matrix_free(handle, k=k, seed=seed, tol=tol, deflate=kernel_vectors, shift=shift)
+    vals = lowest_eigs_matrix_free(handle, k=1, seed=seed, tol=tol, deflate=kernel_vectors, shift=50.0)
     residual = max(float(np.linalg.norm(handle.apply(v))) for v in kernel_vectors)
     return float(vals[0]), residual

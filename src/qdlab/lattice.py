@@ -236,15 +236,15 @@ def enumerate_family(lattice: TorusLattice, kind: str, r: int | None = None) -> 
     raise GeometryError(f"unknown family kind {kind!r}")
 
 
-def rectangles_up_to(lattice: TorusLattice, n: int, min_side: int = 1) -> list[Region]:
-    """Proper rectangles with min_side <= a, b <= n; the parent-Hamiltonian interaction family."""
+def rectangles_up_to(lattice: TorusLattice, n: int) -> list[Region]:
+    """Proper rectangles with 1 <= a, b <= n; the parent-Hamiltonian interaction family."""
     N = lattice.N
     hi = min(n, N - 1)
     out = []
     for y0 in range(N):
         for x0 in range(N):
-            for a in range(min_side, hi + 1):
-                for b in range(min_side, hi + 1):
+            for a in range(1, hi + 1):
+                for b in range(1, hi + 1):
                     out.append(Region(lattice, RECT, x0=x0, a=a, y0=y0, b=b))
     return out
 

@@ -151,14 +151,16 @@ def lowest_eigs_matrix_free(
     """k lowest eigenvalues of a Hermitian PSD map, deflating the given orthonormal vectors.
 
     Deflation adds `shift` on the span of the supplied vectors, so the returned
-    values are the lowest of H restricted to their orthogonal complement.
+    values are the lowest of H restricted to their orthogonal complement; vectors
+    that are not orthonormal (to 1e-8) raise LinalgError.
     Raises ConvergenceError when ARPACK has not converged after ARPACK_MAXITER restarts.
     """
     defl = [np.asarray(v, dtype=complex).reshape(-1) for v in deflate]
-    for i, v in enumerate(defl):
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-8:
-            raise LinalgError(f"deflation vector {i} is not normalized")
+    if defl:
+        v = np.array(defl)
+        dev = np.abs(v.conj() @ v.T - np.eye(len(defl))).max()
+        if dev > 1e-8:
+            raise LinalgError(f"deflation vectors are not orthonormal (max |V^dagger V - I| = {dev:.2e})")
 
     def matvec(x):
         y = np.asarray(h.apply(x))

@@ -67,7 +67,8 @@ def weight_plaq(group: FiniteGroup, beta: float) -> WeightOperator:
 
 
 def star_leg_weights(group: FiniteGroup, beta: float, power: float = 0.25) -> np.ndarray:
-    """(delta_{h,1} + gamma_{beta/2})^power, the per-edge star-leg weight."""
+    """(delta_{h,1} + gamma_{beta/2})^power, the per-edge star-leg weight; entries
+    with h != 1 are 0 when gamma <= 0 (a negative power gives the pseudo-inverse)."""
     q = gamma_beta(beta / 2, group.order)
     w = np.full(group.order, q**power if q > 0 else 0.0)
     w[0] = (1 + q) ** power
@@ -201,11 +202,15 @@ class ReducedBoundary:
 
 
 class RegionNetwork:
-    """Tensor network of a region: builds V_R and the reduced boundary map T_R.
+    """Tensor network of a region: builds V_R and the reduced boundary map T G_dR^{-1}.
 
-    The reduced map T feeds each dangling plaquette pair with |L^gamma> and each
-    dangling vertex chain with |h, h>; its columns span Im(V_R) exactly (the
-    boundary state is supported inside the leading-term product subspace).
+    T feeds each dangling plaquette pair with |L^gamma> and each dangling vertex
+    chain with |h, h>; its columns span Im(V_R) exactly (the boundary state is
+    supported inside the leading-term product subspace).  The reduced map
+    (t_matrix, t_apply, t_dagger_apply) also undoes the boundary weights G_dR on
+    each reduced leg, (wp wp)^{-1} per edge and the star weight to the power -m/4
+    per vertex, so its Gram is kappa S~, the slim `BlockBoundary` operator.  At
+    beta <= 0 the weights are singular; their pseudo-inverses keep the span.
 
     Every map contracts one node per edge (its tensor with the reduction nodes
     of its dangling pairs) and, for t_apply/t_dagger_apply, the input vector,
@@ -213,13 +218,12 @@ class RegionNetwork:
     the dense budget before it allocates.
     """
 
-    def __init__(self, model: QuantumDoubleModel, region: Region, beta: float, variant: str = "full"):
+    def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):
         if model.edges is not None:
             raise ValueError("region networks live on the full torus model")
         self.model = model
         self.region = region
         self.beta = beta
-        self.variant = variant
         self.group = model.group
         self.lattice = model.lattice
         self.cls: RegionClassification = classify_region(region)
@@ -308,7 +312,7 @@ class RegionNetwork:
     # -- tensors -----------------------------------------------------------------
 
     def _edge_array(self, e: Edge) -> tuple[np.ndarray, list[tuple]]:
-        t = edge_tensor(self.group, self.beta, e.orientation, self.variant)
+        t = edge_tensor(self.group, self.beta, e.orientation)
         i = self.edge_pos[e]
         legs = [(i, "ket"), (i, "pur")]
         for s in t.sides:
@@ -316,20 +320,24 @@ class RegionNetwork:
         return t.data, legs
 
     def _reduction_nodes(self):
-        """3-leg reduction tensors for every dangling pair, keyed by reduced label."""
+        """3-leg reduction tensors for every dangling pair, with the inverse boundary
+        weight on the reduced leg."""
         n = self.group.order
+        idx = np.arange(n)
         nodes = []
         # [out, in, gamma] = delta(out = gamma * in) / sqrt(|G|): normalized |L^gamma>
         psi = np.zeros((n, n, n))
         for gam in range(n):
-            psi[self.group.mul[gam, np.arange(n)], np.arange(n), gam] = 1.0 / np.sqrt(n)
+            psi[self.group.mul[gam, idx], idx, gam] = 1.0 / np.sqrt(n)
+        wp = weight_plaq(self.group, self.beta).matrix
+        psi = psi @ np.linalg.pinv(wp @ wp)
         for e in self.reduced.edges:
             out_leg, in_leg = self.dangling_edge_pairs[e]
             nodes.append((psi, [out_leg, in_leg, ("red", "e", e)]))
-        phi = np.zeros((n, n, n))  # [in_first, out_last, h]
-        for h in range(n):
-            phi[h, h, h] = 1.0
         for v in self.reduced.vertices:
+            phi = np.zeros((n, n, n))  # [in_first, out_last, h]
+            m = self.cls.vertex_multiplicity[v]
+            phi[idx, idx, idx] = star_leg_weights(self.group, self.beta, power=-m / 4)
             first_in, last_out = self.dangling_vertex_pairs[v]
             nodes.append((phi, [first_in, last_out, ("red", "v", v)]))
         return nodes
@@ -463,9 +471,9 @@ class RegionNetwork:
         return out.reshape(self.phys_dim, bdry)
 
 
-def contract_region(model: QuantumDoubleModel, region: Region, beta: float, variant: str = "full"):
+def contract_region(model: QuantumDoubleModel, region: Region, beta: float):
     """V_R as a dense matrix (or the contracted vector on the torus)."""
-    net = RegionNetwork(model, region, beta, variant)
+    net = RegionNetwork(model, region, beta)
     if region.kind == TORUS:
         return net.v_matrix().reshape(net.phys_dim)
     return net.v_matrix()

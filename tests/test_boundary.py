@@ -6,7 +6,7 @@ import pytest
 from qdlab.groups import group_by_name, make_cyclic, make_symmetric
 from qdlab.lattice import RECT, CYL_H, Region, TorusLattice, classify_region, parse_region
 from qdlab.linalg import dagger, kron
-from qdlab.peps import RegionNetwork, edge_tensor, weight_plaq, star_leg_weights
+from qdlab.peps import RegionNetwork, edge_tensor, weight_plaq
 from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
 from qdlab.boundary import (
     BlockBoundary,
@@ -227,8 +227,8 @@ class TestBlocks:
         ("Z2", 4, "rect:0,0,3,1"),
     ])
     def test_reduced_basis_order_matches_blocks(self, name, n, spec):
-        """The projector pairs the network's reduced axes with the block boundary's
-        weight factors by position, so the two orders must agree."""
+        """The projector applies the block boundary's Gram half-inverse to the
+        network's reduced axes by position, so the two orders must agree."""
         grp, lat = group_by_name(name), TorusLattice(n)
         region = parse_region(lat, spec)
         net = RegionNetwork(QuantumDoubleModel(grp, lat), region, 1.0)
@@ -242,21 +242,12 @@ class TestBlocks:
         model = QuantumDoubleModel(grp, lat)
         beta = 1.0
         reg = Region(lat, RECT, x0=0, a=1, y0=0, b=1)
-        net = RegionNetwork(model, reg, beta, "full")
+        net = RegionNetwork(model, reg, beta)
         t = net.t_matrix()
         gram = t.T @ t
         bb = BlockBoundary(grp, reg, beta)
-        # slim blocks conjugated by boundary weights must reproduce the full Gram
+        # the network undoes the boundary weights, so its Gram is kappa times the slim blocks
         n = 2
-        q = gamma_beta(beta / 2, n)
-        mw = np.full((n, n), ((1 + q) ** 0.25 - q**0.25) / n) + q**0.25 * np.eye(n)
-        factors = [mw] * 4 + [
-            np.diag(star_leg_weights(grp, beta, power=bb.cls.vertex_multiplicity[v] / 4.0))
-            for v in bb.boundary_vertices
-        ]
-        k = factors[0]
-        for f in factors[1:]:
-            k = np.kron(k, f)
         slim = np.zeros_like(gram)
         nv = len(bb.boundary_vertices)
         for f_hat in bb.f_hat_iter():
@@ -270,8 +261,8 @@ class TestBlocks:
                     perm[np.ravel_multi_index(hv, (n,) * nv), np.ravel_multi_index(src, (n,) * nv)] = 1.0
                 chain += c * perm
             lo = int(np.ravel_multi_index(f_hat, (n,) * 4)) * n**nv
-            slim[lo : lo + n**nv, lo : lo + n**nv] = bb.kappa * chain
-        assert np.abs(gram - k.T @ slim @ k).max() <= 1e-10 * np.abs(gram).max()
+            slim[lo : lo + n**nv, lo : lo + n**nv] = chain
+        assert np.abs(gram - bb.kappa * slim).max() <= 1e-10 * np.abs(gram).max()
 
     def test_leading_term_exact_at_beta_zero(self):
         grp = make_cyclic(2)
@@ -322,28 +313,13 @@ class TestBlocks:
         model = QuantumDoubleModel(grp, lat)
         beta = 1.3
         reg = Region(lat, CYL_H, y0=0, b=1)
-        net = RegionNetwork(model, reg, beta, "full")
+        net = RegionNetwork(model, reg, beta)
         bb = BlockBoundary(grp, reg, beta)
-        # compare full-variant Gram probes: T^dag (T y) vs K^T (kappa block) K y
-        n = 2
-        q = gamma_beta(beta / 2, n)
-        mw = np.full((n, n), ((1 + q) ** 0.25 - q**0.25) / n) + q**0.25 * np.eye(n)
-        factors = [mw] * len(bb.boundary_edges) + [
-            np.diag(star_leg_weights(grp, beta, power=bb.cls.vertex_multiplicity[v] / 4.0))
-            for v in bb.boundary_vertices
-        ]
+        # Gram probes of the network's reduced map: T^dag (T y) vs kappa S~ y
         weights = bb.matrix_function_weights(lambda v: v)
         smat = bb.group_function_matrix(weights)
         rng = np.random.default_rng(5)
         y = rng.standard_normal(net.reduced.dim)
-
-        def apply_factors(vec, inverse=False):
-            out = vec.reshape([n] * len(factors))
-            for ax, f in enumerate(factors):
-                use = np.linalg.inv(f) if inverse else f
-                out = np.moveaxis(np.tensordot(use, out, axes=(1, ax)), 0, ax)
-            return out.reshape(-1)
-
         got = net.t_dagger_apply(net.t_apply(y))
-        want = apply_factors(bb.kappa * (smat @ apply_factors(y)))
+        want = bb.kappa * (smat @ y)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()

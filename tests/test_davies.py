@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qdlab.davies import (
+    CouplingError,
+    CouplingSet,
     DaviesGenerator,
     HTilde,
     IotaKernelProjector,
@@ -68,3 +70,13 @@ def test_final_link_needs_a_resolved_parent_gap(gap_parent, passed):
     """Z2 N=2, beta=1 figures: gap(L) = 2.19, local prefactor 1.65e-3, m = 2, tol 1e-7."""
     final_bound = 1.65e-3 * gap_parent / 2
     assert final_link_passed(2.19, final_bound, gap_parent, tol=1e-7) is passed
+
+
+@pytest.mark.parametrize("operator, message", [
+    (np.array([[0, 1], [0, 0]], dtype=complex), "not Hermitian"),  # sigma^+
+    (np.diag([1, 0]).astype(complex), "commutant has dimension 2"),  # E_00 alone
+])
+def test_custom_coupling_is_validated(operator, message):
+    model = QuantumDoubleModel(make_cyclic(2), TorusLattice(2))
+    with pytest.raises(CouplingError, match=message):
+        DaviesGenerator.build(model, BETA, coupling=CouplingSet((operator,)))

@@ -5,6 +5,7 @@ from qdlab import gap_tools, linalg
 from qdlab.gap_tools import _largest_eig
 from qdlab.linalg import (
     ConvergenceError,
+    LinalgError,
     LinearMapHandle,
     dagger,
     devectorize,
@@ -104,6 +105,13 @@ class TestEigsMatrixFree:
         h = handle_from_dense(m)
         val = lowest_eigs_matrix_free(h, k=1, seed=2, deflate=[ground], shift=1e4)[0]
         assert val == pytest.approx(dense_vals[1], abs=1e-8)
+
+    def test_deflation_vectors_must_be_orthogonal(self):
+        # two unit vectors with overlap 1/sqrt(2): each passes a norm check alone
+        e0, e1 = np.eye(8)[0], np.eye(8)[1]
+        h = handle_from_dense(np.diag(np.arange(8.0)))
+        with pytest.raises(LinalgError, match="not orthonormal"):
+            lowest_eigs_matrix_free(h, deflate=[e0, (e0 + e1) / np.sqrt(2)])
 
     @pytest.mark.parametrize(
         "solve, expect",

@@ -179,7 +179,7 @@ class TestRegionContraction:
         grp = make_cyclic(2)
         model = QuantumDoubleModel(grp, TorusLattice(4))
         reg = Region(model.lattice, RECT, x0=0, a=1, y0=0, b=1)
-        net = RegionNetwork(model, reg, 1.0, "full")
+        net = RegionNetwork(model, reg, 1.0)
         v = net.v_matrix()
         assert v.shape == (2 ** 8, 2 ** 16)
         # cross-check against t_matrix through the reduced basis Gram
@@ -202,7 +202,7 @@ class TestRegionContraction:
         grp = make_cyclic(2)
         model = QuantumDoubleModel(grp, TorusLattice(4))
         reg = Region(model.lattice, RECT, x0=1, a=1, y0=2, b=1)
-        self._assert_applies_match_t_matrix(RegionNetwork(model, reg, 0.8, "full"))
+        self._assert_applies_match_t_matrix(RegionNetwork(model, reg, 0.8))
 
     def test_t_apply_matches_t_matrix_z3(self):
         lat = TorusLattice(3)
