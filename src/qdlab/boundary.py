@@ -1,5 +1,5 @@
-"""Boundary states, plaquette constants, the leading-term projector, and
-approximate-factorization certificates.
+"""Boundary states, plaquette constants and approximate-factorization
+certificates.
 
 The slim boundary state of a region is block diagonal over boundary-edge
 assignments f.  Within one block, the edge part is a rank-one projector and the
@@ -25,8 +25,7 @@ from .lattice import (
     RegionClassification,
     classify_region,
 )
-from .linalg import kron, require_fits
-from .peps import star_leg_weights, weight_plaq
+from .linalg import RANK_CUTOFF
 from .quantum_double import gamma_beta
 
 
@@ -34,93 +33,9 @@ class BoundaryError(ValueError):
     pass
 
 
-# -- elementary phi / psi operators (dense, on l2(G) x l2(G)) --------------------
-
-
-def phi_operator(group: FiniteGroup, a: int, beta: float = 0.0, m: int = 1, slim: bool = True) -> np.ndarray:
-    """Vertex-chain operator sum_h w(h) w(ha) |ha,ha><h,h| with chain length m."""
-    n = group.order
-    w = np.ones(n) if slim else star_leg_weights(group, beta, power=m / 4.0)
-    out = np.zeros((n * n, n * n))
-    for h in range(n):
-        ha = group.mul[h, a]
-        out[ha * n + ha, h * n + h] = w[h] * w[ha]
-    return out
-
-
-def psi_operator(group: FiniteGroup, g: int, beta: float = 0.0, slim: bool = True) -> np.ndarray:
-    """|L^g><L^g| (slim) or its weighted version |w L^g w><w L^g w|."""
-    lg = group.left_regular_matrix(g)
-    if not slim:
-        w = weight_plaq(group, beta).matrix
-        lg = w @ lg @ w
-    v = lg.reshape(-1)
-    return np.outer(v, v)
-
-
-def delta_projector(group: FiniteGroup) -> np.ndarray:
-    """(1/|G|) sum_g |L^g><L^g|, the projector onto the translation span."""
-    n = group.order
-    out = np.zeros((n * n, n * n))
-    for g in range(n):
-        out += psi_operator(group, g)
-    return out / n
-
-
-# -- scalar contractions -----------------------------------------------------------
-
-
-def vertex_contraction_scalar(group: FiniteGroup, a: int, beta: float) -> tuple[float, float]:
-    """(closed form, brute force) of the full vertex loop: delta_{a,1} + gamma_beta."""
-    q = gamma_beta(beta / 2, group.order)
-    closed = (1.0 if a == 0 else 0.0) + gamma_beta(beta, group.order)
-    w = star_leg_weights(group, beta, power=1.0)
-    brute = float(sum(w[h] * w[group.mul[h, a]] for h in group.elements()))
-    return closed, brute
-
-
-def plaquette_loop_scalar(group: FiniteGroup, gs: tuple[int, int, int, int], beta: float) -> tuple[float, float]:
-    """(closed form, trace-sum oracle) for the full plaquette loop.
-
-    Closed form: 1 + gamma_beta chi_reg(g1 g2 g3^-1 g4^-1); the oracle sums the
-    m, n in {0, 1} projector traces of the squared weighted loop.
-    """
-    g1, g2, g3, g4 = gs
-    word = group.prod([g1, g2, group.inv[g3], group.inv[g4]])
-    closed = 1.0 + gamma_beta(beta, group.order) * group.regular_character(word)
-    q = gamma_beta(beta / 2, group.order)
-    p1, p0 = group.trivial_projector()
-    loop = (
-        group.left_regular_matrix(g4)
-        @ group.left_regular_matrix(g3)
-        @ group.left_regular_matrix(group.inv[g2])
-        @ group.left_regular_matrix(group.inv[g1])
-    )
-    brute = 0.0
-    for proj_n, wn in ((p1, 1 + q), (p0, q)):
-        for proj_m, wm in ((p1, 1 + q), (p0, q)):
-            brute += wn * wm * np.trace(proj_n @ loop) * np.trace(proj_m @ loop)
-    return closed, float(brute.real)
-
-
 def reduced_character(group: FiniteGroup, g: int) -> float:
     """chi~_reg(g) = chi_reg(g) - 1."""
     return group.regular_character(g) - 1.0
-
-
-def gathering_check(
-    group: FiniteGroup, u: int, v: int, a0: complex, b0: complex, a1: complex, b1: complex, m: int
-) -> tuple[complex, complex]:
-    """(brute force, closed form) for the plaquette-gathering sum over m inner legs."""
-    if m < 1:
-        raise BoundaryError("need at least one inner leg")
-    closed = group.order**m * (a0 * a1 + b0 * b1 * reduced_character(group, group.mul[u, v]))
-    brute = 0.0 + 0.0j
-    for gs in itertools.product(group.elements(), repeat=m):
-        left = group.mul[u, group.prod(gs)]
-        right = group.mul[group.prod(group.inv[g] for g in reversed(gs)), v]
-        brute += (a0 + b0 * reduced_character(group, left)) * (a1 + b1 * reduced_character(group, right))
-    return brute, closed
 
 
 # -- boundary enumeration for rectangles/cylinders ----------------------------------
@@ -217,55 +132,18 @@ def kappa_epsilon(cls: RegionClassification, beta: float, order: int) -> tuple[f
     return kappa, eps
 
 
-def interior_sum_closed_form(group: FiniteGroup, region: Region, f_hat: dict[Edge, int], beta: float) -> float:
+def interior_sum_closed_form(group: FiniteGroup, cls: RegionClassification, word: int, beta: float) -> float:
     """sum over interior extensions of prod_p (1 + gamma chi_reg) in closed form.
 
-    f_hat maps boundary edges to reduced labels (the dangling-pair convention,
-    where the boundary word needs no extra inversion signs).
+    Holds for a proper rectangle classified as `cls`, whose boundary word
+    (`chi_boundary` of the reduced labels: the dangling-pair convention needs
+    no extra inversion signs) is `word`.
     """
-    if region.kind != RECT:
-        raise BoundaryError("closed form applies to proper rectangles")
-    cls = classify_region(region)
-    comp = boundary_components(region)[0]
     g = gamma_beta(beta, group.order)
-    word = chi_boundary(group, comp, f_hat)
     n_p = cls.n_plaquettes
     return group.order ** len(cls.interior_edges) * (
         (1 + g) ** n_p + (g**n_p) * reduced_character(group, word)
     )
-
-
-def interior_sum_brute_force(group: FiniteGroup, region: Region, f_hat: dict[Edge, int], beta: float) -> float:
-    """Oracle: sum over all interior extensions of prod_p (1 + gamma chi_reg(g|_p)).
-
-    `f_hat` carries reduced (gamma) labels; physical labels are recovered via
-    the dangling-side inversion rule before evaluating the plaquette words.
-    """
-    cls = classify_region(region)
-    lat = region.lattice
-    g_bdry = {e: (group.inv[f_hat[e]] if cls.gamma_inverted[e] else f_hat[e]) for e in cls.boundary_edges}
-    gamma = gamma_beta(beta, group.order)
-    total = 0.0
-    interior = list(cls.interior_edges)
-    for assign in itertools.product(group.elements(), repeat=len(interior)):
-        g_all = dict(g_bdry)
-        g_all.update({e: g for e, g in zip(interior, assign)})
-        val = 1.0
-        for p in region.plaquettes():
-            word = 0
-            for e, sign in lat.edges_of_plaquette(p):
-                g = g_all[e]
-                word = group.mul[word, g if sign > 0 else group.inv[g]]
-            val *= 1.0 + gamma * group.regular_character(word)
-        total += val
-    return total
-
-
-def leading_term_edge(group: FiniteGroup) -> np.ndarray:
-    """The slim leading-term projector of a single edge: Delta x Delta x phi_1 x phi_1."""
-    d = delta_projector(group)
-    p = phi_operator(group, 0)
-    return kron(d, d, p, p)
 
 
 def _propagate_anchor_words(
@@ -298,11 +176,20 @@ class BoundaryBlock:
     anchors_words: list[dict]  # per component: vertex -> conjugating word
     coeffs: dict  # anchor tuple -> scalar coefficient (kappa-normalized)
     subgroup: list[tuple[int, ...]]  # admissible anchor tuples: a product subgroup
-    m_matrix: np.ndarray  # group-algebra matrix over the subgroup
+    m_matrix: np.ndarray  # group-algebra matrix over the subgroup (a symmetric Gram block)
+    vals: np.ndarray  # eigenvalues of m_matrix, ascending
+    vecs: np.ndarray  # orthonormal eigenvectors, one column per value
+    kept: np.ndarray  # mask of the modes above RANK_CUTOFF relative to the largest |value|
 
 
 class BlockBoundary:
-    """Structured slim boundary state of a proper rectangle or cylinder region."""
+    """Structured slim boundary state of a proper rectangle or cylinder region.
+
+    Every spectral quantity is a function of the small symmetric matrix m of
+    each block.  `block` decomposes m once with `eigh`; the leading-term norm,
+    the rank, the support norms and `group_function_matrix` all read those
+    eigenvalues, under the one cutoff `linalg.RANK_CUTOFF`.
+    """
 
     def __init__(self, group: FiniteGroup, region: Region, beta: float):
         self.group = group
@@ -345,20 +232,12 @@ class BlockBoundary:
         ]
         return list(itertools.product(*per_comp))
 
-    def interior_sum(self, f_hat: tuple[int, ...], anchors: tuple[int, ...], words: list[dict]) -> float:
-        """Interior-extension sum for the block (f_hat, anchors)."""
+    def interior_sum(self, g_phys: dict[Edge, int], word: int | None, anchors: tuple, words: list[dict]) -> float:
+        """Interior-extension sum for the block of physical boundary labels `g_phys`
+        (boundary word `word`, None off rectangles) and component anchors `anchors`."""
         G = self.group
-        g_phys = {
-            e: self.phys_of_gamma(e, gam) for e, gam in zip(self.boundary_edges, f_hat)
-        }
-        all_trivial = all(a == 0 for a in anchors)
-        if (all_trivial or G.is_abelian()) and self.region.kind == RECT:
-            return interior_sum_closed_form(G, self.region,
-                {e: f for e, f in zip(self.boundary_edges, f_hat)}, self.beta)
-        return self._interior_sum_brute(g_phys, anchors, words)
-
-    def _interior_sum_brute(self, g_phys: dict[Edge, int], anchors: tuple[int, ...], words) -> float:
-        G = self.group
+        if self.region.kind == RECT and (G.is_abelian() or all(a == 0 for a in anchors)):
+            return interior_sum_closed_form(G, self.cls, word, self.beta)
         interior = list(self.cls.interior_edges)
         lat = self.region.lattice
         plaqs = self.region.plaquettes()
@@ -372,11 +251,11 @@ class BlockBoundary:
                 continue
             val = 1.0
             for p in plaqs:
-                word = 0
+                loop = 0
                 for e, sign in lat.edges_of_plaquette(p):
                     g = g_all[e]
-                    word = G.mul[word, g if sign > 0 else G.inv[g]]
-                val *= 1.0 + self.gamma * G.regular_character(word)
+                    loop = G.mul[loop, g if sign > 0 else G.inv[g]]
+                val *= 1.0 + self.gamma * G.regular_character(loop)
             total += val
         return total
 
@@ -386,6 +265,8 @@ class BlockBoundary:
             return cached
         G = self.group
         g_phys = {e: self.phys_of_gamma(e, gam) for e, gam in zip(self.boundary_edges, f_hat)}
+        word = (chi_boundary(G, self.components[0], dict(zip(self.boundary_edges, f_hat)))
+                if self.region.kind == RECT else None)
         words, holonomies = self._component_words(g_phys)
         subgroup = self._anchor_subgroup(holonomies)
         v_int = len(self.cls.interior_vertices)
@@ -393,7 +274,7 @@ class BlockBoundary:
         for anchors in subgroup:
             vc = 1.0 + self.gamma if all(a == 0 for a in anchors) else self.gamma
             pref = vc**v_int if v_int > 0 else 1.0
-            inner = self.interior_sum(f_hat, anchors, words)
+            inner = self.interior_sum(g_phys, word, anchors, words)
             c = self.n ** len(self.boundary_edges) * pref * inner / self.kappa
             coeffs[anchors] = c
         # group-algebra matrix over the product subgroup: right-multiplication perms
@@ -403,33 +284,22 @@ class BlockBoundary:
             for t in subgroup:
                 prod = tuple(G.mul[z, a] for z, a in zip(t, anchors))
                 m[order[prod], order[t]] += c
-        blk = BoundaryBlock(f_hat, words, coeffs, subgroup, m)
+        vals, vecs = np.linalg.eigh(m)
+        kept = np.abs(vals) > RANK_CUTOFF * max(np.abs(vals).max(), 1e-300)
+        blk = BoundaryBlock(f_hat, words, coeffs, subgroup, m, vals, vecs, kept)
         self._block_cache[f_hat] = blk
         return blk
 
     # -- spectral summaries --------------------------------------------------------
 
-    def block_norm_to_identity(self, blk: BoundaryBlock) -> float:
-        return float(np.linalg.norm(blk.m_matrix - np.eye(len(blk.subgroup)), 2))
-
     def leading_term_norm(self) -> float:
-        """|| rho~/kappa - S~ || as the max over f-blocks."""
-        worst = 0.0
-        for f_hat in self.f_hat_iter():
-            worst = max(worst, self.block_norm_to_identity(self.block(f_hat)))
-        return worst
+        """|| rho~/kappa - S~ || as the max over f-blocks of max |lambda - 1|."""
+        return max(float(np.abs(self.block(f_hat).vals - 1.0).max()) for f_hat in self.f_hat_iter())
 
-    def rank(self, cutoff: float = 1e-10) -> int:
+    def rank(self) -> int:
         """Numerical rank of the slim (equivalently full, beta>0) boundary state."""
-        total = 0
-        nv = len(self.boundary_vertices)
-        for f_hat in self.f_hat_iter():
-            blk = self.block(f_hat)
-            mult = self.n**nv // len(blk.subgroup)
-            s = np.linalg.svd(blk.m_matrix, compute_uv=False)
-            r = int(np.sum(s > cutoff * max(s[0], 1e-300))) if s.size else 0
-            total += mult * r
-        return total
+        chain_dim = self.n ** len(self.boundary_vertices)
+        return sum(chain_dim // len(blk.subgroup) * int(blk.kept.sum()) for blk in map(self.block, self.f_hat_iter()))
 
     def leading_rank(self) -> int:
         return self.n ** (len(self.boundary_edges) + len(self.boundary_vertices))
@@ -438,19 +308,15 @@ class BlockBoundary:
         """(|| rho^{1/2} sigma^{-1} rho^{1/2} - J ||, || rho^{-1/2} sigma rho^{-1/2} - J ||).
 
         Computed in the gauge-reduced form: per block these are ||m - supp(m)||
-        and ||pinv(m) - supp(m)|| for the group-algebra matrix m.
+        and ||pinv(m) - supp(m)|| for the group-algebra matrix m, that is
+        max |lambda - [kept]| and max |1/lambda - 1| over the kept lambda.
         """
         worst_a = worst_b = 0.0
         for f_hat in self.f_hat_iter():
             blk = self.block(f_hat)
-            m = blk.m_matrix
-            vals, vecs = np.linalg.eigh((m + m.T) / 2)
-            keep = np.abs(vals) > 1e-10 * max(np.abs(vals).max(), 1e-300)
-            supp = (vecs[:, keep]) @ vecs[:, keep].T
-            pinv = (vecs[:, keep] * (1.0 / vals[keep])) @ vecs[:, keep].T
-            worst_a = max(worst_a, np.linalg.norm(m - supp, 2))
-            worst_b = max(worst_b, np.linalg.norm(pinv - supp, 2))
-        return float(worst_a), float(worst_b)
+            worst_a = max(worst_a, float(np.abs(blk.vals - blk.kept).max()))
+            worst_b = max(worst_b, float(np.abs(1.0 / blk.vals[blk.kept] - 1.0).max(initial=0.0)))
+        return worst_a, worst_b
 
     # -- lifting block data to reduced-basis vectors ---------------------------------
 
@@ -458,43 +324,25 @@ class BlockBoundary:
         """Per boundary vertex, its chain value a(v) = u_v a u_v^{-1} for the component anchors."""
         return {v: self.group.conj(w, a) for w_map, a in zip(words, anchors) for v, w in w_map.items()}
 
-    def _vertex_perm_indices(self, blk: BoundaryBlock, anchors: tuple[int, ...]) -> list[np.ndarray]:
-        """Per boundary vertex, the index map of right-multiplication by a(v)^{-1}."""
-        G = self.group
-        value = self._anchor_values(blk.anchors_words, anchors)
-        return [G.mul[:, G.inv[value[v]]] for v in self.boundary_vertices]
-
-    def matrix_function_weights(self, func) -> dict:
-        """Per-block weights of func(m) back in the group algebra (e.g. x -> x^{-1/2})."""
-        table = {}
-        for f_hat in self.f_hat_iter():
-            blk = self.block(f_hat)
-            m = (blk.m_matrix + blk.m_matrix.T) / 2
-            vals, vecs = np.linalg.eigh(m)
-            fv = func(vals)
-            fm = (vecs * fv) @ vecs.T
-            ident = blk.subgroup.index(tuple(0 for _ in self.components))
-            weights = {}
-            for anchors in blk.subgroup:
-                weights[anchors] = float(fm[blk.subgroup.index(anchors), ident])
-            table[f_hat] = {"block": blk, "weights": weights}
-        return table
-
-    def group_function_matrix(self, table: dict):
-        """The operator of `matrix_function_weights` as a sparse matrix on the
-        reduced basis (block diagonal over f, a permutation sum within a block)."""
+    def group_function_matrix(self, func):
+        """func(m) per block, applied on the kept modes only (e.g. x -> x^{-1/2} gives
+        the pseudo-inverse square root), as a sparse matrix on the reduced basis:
+        block diagonal over f, a permutation sum within a block."""
         import scipy.sparse as sp
 
         G = self.group
         n, ne, nv = self.n, len(self.boundary_edges), len(self.boundary_vertices)
         chain_dim = n**nv
         base_idx = np.arange(chain_dim)
+        ident = (0,) * len(self.components)
         rows, cols, vals = [], [], []
         for f_hat in self.f_hat_iter():
-            entry = table[f_hat]
-            blk = entry["block"]
+            blk = self.block(f_hat)
+            # func(m) lies in the group algebra: its identity column holds the weights
+            vecs = blk.vecs[:, blk.kept]
+            weights = vecs @ (func(blk.vals[blk.kept]) * vecs[blk.subgroup.index(ident)])
             offset = int(np.ravel_multi_index(f_hat, (n,) * ne)) * chain_dim if ne else 0
-            for anchors, d in entry["weights"].items():
+            for anchors, d in zip(blk.subgroup, weights):
                 if d == 0.0:
                     continue
                 value = self._anchor_values(blk.anchors_words, anchors)
@@ -537,67 +385,6 @@ def _consistent_vertex_values(group, lat, cls, g_all, values) -> bool:
                 values[toward] = group.conj(group.inv[g], va)
                 pending = True
     return all(v in values for v in cls.vertices)
-
-
-# -- dense single-edge boundary states ------------------------------------------------
-
-
-def boundary_state_edge(group: FiniteGroup, beta: float, slim: bool = True, orientation: str = VERTICAL) -> np.ndarray:
-    """Dense boundary state of a single edge on (l2(G) x l2(G))^{x4}.
-
-    Pair order matches the edge tensor sides: (west, east, top, bottom) for a
-    vertical edge, (north, south, east, west) for a horizontal one; in both
-    cases (psi_g, psi_{g^-1}, phi_a, phi_b) with a = g b g^{-1}.
-    """
-    G = group
-    n2 = group.order**2
-    require_fits((n2**4, n2**4))
-    out = np.zeros((n2**4, n2**4))
-    for g in G.elements():
-        psi1 = psi_operator(G, g, beta, slim)
-        psi2 = psi_operator(G, G.inv[g], beta, slim)
-        for b in G.elements():
-            a = G.conj(g, b)
-            term = kron(psi1, psi2, phi_operator(G, a, beta, 1, slim), phi_operator(G, b, beta, 1, slim))
-            out += term
-    return out
-
-
-def edge_boundary_entry(
-    group: FiniteGroup, beta: float, row: tuple, col: tuple, slim: bool = True
-) -> float:
-    """Single matrix element of the edge boundary state from the structured formula.
-
-    row/col are 8-tuples of group labels in pair order ((o,i) per side).
-    """
-    G = group
-    total = 0.0
-    wq = weight_plaq(group, beta).matrix
-    ws = star_leg_weights(group, beta, power=0.25)
-    for g in G.elements():
-        lg = G.left_regular_matrix(g)
-        lgi = G.left_regular_matrix(G.inv[g])
-        if not slim:
-            lg, lgi = wq @ lg @ wq, wq @ lgi @ wq
-        p1 = lg[row[0], row[1]] * lg[col[0], col[1]]
-        p2 = lgi[row[2], row[3]] * lgi[col[2], col[3]]
-        if p1 == 0.0 or p2 == 0.0:
-            continue
-        for b in G.elements():
-            a = G.conj(g, b)
-            f1 = _phi_entry(G, a, row[4:6], col[4:6], ws if not slim else None)
-            f2 = _phi_entry(G, b, row[6:8], col[6:8], ws if not slim else None)
-            total += p1 * p2 * f1 * f2
-    return total
-
-
-def _phi_entry(G, a, row_pair, col_pair, ws):
-    if col_pair[0] != col_pair[1] or row_pair[0] != row_pair[1]:
-        return 0.0
-    h, ha = col_pair[0], row_pair[0]
-    if G.mul[h, a] != ha:
-        return 0.0
-    return 1.0 if ws is None else float(ws[h] * ws[ha])
 
 
 # -- certificates ----------------------------------------------------------------------

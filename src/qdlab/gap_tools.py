@@ -36,7 +36,8 @@ class RegionProjector:
     map (boundary weights already undone) times the half-inverse of its Gram, the
     slim block boundary.  Dense mode holds W; matrix-free mode applies it through
     the network.  The half-inverse is built on `BlockBoundary`'s reduced basis,
-    whose order the network's reduced axes share.
+    whose order the network's reduced axes share, from the one `eigh` of each
+    block, on the modes that `BlockBoundary.rank` counts (`linalg.RANK_CUTOFF`).
     """
 
     def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):
@@ -56,16 +57,7 @@ class RegionProjector:
 
     def _gram_halfinv(self):
         bb = BlockBoundary(self.model.group, self.region, self.beta)
-        kappa = bb.kappa
-
-        def halfinv(vals):
-            out = np.zeros_like(vals)
-            scaled = vals * kappa
-            keep = scaled > 1e-12 * max(scaled.max(), 1e-300)
-            out[keep] = scaled[keep] ** -0.5
-            return out
-
-        self._halfinv = bb.group_function_matrix(bb.matrix_function_weights(halfinv))
+        self._halfinv = bb.group_function_matrix(lambda v: (bb.kappa * v) ** -0.5)
         self.rank = bb.rank()
 
     def _build_dense(self):

@@ -5,25 +5,28 @@ import pytest
 
 from qdlab.groups import group_by_name, make_cyclic, make_symmetric
 from qdlab.lattice import RECT, CYL_H, Region, TorusLattice, classify_region, parse_region
-from qdlab.linalg import dagger, kron
+from qdlab.linalg import kron
 from qdlab.peps import RegionNetwork, edge_tensor, weight_plaq
 from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
 from qdlab.boundary import (
     BlockBoundary,
+    boundary_components,
+    chi_boundary,
+    interior_sum_closed_form,
+    kappa_epsilon,
+    support_and_sigma,
+    verify_leading_term,
+)
+from oracles import (
     boundary_state_edge,
     delta_projector,
     edge_boundary_entry,
     gathering_check,
     interior_sum_brute_force,
-    interior_sum_closed_form,
-    kappa_epsilon,
     leading_term_edge,
     phi_operator,
     plaquette_loop_scalar,
     psi_operator,
-    reduced_character,
-    support_and_sigma,
-    verify_leading_term,
     vertex_contraction_scalar,
 )
 
@@ -155,6 +158,12 @@ class TestEdgeBoundary:
         assert np.abs(ww @ d - d @ ww).max() < 1e-12
 
 
+def closed_form(grp, reg, fmap, beta):
+    """The closed form at the boundary word of the reduced labels `fmap`."""
+    word = chi_boundary(grp, boundary_components(reg)[0], fmap)
+    return interior_sum_closed_form(grp, classify_region(reg), word, beta)
+
+
 class TestInteriorSums:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (2, 2)])
     def test_closed_form_z2_all_assignments(self, shape):
@@ -164,7 +173,7 @@ class TestInteriorSums:
         cls = classify_region(reg)
         for f in itertools.product(grp.elements(), repeat=len(cls.boundary_edges)):
             fmap = {e: g for e, g in zip(cls.boundary_edges, f)}
-            cf = interior_sum_closed_form(grp, reg, fmap, 1.0)
+            cf = closed_form(grp, reg, fmap, 1.0)
             bf = interior_sum_brute_force(grp, reg, fmap, 1.0)
             assert abs(cf - bf) <= 1e-10 * max(abs(bf), 1.0)
 
@@ -178,7 +187,7 @@ class TestInteriorSums:
             for _ in range(25):
                 f = tuple(int(x) for x in rng.integers(0, 3, len(cls.boundary_edges)))
                 fmap = {e: g for e, g in zip(cls.boundary_edges, f)}
-                cf = interior_sum_closed_form(grp, reg, fmap, 1.0)
+                cf = closed_form(grp, reg, fmap, 1.0)
                 bf = interior_sum_brute_force(grp, reg, fmap, 1.0)
                 assert abs(cf - bf) <= 1e-10 * max(abs(bf), 1.0)
 
@@ -189,7 +198,7 @@ class TestInteriorSums:
         cls = classify_region(reg)
         gamma = gamma_beta(1.0, 3)
         fmap = {e: 0 for e in cls.boundary_edges}
-        assert interior_sum_closed_form(grp, reg, fmap, 1.0) == pytest.approx(
+        assert closed_form(grp, reg, fmap, 1.0) == pytest.approx(
             1 + gamma * 3
         )
 
@@ -254,7 +263,9 @@ class TestBlocks:
             blk = bb.block(f_hat)
             chain = np.zeros((n**nv, n**nv))
             for anchors, c in blk.coeffs.items():
-                idx = bb._vertex_perm_indices(blk, anchors)
+                # right-multiplication by a(v)^{-1} at each boundary vertex
+                value = bb._anchor_values(blk.anchors_words, anchors)
+                idx = [grp.mul[:, grp.inv[value[v]]] for v in bb.boundary_vertices]
                 perm = np.zeros((n**nv, n**nv))
                 for hv in itertools.product(range(n), repeat=nv):
                     src = tuple(m[h] for m, h in zip(idx, hv))
@@ -316,10 +327,50 @@ class TestBlocks:
         net = RegionNetwork(model, reg, beta)
         bb = BlockBoundary(grp, reg, beta)
         # Gram probes of the network's reduced map: T^dag (T y) vs kappa S~ y
-        weights = bb.matrix_function_weights(lambda v: v)
-        smat = bb.group_function_matrix(weights)
+        smat = bb.group_function_matrix(lambda v: v)
         rng = np.random.default_rng(5)
         y = rng.standard_normal(net.reduced.dim)
         got = net.t_dagger_apply(net.t_apply(y))
         want = bb.kappa * (smat @ y)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name, n, spec", [
+        ("Z2", 4, "rect:0,0,2,2"),
+        ("Z2", 3, "cyl:v,0,1"),
+        ("S3", 3, "rect:0,0,1,1"),
+    ])
+    def test_block_summaries_match_svd_oracle(self, name, n, spec):
+        """The summaries read one eigh per block; the oracle takes SVD norms and
+        an SVD pseudo-inverse of each block matrix m at the same cutoff."""
+        grp, lat = group_by_name(name), TorusLattice(n)
+        bb = BlockBoundary(grp, parse_region(lat, spec), 1.0)
+        chain_dim = grp.order ** len(bb.boundary_vertices)
+        lead = norm_a = norm_b = 0.0
+        rank = 0
+        for f_hat in bb.f_hat_iter():
+            m = bb.block(f_hat).m_matrix
+            assert np.array_equal(m, m.T)  # eigh reads one triangle
+            lead = max(lead, np.linalg.norm(m - np.eye(len(m)), 2))
+            s = np.linalg.svd(m, compute_uv=False)
+            rank += chain_dim // len(m) * int(np.sum(s > 1e-10 * s[0]))
+            pinv = np.linalg.pinv(m, rcond=1e-10)
+            supp = m @ pinv
+            norm_a = max(norm_a, np.linalg.norm(m - supp, 2))
+            norm_b = max(norm_b, np.linalg.norm(pinv - supp, 2))
+        assert bb.leading_term_norm() == pytest.approx(lead, rel=1e-10)
+        assert bb.rank() == rank
+        assert bb.support_norms() == pytest.approx((norm_a, norm_b), rel=1e-10)
+
+    def test_non_vacuous_certificates_z2_3x3(self):
+        """The one instance with epsilon < 1 that fits: both certificates pass on
+        their hypothesis, pinned at their values."""
+        grp, lat = make_cyclic(2), TorusLattice(5)
+        reg = Region(lat, RECT, x0=0, a=3, y0=0, b=3)
+        lead = verify_leading_term(grp, reg, 1.0)
+        supp = support_and_sigma(grp, reg, 1.0)
+        for cert in (lead, supp):
+            assert cert.epsilon == pytest.approx(0.547254849064702, rel=1e-10)
+            assert cert.measured == pytest.approx(0.04660950191129053, rel=1e-10)
+            assert cert.passed and not cert.vacuous
+        assert supp.extras["inverse_norm"] == pytest.approx(0.04879172144804957, rel=1e-10)
+        assert supp.extras["rank"] == supp.extras["leading_rank"] == 16777216

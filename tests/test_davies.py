@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from qdlab.davies import (
+    BOHR_FREQUENCIES,
     CouplingError,
     CouplingSet,
     DaviesGenerator,
     HTilde,
     IotaKernelProjector,
+    RateError,
     final_link_passed,
     iota,
     iota_inverse,
+    kms_rates,
     thermofield_vector,
 )
 from qdlab.groups import make_cyclic
@@ -80,3 +83,22 @@ def test_custom_coupling_is_validated(operator, message):
     model = QuantumDoubleModel(make_cyclic(2), TorusLattice(2))
     with pytest.raises(CouplingError, match=message):
         DaviesGenerator.build(model, BETA, coupling=CouplingSet((operator,)))
+
+
+def test_default_rates_satisfy_kms():
+    for beta in (0.0, 1.0, 3.0):
+        rf = kms_rates(beta)
+        assert rf.kms_defect() <= 1e-10
+        assert rf(2) == pytest.approx(np.exp(beta))
+
+
+@pytest.mark.parametrize("form, table, match", [
+    ("linear", None, "unknown rate form"),
+    ("custom", None, "needs a table"),
+    ("custom", {w: 1.0 for w in BOHR_FREQUENCIES if w != 3}, "misses Bohr frequencies"),
+    ("custom", {w: 0.0 for w in BOHR_FREQUENCIES}, "strictly positive"),
+    ("custom", {w: 1.0 for w in BOHR_FREQUENCIES}, "KMS condition"),
+])
+def test_kms_rates_rejects(form, table, match):
+    with pytest.raises(RateError, match=match):
+        kms_rates(1.0, form, table)

@@ -6,7 +6,6 @@ from qdlab.gap_tools import _largest_eig
 from qdlab.linalg import (
     ConvergenceError,
     LinalgError,
-    LinearMapHandle,
     dagger,
     devectorize,
     handle_from_dense,

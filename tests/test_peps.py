@@ -10,7 +10,7 @@ from qdlab import linalg, peps
 from qdlab.davies import thermofield_vector
 from qdlab.groups import FiniteGroup, make_cyclic, make_symmetric
 from qdlab.lattice import RECT, TORUS, Region, TorusLattice, parse_region
-from qdlab.linalg import FeasibilityError, matrix_power_hermitian, vectorize
+from qdlab.linalg import FeasibilityError, vectorize
 from qdlab.peps import (
     RegionNetwork,
     contract_region,

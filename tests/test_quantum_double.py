@@ -3,7 +3,7 @@ import pytest
 
 from qdlab.groups import make_cyclic, make_symmetric
 from qdlab.lattice import Edge, TorusLattice
-from qdlab.linalg import FeasibilityError, dagger, hermitian_spectrum, matrix_exp_hermitian, vectorize
+from qdlab.linalg import FeasibilityError, dagger, hermitian_spectrum, matrix_exp_hermitian
 from qdlab.quantum_double import (
     QuantumDoubleModel,
     exp_minus_beta_h,
