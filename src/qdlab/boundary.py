@@ -5,7 +5,11 @@ The slim boundary state of a region is block diagonal over boundary-edge
 assignments f.  Within one block, the edge part is a rank-one projector and the
 vertex-chain part is a sum of right-translation permutations indexed by the
 anchor value a, so every spectral quantity reduces to a small matrix in the
-group algebra of the subgroup of admissible anchors.
+group algebra of the subgroup of admissible anchors.  By gauge invariance that
+matrix depends on f only through the holonomy of f around each boundary
+component, and each holonomy tuple is shared by |G|^(L-c) assignments (L
+boundary edges, c components), as for G-injective PEPS (Schuch, Cirac and
+Perez-Garcia, arXiv:1001.3807).
 """
 
 from __future__ import annotations
@@ -146,49 +150,35 @@ def interior_sum_closed_form(group: FiniteGroup, cls: RegionClassification, word
     )
 
 
-def _propagate_anchor_words(
-    group: FiniteGroup, lattice, component: BoundaryComponent, g_phys: dict[Edge, int]
-) -> tuple[dict[tuple[int, int], int], int]:
-    """Conjugating word u_v per boundary vertex (a(v) = u_v a u_v^{-1}) and the holonomy word."""
-    lat_words = {component.anchor: 0}
-    steps = component.steps
-    start = next(i for i, s in enumerate(steps) if s.from_vertex == component.anchor)
-    ordered = steps[start:] + steps[:start]
-    current = 0
-    for s in ordered:
-        e, g = s.edge, g_phys[s.edge]
-        away, toward = lattice.vertices_of_edge(e)
-        # value relation across e: a(away) = g a(toward) g^{-1}
-        if s.from_vertex == toward and s.to_vertex == away:
-            current = group.mul[g, current]
-        elif s.from_vertex == away and s.to_vertex == toward:
-            current = group.mul[group.inv[g], current]
-        else:
-            raise BoundaryError("perimeter step endpoints inconsistent with edge")
-        if s.to_vertex not in lat_words:
-            lat_words[s.to_vertex] = current
-    return lat_words, current
-
-
 @dataclass
 class BoundaryBlock:
-    f_hat: tuple[int, ...]
-    anchors_words: list[dict]  # per component: vertex -> conjugating word
+    """The block of one holonomy tuple, shared by every labelling f that has it."""
+
     coeffs: dict  # anchor tuple -> scalar coefficient (kappa-normalized)
     subgroup: list[tuple[int, ...]]  # admissible anchor tuples: a product subgroup
     m_matrix: np.ndarray  # group-algebra matrix over the subgroup (a symmetric Gram block)
     vals: np.ndarray  # eigenvalues of m_matrix, ascending
     vecs: np.ndarray  # orthonormal eigenvectors, one column per value
     kept: np.ndarray  # mask of the modes above RANK_CUTOFF relative to the largest |value|
+    lead: float  # max |lambda - 1|
+    n_kept: int  # number of kept modes
+    support: tuple[float, float]  # max |lambda - [kept]|, max |1/lambda - 1| over the kept lambda
 
 
 class BlockBoundary:
     """Structured slim boundary state of a proper rectangle or cylinder region.
 
     Every spectral quantity is a function of the small symmetric matrix m of
-    each block.  `block` decomposes m once with `eigh`; the leading-term norm,
-    the rank, the support norms and `group_function_matrix` all read those
-    eigenvalues, under the one cutoff `linalg.RANK_CUTOFF`.
+    each block.  By gauge invariance a block depends on its labelling f only
+    through the holonomy of f around each boundary component (the product of
+    its labels along the walk from the anchor): gauge moves at the other
+    boundary vertices keep the holonomies, so each holonomy tuple is shared by
+    |G|^(L-c) labellings, for L boundary edges and c components.  `block` folds
+    the holonomies of f, looks the block up by them, and on a miss builds it
+    from f and decomposes m once with `eigh`, so at most |G|^c blocks are built.
+    The leading-term norm, the rank, the support norms and
+    `group_function_matrix` all read those eigenvalues, under the one cutoff
+    `linalg.RANK_CUTOFF`.
     """
 
     def __init__(self, group: FiniteGroup, region: Region, beta: float):
@@ -202,10 +192,48 @@ class BlockBoundary:
         self.boundary_vertices = list(self.cls.boundary_vertices)
         self.n = group.order
         self.gamma = gamma_beta(beta, group.order)
-        self._block_cache: dict = {}
+        self._block_cache: dict = {}  # holonomy tuple -> BoundaryBlock
         walk_edges = {s.edge for c in self.components for s in c.steps}
         if walk_edges != set(self.boundary_edges):
             raise BoundaryError("boundary walk does not cover the boundary edges")
+        self._walks, self._vertex_component = self._component_walks()
+
+    def _component_walks(self):
+        """Per component, its steps from the anchor as (position of the edge in f,
+        left-multiplication rows of the step's factor, slot of the vertex reached
+        in `boundary_vertices` or None on a revisit); and per boundary vertex the
+        index of its component."""
+        G, lat = self.group, self.region.lattice
+        left = G.mul.tolist()  # left[g][h] = g h
+        left_inv = [left[g] for g in G.inv.tolist()]  # left_inv[g][h] = g^{-1} h
+        edge_pos = {e: i for i, e in enumerate(self.boundary_edges)}
+        slot = {v: i for i, v in enumerate(self.boundary_vertices)}
+        component = [-1] * len(self.boundary_vertices)
+        walks = []
+        for c, comp in enumerate(self.components):
+            start = next(i for i, s in enumerate(comp.steps) if s.from_vertex == comp.anchor)
+            seen = {comp.anchor}
+            component[slot[comp.anchor]] = c
+            walk = []
+            for s in comp.steps[start:] + comp.steps[:start]:
+                away, toward = lat.vertices_of_edge(s.edge)
+                # value relation across e: a(away) = g a(toward) g^{-1}, g the physical label
+                if (s.from_vertex, s.to_vertex) == (toward, away):
+                    backward = False
+                elif (s.from_vertex, s.to_vertex) == (away, toward):
+                    backward = True
+                else:
+                    raise BoundaryError("perimeter step endpoints inconsistent with edge")
+                # the physical label is the reduced one, inverted where gamma_inverted
+                table = left_inv if backward != self.cls.gamma_inverted[s.edge] else left
+                fresh = s.to_vertex not in seen
+                walk.append((edge_pos[s.edge], table, slot[s.to_vertex] if fresh else None))
+                seen.add(s.to_vertex)
+                component[slot[s.to_vertex]] = c
+            walks.append(walk)
+        if -1 in component:
+            raise BoundaryError("boundary walk does not cover the boundary vertices")
+        return walks, np.array(component)
 
     # -- label plumbing ---------------------------------------------------------
 
@@ -215,33 +243,51 @@ class BlockBoundary:
     def f_hat_iter(self):
         return itertools.product(range(self.n), repeat=len(self.boundary_edges))
 
+    def holonomies(self, f_hat: tuple[int, ...], words: list[int] | None = None) -> tuple[int, ...]:
+        """The holonomy of the labelling f_hat around each boundary component.
+
+        Folds the physical labels along each walk from the anchor.  When `words`
+        is given (one entry per boundary vertex), the running word u_v at each
+        vertex is written into it: the chain value there is a(v) = u_v a u_v^{-1}
+        for the anchor value a of its component (u = 1 at the anchor).
+        """
+        hols = []
+        for walk in self._walks:
+            cur = 0
+            for i, table, slot in walk:
+                cur = table[f_hat[i]][cur]
+                if words is not None and slot is not None:
+                    words[slot] = cur
+            hols.append(cur)
+        return tuple(hols)
+
+    def _anchor_values(self, words, anchors: tuple[int, ...]) -> np.ndarray:
+        """Per boundary vertex, its chain value a(v) = u_v a u_v^{-1} for the component anchors."""
+        G = self.group
+        u = np.asarray(words)
+        a = np.asarray(anchors)[self._vertex_component]
+        return G.mul[G.mul[u, a], G.inv[u]]
+
     # -- per-block data ----------------------------------------------------------
 
-    def _component_words(self, g_phys: dict[Edge, int]):
-        words, holonomies = [], []
-        for comp in self.components:
-            w, hol = _propagate_anchor_words(self.group, self.region.lattice, comp, g_phys)
-            words.append(w)
-            holonomies.append(hol)
-        return words, holonomies
-
-    def _anchor_subgroup(self, holonomies: list[int]) -> list[tuple[int, ...]]:
+    def _anchor_subgroup(self, holonomies: tuple[int, ...]) -> list[tuple[int, ...]]:
         G = self.group
         per_comp = [
             [a for a in G.elements() if G.conj(w, a) == a] for w in holonomies
         ]
         return list(itertools.product(*per_comp))
 
-    def interior_sum(self, g_phys: dict[Edge, int], word: int | None, anchors: tuple, words: list[dict]) -> float:
+    def interior_sum(self, g_phys: dict[Edge, int], word: int | None, anchors: tuple, words: list[int]) -> float:
         """Interior-extension sum for the block of physical boundary labels `g_phys`
-        (boundary word `word`, None off rectangles) and component anchors `anchors`."""
+        (boundary word `word`, None off rectangles, vertex words `words`) and
+        component anchors `anchors`."""
         G = self.group
         if self.region.kind == RECT and (G.is_abelian() or all(a == 0 for a in anchors)):
             return interior_sum_closed_form(G, self.cls, word, self.beta)
         interior = list(self.cls.interior_edges)
         lat = self.region.lattice
         plaqs = self.region.plaquettes()
-        seed = self._anchor_values(words, anchors)
+        seed = dict(zip(self.boundary_vertices, self._anchor_values(words, anchors).tolist()))
         total = 0.0
         for assign in itertools.product(G.elements(), repeat=len(interior)):
             g_all = dict(g_phys)
@@ -260,14 +306,17 @@ class BlockBoundary:
         return total
 
     def block(self, f_hat: tuple[int, ...]) -> BoundaryBlock:
-        cached = self._block_cache.get(f_hat)
+        """The block of the labelling f_hat, looked up by its holonomies."""
+        holonomies = self.holonomies(f_hat)
+        cached = self._block_cache.get(holonomies)
         if cached is not None:
             return cached
         G = self.group
         g_phys = {e: self.phys_of_gamma(e, gam) for e, gam in zip(self.boundary_edges, f_hat)}
         word = (chi_boundary(G, self.components[0], dict(zip(self.boundary_edges, f_hat)))
                 if self.region.kind == RECT else None)
-        words, holonomies = self._component_words(g_phys)
+        words = [0] * len(self.boundary_vertices)
+        self.holonomies(f_hat, words)
         subgroup = self._anchor_subgroup(holonomies)
         v_int = len(self.cls.interior_vertices)
         coeffs = {}
@@ -286,20 +335,22 @@ class BlockBoundary:
                 m[order[prod], order[t]] += c
         vals, vecs = np.linalg.eigh(m)
         kept = np.abs(vals) > RANK_CUTOFF * max(np.abs(vals).max(), 1e-300)
-        blk = BoundaryBlock(f_hat, words, coeffs, subgroup, m, vals, vecs, kept)
-        self._block_cache[f_hat] = blk
+        support = (float(np.abs(vals - kept).max()), float(np.abs(1.0 / vals[kept] - 1.0).max(initial=0.0)))
+        blk = BoundaryBlock(coeffs, subgroup, m, vals, vecs, kept,
+                            float(np.abs(vals - 1.0).max()), int(kept.sum()), support)
+        self._block_cache[holonomies] = blk
         return blk
 
     # -- spectral summaries --------------------------------------------------------
 
     def leading_term_norm(self) -> float:
         """|| rho~/kappa - S~ || as the max over f-blocks of max |lambda - 1|."""
-        return max(float(np.abs(self.block(f_hat).vals - 1.0).max()) for f_hat in self.f_hat_iter())
+        return max(self.block(f_hat).lead for f_hat in self.f_hat_iter())
 
     def rank(self) -> int:
         """Numerical rank of the slim (equivalently full, beta>0) boundary state."""
         chain_dim = self.n ** len(self.boundary_vertices)
-        return sum(chain_dim // len(blk.subgroup) * int(blk.kept.sum()) for blk in map(self.block, self.f_hat_iter()))
+        return sum(chain_dim // len(blk.subgroup) * blk.n_kept for blk in map(self.block, self.f_hat_iter()))
 
     def leading_rank(self) -> int:
         return self.n ** (len(self.boundary_edges) + len(self.boundary_vertices))
@@ -313,16 +364,11 @@ class BlockBoundary:
         """
         worst_a = worst_b = 0.0
         for f_hat in self.f_hat_iter():
-            blk = self.block(f_hat)
-            worst_a = max(worst_a, float(np.abs(blk.vals - blk.kept).max()))
-            worst_b = max(worst_b, float(np.abs(1.0 / blk.vals[blk.kept] - 1.0).max(initial=0.0)))
+            a, b = self.block(f_hat).support
+            worst_a, worst_b = max(worst_a, a), max(worst_b, b)
         return worst_a, worst_b
 
     # -- lifting block data to reduced-basis vectors ---------------------------------
-
-    def _anchor_values(self, words: list[dict], anchors: tuple[int, ...]) -> dict:
-        """Per boundary vertex, its chain value a(v) = u_v a u_v^{-1} for the component anchors."""
-        return {v: self.group.conj(w, a) for w_map, a in zip(words, anchors) for v, w in w_map.items()}
 
     def group_function_matrix(self, func):
         """func(m) per block, applied on the kept modes only (e.g. x -> x^{-1/2} gives
@@ -334,26 +380,26 @@ class BlockBoundary:
         n, ne, nv = self.n, len(self.boundary_edges), len(self.boundary_vertices)
         chain_dim = n**nv
         base_idx = np.arange(chain_dim)
+        digits = np.indices((n,) * nv).reshape(nv, chain_dim)  # h_v of each chain basis state
+        strides = n ** np.arange(nv - 1, -1, -1)
         ident = (0,) * len(self.components)
+        weights = {}  # holonomy tuple -> (subgroup, func(m)'s identity column)
+        words = [0] * nv
         rows, cols, vals = [], [], []
-        for f_hat in self.f_hat_iter():
-            blk = self.block(f_hat)
-            # func(m) lies in the group algebra: its identity column holds the weights
-            vecs = blk.vecs[:, blk.kept]
-            weights = vecs @ (func(blk.vals[blk.kept]) * vecs[blk.subgroup.index(ident)])
-            offset = int(np.ravel_multi_index(f_hat, (n,) * ne)) * chain_dim if ne else 0
-            for anchors, d in zip(blk.subgroup, weights):
+        for k, f_hat in enumerate(self.f_hat_iter()):  # f in row-major order
+            key = self.holonomies(f_hat, words)
+            if key not in weights:
+                blk = self.block(f_hat)
+                # func(m) lies in the group algebra: its identity column holds the weights
+                vecs = blk.vecs[:, blk.kept]
+                weights[key] = (blk.subgroup, vecs @ (func(blk.vals[blk.kept]) * vecs[blk.subgroup.index(ident)]))
+            subgroup, w = weights[key]
+            offset = k * chain_dim
+            for anchors, d in zip(subgroup, w):
                 if d == 0.0:
                     continue
-                value = self._anchor_values(blk.anchors_words, anchors)
-                maps = [G.mul[:, value[v]] for v in self.boundary_vertices]  # h -> h a(v)
-                grids = np.meshgrid(*maps, indexing="ij") if maps else []
-                dest = (
-                    np.ravel_multi_index([g.ravel() for g in grids], (n,) * nv)
-                    if nv
-                    else np.zeros(1, dtype=int)
-                )
-                rows.append(offset + dest)
+                value = self._anchor_values(words, anchors)
+                rows.append(offset + strides @ G.mul[digits, value[:, None]])  # h -> h a(v) per vertex
                 cols.append(offset + base_idx)
                 vals.append(np.full(chain_dim, d))
         dim = self.n ** (ne + nv)

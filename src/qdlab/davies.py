@@ -17,7 +17,6 @@ from .linalg import (
     lowest_eigs_matrix_free,
     matrix_power_hermitian,
     vectorize,
-    devectorize,
 )
 from .quantum_double import QuantumDoubleModel, gibbs_state
 
@@ -205,10 +204,6 @@ def iota(q: np.ndarray, rho_sqrt: np.ndarray) -> np.ndarray:
     return vectorize(q @ rho_sqrt)
 
 
-def iota_inverse(v: np.ndarray, rho_sqrt_inv: np.ndarray) -> np.ndarray:
-    return devectorize(v) @ rho_sqrt_inv
-
-
 # -- the Davies generator ------------------------------------------------------------------
 
 
@@ -253,17 +248,6 @@ class DaviesGenerator:
                 out.append((self.rates(w), float(np.exp(-self.beta * w / 2.0)), full))
         self._embedded[e] = out
         return out
-
-    def apply_dissipator(self, q: np.ndarray, edges=None) -> np.ndarray:
-        """L(Q) = sum_e sum_{alpha, w} g(w) ( S^dag(w) [Q, S(w)] + [S^dag(w), Q] S(w) ) / 2."""
-        edges = self.model.edge_list if edges is None else edges
-        out = np.zeros_like(q, dtype=complex)
-        for e in edges:
-            for g, _, s_w in self.edge_jump_matrices(e):
-                s_d = dagger(s_w)
-                out += 0.5 * g * (s_d @ (q @ s_w - s_w @ q) + (s_d @ q - q @ s_d) @ s_w)
-        return out
-
 
 def _embed_to_model(model: QuantumDoubleModel, support: tuple[Edge, ...], op: np.ndarray) -> np.ndarray:
     if tuple(support) == tuple(model.edge_list):

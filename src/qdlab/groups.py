@@ -31,6 +31,7 @@ class FiniteGroup:
     label: str = "G"
     identity: int = 0
     _classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, default=())
+    _abelian: bool = field(init=False, repr=False, default=False)
 
     def __post_init__(self):
         mul = np.asarray(self.mul, dtype=np.int64)
@@ -40,6 +41,7 @@ class FiniteGroup:
         object.__setattr__(self, "inv", np.asarray(self.inv, dtype=np.int64))
         self._validate()
         object.__setattr__(self, "_classes", self._conjugacy_classes())
+        object.__setattr__(self, "_abelian", bool(np.array_equal(mul, mul.T)))
 
     # -- validation -------------------------------------------------------
 
@@ -72,7 +74,7 @@ class FiniteGroup:
         return range(self.order)
 
     def is_abelian(self) -> bool:
-        return np.array_equal(self.mul, self.mul.T)
+        return self._abelian
 
     def conj(self, g: int, a: int) -> int:
         """g a g^{-1}."""

@@ -210,32 +210,6 @@ def classify_region(region: Region) -> RegionClassification:
     )
 
 
-def enumerate_family(lattice: TorusLattice, kind: str, r: int | None = None) -> list[Region]:
-    """The region families: the torus, all cylinders, or rectangles with sides in [2, r]."""
-    N = lattice.N
-    if kind == "torus":
-        return [Region(lattice, TORUS)]
-    if kind == "cylinders":
-        out = []
-        for start in range(N):
-            for width in range(2, N):
-                out.append(Region(lattice, CYL_H, y0=start, b=width))
-                out.append(Region(lattice, CYL_V, x0=start, a=width))
-        return out
-    if kind == "rectangles":
-        if r is None or r < 2:
-            raise GeometryError("rectangle family needs a max side r >= 2")
-        r = min(r, N - 1)
-        out = []
-        for y0 in range(N):
-            for x0 in range(N):
-                for a in range(2, r + 1):
-                    for b in range(2, r + 1):
-                        out.append(Region(lattice, RECT, x0=x0, a=a, y0=y0, b=b))
-        return out
-    raise GeometryError(f"unknown family kind {kind!r}")
-
-
 def rectangles_up_to(lattice: TorusLattice, n: int) -> list[Region]:
     """Proper rectangles with 1 <= a, b <= n; the parent-Hamiltonian interaction family."""
     N = lattice.N

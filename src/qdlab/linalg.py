@@ -95,12 +95,6 @@ def hermitian_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def matrix_exp_hermitian(m: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """e^{tM} by spectral decomposition; exact on projectors."""
-    vals, vecs = hermitian_spectrum(m)
-    return (vecs * np.exp(t * vals)) @ dagger(vecs)
-
-
 def matrix_power_hermitian(m: np.ndarray, power: float, pseudo: bool = False) -> np.ndarray:
     """M^power via eigh; with pseudo=True, zero modes (at RANK_CUTOFF) stay zero."""
     vals, vecs = hermitian_spectrum(m)
@@ -133,11 +127,6 @@ class LinearMapHandle:
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
-
-
-def handle_from_dense(m: np.ndarray) -> LinearMapHandle:
-    m = np.asarray(m)
-    return LinearMapHandle(dim=m.shape[0], apply=lambda x: m @ x)
 
 
 def lowest_eigs_matrix_free(
@@ -187,18 +176,3 @@ def lowest_eigs_matrix_free(
         if r > max(tol * 100, 1e-7) * max(1.0, abs(vals[i])):
             raise ConvergenceError(f"eigenpair {i} residual {r:.3e} above tolerance")
     return vals[:k]
-
-
-# -- random generators --------------------------------------------------------
-
-
-def random_hermitian(dim: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (m + dagger(m)) / 2
-
-
-def random_state(dim: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)

@@ -25,7 +25,6 @@ import numpy as np
 from .groups import FiniteGroup
 from .lattice import (
     HORIZONTAL,
-    TORUS,
     VERTICAL,
     Edge,
     Region,
@@ -45,17 +44,6 @@ class WeightOperator:
     beta: float
     matrix: np.ndarray  # operator form on l2(G)
 
-    @property
-    def invertible(self) -> bool:
-        return bool(np.linalg.matrix_rank(self.matrix) == self.matrix.shape[0])
-
-
-def weight_star(group: FiniteGroup, beta: float) -> WeightOperator:
-    """Diagonal eighth-power weight (1+gamma)^{1/8} |1><1| + gamma^{1/8} sum_{g!=1} |g><g|."""
-    q = gamma_beta(beta / 2, group.order)
-    diag = np.full(group.order, q ** (1 / 8) if q > 0 else 0.0)
-    diag[0] = (1 + q) ** (1 / 8)
-    return WeightOperator("star-weight", beta, np.diag(diag))
 
 
 def weight_plaq(group: FiniteGroup, beta: float) -> WeightOperator:
@@ -142,44 +130,6 @@ def edge_tensor(group: FiniteGroup, beta: float, orientation: str, variant: str 
         while sum(a.nbytes for a in _EDGE_CACHE.values()) > linalg.DENSE_BUDGET_BYTES:
             del _EDGE_CACHE[next(iter(_EDGE_CACHE))]
     return EdgeTensor(variant, beta, orientation, side_order(orientation), data)
-
-
-def edge_tensor_from_quarters(group: FiniteGroup, beta: float, orientation: str, variant: str = "slim") -> np.ndarray:
-    """Independent route: compose the four per-operator quarter tensors on one edge.
-
-    Plaquette quarters are applied before star quarters (the fixed contraction
-    order); returns an array with the same leg layout as `edge_tensor`.
-    """
-    n = group.order
-    ws = star_leg_weights(group, beta, power=1 / 8) if variant == "full" else np.ones(n)
-    wp = weight_plaq(group, beta).matrix if variant == "full" else np.eye(n)
-
-    def lmat(g):
-        return group.left_regular_matrix(g)
-
-    # physical operator indexed [out, in], virtual pair [o, i] per quarter
-    plaq_a = np.zeros((n, n, n, n))  # L^g side
-    plaq_b = np.zeros((n, n, n, n))  # L^{g^-1} side
-    star_away = np.zeros((n, n, n, n))
-    star_toward = np.zeros((n, n, n, n))
-    for g in range(n):
-        proj = np.zeros((n, n))
-        proj[g, g] = 1.0
-        plaq_a[:, :] += np.einsum("pq,oi->pqoi", proj, wp @ lmat(g) @ wp)
-        plaq_b[:, :] += np.einsum("pq,oi->pqoi", proj, wp @ lmat(group.inv[g]) @ wp)
-        tg = lmat(g)  # away: h -> g h
-        tg_t = np.zeros((n, n))
-        tg_t[group.mul[np.arange(n), group.inv[g]], np.arange(n)] = 1.0  # toward: h -> h g^-1
-        wdot = np.zeros((n, n))
-        wdot[g, g] = ws[g] ** 2
-        star_away += np.einsum("pq,oi->pqoi", tg, wdot)
-        star_toward += np.einsum("pq,oi->pqoi", tg_t, wdot)
-    # compose physical ops: star_away . star_toward . plaq_a . plaq_b
-    comp = np.einsum("pqAB,qrCD,rsEF,stGH->ptABCDEFGH", star_away, star_toward, plaq_a, plaq_b)
-    # purify the physical operator: |out><in| -> |out>|in>, then order legs as edge_tensor:
-    # (ket, pur, plaq_a pair, plaq_b pair, star_away pair, star_toward pair)
-    comp = comp.transpose(0, 1, 6, 7, 8, 9, 2, 3, 4, 5)
-    return comp
 
 
 # -- region networks --------------------------------------------------------------
@@ -469,11 +419,3 @@ class RegionNetwork:
         linalg.require_fits((self.phys_dim, bdry))
         out = self._contract(None, reduce_boundary=False, out_legs=self._phys_legs() + self._raw_dangling_legs())
         return out.reshape(self.phys_dim, bdry)
-
-
-def contract_region(model: QuantumDoubleModel, region: Region, beta: float):
-    """V_R as a dense matrix (or the contracted vector on the torus)."""
-    net = RegionNetwork(model, region, beta)
-    if region.kind == TORUS:
-        return net.v_matrix().reshape(net.phys_dim)
-    return net.v_matrix()

@@ -2,8 +2,10 @@
 
 None of these has a production caller: each rebuilds a quantity from its
 definition (dense operators on l2(G) x l2(G), sums over every interior
-extension, matrix elements one at a time) so that the structured code in
-`qdlab.boundary` and `qdlab.peps` can be checked against it.
+extension, matrix elements one at a time, the Davies dissipator on dense
+operators) so that the structured code in `qdlab` can be checked against it.
+The last sections hold the small builders only the tests use: region families,
+dense handles and random matrices.
 """
 
 from __future__ import annotations
@@ -13,11 +15,23 @@ import itertools
 import numpy as np
 
 from qdlab.boundary import BoundaryError, reduced_character
+from qdlab.davies import DaviesGenerator
 from qdlab.groups import FiniteGroup
-from qdlab.lattice import VERTICAL, Edge, Region, classify_region
-from qdlab.linalg import kron, require_fits
-from qdlab.peps import star_leg_weights, weight_plaq
-from qdlab.quantum_double import gamma_beta
+from qdlab.lattice import (
+    CYL_H,
+    CYL_V,
+    RECT,
+    TORUS,
+    VERTICAL,
+    Edge,
+    GeometryError,
+    Region,
+    TorusLattice,
+    classify_region,
+)
+from qdlab.linalg import LinearMapHandle, dagger, devectorize, hermitian_spectrum, kron, require_fits
+from qdlab.peps import RegionNetwork, WeightOperator, star_leg_weights, weight_plaq
+from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
 
 
 # -- elementary phi / psi operators (dense, on l2(G) x l2(G)) --------------------
@@ -198,3 +212,133 @@ def _phi_entry(G, a, row_pair, col_pair, ws):
     if G.mul[h, a] != ha:
         return 0.0
     return 1.0 if ws is None else float(ws[h] * ws[ha])
+
+
+# -- PEPS tensors and region maps -----------------------------------------------------
+
+
+def weight_star(group: FiniteGroup, beta: float) -> WeightOperator:
+    """Diagonal eighth-power weight (1+gamma)^{1/8} |1><1| + gamma^{1/8} sum_{g!=1} |g><g|."""
+    q = gamma_beta(beta / 2, group.order)
+    diag = np.full(group.order, q ** (1 / 8) if q > 0 else 0.0)
+    diag[0] = (1 + q) ** (1 / 8)
+    return WeightOperator("star-weight", beta, np.diag(diag))
+
+
+def edge_tensor_from_quarters(group: FiniteGroup, beta: float, orientation: str, variant: str = "slim") -> np.ndarray:
+    """Independent route: compose the four per-operator quarter tensors on one edge.
+
+    Plaquette quarters are applied before star quarters (the fixed contraction
+    order); returns an array with the same leg layout as `edge_tensor`.
+    """
+    n = group.order
+    ws = star_leg_weights(group, beta, power=1 / 8) if variant == "full" else np.ones(n)
+    wp = weight_plaq(group, beta).matrix if variant == "full" else np.eye(n)
+
+    def lmat(g):
+        return group.left_regular_matrix(g)
+
+    # physical operator indexed [out, in], virtual pair [o, i] per quarter
+    plaq_a = np.zeros((n, n, n, n))  # L^g side
+    plaq_b = np.zeros((n, n, n, n))  # L^{g^-1} side
+    star_away = np.zeros((n, n, n, n))
+    star_toward = np.zeros((n, n, n, n))
+    for g in range(n):
+        proj = np.zeros((n, n))
+        proj[g, g] = 1.0
+        plaq_a[:, :] += np.einsum("pq,oi->pqoi", proj, wp @ lmat(g) @ wp)
+        plaq_b[:, :] += np.einsum("pq,oi->pqoi", proj, wp @ lmat(group.inv[g]) @ wp)
+        tg = lmat(g)  # away: h -> g h
+        tg_t = np.zeros((n, n))
+        tg_t[group.mul[np.arange(n), group.inv[g]], np.arange(n)] = 1.0  # toward: h -> h g^-1
+        wdot = np.zeros((n, n))
+        wdot[g, g] = ws[g] ** 2
+        star_away += np.einsum("pq,oi->pqoi", tg, wdot)
+        star_toward += np.einsum("pq,oi->pqoi", tg_t, wdot)
+    # compose physical ops: star_away . star_toward . plaq_a . plaq_b
+    comp = np.einsum("pqAB,qrCD,rsEF,stGH->ptABCDEFGH", star_away, star_toward, plaq_a, plaq_b)
+    # purify the physical operator: |out><in| -> |out>|in>, then order legs as edge_tensor:
+    # (ket, pur, plaq_a pair, plaq_b pair, star_away pair, star_toward pair)
+    comp = comp.transpose(0, 1, 6, 7, 8, 9, 2, 3, 4, 5)
+    return comp
+
+
+def contract_region(model: QuantumDoubleModel, region: Region, beta: float):
+    """V_R as a dense matrix (or the contracted vector on the torus)."""
+    net = RegionNetwork(model, region, beta)
+    if region.kind == TORUS:
+        return net.v_matrix().reshape(net.phys_dim)
+    return net.v_matrix()
+
+
+# -- the Davies generator on dense operators -------------------------------------------
+
+
+def iota_inverse(v: np.ndarray, rho_sqrt_inv: np.ndarray) -> np.ndarray:
+    return devectorize(v) @ rho_sqrt_inv
+
+
+def apply_dissipator(gen: DaviesGenerator, q: np.ndarray, edges=None) -> np.ndarray:
+    """L(Q) = sum_e sum_{alpha, w} g(w) ( S^dag(w) [Q, S(w)] + [S^dag(w), Q] S(w) ) / 2."""
+    edges = gen.model.edge_list if edges is None else edges
+    out = np.zeros_like(q, dtype=complex)
+    for e in edges:
+        for g, _, s_w in gen.edge_jump_matrices(e):
+            s_d = dagger(s_w)
+            out += 0.5 * g * (s_d @ (q @ s_w - s_w @ q) + (s_d @ q - q @ s_d) @ s_w)
+    return out
+
+
+# -- region families ------------------------------------------------------------------
+
+
+def enumerate_family(lattice: TorusLattice, kind: str, r: int | None = None) -> list[Region]:
+    """The region families: the torus, all cylinders, or rectangles with sides in [2, r]."""
+    N = lattice.N
+    if kind == "torus":
+        return [Region(lattice, TORUS)]
+    if kind == "cylinders":
+        out = []
+        for start in range(N):
+            for width in range(2, N):
+                out.append(Region(lattice, CYL_H, y0=start, b=width))
+                out.append(Region(lattice, CYL_V, x0=start, a=width))
+        return out
+    if kind == "rectangles":
+        if r is None or r < 2:
+            raise GeometryError("rectangle family needs a max side r >= 2")
+        r = min(r, N - 1)
+        out = []
+        for y0 in range(N):
+            for x0 in range(N):
+                for a in range(2, r + 1):
+                    for b in range(2, r + 1):
+                        out.append(Region(lattice, RECT, x0=x0, a=a, y0=y0, b=b))
+        return out
+    raise GeometryError(f"unknown family kind {kind!r}")
+
+
+# -- dense handles and random matrices -----------------------------------------------
+
+
+def matrix_exp_hermitian(m: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """e^{tM} by spectral decomposition; exact on projectors."""
+    vals, vecs = hermitian_spectrum(m)
+    return (vecs * np.exp(t * vals)) @ dagger(vecs)
+
+
+def handle_from_dense(m: np.ndarray) -> LinearMapHandle:
+    m = np.asarray(m)
+    return LinearMapHandle(dim=m.shape[0], apply=lambda x: m @ x)
+
+
+def random_hermitian(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (m + dagger(m)) / 2
+
+
+def random_state(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)

@@ -259,13 +259,15 @@ class TestBlocks:
         n = 2
         slim = np.zeros_like(gram)
         nv = len(bb.boundary_vertices)
+        words = [0] * nv
         for f_hat in bb.f_hat_iter():
             blk = bb.block(f_hat)
+            bb.holonomies(f_hat, words)
             chain = np.zeros((n**nv, n**nv))
             for anchors, c in blk.coeffs.items():
                 # right-multiplication by a(v)^{-1} at each boundary vertex
-                value = bb._anchor_values(blk.anchors_words, anchors)
-                idx = [grp.mul[:, grp.inv[value[v]]] for v in bb.boundary_vertices]
+                value = bb._anchor_values(words, anchors)
+                idx = [grp.mul[:, grp.inv[a]] for a in value]
                 perm = np.zeros((n**nv, n**nv))
                 for hv in itertools.product(range(n), repeat=nv):
                     src = tuple(m[h] for m, h in zip(idx, hv))
@@ -360,6 +362,66 @@ class TestBlocks:
         assert bb.leading_term_norm() == pytest.approx(lead, rel=1e-10)
         assert bb.rank() == rank
         assert bb.support_norms() == pytest.approx((norm_a, norm_b), rel=1e-10)
+
+    @pytest.mark.parametrize("name, n, spec", [
+        ("Z2", 4, "rect:0,0,2,2"),
+        ("Z3", 3, "rect:0,0,1,1"),
+        ("Z2", 3, "cyl:v,0,1"),
+        ("Z3", 3, "cyl:h,0,1"),
+        ("S3", 3, "rect:0,0,1,1"),
+    ])
+    def test_holonomy_key_matches_per_labelling_build(self, name, n, spec):
+        """A block depends on its labelling only through the holonomies: the block
+        one instance shares across a key equals the one a fresh instance builds
+        from that labelling alone, and each key has |G|^(L-c) labellings."""
+        grp, lat = group_by_name(name), TorusLattice(n)
+        region = parse_region(lat, spec)
+        bb = BlockBoundary(grp, region, 1.0)
+        by_key: dict = {}
+        for f_hat in bb.f_hat_iter():
+            by_key.setdefault(bb.holonomies(f_hat), []).append(f_hat)
+        n_edges, n_comp = len(bb.boundary_edges), len(bb.components)
+        assert {len(fs) for fs in by_key.values()} == {grp.order ** (n_edges - n_comp)}
+        rng = np.random.default_rng(6)
+        for fs in by_key.values():
+            if grp.is_abelian():
+                sample = fs
+            else:
+                sample = [fs[i] for i in rng.choice(len(fs), 6, replace=False)]
+            for f_hat in sample:
+                shared = bb.block(f_hat)
+                fresh = BlockBoundary(grp, region, 1.0).block(f_hat)
+                assert fresh.subgroup == shared.subgroup
+                assert np.abs(fresh.m_matrix - shared.m_matrix).max() <= 1e-12
+        assert len(bb._block_cache) == len(by_key) <= grp.order**n_comp
+
+    def test_gram_probes_match_network_z3(self):
+        """T^dag (T y) = kappa S~ y through the network for a group other than Z2.
+        (S3 rect:0,0,1,1 @ N=3 needs a 2.7 GiB contraction step, above the budget.)"""
+        grp, lat = make_cyclic(3), TorusLattice(3)
+        region = parse_region(lat, "rect:0,0,1,1")
+        net = RegionNetwork(QuantumDoubleModel(grp, lat), region, 1.0)
+        bb = BlockBoundary(grp, region, 1.0)
+        smat = bb.group_function_matrix(lambda v: v)
+        y = np.random.default_rng(7).standard_normal(net.reduced.dim)
+        got = net.t_dagger_apply(net.t_apply(y))
+        want = bb.kappa * (smat @ y)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_s3_two_plaquette_certificates(self):
+        """S3 rect:0,0,2,1 @ N=3, beta=1, pinned at the values of the per-labelling
+        build (46,656 labellings, 6 holonomy keys)."""
+        grp, lat = make_symmetric(3), TorusLattice(3)
+        reg = parse_region(lat, "rect:0,0,2,1")
+        lead = verify_leading_term(grp, reg, 1.0)
+        supp = support_and_sigma(grp, reg, 1.0)
+        for cert in (lead, supp):
+            assert cert.epsilon == 108.0
+            assert cert.measured == pytest.approx(4.673919497403015, rel=1e-10)
+            assert cert.vacuous
+        assert lead.passed
+        assert supp.extras["inverse_norm"] == pytest.approx(2.3095485768622956, rel=1e-10)
+        assert supp.extras["rank"] == supp.extras["leading_rank"] == 2176782336
 
     def test_non_vacuous_certificates_z2_3x3(self):
         """The one instance with epsilon < 1 that fits: both certificates pass on

@@ -46,6 +46,12 @@ def test_s3_nonabelian_with_three_classes():
     assert len(s3.conjugacy_classes()) == 3
 
 
+def test_z3_abelian_with_three_classes():
+    z3 = make_cyclic(3)
+    assert z3.is_abelian()
+    assert len(z3.conjugacy_classes()) == 3
+
+
 def test_symmetric_too_large():
     with pytest.raises(GroupError):
         make_symmetric(6)

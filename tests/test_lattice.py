@@ -10,11 +10,11 @@ from qdlab.lattice import (
     Region,
     TorusLattice,
     classify_region,
-    enumerate_family,
     parse_region,
     rectangles_up_to,
     split_region,
 )
+from oracles import enumerate_family
 
 
 def test_edge_counts():

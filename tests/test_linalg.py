@@ -8,16 +8,13 @@ from qdlab.linalg import (
     LinalgError,
     dagger,
     devectorize,
-    handle_from_dense,
     hermitian_spectrum,
     kron,
     lowest_eigs_matrix_free,
-    matrix_exp_hermitian,
     orthonormal_columns,
-    random_hermitian,
-    random_state,
     vectorize,
 )
+from oracles import handle_from_dense, matrix_exp_hermitian, random_hermitian, random_state
 
 
 class TestVectorize:

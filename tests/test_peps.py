@@ -10,16 +10,8 @@ from qdlab import linalg, peps
 from qdlab.davies import thermofield_vector
 from qdlab.groups import FiniteGroup, make_cyclic, make_symmetric
 from qdlab.lattice import RECT, TORUS, Region, TorusLattice, parse_region
-from qdlab.linalg import FeasibilityError, vectorize
-from qdlab.peps import (
-    RegionNetwork,
-    contract_region,
-    edge_tensor,
-    edge_tensor_from_quarters,
-    star_leg_weights,
-    weight_plaq,
-    weight_star,
-)
+from qdlab.linalg import FeasibilityError
+from qdlab.peps import RegionNetwork, edge_tensor, star_leg_weights, weight_plaq
 from qdlab.quantum_double import (
     QuantumDoubleModel,
     exp_minus_beta_h,
@@ -27,6 +19,7 @@ from qdlab.quantum_double import (
     gamma_beta,
     gibbs_state,
 )
+from oracles import contract_region, edge_tensor_from_quarters, weight_star
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +40,7 @@ class TestWeights:
         grp = make_cyclic(3)
         w = weight_star(grp, 0.0).matrix
         assert np.allclose(w, np.diag([1.0, 0.0, 0.0]))
-        assert not weight_star(grp, 0.0).invertible
+        assert np.linalg.matrix_rank(weight_star(grp, 0.0).matrix) < grp.order
 
     def test_plaq_weight_eigenvalues(self):
         grp = make_symmetric(3)

@@ -3,7 +3,7 @@ import pytest
 
 from qdlab.groups import make_cyclic, make_symmetric
 from qdlab.lattice import Edge, TorusLattice
-from qdlab.linalg import FeasibilityError, dagger, hermitian_spectrum, matrix_exp_hermitian
+from qdlab.linalg import FeasibilityError, dagger, hermitian_spectrum
 from qdlab.quantum_double import (
     QuantumDoubleModel,
     exp_minus_beta_h,
@@ -12,6 +12,7 @@ from qdlab.quantum_double import (
     gamma_beta,
     gibbs_state,
 )
+from oracles import matrix_exp_hermitian
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.diag([1.0, -1.0])
