@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .groups import FiniteGroup
 from .lattice import Edge
@@ -216,7 +217,6 @@ class DaviesGenerator:
     coupling: CouplingSet
     rates: RateFunction
     jumps: dict = field(default_factory=dict)  # edge -> list over alpha of JumpDecomposition
-    _embedded: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, model: QuantumDoubleModel, beta: float, coupling: CouplingSet | None = None,
@@ -234,95 +234,51 @@ class DaviesGenerator:
             gen.jumps[e] = decs
         return gen
 
-    def edge_jump_matrices(self, e: Edge) -> list[tuple[float, float, np.ndarray]]:
-        """(rate, e^{-beta w/2}, S(w)) triples on the full model space for edge e."""
-        cached = self._embedded.get(e)
-        if cached is not None:
-            return cached
-        out = []
-        for dec in self.jumps[e]:
-            for w, s_w in dec.components.items():
-                if np.abs(s_w).max() < 1e-14:
-                    continue
-                full = _embed_to_model(self.model, dec.support, s_w)
-                out.append((self.rates(w), float(np.exp(-self.beta * w / 2.0)), full))
-        self._embedded[e] = out
-        return out
-
-def _embed_to_model(model: QuantumDoubleModel, support: tuple[Edge, ...], op: np.ndarray) -> np.ndarray:
-    if tuple(support) == tuple(model.edge_list):
-        return op
-    return model._embed_multi(list(support), op)
-
 
 # -- H~ (vectorized GNS Hamiltonian) ----------------------------------------------------------
 
+# Entries of a stored S(w) at or below this fraction of its largest entry are
+# roundoff of the eigenprojector products in fourier_components (on the Z2 torus
+# at most 4e-15 of the largest, while the true entries are at least a third of
+# it); they are dropped from the sparse local generators.
+PRUNE_RTOL = 1e-12
+
 
 class HTilde:
-    """Matrix-free H~ = sum_e H~_e on the doubled space, H~_e = sum g(w) |iota delta iota^{-1}|^2.
+    """Matrix-free H~ = sum_e H~_e on the doubled space, equal to -iota L iota^{-1}.
 
-    iota delta_{alpha,w} iota^{-1} = e^{-beta w/2} (1 x S(w)^T) - (S(w) x 1), so each
-    application is a pair of batched sandwiches with the stacked jump matrices.
+    The jumps S(w) of edge e act only on its support, the edges of its stars and
+    plaquettes, whose space has dimension D. With iota delta_{alpha,w} iota^{-1} = c (1 x S^T) - (S x 1)
+    on row-major vectors and c = e^{-beta w/2}, H~_e is, on the ket and bra legs of
+    that support, the sparse D^2 x D^2 matrix
+
+        L_e = sum_{alpha,w} g(w)/2 [ c^2 1 x (S S^dag)^T + S^dag S x 1 - c (S x S^* + S^dag x S^T) ],
+
+    and the identity on every other leg.
     """
 
     def __init__(self, gen: DaviesGenerator):
-        self.gen = gen
         self.model = gen.model
-        self.d = self.model.dim
-        self.dim = self.d * self.d
-        self._stacks: dict = {}
-        self._stacks[tuple(self.model.edge_list)] = self._stack(self.model.edge_list)
-
-    def _stack(self, edges):
-        mats, gs, cs = [], [], []
-        for e in edges:
-            for rate, c, s in self.gen.edge_jump_matrices(e):
-                mats.append(s)
-                gs.append(rate)
-                cs.append(c)
-        if not mats:
-            return None
-        s_arr = np.stack(mats)
-        # the half makes H~ equal to -iota L iota^{-1}: the +-omega pairing in the
-        # Dirichlet form double counts each squared commutator
-        g_arr = 0.5 * np.asarray(gs)
-        c_arr = np.asarray(cs)
-        sd_arr = np.conj(np.transpose(s_arr, (0, 2, 1)))
-        # grouped quadratic pieces: X M1 + M2 X - sum g c (S X S^dag + S^dag X S)
-        m1 = np.einsum("k,kij,kjl->il", g_arr * c_arr**2, s_arr, sd_arr)
-        m2 = np.einsum("k,kij,kjl->il", g_arr, sd_arr, s_arr)
-        k = len(mats)
-        gc = g_arr * c_arr
-        d = self.d
-        return {
-            "s_stack": np.ascontiguousarray(s_arr),
-            "sd_stack": np.ascontiguousarray(sd_arr),
-            "s_hstack": np.ascontiguousarray((gc[:, None, None] * s_arr).transpose(1, 0, 2).reshape(d, k * d)),
-            "sd_hstack": np.ascontiguousarray((gc[:, None, None] * sd_arr).transpose(1, 0, 2).reshape(d, k * d)),
-            "m1": m1,
-            "m2": m2,
-            "k": k,
-        }
-
-    def _stack_for(self, edges):
-        key = tuple(edges)
-        if key not in self._stacks:
-            self._stacks[key] = self._stack(edges)
-        return self._stacks[key]
+        self.dim = self.model.dim**2
+        n, ne = self.model.local_dim, self.model.n_edges
+        self._legs = (n,) * (2 * ne)
+        self.local = {}  # edge -> (leg order putting its support first, L_e)
+        for e, decs in gen.jumps.items():
+            support = decs[0].support
+            pos = [self.model.edge_pos[f] for f in support]
+            rest = [i for i in range(ne) if i not in pos]
+            axes = pos + [ne + i for i in pos] + rest + [ne + i for i in rest]
+            self.local[e] = (axes, _local_generator(gen, decs, n ** len(support)))
 
     def apply_edges(self, x: np.ndarray, edges) -> np.ndarray:
-        stk = self._stack_for(edges)
-        xm = np.asarray(x).reshape(self.d, self.d)
-        if stk is None:
-            return np.zeros(self.dim, dtype=complex)
-        d, k = self.d, stk["k"]
-        out = xm @ stk["m1"] + stk["m2"] @ xm
-        # cross terms: sum_k gc_k ( S_k X Sd_k + Sd_k X S_k ) as two block gemms
-        y1 = np.matmul(xm[None, :, :], stk["sd_stack"]).reshape(k * d, d)
-        out -= stk["s_hstack"] @ y1
-        y2 = np.matmul(xm[None, :, :], stk["s_stack"]).reshape(k * d, d)
-        out -= stk["sd_hstack"] @ y2
-        return out.reshape(-1)
+        x = np.asarray(x).reshape(self._legs)
+        out = np.zeros(self.dim, dtype=complex)
+        out_legs = out.reshape(self._legs)
+        for e in edges:
+            axes, gen_e = self.local[e]
+            y = gen_e @ x.transpose(axes).reshape(gen_e.shape[1], -1)
+            out_legs.transpose(axes)[...] += y.reshape(self._legs)
+        return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.apply_edges(x, self.model.edge_list)
@@ -330,6 +286,36 @@ class HTilde:
     def handle(self, edges=None) -> LinearMapHandle:
         edges = self.model.edge_list if edges is None else tuple(edges)
         return LinearMapHandle(dim=self.dim, apply=lambda x: self.apply_edges(x, edges))
+
+
+def _local_generator(gen: DaviesGenerator, decs: list[JumpDecomposition], d: int) -> sp.csr_matrix:
+    """L_e of HTilde in CSR, from the dense S(w) of the edge's jumps on its support of dimension d."""
+    m1 = np.zeros((d, d), dtype=complex)  # sum g c^2 S S^dag
+    m2 = np.zeros((d, d), dtype=complex)  # sum g S^dag S
+    rows, cols, vals = [], [], []  # COO entries of sum g c S x S^*
+    for dec in decs:
+        for w, s in dec.components.items():
+            big = np.abs(s).max()
+            if big < 1e-14:  # no transition at this frequency
+                continue
+            s = np.where(np.abs(s) > PRUNE_RTOL * big, s, 0)
+            # the half makes H~ equal to -iota L iota^{-1}: the +-omega pairing in the
+            # Dirichlet form double counts each squared commutator
+            g = 0.5 * gen.rates(w)
+            c = float(np.exp(-gen.beta * w / 2.0))
+            m1 += (g * c * c) * (s @ dagger(s))
+            m2 += g * (dagger(s) @ s)
+            r, k = np.nonzero(s)
+            v = s[r, k]
+            rows.append((r[:, None] * d + r[None, :]).ravel())
+            cols.append((k[:, None] * d + k[None, :]).ravel())
+            vals.append(((g * c) * np.outer(v, v.conj())).ravel())
+    cross = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(d * d, d * d)
+    )
+    eye = sp.identity(d, format="csr")
+    out = sp.kron(eye, sp.csr_matrix(m1.T)) + sp.kron(sp.csr_matrix(m2), eye) - cross - cross.conj().T
+    return out.tocsr()
 
 
 # -- kernel projectors (iota images) -----------------------------------------------------------
@@ -356,18 +342,16 @@ class IotaKernelProjector:
         self.d_r = model.dim // self.d_e
         rho_p = rho[np.ix_(self.perm, self.perm)]
         self.sigma_p = matrix_power_hermitian(rho_p, 0.5)
-        rho_red = np.einsum(
-            "ambm->ab", rho_p.reshape(self.d_r, self.d_e, self.d_r, self.d_e)
-        )
+        rho_red = np.trace(rho_p.reshape(self.d_r, self.d_e, self.d_r, self.d_e), axis1=1, axis2=3)
         self.rho_red_inv = np.linalg.inv(rho_red)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         d = self.model.dim
         xm = np.asarray(x).reshape(d, d)[np.ix_(self.perm, self.perm)]
         z = xm @ self.sigma_p
-        w = np.einsum("ambm->ab", z.reshape(self.d_r, self.d_e, self.d_r, self.d_e))
+        w = np.trace(z.reshape(self.d_r, self.d_e, self.d_r, self.d_e), axis1=1, axis2=3)
         m = w @ self.rho_red_inv
-        out = np.einsum("ab,bmj->amj", m, self.sigma_p.reshape(self.d_r, self.d_e, d))
+        out = m @ self.sigma_p.reshape(self.d_r, self.d_e * d)
         out = out.reshape(d, d)[np.ix_(self.to_new, self.to_new)]
         return out.reshape(-1)
 

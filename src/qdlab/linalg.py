@@ -44,7 +44,7 @@ def require_fits(shape: Sequence[int], dtype=np.float64) -> None:
 
 # ARPACK restarts allowed per solve (each restart takes up to ncv - k matvecs);
 # ARPACK's own default is 10 n. The two solves of the benchmark's gap_chain
-# workload take 151 matvecs in all, a few restarts, far below this cap.
+# workload take 104 matvecs in all, a few restarts, far below this cap.
 ARPACK_MAXITER = 1000
 
 

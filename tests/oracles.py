@@ -280,12 +280,16 @@ def iota_inverse(v: np.ndarray, rho_sqrt_inv: np.ndarray) -> np.ndarray:
 
 def apply_dissipator(gen: DaviesGenerator, q: np.ndarray, edges=None) -> np.ndarray:
     """L(Q) = sum_e sum_{alpha, w} g(w) ( S^dag(w) [Q, S(w)] + [S^dag(w), Q] S(w) ) / 2."""
-    edges = gen.model.edge_list if edges is None else edges
+    model = gen.model
+    edges = model.edge_list if edges is None else edges
     out = np.zeros_like(q, dtype=complex)
     for e in edges:
-        for g, _, s_w in gen.edge_jump_matrices(e):
-            s_d = dagger(s_w)
-            out += 0.5 * g * (s_d @ (q @ s_w - s_w @ q) + (s_d @ q - q @ s_d) @ s_w)
+        for dec in gen.jumps[e]:
+            for w, s_local in dec.components.items():
+                g = gen.rates(w)
+                s_w = model._embed_multi(list(dec.support), s_local)
+                s_d = dagger(s_w)
+                out += 0.5 * g * (s_d @ (q @ s_w - s_w @ q) + (s_d @ q - q @ s_d) @ s_w)
     return out
 
 

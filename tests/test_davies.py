@@ -54,6 +54,41 @@ def test_htilde_equals_minus_iota_l_iota_inverse(patch):
     assert np.abs(h - dagger(h)).max() < TOL
 
 
+@pytest.fixture(scope="module")
+def cylinder_patch():
+    """Z2 N=2 patch cyl:v,0,1 (d = 64): four of its six edges have 4-edge jump supports."""
+    lat = TorusLattice(2)
+    model = QuantumDoubleModel(make_cyclic(2), lat).restrict(parse_region(lat, "cyl:v,0,1"))
+    gen = DaviesGenerator.build(model, BETA)
+    rho = gibbs_state(model, BETA)
+    return model, gen, HTilde(gen), rho
+
+
+def test_htilde_on_proper_subset_supports(cylinder_patch):
+    model, gen, ht, rho = cylinder_patch
+    assert sum(len(gen.jumps[e][0].support) < model.n_edges for e in model.edge_list) == 4
+    rho_sqrt = matrix_power_hermitian(rho, 0.5)
+    rho_sqrt_inv = matrix_power_hermitian(rho, -0.5)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        x = rng.standard_normal(ht.dim) + 1j * rng.standard_normal(ht.dim)
+        q = iota_inverse(x, rho_sqrt_inv)
+        expect = -iota(apply_dissipator(gen, q), rho_sqrt)
+        assert np.abs(ht.apply(x) - expect).max() < TOL * np.abs(expect).max()
+        for e in model.edge_list:
+            expect = -iota(apply_dissipator(gen, q, edges=[e]), rho_sqrt)
+            assert np.abs(ht.apply_edges(x, [e]) - expect).max() < TOL * np.abs(expect).max()
+
+
+def test_each_edge_term_is_hermitian_and_kills_the_thermofield_double(cylinder_patch):
+    model, _, ht, rho = cylinder_patch
+    tfd = thermofield_vector(model, BETA, rho)
+    for e in model.edge_list:
+        _, gen_e = ht.local[e]
+        assert abs(gen_e - gen_e.conj().T).max() < TOL
+        assert np.linalg.norm(ht.apply_edges(tfd, [e])) < TOL
+
+
 def test_thermofield_double_is_in_the_kernel(patch):
     model, _, ht, rho = patch
     tfd = thermofield_vector(model, BETA, rho)
