@@ -14,7 +14,6 @@ from .linalg import (
     FeasibilityError,
     LinearMapHandle,
     dagger,
-    hermitian_spectrum,
     lowest_eigs_matrix_free,
     matrix_power_hermitian,
     vectorize,
@@ -62,16 +61,16 @@ def hermitian_unit_basis(d: int) -> list[np.ndarray]:
     return out
 
 
+def _commutator_stack(operators) -> np.ndarray:
+    """K with K vec(X) = (vec [S_a, X])_a for row-major vec."""
+    eye = np.eye(operators[0].shape[0])
+    return np.vstack([np.kron(s, eye) - np.kron(eye, s.T) for s in operators])
+
+
 def commutant_dimension(operators) -> int:
     """Dimension of {X : [X, S_a] = 0 for all a} inside M_d."""
     d = operators[0].shape[0]
-    rows = []
-    eye = np.eye(d)
-    for s in operators:
-        rows.append(np.kron(s, eye) - np.kron(eye, s.T))
-    big = np.vstack(rows)
-    rank = np.linalg.matrix_rank(big, tol=1e-10)
-    return d * d - rank
+    return d * d - np.linalg.matrix_rank(_commutator_stack(operators), tol=1e-10)
 
 
 def default_coupling(group: FiniteGroup) -> CouplingSet:
@@ -141,14 +140,16 @@ def kms_rates(beta: float, form: str = "exponential-half", table: dict | None = 
 
 @dataclass
 class JumpDecomposition:
-    edge: Edge
-    alpha: int
+    """The Davies jumps of one edge: for each coupling operator S, the dense
+    S(w) on the support edges for every Bohr frequency w (all zero where no
+    transition has that frequency)."""
+
     support: tuple[Edge, ...]
-    components: dict  # omega -> dense operator on the support edges
+    components: list[dict]  # per coupling operator: omega -> S(omega)
 
 
-def _local_term_sum(model: QuantumDoubleModel, e: Edge) -> tuple[QuantumDoubleModel, np.ndarray]:
-    """The patch supporting the edge's stars and plaquettes, and their sum on it."""
+def _local_patch(model: QuantumDoubleModel, e: Edge) -> tuple[QuantumDoubleModel, list, list]:
+    """The patch supporting the edge's stars and plaquettes, and those stars and plaquettes."""
     lat = model.lattice
     have_stars = set(map(tuple, model.stars()))
     have_plaqs = set(map(tuple, model.plaquettes()))
@@ -160,42 +161,56 @@ def _local_term_sum(model: QuantumDoubleModel, e: Edge) -> tuple[QuantumDoubleMo
     for p in plaqs:
         support.update(ed for ed, _ in lat.edges_of_plaquette(p))
     sub = QuantumDoubleModel(model.group, lat, tuple(sorted(support, key=lat.edge_index)))
-    total = np.zeros((sub.dim, sub.dim))
-    for v in stars:
-        total += sub.star_operator(v, embed=True)
-    for p in plaqs:
-        total += sub.plaquette_operator(p, embed=True)
-    return sub, total
+    return sub, stars, plaqs
 
 
-def fourier_components(
-    model: QuantumDoubleModel, e: Edge, s_op: np.ndarray, tol: float = 1e-9
-) -> JumpDecomposition:
-    """S(w) = sum over eigenprojector pairs of the local commuting Hamiltonian.
+def level_projectors(model: QuantumDoubleModel, e: Edge) -> tuple[QuantumDoubleModel, dict, int]:
+    """The edge's support patch, {k: scale Q_k} over the non-empty levels k, and scale.
+
+    Q_k projects onto the states where exactly k of the edge's star and plaquette
+    terms P hold; the terms commute, so Q <- {k: Q_k (1 - P) + Q_{k-1} P} over
+    the terms builds them. |G| A(v) is a 0/1 matrix (each g moves a basis state
+    to another; `rint` undoes the rounding of star_operator's 1/|G|) and B(p) a
+    0/1 diagonal, so with scale = |G|^(#stars) every scale Q_k is an integer
+    matrix, computed exactly.
+    """
+    sub, stars, plaqs = _local_patch(model, e)
+    n = model.group.order
+    terms = [(np.rint(n * sub.star_operator(v, embed=True)), n) for v in stars]
+    terms += [(sub.plaquette_operator(p, embed=True), 1) for p in plaqs]
+    eye = np.eye(sub.dim)
+    qs = [eye]
+    for m, c in terms:
+        nxt = [q @ (c * eye - m) for q in qs] + [np.zeros_like(eye)]
+        for k, q in enumerate(qs):
+            nxt[k + 1] += q @ m
+        qs = nxt
+    return sub, {k: q for k, q in enumerate(qs) if q.any()}, n ** len(stars)
+
+
+def fourier_components(model: QuantumDoubleModel, e: Edge, operators) -> JumpDecomposition:
+    """S(w) = sum_k Q_{k+w} S Q_k for each coupling operator S acting on the edge.
 
     With H = -(sum of the <= 4 local projector terms), S(w) collects the
     transitions raising the number of satisfied terms by w, so that
-    e^{itH} S e^{-itH} = sum_w e^{-iwt} S(w).
+    e^{itH} S e^{-itH} = sum_w e^{-iwt} S(w). The sums run over the integer
+    scale Q_k of `level_projectors` and are divided by scale^2 once, so an
+    entry is exactly zero where the transition is absent.
     """
-    sub, total = _local_term_sum(model, e)
-    s_emb = sub._embed_multi([e], s_op)
-    vals, vecs = hermitian_spectrum(total)
-    ks = np.round(vals).astype(int)
-    if np.abs(vals - ks).max() > tol:
-        raise FeasibilityError("local term sum is not integer-spectral; not commuting projectors?")
-    projs = {}
-    for k in sorted(set(ks.tolist())):
-        cols = vecs[:, ks == k]
-        projs[k] = cols @ dagger(cols)
-    comps = {}
-    for w in BOHR_FREQUENCIES:
-        acc = np.zeros_like(s_emb)
-        for k, pk in projs.items():
-            pk2 = projs.get(k + w)
-            if pk2 is not None:
-                acc = acc + pk2 @ s_emb @ pk
-        comps[w] = acc
-    return JumpDecomposition(edge=e, alpha=-1, support=sub.edge_list, components=comps)
+    sub, levels, scale = level_projectors(model, e)
+    components = []
+    for s_op in operators:
+        s_emb = sub._embed_multi([e], s_op)
+        s_q = {k: s_emb @ q for k, q in levels.items()}
+        comps = {}
+        for w in BOHR_FREQUENCIES:
+            acc = np.zeros_like(s_emb)
+            for k, sq in s_q.items():
+                if k + w in levels:
+                    acc += levels[k + w] @ sq
+            comps[w] = acc / scale**2
+        components.append(comps)
+    return JumpDecomposition(support=sub.edge_list, components=components)
 
 
 # -- GNS plumbing -----------------------------------------------------------------------
@@ -216,7 +231,7 @@ class DaviesGenerator:
     beta: float
     coupling: CouplingSet
     rates: RateFunction
-    jumps: dict = field(default_factory=dict)  # edge -> list over alpha of JumpDecomposition
+    jumps: dict = field(default_factory=dict)  # edge -> JumpDecomposition
 
     @classmethod
     def build(cls, model: QuantumDoubleModel, beta: float, coupling: CouplingSet | None = None,
@@ -226,22 +241,11 @@ class DaviesGenerator:
         rates = rates or kms_rates(beta)
         gen = cls(model=model, beta=beta, coupling=coupling, rates=rates)
         for e in model.edge_list:
-            decs = []
-            for alpha, s in enumerate(coupling.operators):
-                dec = fourier_components(model, e, s)
-                dec.alpha = alpha
-                decs.append(dec)
-            gen.jumps[e] = decs
+            gen.jumps[e] = fourier_components(model, e, coupling.operators)
         return gen
 
 
 # -- H~ (vectorized GNS Hamiltonian) ----------------------------------------------------------
-
-# Entries of a stored S(w) at or below this fraction of its largest entry are
-# roundoff of the eigenprojector products in fourier_components (on the Z2 torus
-# at most 4e-15 of the largest, while the true entries are at least a third of
-# it); they are dropped from the sparse local generators.
-PRUNE_RTOL = 1e-12
 
 
 class HTilde:
@@ -254,7 +258,9 @@ class HTilde:
 
         L_e = sum_{alpha,w} g(w)/2 [ c^2 1 x (S S^dag)^T + S^dag S x 1 - c (S x S^* + S^dag x S^T) ],
 
-    and the identity on every other leg.
+    and the identity on every other leg. `fourier_components` leaves an entry of
+    S(w) exactly zero where its transition is absent, so the nonzero entries of
+    L_e are those of the true jumps.
     """
 
     def __init__(self, gen: DaviesGenerator):
@@ -263,12 +269,12 @@ class HTilde:
         n, ne = self.model.local_dim, self.model.n_edges
         self._legs = (n,) * (2 * ne)
         self.local = {}  # edge -> (leg order putting its support first, L_e)
-        for e, decs in gen.jumps.items():
-            support = decs[0].support
+        for e, dec in gen.jumps.items():
+            support = dec.support
             pos = [self.model.edge_pos[f] for f in support]
             rest = [i for i in range(ne) if i not in pos]
             axes = pos + [ne + i for i in pos] + rest + [ne + i for i in rest]
-            self.local[e] = (axes, _local_generator(gen, decs, n ** len(support)))
+            self.local[e] = (axes, _local_generator(gen, dec, n ** len(support)))
 
     def apply_edges(self, x: np.ndarray, edges) -> np.ndarray:
         x = np.asarray(x).reshape(self._legs)
@@ -288,17 +294,15 @@ class HTilde:
         return LinearMapHandle(dim=self.dim, apply=lambda x: self.apply_edges(x, edges))
 
 
-def _local_generator(gen: DaviesGenerator, decs: list[JumpDecomposition], d: int) -> sp.csr_matrix:
+def _local_generator(gen: DaviesGenerator, dec: JumpDecomposition, d: int) -> sp.csr_matrix:
     """L_e of HTilde in CSR, from the dense S(w) of the edge's jumps on its support of dimension d."""
     m1 = np.zeros((d, d), dtype=complex)  # sum g c^2 S S^dag
     m2 = np.zeros((d, d), dtype=complex)  # sum g S^dag S
     rows, cols, vals = [], [], []  # COO entries of sum g c S x S^*
-    for dec in decs:
-        for w, s in dec.components.items():
-            big = np.abs(s).max()
-            if big < 1e-14:  # no transition at this frequency
+    for comps in dec.components:
+        for w, s in comps.items():
+            if not s.any():  # no transition at this frequency
                 continue
-            s = np.where(np.abs(s) > PRUNE_RTOL * big, s, 0)
             # the half makes H~ equal to -iota L iota^{-1}: the +-omega pairing in the
             # Dirichlet form double counts each squared commutator
             g = 0.5 * gen.rates(w)
@@ -366,39 +370,21 @@ def thermofield_vector(model: QuantumDoubleModel, beta: float, rho: np.ndarray |
 
 
 def c1_constant(model: QuantumDoubleModel, e: Edge) -> float:
-    """Operator norm of the sum of the local terms of the edge (stars + plaquettes)."""
-    _, total = _local_term_sum(model, e)
-    vals, _ = hermitian_spectrum(total)
-    return float(vals[-1])
+    """Operator norm of the sum of the local terms of the edge (stars + plaquettes):
+    the highest level k at which some state satisfies k of them."""
+    _, levels, _ = level_projectors(model, e)
+    return float(max(levels))
 
 
 def c2_constant(coupling: CouplingSet) -> float:
-    """Smallest eigenvalue of the commutator Gram form on traceless single-site operators."""
-    d = coupling.operators[0].shape[0]
-    basis = []
-    # orthonormal traceless Hermitian basis
-    for m in hermitian_unit_basis(d):
-        t = m - np.trace(m) / d * np.eye(d)
-        basis.append(t)
-    # orthonormalize
-    flat = np.stack([b.reshape(-1) for b in basis]).T
-    q, r = np.linalg.qr(flat)
-    keep = np.abs(np.diag(r)) > 1e-12
-    q = q[:, keep]
-    nb = q.shape[1]
-    gram = np.zeros((nb, nb), dtype=complex)
-    for a_idx in range(nb):
-        ba = q[:, a_idx].reshape(d, d)
-        for b_idx in range(nb):
-            bb = q[:, b_idx].reshape(d, d)
-            acc = 0.0
-            for s in coupling.operators:
-                ca = ba @ s - s @ ba
-                cb = bb @ s - s @ bb
-                acc += np.trace(dagger(ca) @ cb)
-            gram[a_idx, b_idx] = acc
-    vals, _ = hermitian_spectrum(gram)
-    return float(vals[0])
+    """min of sum_a ||[X, S_a]||^2 over traceless X with ||X|| = 1.
+
+    That is the second-smallest eigenvalue of K^dag K for the commutator stack K,
+    whose kernel is span(1) (the commutant of a validated coupling) and is
+    orthogonal to the traceless matrices.
+    """
+    k = _commutator_stack(coupling.operators)
+    return float(np.linalg.eigvalsh(dagger(k) @ k)[1])
 
 
 @dataclass
@@ -492,7 +478,6 @@ def gap_chain(
     n_parent: int = 2,
     seed: int = 0,
     tol: float = 1e-7,
-    probes: int = 12,
 ) -> GapChainReport:
     """Numerically certify every link of the Davies-to-parent-Hamiltonian chain."""
     from .gap_tools import n_beta, parent_gap, parent_hamiltonian, sum_of_complements
@@ -537,13 +522,13 @@ def gap_chain(
         ChainInequality(name="gap(L) >= (C2/|Omega|) g_min e^{-C1 beta} gap(sum Pi_perp)",
                         lhs=gap_l, rhs=rhs1, sense=">=", passed=gap_l >= rhs1 - 1e-9)
     )
-    # (2) probe check Pi_X^perp <= sum_{e in X} Pi_e^perp and P_X >= Pi_X
+    # (2) probe check Pi_X^perp <= sum_{e in X} Pi_e^perp and P_X >= Pi_X, 3 probes per region
     worst_sub = 0.0
     worst_ker = 0.0
     for x_reg, proj in zip(ph.family[:4], ph.projectors[:4]):
         x_edges = tuple(x_reg.edges())
         pi_x = IotaKernelProjector(model, rho, x_edges)
-        for _ in range(max(2, probes // 4)):
+        for _ in range(3):
             v = rng.standard_normal(ht.dim)
             v /= np.linalg.norm(v)
             lhs = np.vdot(v, v - pi_x.apply(v)).real

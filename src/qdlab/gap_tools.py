@@ -250,7 +250,11 @@ class RecursionBound:
     final_constant: float  # includes the 1/16 torus-to-rectangle prefactor
 
 
-def recursion_bound(r: int, delta_fn, k_terms: int = 200) -> RecursionBound:
+# Factors of the recursion product evaluated before the tail bound takes over.
+RECURSION_TERMS = 200
+
+
+def recursion_bound(r: int, delta_fn) -> RecursionBound:
     """Truncated evaluation of prod_k (1 - delta_k)/(1 + 1/s_k) with a rigorous tail factor.
 
     delta_k = delta(floor((r/4) (9/8)^{k/2})), s_k = floor((4/3)^{k/2}); the tail
@@ -260,7 +264,7 @@ def recursion_bound(r: int, delta_fn, k_terms: int = 200) -> RecursionBound:
         raise ValueError("recursion requires r >= 16")
     deltas, s_values = [], []
     product = 1.0
-    for k in range(k_terms):
+    for k in range(RECURSION_TERMS):
         ell = math.floor((r / 4.0) * (9.0 / 8.0) ** (k / 2.0))
         dk = float(delta_fn(max(ell, 1)))
         sk = max(int((4.0 / 3.0) ** (k / 2.0)), 1)
@@ -269,9 +273,9 @@ def recursion_bound(r: int, delta_fn, k_terms: int = 200) -> RecursionBound:
         product *= (1.0 - dk) / (1.0 + 1.0 / sk)
     if product <= 0.0:
         raise ConvergenceError("recursion product vanished: decay function does not decay")
-    # tail: sum_{k >= k_terms}; both series decay geometrically, bound by doubling range
+    # tail: sum_{k >= RECURSION_TERMS}; both series decay geometrically, bound by doubling range
     tail_sum = 0.0
-    for k in range(k_terms, 4 * k_terms):
+    for k in range(RECURSION_TERMS, 4 * RECURSION_TERMS):
         ell = math.floor((r / 4.0) * (9.0 / 8.0) ** (k / 2.0))
         dk = float(delta_fn(max(ell, 1)))
         if dk >= 0.5:
@@ -283,7 +287,7 @@ def recursion_bound(r: int, delta_fn, k_terms: int = 200) -> RecursionBound:
     tail_lower = math.exp(-tail_sum)
     return RecursionBound(
         r=r,
-        terms=k_terms,
+        terms=RECURSION_TERMS,
         deltas=deltas,
         s_values=s_values,
         truncated_product=product,

@@ -81,10 +81,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
 # -- spectra -----------------------------------------------------------------
 
 
-def check_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
+def check_hermitian(m: np.ndarray) -> None:
     dev = np.abs(m - dagger(m)).max()
     scale = max(1.0, np.abs(m).max())
-    if dev > tol * scale:
+    if dev > HERMITIAN_TOL * scale:
         raise LinalgError(f"matrix is not Hermitian (deviation {dev:.3e})")
 
 
@@ -95,13 +95,14 @@ def hermitian_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def matrix_power_hermitian(m: np.ndarray, power: float, pseudo: bool = False) -> np.ndarray:
-    """M^power via eigh; with pseudo=True, zero modes (at RANK_CUTOFF) stay zero."""
+def matrix_power_hermitian(m: np.ndarray, power: float) -> np.ndarray:
+    """M^power via eigh; zero modes (at RANK_CUTOFF) stay zero, and a fractional
+    power of a matrix with an eigenvalue below them raises LinalgError."""
     vals, vecs = hermitian_spectrum(m)
     top = np.abs(vals).max() if vals.size else 0.0
     out = np.zeros_like(vals)
     keep = np.abs(vals) > RANK_CUTOFF * max(top, 1e-300)
-    if not pseudo and (vals < 0).any() and power != int(power):
+    if (vals < 0).any() and power != int(power):
         bad = vals[vals < -RANK_CUTOFF * max(top, 1e-300)]
         if bad.size:
             raise LinalgError(f"negative eigenvalue {bad.min():.3e} in fractional matrix power")
@@ -110,11 +111,11 @@ def matrix_power_hermitian(m: np.ndarray, power: float, pseudo: bool = False) ->
     return (vecs * out) @ dagger(vecs)
 
 
-def orthonormal_columns(v: np.ndarray, cutoff: float = RANK_CUTOFF) -> np.ndarray:
+def orthonormal_columns(v: np.ndarray) -> np.ndarray:
     q, s, _ = np.linalg.svd(np.asarray(v), full_matrices=False)
     if s.size == 0 or s[0] == 0:
         return q[:, :0]
-    rank = int(np.sum(s > cutoff * s[0]))
+    rank = int(np.sum(s > RANK_CUTOFF * s[0]))
     return q[:, :rank]
 
 
@@ -141,38 +142,43 @@ def lowest_eigs_matrix_free(
 
     Deflation adds `shift` on the span of the supplied vectors, so the returned
     values are the lowest of H restricted to their orthogonal complement; vectors
-    that are not orthonormal (to 1e-8) raise LinalgError.
+    that are not orthonormal (to 1e-8) raise LinalgError, and so does an
+    eigenvector found mostly inside their span: there the value is the shift, and
+    the restricted spectrum lies at or above it.
     Raises ConvergenceError when ARPACK has not converged after ARPACK_MAXITER restarts.
     """
-    defl = [np.asarray(v, dtype=complex).reshape(-1) for v in deflate]
-    if defl:
-        v = np.array(defl)
-        dev = np.abs(v.conj() @ v.T - np.eye(len(defl))).max()
+    basis = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in deflate]).reshape(len(deflate), h.dim)
+    if len(basis):
+        dev = np.abs(basis.conj() @ basis.T - np.eye(len(basis))).max()
         if dev > 1e-8:
             raise LinalgError(f"deflation vectors are not orthonormal (max |V^dagger V - I| = {dev:.2e})")
 
     def matvec(x):
         y = np.asarray(h.apply(x))
-        for v in defl:
+        for v in basis:
             y = y + shift * v * (v.conj() @ x)
         return y
 
     if h.dim <= 64:
         mat = np.column_stack([matvec(col) for col in np.eye(h.dim, dtype=complex).T])
-        vals = np.linalg.eigvalsh((mat + dagger(mat)) / 2)
-        return vals[:k]
-
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(h.dim)
-    op = spla.LinearOperator((h.dim, h.dim), matvec=matvec, dtype=complex)
-    try:
-        vals, vecs = spla.eigsh(op, k=k, sigma=None, which="SA", v0=v0, tol=tol, maxiter=ARPACK_MAXITER)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"Lanczos failed to converge: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    for i in range(k):
-        r = np.linalg.norm(matvec(vecs[:, i]) - vals[i] * vecs[:, i])
-        if r > max(tol * 100, 1e-7) * max(1.0, abs(vals[i])):
-            raise ConvergenceError(f"eigenpair {i} residual {r:.3e} above tolerance")
+        vals, vecs = np.linalg.eigh((mat + dagger(mat)) / 2)
+    else:
+        rng = np.random.default_rng(seed)
+        v0 = rng.standard_normal(h.dim)
+        op = spla.LinearOperator((h.dim, h.dim), matvec=matvec, dtype=complex)
+        try:
+            vals, vecs = spla.eigsh(op, k=k, sigma=None, which="SA", v0=v0, tol=tol, maxiter=ARPACK_MAXITER)
+        except spla.ArpackNoConvergence as exc:
+            raise ConvergenceError(f"Lanczos failed to converge: {exc}") from exc
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        for i in range(k):
+            r = np.linalg.norm(matvec(vecs[:, i]) - vals[i] * vecs[:, i])
+            if r > max(tol * 100, 1e-7) * max(1.0, abs(vals[i])):
+                raise ConvergenceError(f"eigenpair {i} residual {r:.3e} above tolerance")
+    inside = np.sum(np.abs(basis.conj() @ vecs[:, :k]) ** 2, axis=0)
+    if (inside > 0.5).any():
+        raise LinalgError(
+            f"an eigenvector lies in the deflated span: the spectrum off it is not below the shift {shift}"
+        )
     return vals[:k]

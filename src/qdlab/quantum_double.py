@@ -144,7 +144,7 @@ class HamiltonianAssembly:
     model: QuantumDoubleModel
     star_terms: dict
     plaquette_terms: dict
-    dense: np.ndarray | None = None
+    dense: np.ndarray
 
     @property
     def n_terms(self) -> int:
@@ -155,18 +155,16 @@ class HamiltonianAssembly:
         yield from self.plaquette_terms.items()
 
 
-def full_hamiltonian(model: QuantumDoubleModel, dense: bool = True) -> HamiltonianAssembly:
+def full_hamiltonian(model: QuantumDoubleModel) -> HamiltonianAssembly:
     """H = -sum_v A(v) - sum_p B(p) with only the terms fully inside the patch."""
-    stars = {v: model.star_operator(v, embed=dense) for v in model.stars()}
-    plaqs = {p: model.plaquette_operator(p, embed=dense) for p in model.plaquettes()}
-    h = None
-    if dense:
-        require_fits((model.dim, model.dim))
-        h = np.zeros((model.dim, model.dim))
-        for term in stars.values():
-            h -= term
-        for term in plaqs.values():
-            h -= term
+    stars = {v: model.star_operator(v, embed=True) for v in model.stars()}
+    plaqs = {p: model.plaquette_operator(p, embed=True) for p in model.plaquettes()}
+    require_fits((model.dim, model.dim))
+    h = np.zeros((model.dim, model.dim))
+    for term in stars.values():
+        h -= term
+    for term in plaqs.values():
+        h -= term
     return HamiltonianAssembly(model, stars, plaqs, h)
 
 

@@ -3,9 +3,10 @@
 None of these has a production caller: each rebuilds a quantity from its
 definition (dense operators on l2(G) x l2(G), sums over every interior
 extension, matrix elements one at a time, the Davies dissipator on dense
-operators) so that the structured code in `qdlab` can be checked against it.
-The last sections hold the small builders only the tests use: region families,
-dense handles and random matrices.
+operators, the jumps from an eigendecomposition of the local terms) so that
+the structured code in `qdlab` can be checked against it. The last
+sections hold the small builders only the tests use: region families, dense
+handles and random matrices.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 import numpy as np
 
 from qdlab.boundary import BoundaryError, reduced_character
-from qdlab.davies import DaviesGenerator
+from qdlab.davies import BOHR_FREQUENCIES, CouplingSet, DaviesGenerator, _local_patch
 from qdlab.groups import FiniteGroup
 from qdlab.lattice import (
     CYL_H,
@@ -284,13 +285,58 @@ def apply_dissipator(gen: DaviesGenerator, q: np.ndarray, edges=None) -> np.ndar
     edges = model.edge_list if edges is None else edges
     out = np.zeros_like(q, dtype=complex)
     for e in edges:
-        for dec in gen.jumps[e]:
-            for w, s_local in dec.components.items():
+        dec = gen.jumps[e]
+        for comps in dec.components:
+            for w, s_local in comps.items():
                 g = gen.rates(w)
                 s_w = model._embed_multi(list(dec.support), s_local)
                 s_d = dagger(s_w)
                 out += 0.5 * g * (s_d @ (q @ s_w - s_w @ q) + (s_d @ q - q @ s_d) @ s_w)
     return out
+
+
+def local_term_sum(model: QuantumDoubleModel, e: Edge) -> tuple[QuantumDoubleModel, np.ndarray]:
+    """The edge's support patch and the sum of its star and plaquette terms on it."""
+    sub, stars, plaqs = _local_patch(model, e)
+    total = np.zeros((sub.dim, sub.dim))
+    for v in stars:
+        total += sub.star_operator(v, embed=True)
+    for p in plaqs:
+        total += sub.plaquette_operator(p, embed=True)
+    return sub, total
+
+
+def fourier_components_eigh(model: QuantumDoubleModel, e: Edge, s_op: np.ndarray) -> dict:
+    """{w: S(w)} from the eigenprojectors of the local term sum, its spectrum rounded to integers."""
+    sub, total = local_term_sum(model, e)
+    s_emb = sub._embed_multi([e], s_op)
+    vals, vecs = hermitian_spectrum(total)
+    ks = np.round(vals).astype(int)
+    assert np.abs(vals - ks).max() < 1e-9, "local term sum is not integer-spectral"
+    projs = {k: vecs[:, ks == k] @ dagger(vecs[:, ks == k]) for k in set(ks.tolist())}
+    return {
+        w: sum((projs[k + w] @ s_emb @ p for k, p in projs.items() if k + w in projs), np.zeros_like(s_emb))
+        for w in BOHR_FREQUENCIES
+    }
+
+
+def c2_explicit_basis(coupling: CouplingSet) -> float:
+    """min of sum_a ||[X, S_a]||^2 over traceless unit X, compressed onto the orthonormal
+    traceless basis E_gh (g != h) and diag(1, ..., 1, -l, 0, ...) / sqrt(l (l + 1))."""
+    d = coupling.operators[0].shape[0]
+    basis = []
+    for g, h in itertools.permutations(range(d), 2):
+        m = np.zeros((d, d))
+        m[g, h] = 1.0
+        basis.append(m)
+    for ell in range(1, d):
+        diag = np.zeros(d)
+        diag[:ell] = 1.0
+        diag[ell] = -ell
+        basis.append(np.diag(diag) / np.sqrt(ell * (ell + 1)))
+    comms = [[b @ s - s @ b for s in coupling.operators] for b in basis]
+    gram = np.array([[sum(np.vdot(x, y) for x, y in zip(ca, cb)) for cb in comms] for ca in comms])
+    return float(np.linalg.eigvalsh(gram)[0])
 
 
 # -- region families ------------------------------------------------------------------

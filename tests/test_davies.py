@@ -9,16 +9,22 @@ from qdlab.davies import (
     HTilde,
     IotaKernelProjector,
     RateError,
+    c1_constant,
+    c2_constant,
+    davies_gap,
+    default_coupling,
     final_link_passed,
+    fourier_components,
     iota,
     kms_rates,
+    level_projectors,
     thermofield_vector,
 )
-from qdlab.groups import make_cyclic
+from qdlab.groups import group_by_name, make_cyclic
 from qdlab.lattice import TorusLattice, parse_region
-from qdlab.linalg import dagger, matrix_power_hermitian
+from qdlab.linalg import LinalgError, dagger, matrix_power_hermitian
 from qdlab.quantum_double import QuantumDoubleModel, gibbs_state
-from oracles import apply_dissipator, iota_inverse
+from oracles import apply_dissipator, c2_explicit_basis, fourier_components_eigh, iota_inverse, local_term_sum
 
 BETA = 1.0
 TOL = 1e-10
@@ -66,7 +72,7 @@ def cylinder_patch():
 
 def test_htilde_on_proper_subset_supports(cylinder_patch):
     model, gen, ht, rho = cylinder_patch
-    assert sum(len(gen.jumps[e][0].support) < model.n_edges for e in model.edge_list) == 4
+    assert sum(len(gen.jumps[e].support) < model.n_edges for e in model.edge_list) == 4
     rho_sqrt = matrix_power_hermitian(rho, 0.5)
     rho_sqrt_inv = matrix_power_hermitian(rho, -0.5)
     rng = np.random.default_rng(7)
@@ -87,6 +93,76 @@ def test_each_edge_term_is_hermitian_and_kills_the_thermofield_double(cylinder_p
         _, gen_e = ht.local[e]
         assert abs(gen_e - gen_e.conj().T).max() < TOL
         assert np.linalg.norm(ht.apply_edges(tfd, [e])) < TOL
+
+
+def test_deflation_past_the_shift_raises(cylinder_patch):
+    """With rates 100 e^{w/2} the gap (about 270) exceeds davies_gap's shift of 50."""
+    model = cylinder_patch[0]
+    rates = kms_rates(BETA, "custom", {w: 100 * np.exp(w / 2) for w in BOHR_FREQUENCIES})
+    ht = HTilde(DaviesGenerator.build(model, BETA, rates=rates))
+    with pytest.raises(LinalgError, match="shift 50"):
+        davies_gap(ht, thermofield_vector(model, BETA))
+
+
+@pytest.fixture(scope="module", params=["Z2 cyl:v,0,1", "Z3 star"])
+def jump_patch(request):
+    """The Z2 N=2 patch cyl:v,0,1, and the four edges of one Z3 star (81-dim
+    supports, scale 3: the non-dyadic 1/|G| case)."""
+    if request.param == "Z3 star":
+        lat = TorusLattice(3)
+        model = QuantumDoubleModel(make_cyclic(3), lat, tuple(e for e, _ in lat.edges_of_star((0, 0))))
+    else:
+        lat = TorusLattice(2)
+        model = QuantumDoubleModel(make_cyclic(2), lat).restrict(parse_region(lat, "cyl:v,0,1"))
+    return model, default_coupling(model.group).operators
+
+
+def test_jumps_match_the_eigh_construction(jump_patch):
+    """Same S(w) to 1e-13, and exact zeros exactly where the eigh oracle is below 1e-12 of S."""
+    model, ops = jump_patch
+    for e in model.edge_list:
+        dec = fourier_components(model, e, ops)
+        assert dec.support == local_term_sum(model, e)[0].edge_list
+        for s_op, comps in zip(ops, dec.components):
+            oracle = fourier_components_eigh(model, e, s_op)
+            for w, s in comps.items():
+                assert np.abs(s - oracle[w]).max() <= 1e-13
+                assert np.count_nonzero(s) == np.count_nonzero(np.abs(oracle[w]) > 1e-12 * np.abs(s_op).max())
+
+
+def test_jumps_against_their_definition(jump_patch):
+    """sum_w S(w) = S and [sum of terms, S(w)] = w S(w)."""
+    model, ops = jump_patch
+    for e in model.edge_list:
+        sub, total = local_term_sum(model, e)
+        for s_op, comps in zip(ops, fourier_components(model, e, ops).components):
+            s_emb = sub._embed_multi([e], s_op)
+            assert np.abs(sum(comps.values()) - s_emb).max() <= 1e-14
+            for w, s in comps.items():
+                assert np.abs(total @ s - s @ total - w * s).max() <= 1e-13
+
+
+def test_level_projectors_resolve_the_identity(jump_patch):
+    """The Q_k are orthogonal projectors summing to 1; c1 is the top eigenvalue of the term sum."""
+    model = jump_patch[0]
+    for e in model.edge_list:
+        sub, levels, scale = level_projectors(model, e)
+        qs = [q / scale for q in levels.values()]
+        for q in qs:
+            assert np.abs(q @ q - q).max() <= 1e-14
+            assert np.array_equal(q, q.T)
+        assert np.abs(sum(qs) - np.eye(sub.dim)).max() <= 1e-14
+        top = np.linalg.eigvalsh(local_term_sum(model, e)[1])[-1]
+        assert c1_constant(model, e) == pytest.approx(top, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "S3"])
+def test_c2_constant_against_an_explicit_basis(name):
+    """The default coupling's c2 is 4|G| - 2; Z2's 6.0 is the value in the gap chain record."""
+    group = group_by_name(name)
+    c2 = c2_constant(default_coupling(group))
+    assert c2 == pytest.approx(c2_explicit_basis(default_coupling(group)), rel=1e-12)
+    assert c2 == pytest.approx(4 * group.order - 2, rel=1e-12)
 
 
 def test_thermofield_double_is_in_the_kernel(patch):

@@ -102,6 +102,14 @@ class TestEigsMatrixFree:
         val = lowest_eigs_matrix_free(h, k=1, seed=2, deflate=[ground], shift=1e4)[0]
         assert val == pytest.approx(dense_vals[1], abs=1e-8)
 
+    @pytest.mark.parametrize("step", [1, 2], ids=["arpack", "dense"])
+    def test_deflation_past_the_shift_raises(self, step):
+        """diag(0, 200, ...) with e_0 deflated: the gap 200 lies above the shift 100."""
+        vals = np.concatenate([[0.0], np.arange(200.0, 300.0, step)])
+        h = handle_from_dense(np.diag(vals))
+        with pytest.raises(LinalgError, match="shift 100"):
+            lowest_eigs_matrix_free(h, deflate=[np.eye(vals.size)[0]], shift=100.0)
+
     def test_deflation_vectors_must_be_orthogonal(self):
         # two unit vectors with overlap 1/sqrt(2): each passes a norm check alone
         e0, e1 = np.eye(8)[0], np.eye(8)[1]
