@@ -13,9 +13,12 @@ from .lattice import Edge
 from .linalg import (
     FeasibilityError,
     LinearMapHandle,
+    apply_on_sites,
     dagger,
     lowest_eigs_matrix_free,
     matrix_power_hermitian,
+    require_fits,
+    sites_first_axes,
     vectorize,
 )
 from .quantum_double import QuantumDoubleModel, gibbs_state
@@ -141,8 +144,8 @@ def kms_rates(beta: float, form: str = "exponential-half", table: dict | None = 
 @dataclass
 class JumpDecomposition:
     """The Davies jumps of one edge: for each coupling operator S, the dense
-    S(w) on the support edges for every Bohr frequency w (all zero where no
-    transition has that frequency)."""
+    S(w) on the support edges for the Bohr frequencies w at which S makes a
+    transition (S(w) = 0 at the others, which are left out)."""
 
     support: tuple[Edge, ...]
     components: list[dict]  # per coupling operator: omega -> S(omega)
@@ -195,10 +198,13 @@ def fourier_components(model: QuantumDoubleModel, e: Edge, operators) -> JumpDec
     transitions raising the number of satisfied terms by w, so that
     e^{itH} S e^{-itH} = sum_w e^{-iwt} S(w). The sums run over the integer
     scale Q_k of `level_projectors` and are divided by scale^2 once, so an
-    entry is exactly zero where the transition is absent.
+    entry is exactly zero where the transition is absent, and an S(w) that is
+    zero is not stored. FeasibilityError is raised before the stored S(w) of the
+    edge exceed the dense budget.
     """
     sub, levels, scale = level_projectors(model, e)
     components = []
+    stored = 0
     for s_op in operators:
         s_emb = sub._embed_multi([e], s_op)
         s_q = {k: s_emb @ q for k, q in levels.items()}
@@ -208,16 +214,12 @@ def fourier_components(model: QuantumDoubleModel, e: Edge, operators) -> JumpDec
             for k, sq in s_q.items():
                 if k + w in levels:
                     acc += levels[k + w] @ sq
-            comps[w] = acc / scale**2
+            if acc.any():
+                stored += 1
+                require_fits((stored,) + acc.shape, acc.dtype)
+                comps[w] = acc / scale**2
         components.append(comps)
     return JumpDecomposition(support=sub.edge_list, components=components)
-
-
-# -- GNS plumbing -----------------------------------------------------------------------
-
-
-def iota(q: np.ndarray, rho_sqrt: np.ndarray) -> np.ndarray:
-    return vectorize(q @ rho_sqrt)
 
 
 # -- the Davies generator ------------------------------------------------------------------
@@ -240,8 +242,11 @@ class DaviesGenerator:
         validate_coupling(coupling.operators)
         rates = rates or kms_rates(beta)
         gen = cls(model=model, beta=beta, coupling=coupling, rates=rates)
+        stored = 0  # entries of every stored S(w), checked against the dense budget
         for e in model.edge_list:
-            gen.jumps[e] = fourier_components(model, e, coupling.operators)
+            gen.jumps[e] = dec = fourier_components(model, e, coupling.operators)
+            stored += sum(s.size for comps in dec.components for s in comps.values())
+            require_fits((stored,), complex)
         return gen
 
 
@@ -258,32 +263,27 @@ class HTilde:
 
         L_e = sum_{alpha,w} g(w)/2 [ c^2 1 x (S S^dag)^T + S^dag S x 1 - c (S x S^* + S^dag x S^T) ],
 
-    and the identity on every other leg. `fourier_components` leaves an entry of
-    S(w) exactly zero where its transition is absent, so the nonzero entries of
-    L_e are those of the true jumps.
+    and the identity on every other leg; `linalg.sites_first_axes` gives the leg
+    layout. `fourier_components` leaves an entry of S(w) exactly zero where its
+    transition is absent, so the nonzero entries of L_e are those of the true jumps.
     """
 
     def __init__(self, gen: DaviesGenerator):
         self.model = gen.model
         self.dim = self.model.dim**2
-        n, ne = self.model.local_dim, self.model.n_edges
-        self._legs = (n,) * (2 * ne)
-        self.local = {}  # edge -> (leg order putting its support first, L_e)
+        self.local = {}  # edge -> (positions of its support edges, L_e)
+        self.norm_bound = 0.0  # sum_e ||L_e||_inf >= ||H~||, as L_e is Hermitian
         for e, dec in gen.jumps.items():
-            support = dec.support
-            pos = [self.model.edge_pos[f] for f in support]
-            rest = [i for i in range(ne) if i not in pos]
-            axes = pos + [ne + i for i in pos] + rest + [ne + i for i in rest]
-            self.local[e] = (axes, _local_generator(gen, dec, n ** len(support)))
+            pos = [self.model.edge_pos[f] for f in dec.support]
+            gen_e = _local_generator(gen, dec, self.model.local_dim ** len(pos))
+            self.local[e] = (pos, gen_e)
+            self.norm_bound += float(abs(gen_e).sum(axis=1).max())
 
     def apply_edges(self, x: np.ndarray, edges) -> np.ndarray:
-        x = np.asarray(x).reshape(self._legs)
         out = np.zeros(self.dim, dtype=complex)
-        out_legs = out.reshape(self._legs)
         for e in edges:
-            axes, gen_e = self.local[e]
-            y = gen_e @ x.transpose(axes).reshape(gen_e.shape[1], -1)
-            out_legs.transpose(axes)[...] += y.reshape(self._legs)
+            pos, gen_e = self.local[e]
+            out += apply_on_sites(x, self.model.local_dim, self.model.n_edges, pos, lambda m: gen_e @ m)
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -301,8 +301,6 @@ def _local_generator(gen: DaviesGenerator, dec: JumpDecomposition, d: int) -> sp
     rows, cols, vals = [], [], []  # COO entries of sum g c S x S^*
     for comps in dec.components:
         for w, s in comps.items():
-            if not s.any():  # no transition at this frequency
-                continue
             # the half makes H~ equal to -iota L iota^{-1}: the +-omega pairing in the
             # Dirichlet form double counts each squared commutator
             g = 0.5 * gen.rates(w)
@@ -326,38 +324,30 @@ def _local_generator(gen: DaviesGenerator, dec: JumpDecomposition, d: int) -> sp
 
 
 class IotaKernelProjector:
-    """Orthogonal projector onto {iota(Q) : Q in B(H_{E \\ X})} on the doubled space."""
+    """Orthogonal projector onto {iota(Q) : Q in B(H_{E \\ X})} on the doubled space,
+    applied to the matrix view of a vector in the edge order (rest, X) (`linalg.sites_first_axes`)."""
 
     def __init__(self, model: QuantumDoubleModel, rho: np.ndarray, x_edges: tuple[Edge, ...]):
         self.model = model
-        n = model.local_dim
-        ne = model.n_edges
         pos = [model.edge_pos[e] for e in x_edges]
-        rest = [i for i in range(ne) if i not in pos]
-        # single-layer basis permutation putting the X edges last:
-        # to_new[old_state] = its index in the (rest..., X...) digit order
-        digits = np.stack(np.unravel_index(np.arange(model.dim), (n,) * ne))
-        to_new = np.zeros(model.dim, dtype=np.int64)
-        for src_axis in rest + pos:
-            to_new = to_new * n + digits[src_axis]
-        self.perm = np.argsort(to_new)  # new -> old
-        self.to_new = to_new            # old -> new
-        self.d_e = n ** len(pos)
+        self.order = [i for i in range(model.n_edges) if i not in pos] + pos
+        self.d_e = model.local_dim ** len(pos)
         self.d_r = model.dim // self.d_e
-        rho_p = rho[np.ix_(self.perm, self.perm)]
+        legs = (model.local_dim,) * (2 * model.n_edges)
+        rho_p = rho.reshape(legs).transpose(sites_first_axes(model.n_edges, self.order)).reshape(rho.shape)
         self.sigma_p = matrix_power_hermitian(rho_p, 0.5)
         rho_red = np.trace(rho_p.reshape(self.d_r, self.d_e, self.d_r, self.d_e), axis1=1, axis2=3)
         self.rho_red_inv = np.linalg.inv(rho_red)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        return apply_on_sites(x, self.model.local_dim, self.model.n_edges, self.order, self._apply_view)
+
+    def _apply_view(self, xm: np.ndarray) -> np.ndarray:
         d = self.model.dim
-        xm = np.asarray(x).reshape(d, d)[np.ix_(self.perm, self.perm)]
-        z = xm @ self.sigma_p
+        z = xm.reshape(d, d) @ self.sigma_p
         w = np.trace(z.reshape(self.d_r, self.d_e, self.d_r, self.d_e), axis1=1, axis2=3)
         m = w @ self.rho_red_inv
-        out = m @ self.sigma_p.reshape(self.d_r, self.d_e * d)
-        out = out.reshape(d, d)[np.ix_(self.to_new, self.to_new)]
-        return out.reshape(-1)
+        return m @ self.sigma_p.reshape(self.d_r, self.d_e * d)
 
 
 def thermofield_vector(model: QuantumDoubleModel, beta: float, rho: np.ndarray | None = None) -> np.ndarray:
@@ -431,9 +421,10 @@ def local_gap_check(
 
 
 def davies_gap(htilde: HTilde, tfd: np.ndarray, seed: int = 0, tol: float = 1e-8) -> float:
-    """Smallest nonzero eigenvalue of H~ (deflating the thermofield double)."""
+    """Smallest nonzero eigenvalue of H~, deflating the thermofield double with a
+    shift of H~'s norm bound, which no eigenvalue exceeds."""
     vals = lowest_eigs_matrix_free(
-        htilde.handle(), k=1, seed=seed, tol=tol, deflate=[tfd], shift=50.0
+        htilde.handle(), k=1, seed=seed, tol=tol, deflate=[tfd], shift=htilde.norm_bound
     )
     return float(vals[0])
 
@@ -496,7 +487,7 @@ def gap_chain(
     gap_pi = float(
         lowest_eigs_matrix_free(
             sum_of_complements(list(pis.values()), ht.dim), k=1, seed=seed, tol=tol,
-            deflate=[tfd], shift=50.0,
+            deflate=[tfd], shift=len(pis),  # ||sum (1 - Pi_e)|| <= count
         )[0]
     )
 
@@ -506,9 +497,12 @@ def gap_chain(
     gap_par, tfd_residual = parent_gap(ph, [tfd], seed=seed + 1, tol=tol)
 
     ineqs = []
-    # (0) per-edge local bound H~_e >= local_pref Pi_e^perp, checked at one edge;
-    # the chain reuses its constants
-    lg = local_gap_check(gen, ht, model.edge_list[0], rho, seed=seed, tol=tol)
+    # (0) per-edge local bound H~_e >= local_pref Pi_e^perp, checked at one edge
+    # on the patch of its stars and plaquettes; the chain reuses its constants
+    e0 = model.edge_list[0]
+    patch = _local_patch(model, e0)[0]
+    gen0 = DaviesGenerator.build(patch, beta, gen.coupling, gen.rates)
+    lg = local_gap_check(gen0, HTilde(gen0), e0, gibbs_state(patch, beta), seed=seed, tol=tol)
     local_pref = lg.bound
     ineqs.append(
         ChainInequality(

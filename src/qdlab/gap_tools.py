@@ -15,6 +15,7 @@ from .linalg import (
     ConvergenceError,
     FeasibilityError,
     LinearMapHandle,
+    apply_on_sites,
     dagger,
     lowest_eigs_matrix_free,
     orthonormal_columns,
@@ -106,23 +107,10 @@ class EmbeddedProjector:
         if missing:
             raise ValueError(f"region edges {missing} missing from ambient patch")
         self.inner = [pos[e] for e in proj.edges]
-        self.outer = [i for i in range(len(self.ambient)) if i not in self.inner]
         self.dim = self.n ** (2 * len(self.ambient))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        n, na = self.n, len(self.ambient)
-        t = np.asarray(x).reshape([n] * (2 * na))
-        perm = (
-            self.inner
-            + [na + i for i in self.inner]
-            + self.outer
-            + [na + i for i in self.outer]
-        )
-        t = t.transpose(perm)
-        shape = t.shape
-        t = self.proj.apply_block(t.reshape(self.proj.dim, -1)).reshape(shape)
-        inv = np.argsort(perm)
-        return t.transpose(inv).reshape(-1)
+        return apply_on_sites(x, self.n, len(self.ambient), self.inner, self.proj.apply_block)
 
 
 def sum_of_complements(projectors, dim: int) -> LinearMapHandle:
@@ -340,9 +328,12 @@ def parent_gap(ph: ParentHamiltonian, kernel_vectors, seed: int = 0, tol: float 
 
     The gap is the smallest eigenvalue of H on the orthogonal complement of the
     expected kernel, spanned by the orthonormal `kernel_vectors`; the residual
-    is max ||H v|| over them (~0 when they do lie in the kernel).
+    is max ||H v|| over them (~0 when they do lie in the kernel). The deflation
+    shift is the number of terms, which bounds ||H||.
     """
     handle = ph.handle()
-    vals = lowest_eigs_matrix_free(handle, k=1, seed=seed, tol=tol, deflate=kernel_vectors, shift=50.0)
+    vals = lowest_eigs_matrix_free(
+        handle, k=1, seed=seed, tol=tol, deflate=kernel_vectors, shift=len(ph.projectors)
+    )
     residual = max(float(np.linalg.norm(handle.apply(v))) for v in kernel_vectors)
     return float(vals[0]), residual

@@ -52,19 +52,32 @@ ARPACK_MAXITER = 1000
 
 
 def vectorize(q: np.ndarray) -> np.ndarray:
-    """|Q> = (Q x 1)|Omega> with |Omega> = sum_i |ii>; row-major flatten."""
+    """|Q> = (Q x 1)|Omega> with |Omega> = sum_i |ii>; row-major flatten (see `sites_first_axes`)."""
     q = np.asarray(q)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise LinalgError(f"vectorize needs a square matrix, got {q.shape}")
     return q.reshape(-1)
 
 
-def devectorize(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise LinalgError(f"vector of length {v.size} is not a vectorized square matrix")
-    return v.reshape(d, d)
+def sites_first_axes(n_sites: int, sites: Sequence[int]) -> list[int]:
+    """Axes bringing `sites` forward on a doubled vector: (their kets, their bras, other kets, other bras).
+
+    A doubled vector on `n_sites` sites is the row-major vec of an operator Q on
+    them (`vectorize`): its legs are the kets of sites 0, 1, ... (the digits of
+    Q's row index), then their bras (the digits of its column index).
+    """
+    rest = [i for i in range(n_sites) if i not in sites]
+    return [*sites, *(n_sites + i for i in sites), *rest, *(n_sites + i for i in rest)]
+
+
+def apply_on_sites(x, local_dim: int, n_sites: int, sites: Sequence[int], block: Callable) -> np.ndarray:
+    """The doubled vector x with `block` applied to its matrix view in the order of
+    `sites_first_axes`: one row per ket-and-bra state of `sites`, one column per
+    state of the other legs."""
+    axes = sites_first_axes(n_sites, sites)
+    legs = (local_dim,) * (2 * n_sites)
+    m = np.asarray(x).reshape(legs).transpose(axes).reshape(local_dim ** (2 * len(sites)), -1)
+    return block(m).reshape(legs).transpose(np.argsort(axes)).reshape(-1)
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:

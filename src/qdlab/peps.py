@@ -373,14 +373,6 @@ class RegionNetwork:
             ("red", "v", v) for v in self.reduced.vertices
         ]
 
-    def _raw_dangling_legs(self) -> list:
-        out = []
-        for e in self.reduced.edges:
-            out += list(self.dangling_edge_pairs[e])
-        for v in self.reduced.vertices:
-            out += list(self.dangling_vertex_pairs[v])
-        return out
-
     # -- public maps ---------------------------------------------------------------
 
     @property
@@ -411,11 +403,3 @@ class RegionNetwork:
         data = np.asarray(x).conj().reshape((n,) * (2 * ne))
         out = self._contract((data, self._phys_legs()), reduce_boundary=True, out_legs=self._red_legs())
         return out.conj().reshape(self.reduced.dim)
-
-    def v_matrix(self) -> np.ndarray:
-        """Unreduced PEPS map on raw dangling legs ((out,in) per pair), or the torus vector."""
-        n_dangle = 2 * (len(self.reduced.edges) + len(self.reduced.vertices))
-        bdry = self.group.order**n_dangle
-        linalg.require_fits((self.phys_dim, bdry))
-        out = self._contract(None, reduce_boundary=False, out_legs=self._phys_legs() + self._raw_dangling_legs())
-        return out.reshape(self.phys_dim, bdry)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .lattice import Edge, Region, TorusLattice
-from .linalg import dagger, kron, require_fits
+from .linalg import dagger, kron, require_fits, sites_first_axes
 
 
 def gamma_beta(beta: float, order: int) -> float:
@@ -119,24 +119,15 @@ class QuantumDoubleModel:
         return self._embed_multi([e for e, _ in edges], mat)
 
     def _embed_multi(self, support: list[Edge], op: np.ndarray) -> np.ndarray:
-        """Embed an operator given on `support` (in that leg order) into the patch."""
-        require_fits((self.dim, self.dim))
-        n = self.local_dim
-        k = len(support)
-        ne = self.n_edges
+        """Embed an operator given on `support` (in that leg order) into the patch:
+        the legs of op x 1 as an outer product are in the order of `sites_first_axes`."""
+        require_fits((self.dim, self.dim), np.result_type(op, float))
         pos = [self.edge_pos[e] for e in support]
-        if len(set(pos)) != k:
+        if len(set(pos)) != len(pos):
             raise ValueError("support edges must be distinct")
-        rest = [i for i in range(ne) if i not in pos]
-        big = np.kron(op, np.eye(n ** len(rest))).reshape([n] * (2 * ne))
-        # axes now ordered (support..., rest...) on both sides; permute to global order
-        src = {}
-        for i, p in enumerate(pos):
-            src[p] = i
-        for i, p in enumerate(rest):
-            src[p] = k + i
-        perm = [src[g] for g in range(ne)] + [ne + src[g] for g in range(ne)]
-        return big.transpose(perm).reshape(self.dim, self.dim)
+        big = np.multiply.outer(op, np.eye(self.dim // op.shape[0]))
+        axes = np.argsort(sites_first_axes(self.n_edges, pos))
+        return big.reshape((self.local_dim,) * (2 * self.n_edges)).transpose(axes).reshape(self.dim, self.dim)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from qdlab.lattice import (
     TorusLattice,
     classify_region,
 )
-from qdlab.linalg import LinearMapHandle, dagger, devectorize, hermitian_spectrum, kron, require_fits
+from qdlab.linalg import LinalgError, LinearMapHandle, dagger, hermitian_spectrum, kron, require_fits, vectorize
 from qdlab.peps import RegionNetwork, WeightOperator, star_leg_weights, weight_plaq
 from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
 
@@ -264,15 +264,45 @@ def edge_tensor_from_quarters(group: FiniteGroup, beta: float, orientation: str,
     return comp
 
 
+def _raw_dangling_legs(net: RegionNetwork) -> list:
+    out = []
+    for e in net.reduced.edges:
+        out += list(net.dangling_edge_pairs[e])
+    for v in net.reduced.vertices:
+        out += list(net.dangling_vertex_pairs[v])
+    return out
+
+
+def v_matrix(net: RegionNetwork) -> np.ndarray:
+    """Unreduced PEPS map on raw dangling legs ((out,in) per pair), or the torus vector."""
+    n_dangle = 2 * (len(net.reduced.edges) + len(net.reduced.vertices))
+    bdry = net.group.order**n_dangle
+    require_fits((net.phys_dim, bdry))
+    out = net._contract(None, reduce_boundary=False, out_legs=net._phys_legs() + _raw_dangling_legs(net))
+    return out.reshape(net.phys_dim, bdry)
+
+
 def contract_region(model: QuantumDoubleModel, region: Region, beta: float):
     """V_R as a dense matrix (or the contracted vector on the torus)."""
     net = RegionNetwork(model, region, beta)
     if region.kind == TORUS:
-        return net.v_matrix().reshape(net.phys_dim)
-    return net.v_matrix()
+        return v_matrix(net).reshape(net.phys_dim)
+    return v_matrix(net)
 
 
 # -- the Davies generator on dense operators -------------------------------------------
+
+
+def devectorize(v: np.ndarray) -> np.ndarray:
+    v = np.asarray(v)
+    d = int(round(np.sqrt(v.size)))
+    if d * d != v.size:
+        raise LinalgError(f"vector of length {v.size} is not a vectorized square matrix")
+    return v.reshape(d, d)
+
+
+def iota(q: np.ndarray, rho_sqrt: np.ndarray) -> np.ndarray:
+    return vectorize(q @ rho_sqrt)
 
 
 def iota_inverse(v: np.ndarray, rho_sqrt_inv: np.ndarray) -> np.ndarray:
@@ -366,6 +396,25 @@ def enumerate_family(lattice: TorusLattice, kind: str, r: int | None = None) -> 
                         out.append(Region(lattice, RECT, x0=x0, a=a, y0=y0, b=b))
         return out
     raise GeometryError(f"unknown family kind {kind!r}")
+
+
+# -- operators on a subset of sites ------------------------------------------------------
+
+
+def embed_by_digits(op: np.ndarray, support, local_dim: int, n_sites: int) -> np.ndarray:
+    """op on the sites `support` (in that order) times the identity on the others, as a
+    matrix on all `n_sites` sites, entry by entry from the base-`local_dim` digits of the
+    row and column indices (site 0 the most significant)."""
+    dim = local_dim**n_sites
+    digits = np.array([[(i // local_dim ** (n_sites - 1 - s)) % local_dim for s in range(n_sites)]
+                       for i in range(dim)], dtype=np.int64)
+
+    def index(sites):
+        return digits[:, sites] @ (local_dim ** np.arange(len(sites), dtype=np.int64)[::-1])
+
+    sup = index(list(support))
+    other = index([s for s in range(n_sites) if s not in support])
+    return op[sup[:, None], sup[None, :]] * (other[:, None] == other[None, :])
 
 
 # -- dense handles and random matrices -----------------------------------------------

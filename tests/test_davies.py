@@ -15,16 +15,18 @@ from qdlab.davies import (
     default_coupling,
     final_link_passed,
     fourier_components,
-    iota,
     kms_rates,
     level_projectors,
     thermofield_vector,
 )
 from qdlab.groups import group_by_name, make_cyclic
 from qdlab.lattice import TorusLattice, parse_region
-from qdlab.linalg import LinalgError, dagger, matrix_power_hermitian
+from qdlab.linalg import dagger, matrix_power_hermitian
 from qdlab.quantum_double import QuantumDoubleModel, gibbs_state
-from oracles import apply_dissipator, c2_explicit_basis, fourier_components_eigh, iota_inverse, local_term_sum
+from oracles import (
+    apply_dissipator, c2_explicit_basis, embed_by_digits, fourier_components_eigh, iota, iota_inverse,
+    local_term_sum,
+)
 
 BETA = 1.0
 TOL = 1e-10
@@ -95,13 +97,15 @@ def test_each_edge_term_is_hermitian_and_kills_the_thermofield_double(cylinder_p
         assert np.linalg.norm(ht.apply_edges(tfd, [e])) < TOL
 
 
-def test_deflation_past_the_shift_raises(cylinder_patch):
-    """With rates 100 e^{w/2} the gap (about 270) exceeds davies_gap's shift of 50."""
-    model = cylinder_patch[0]
-    rates = kms_rates(BETA, "custom", {w: 100 * np.exp(w / 2) for w in BOHR_FREQUENCIES})
-    ht = HTilde(DaviesGenerator.build(model, BETA, rates=rates))
-    with pytest.raises(LinalgError, match="shift 50"):
-        davies_gap(ht, thermofield_vector(model, BETA))
+def test_davies_gap_scales_with_the_rates(cylinder_patch):
+    """H~ is linear in the rates, so rates 100 g(w) give 100 times the gap (about 270)
+    and 100 times the norm bound that davies_gap deflates with."""
+    model, gen, ht, rho = cylinder_patch
+    tfd = thermofield_vector(model, BETA, rho)
+    rates = kms_rates(BETA, "custom", {w: 100 * gen.rates(w) for w in BOHR_FREQUENCIES})
+    ht100 = HTilde(DaviesGenerator.build(model, BETA, rates=rates))
+    assert ht100.norm_bound == pytest.approx(100 * ht.norm_bound, rel=1e-12)
+    assert davies_gap(ht100, tfd) == pytest.approx(100 * davies_gap(ht, tfd), rel=1e-9)
 
 
 @pytest.fixture(scope="module", params=["Z2 cyl:v,0,1", "Z3 star"])
@@ -125,7 +129,9 @@ def test_jumps_match_the_eigh_construction(jump_patch):
         assert dec.support == local_term_sum(model, e)[0].edge_list
         for s_op, comps in zip(ops, dec.components):
             oracle = fourier_components_eigh(model, e, s_op)
-            for w, s in comps.items():
+            assert all(s.any() for s in comps.values())
+            for w in BOHR_FREQUENCIES:
+                s = comps.get(w, np.zeros_like(oracle[w]))
                 assert np.abs(s - oracle[w]).max() <= 1e-13
                 assert np.count_nonzero(s) == np.count_nonzero(np.abs(oracle[w]) > 1e-12 * np.abs(s_op).max())
 
@@ -169,6 +175,18 @@ def test_thermofield_double_is_in_the_kernel(patch):
     model, _, ht, rho = patch
     tfd = thermofield_vector(model, BETA, rho)
     assert np.linalg.norm(ht.apply(tfd)) < TOL
+
+
+def test_kernel_projector_range_against_matrix_units(patch):
+    """Pi_X for X = edges 1 and 2 of 4 projects onto span{iota(E_ij x 1_X)} over the
+    matrix units E_ij of edges 0 and 3, embedded digit by digit."""
+    model, _, ht, rho = patch
+    pi = IotaKernelProjector(model, rho, model.edge_list[1:3])
+    rho_sqrt = matrix_power_hermitian(rho, 0.5)
+    units = np.eye(16).reshape(16, 4, 4)
+    span = np.column_stack([iota(embed_by_digits(u, [0, 3], 2, 4), rho_sqrt) for u in units])
+    q = np.linalg.qr(span)[0]
+    assert np.abs(dense_of(pi.apply, ht.dim) - q @ dagger(q)).max() < TOL
 
 
 def test_edge_kernel_projector_is_an_orthogonal_projector(patch):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qdlab.linalg import ConvergenceError
 from qdlab.groups import group_by_name, make_cyclic
 from qdlab.lattice import TorusLattice, parse_region, split_region
 from qdlab.quantum_double import QuantumDoubleModel
+from oracles import embed_by_digits
 
 
 def test_dense_and_matrix_free_routes_agree():
@@ -56,6 +58,25 @@ def test_embedding_needs_every_region_edge():
     p = RegionProjector(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,1,1"), 1.0)
     with pytest.raises(ValueError, match="missing from ambient patch"):
         EmbeddedProjector(p, list(parse_region(lat, "rect:1,1,1,1").edges()))
+
+
+def test_embedded_projector_in_a_scrambled_ambient_order():
+    """The embedding of a map P on the doubled legs of 3 edges into a 5-edge ambient set
+    that lists them out of order, against P x 1 built digit by digit on the 10 doubled
+    legs. P is a random matrix, so that a wrong leg order shows; a Z2 plaquette
+    projector would not show it, being invariant under permuting its edges."""
+    lat = TorusLattice(3)
+    edges = list(parse_region(lat, "rect:0,0,1,1").edges())[:3]
+    extra = [e for e in parse_region(lat, "rect:1,1,1,1").edges() if e not in edges][:2]
+    ambient = [edges[2], extra[0], edges[0], extra[1], edges[1]]
+    dense_p = np.random.default_rng(1).standard_normal((64, 64))
+    block = SimpleNamespace(model=QuantumDoubleModel(make_cyclic(2), lat), edges=edges, dim=64,
+                            apply_block=lambda m: dense_p @ m)
+    emb = EmbeddedProjector(block, ambient)
+    pos = [ambient.index(e) for e in edges]
+    oracle = embed_by_digits(dense_p, pos + [5 + i for i in pos], 2, 10)
+    for x in np.random.default_rng(2).standard_normal((3, emb.dim)):
+        assert np.abs(emb.apply(x) - oracle @ x).max() < 1e-12
 
 
 def test_n_beta_at_beta_one():

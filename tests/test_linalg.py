@@ -7,14 +7,13 @@ from qdlab.linalg import (
     ConvergenceError,
     LinalgError,
     dagger,
-    devectorize,
     hermitian_spectrum,
     kron,
     lowest_eigs_matrix_free,
     orthonormal_columns,
     vectorize,
 )
-from oracles import handle_from_dense, matrix_exp_hermitian, random_hermitian, random_state
+from oracles import devectorize, handle_from_dense, matrix_exp_hermitian, random_hermitian, random_state
 
 
 class TestVectorize:

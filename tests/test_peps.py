@@ -19,7 +19,7 @@ from qdlab.quantum_double import (
     gamma_beta,
     gibbs_state,
 )
-from oracles import contract_region, edge_tensor_from_quarters, weight_star
+from oracles import contract_region, edge_tensor_from_quarters, v_matrix, weight_star
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +173,7 @@ class TestRegionContraction:
         model = QuantumDoubleModel(grp, TorusLattice(4))
         reg = Region(model.lattice, RECT, x0=0, a=1, y0=0, b=1)
         net = RegionNetwork(model, reg, 1.0)
-        v = net.v_matrix()
+        v = v_matrix(net)
         assert v.shape == (2 ** 8, 2 ** 16)
         # cross-check against t_matrix through the reduced basis Gram
         t = net.t_matrix()

@@ -12,7 +12,7 @@ from qdlab.quantum_double import (
     gamma_beta,
     gibbs_state,
 )
-from oracles import matrix_exp_hermitian
+from oracles import embed_by_digits, matrix_exp_hermitian
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.diag([1.0, -1.0])
@@ -149,6 +149,16 @@ def test_gamma_beta():
     betas = np.linspace(0, 3, 7)
     vals = [gamma_beta(b, 6) for b in betas]
     assert all(b <= a for a, b in zip(vals[1:], vals))
+
+
+def test_embedding_with_a_scrambled_support_order():
+    """op on three of the four edges of a Z3 star, given in the order (3, 0, 2)."""
+    lat = TorusLattice(3)
+    model = QuantumDoubleModel(make_cyclic(3), lat, tuple(e for e, _ in lat.edges_of_star((0, 0))))
+    rng = np.random.default_rng(3)
+    op = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
+    support = [model.edge_list[i] for i in (3, 0, 2)]
+    assert np.array_equal(model._embed_multi(support, op), embed_by_digits(op, [3, 0, 2], 3, 4))
 
 
 def test_open_patch_hamiltonian():
