@@ -289,10 +289,6 @@ class HTilde:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.apply_edges(x, self.model.edge_list)
 
-    def handle(self, edges=None) -> LinearMapHandle:
-        edges = self.model.edge_list if edges is None else tuple(edges)
-        return LinearMapHandle(dim=self.dim, apply=lambda x: self.apply_edges(x, edges))
-
 
 def _local_generator(gen: DaviesGenerator, dec: JumpDecomposition, d: int) -> sp.csr_matrix:
     """L_e of HTilde in CSR, from the dense S(w) of the edge's jumps on its support of dimension d."""
@@ -424,7 +420,8 @@ def davies_gap(htilde: HTilde, tfd: np.ndarray, seed: int = 0, tol: float = 1e-8
     """Smallest nonzero eigenvalue of H~, deflating the thermofield double with a
     shift of H~'s norm bound, which no eigenvalue exceeds."""
     vals = lowest_eigs_matrix_free(
-        htilde.handle(), k=1, seed=seed, tol=tol, deflate=[tfd], shift=htilde.norm_bound
+        LinearMapHandle(dim=htilde.dim, apply=htilde.apply), k=1, seed=seed, tol=tol, deflate=[tfd],
+        shift=htilde.norm_bound,
     )
     return float(vals[0])
 
@@ -471,7 +468,7 @@ def gap_chain(
     tol: float = 1e-7,
 ) -> GapChainReport:
     """Numerically certify every link of the Davies-to-parent-Hamiltonian chain."""
-    from .gap_tools import n_beta, parent_gap, parent_hamiltonian, sum_of_complements
+    from .gap_tools import complement_gap, n_beta, parent_hamiltonian
 
     if model.edges is not None:
         raise FeasibilityError("the gap chain runs on the full torus model")
@@ -484,24 +481,20 @@ def gap_chain(
     # stage gaps
     gap_l = davies_gap(ht, tfd, seed=seed, tol=tol)
     pis = {e: IotaKernelProjector(model, rho, (e,)) for e in model.edge_list}
-    gap_pi = float(
-        lowest_eigs_matrix_free(
-            sum_of_complements(list(pis.values()), ht.dim), k=1, seed=seed, tol=tol,
-            deflate=[tfd], shift=len(pis),  # ||sum (1 - Pi_e)|| <= count
-        )[0]
-    )
+    gap_pi, pi_tfd_residual = complement_gap(list(pis.values()), ht.dim, [tfd], seed=seed, tol=tol)
 
     # parent Hamiltonian on the torus with rectangles up to n_parent per side
     ph = parent_hamiltonian(model, beta, n_max=n_parent)
     m_count = ph.max_terms_per_edge()
-    gap_par, tfd_residual = parent_gap(ph, [tfd], seed=seed + 1, tol=tol)
+    gap_par, tfd_residual = complement_gap(ph.projectors, ph.dim, [tfd], seed=seed + 1, tol=tol)
 
     ineqs = []
     # (0) per-edge local bound H~_e >= local_pref Pi_e^perp, checked at one edge
-    # on the patch of its stars and plaquettes; the chain reuses its constants
+    # on the patch of its stars and plaquettes, from the torus's jumps of that edge;
+    # the chain reuses its constants
     e0 = model.edge_list[0]
     patch = _local_patch(model, e0)[0]
-    gen0 = DaviesGenerator.build(patch, beta, gen.coupling, gen.rates)
+    gen0 = DaviesGenerator(patch, beta, gen.coupling, gen.rates, {e0: gen.jumps[e0]})
     lg = local_gap_check(gen0, HTilde(gen0), e0, gibbs_state(patch, beta), seed=seed, tol=tol)
     local_pref = lg.bound
     ineqs.append(
@@ -561,8 +554,8 @@ def gap_chain(
             "m_X": m_count, "n_beta": n_beta(beta, model.group.order),
             "local_prefactor": local_pref,
         },
-        gaps={"davies": gap_l, "sum_pi_perp": gap_pi, "parent": gap_par,
-              "parent_tfd_residual": tfd_residual},
+        gaps={"davies": gap_l, "sum_pi_perp": gap_pi, "sum_pi_perp_tfd_residual": pi_tfd_residual,
+              "parent": gap_par, "parent_tfd_residual": tfd_residual},
         inequalities=ineqs,
         final_bound=final_bound,
         passed=passed,

@@ -11,7 +11,6 @@ import numpy as np
 from .boundary import BlockBoundary, kappa_epsilon
 from .lattice import Region, RegionSplit, classify_region, rectangles_up_to
 from .linalg import (
-    ARPACK_MAXITER,
     ConvergenceError,
     FeasibilityError,
     LinearMapHandle,
@@ -113,8 +112,14 @@ class EmbeddedProjector:
         return apply_on_sites(x, self.n, len(self.ambient), self.inner, self.proj.apply_block)
 
 
-def sum_of_complements(projectors, dim: int) -> LinearMapHandle:
-    """sum_i (1 - P_i) = count x - sum_i P_i x, matrix-free, for projectors with `apply`."""
+def complement_gap(projectors, dim: int, kernel_vectors, seed: int = 0, tol: float = 1e-9) -> tuple[float, float]:
+    """(gap, kernel residual) of H = sum_i (1 - P_i), matrix-free, for projectors with `apply`.
+
+    The gap is the smallest eigenvalue of H on the orthogonal complement of the
+    expected kernel, spanned by the orthonormal `kernel_vectors`; the residual
+    is max ||H v|| over them (~0 when they do lie in the kernel). The deflation
+    shift is the number of terms, which bounds ||H||.
+    """
     count = len(projectors)
 
     def apply(x):
@@ -123,7 +128,11 @@ def sum_of_complements(projectors, dim: int) -> LinearMapHandle:
             acc -= p.apply(x)
         return acc
 
-    return LinearMapHandle(dim=dim, apply=apply)
+    vals = lowest_eigs_matrix_free(
+        LinearMapHandle(dim=dim, apply=apply), k=1, seed=seed, tol=tol, deflate=kernel_vectors, shift=count
+    )
+    residual = max(float(np.linalg.norm(apply(v))) for v in kernel_vectors)
+    return float(vals[0]), residual
 
 
 # -- martingale measurements ------------------------------------------------------------
@@ -170,12 +179,11 @@ def martingale_measurement(
     p2 = EmbeddedProjector(RegionProjector(model, r2, beta), ambient)
     dim = model.local_dim ** (2 * len(ambient))
 
-    # || P1 P2 - Pw ||^2 = lambda_max(P1 P2 P1 - Pw)
+    # || P1 P2 - Pw ||^2 = lambda_max(P1 P2 P1 - Pw) = -lambda_min(Pw - P1 P2 P1)
     def matvec(x):
-        y = p1.apply(p2.apply(p1.apply(x)))
-        return y - p_whole.apply(x)
+        return p_whole.apply(x) - p1.apply(p2.apply(p1.apply(x)))
 
-    top = _largest_eig(LinearMapHandle(dim=dim, apply=matvec), seed=seed, tol=tol)
+    top = -lowest_eigs_matrix_free(LinearMapHandle(dim=dim, apply=matvec), seed=seed, tol=tol)[0]
     measured = float(np.sqrt(max(top, 0.0)))
 
     bound, eps, ok = martingale_bound(model.local_dim, beta=beta, split=split)
@@ -192,20 +200,6 @@ def martingale_measurement(
         method="matrix-free",
         seed=seed,
     )
-
-
-def _largest_eig(handle: LinearMapHandle, seed: int, tol: float) -> float:
-    """Largest eigenvalue; ConvergenceError when ARPACK has not converged after ARPACK_MAXITER restarts."""
-    import scipy.sparse.linalg as spla
-
-    rng = np.random.default_rng(seed)
-    op = spla.LinearOperator((handle.dim, handle.dim), matvec=handle.apply, dtype=float)
-    try:
-        vals = spla.eigsh(op, k=1, which="LA", v0=rng.standard_normal(handle.dim), tol=tol,
-                          maxiter=ARPACK_MAXITER, return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"largest-eigenvalue solve failed: {exc}") from exc
-    return float(vals[0])
 
 
 # -- decay function and recursion ----------------------------------------------------------
@@ -297,9 +291,6 @@ class ParentHamiltonian:
     ambient_edges: list
     dim: int
 
-    def handle(self) -> LinearMapHandle:
-        return sum_of_complements(self.projectors, self.dim)
-
     def max_terms_per_edge(self) -> int:
         worst = 0
         for e in self.ambient_edges:
@@ -321,19 +312,3 @@ def parent_hamiltonian(model: QuantumDoubleModel, beta: float, n_max: int = 2) -
         ambient_edges=ambient,
         dim=model.local_dim ** (2 * len(ambient)),
     )
-
-
-def parent_gap(ph: ParentHamiltonian, kernel_vectors, seed: int = 0, tol: float = 1e-9) -> tuple[float, float]:
-    """(gap, kernel residual) of the parent Hamiltonian.
-
-    The gap is the smallest eigenvalue of H on the orthogonal complement of the
-    expected kernel, spanned by the orthonormal `kernel_vectors`; the residual
-    is max ||H v|| over them (~0 when they do lie in the kernel). The deflation
-    shift is the number of terms, which bounds ||H||.
-    """
-    handle = ph.handle()
-    vals = lowest_eigs_matrix_free(
-        handle, k=1, seed=seed, tol=tol, deflate=kernel_vectors, shift=len(ph.projectors)
-    )
-    residual = max(float(np.linalg.norm(handle.apply(v))) for v in kernel_vectors)
-    return float(vals[0]), residual

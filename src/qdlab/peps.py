@@ -38,20 +38,11 @@ from .quantum_double import QuantumDoubleModel, gamma_beta
 # -- weights -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightOperator:
-    kind: str
-    beta: float
-    matrix: np.ndarray  # operator form on l2(G)
-
-
-
-def weight_plaq(group: FiniteGroup, beta: float) -> WeightOperator:
+def weight_plaq(group: FiniteGroup, beta: float) -> np.ndarray:
     """(1+gamma)^{1/8} P_1 + gamma^{1/8} P_0 on l2(G)."""
     q = gamma_beta(beta / 2, group.order)
     p1, p0 = group.trivial_projector()
-    mat = (1 + q) ** (1 / 8) * p1 + (q ** (1 / 8) if q > 0 else 0.0) * p0
-    return WeightOperator("plaquette-weight", beta, mat)
+    return (1 + q) ** (1 / 8) * p1 + (q ** (1 / 8) if q > 0 else 0.0) * p0
 
 
 def star_leg_weights(group: FiniteGroup, beta: float, power: float = 0.25) -> np.ndarray:
@@ -93,7 +84,7 @@ def _edge_data(group: FiniteGroup, beta: float, variant: str) -> np.ndarray:
     """
     n = group.order
     if variant == "full":
-        wp = weight_plaq(group, beta).matrix
+        wp = weight_plaq(group, beta)
         ws = star_leg_weights(group, beta, power=1 / 8)
     else:
         wp, ws = np.eye(n), np.ones(n)
@@ -279,7 +270,7 @@ class RegionNetwork:
         psi = np.zeros((n, n, n))
         for gam in range(n):
             psi[self.group.mul[gam, idx], idx, gam] = 1.0 / np.sqrt(n)
-        wp = weight_plaq(self.group, self.beta).matrix
+        wp = weight_plaq(self.group, self.beta)
         psi = psi @ np.linalg.pinv(wp @ wp)
         for e in self.reduced.edges:
             out_leg, in_leg = self.dangling_edge_pairs[e]
@@ -292,17 +283,16 @@ class RegionNetwork:
             nodes.append((phi, [first_in, last_out, ("red", "v", v)]))
         return nodes
 
-    def _bundles(self, reduce_boundary: bool) -> list:
+    def _bundles(self) -> list:
         """Edge tensors, in `self.edges` order, with the reduction nodes merged in.
 
         Each reduction node is merged into the edge holding its last leg; a vertex
         node's other leg, on another edge, is joined to that edge by name in a later
         pairwise step."""
         bundles = [self._edge_array(e) for e in self.edges]
-        if reduce_boundary:
-            for data, legs in self._reduction_nodes():
-                i = max(l[0] for l in legs if l[0] != "red")
-                bundles[i] = self._merge(bundles[i], (data, legs))
+        for data, legs in self._reduction_nodes():
+            i = max(l[0] for l in legs if l[0] != "red")
+            bundles[i] = self._merge(bundles[i], (data, legs))
         return bundles
 
     def _merge(self, x, y):
@@ -331,20 +321,16 @@ class RegionNetwork:
                 ax_y.append(k)
         return ax_x, ax_y
 
-    def _contract(self, extra, reduce_boundary: bool, out_legs: list) -> np.ndarray:
-        """Greedy pairwise contraction of the edge bundles; returns the array over `out_legs`.
+    def _contract(self, nodes: list, out_legs: list) -> np.ndarray:
+        """Greedy pairwise contraction of `nodes`, each (data, legs); returns the array over `out_legs`.
 
-        extra: optional start tensor (data, legs) joined to the bundles by leg
-        name, e.g. a physical vector or a reduced boundary vector.  Each step
-        merges, among the pairs that share a leg, the pair whose output grows
-        least over its inputs (output size minus both input sizes), ties broken
-        by the multiply-add count: the greedy rule of opt_einsum (Smith & Gray,
-        JOSS 3(26):753, 2018).  Pairs that share no leg rank after all others.
+        Nodes are joined by bond or by leg name (e.g. an input vector's legs to
+        the physical or reduced legs of the bundles).  Each step merges, among the
+        pairs that share a leg, the pair whose output grows least over its inputs
+        (output size minus both input sizes), ties broken by the multiply-add
+        count: the greedy rule of opt_einsum (Smith & Gray, JOSS 3(26):753, 2018).
+        Pairs that share no leg rank after all others.
         """
-        nodes = self._bundles(reduce_boundary)
-        if extra is not None:
-            nodes.append((extra[0], list(extra[1])))
-
         def cost(pair):
             (xd, xl), (yd, yl) = nodes[pair[0]], nodes[pair[1]]
             ax_x, _ = self._shared_axes(xl, yl)
@@ -382,7 +368,7 @@ class RegionNetwork:
     def t_matrix(self) -> np.ndarray:
         """Dense reduced boundary map, shape (phys_doubled, reduced_dim)."""
         linalg.require_fits((self.phys_dim, self.reduced.dim))
-        out = self._contract(None, reduce_boundary=True, out_legs=self._phys_legs() + self._red_legs())
+        out = self._contract(self._bundles(), self._phys_legs() + self._red_legs())
         return out.reshape(self.phys_dim, self.reduced.dim)
 
     def t_apply(self, y: np.ndarray) -> np.ndarray:
@@ -391,8 +377,8 @@ class RegionNetwork:
         batched = y.ndim == 2
         k = y.shape[1] if batched else 1
         data = y.reshape(self.reduced.shape() + (k,))
-        extra = (data, self._red_legs() + [("batch",)])
-        out = self._contract(extra, reduce_boundary=True, out_legs=self._phys_legs() + [("batch",)])
+        nodes = self._bundles() + [(data, self._red_legs() + [("batch",)])]
+        out = self._contract(nodes, self._phys_legs() + [("batch",)])
         out = out.reshape(self.phys_dim, k)
         return out if batched else out.reshape(self.phys_dim)
 
@@ -401,5 +387,5 @@ class RegionNetwork:
         n = self.group.order
         ne = len(self.edges)
         data = np.asarray(x).conj().reshape((n,) * (2 * ne))
-        out = self._contract((data, self._phys_legs()), reduce_boundary=True, out_legs=self._red_legs())
+        out = self._contract(self._bundles() + [(data, self._phys_legs())], self._red_legs())
         return out.conj().reshape(self.reduced.dim)

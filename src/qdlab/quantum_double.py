@@ -164,19 +164,16 @@ def gibbs_state(model: QuantumDoubleModel, beta: float, assembly: HamiltonianAss
     if beta < 0:
         raise ValueError("inverse temperature must be >= 0")
     assembly = assembly or full_hamiltonian(model)
-    w = exp_minus_beta_h(model, beta, assembly, half=False)
+    w = exp_minus_beta_h(model, 2 * beta, assembly)  # e^{-beta H}
     return w / np.trace(w).real
 
 
-def exp_minus_beta_h(
-    model: QuantumDoubleModel, beta: float, assembly: HamiltonianAssembly | None = None, half: bool = True
-) -> np.ndarray:
-    """e^{-beta H / 2} (half=True) or e^{-beta H} as the product of commuting factors."""
+def exp_minus_beta_h(model: QuantumDoubleModel, beta: float, assembly: HamiltonianAssembly | None = None) -> np.ndarray:
+    """e^{-beta H / 2} as the product of commuting factors."""
     assembly = assembly or full_hamiltonian(model)
-    t = beta / 2 if half else beta
     out = np.eye(model.dim)
     for _, term in assembly.terms():
-        out = out @ exp_projector_term(term, 2 * t)
+        out = out @ exp_projector_term(term, beta)
     return out
 
 

@@ -31,7 +31,7 @@ from qdlab.lattice import (
     classify_region,
 )
 from qdlab.linalg import LinalgError, LinearMapHandle, dagger, hermitian_spectrum, kron, require_fits, vectorize
-from qdlab.peps import RegionNetwork, WeightOperator, star_leg_weights, weight_plaq
+from qdlab.peps import RegionNetwork, star_leg_weights, weight_plaq
 from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
 
 
@@ -53,7 +53,7 @@ def psi_operator(group: FiniteGroup, g: int, beta: float = 0.0, slim: bool = Tru
     """|L^g><L^g| (slim) or its weighted version |w L^g w><w L^g w|."""
     lg = group.left_regular_matrix(g)
     if not slim:
-        w = weight_plaq(group, beta).matrix
+        w = weight_plaq(group, beta)
         lg = w @ lg @ w
     v = lg.reshape(-1)
     return np.outer(v, v)
@@ -187,7 +187,7 @@ def edge_boundary_entry(
     """
     G = group
     total = 0.0
-    wq = weight_plaq(group, beta).matrix
+    wq = weight_plaq(group, beta)
     ws = star_leg_weights(group, beta, power=0.25)
     for g in G.elements():
         lg = G.left_regular_matrix(g)
@@ -218,12 +218,12 @@ def _phi_entry(G, a, row_pair, col_pair, ws):
 # -- PEPS tensors and region maps -----------------------------------------------------
 
 
-def weight_star(group: FiniteGroup, beta: float) -> WeightOperator:
+def weight_star(group: FiniteGroup, beta: float) -> np.ndarray:
     """Diagonal eighth-power weight (1+gamma)^{1/8} |1><1| + gamma^{1/8} sum_{g!=1} |g><g|."""
     q = gamma_beta(beta / 2, group.order)
     diag = np.full(group.order, q ** (1 / 8) if q > 0 else 0.0)
     diag[0] = (1 + q) ** (1 / 8)
-    return WeightOperator("star-weight", beta, np.diag(diag))
+    return np.diag(diag)
 
 
 def edge_tensor_from_quarters(group: FiniteGroup, beta: float, orientation: str, variant: str = "slim") -> np.ndarray:
@@ -234,7 +234,7 @@ def edge_tensor_from_quarters(group: FiniteGroup, beta: float, orientation: str,
     """
     n = group.order
     ws = star_leg_weights(group, beta, power=1 / 8) if variant == "full" else np.ones(n)
-    wp = weight_plaq(group, beta).matrix if variant == "full" else np.eye(n)
+    wp = weight_plaq(group, beta) if variant == "full" else np.eye(n)
 
     def lmat(g):
         return group.left_regular_matrix(g)
@@ -278,7 +278,8 @@ def v_matrix(net: RegionNetwork) -> np.ndarray:
     n_dangle = 2 * (len(net.reduced.edges) + len(net.reduced.vertices))
     bdry = net.group.order**n_dangle
     require_fits((net.phys_dim, bdry))
-    out = net._contract(None, reduce_boundary=False, out_legs=net._phys_legs() + _raw_dangling_legs(net))
+    nodes = [net._edge_array(e) for e in net.edges]
+    out = net._contract(nodes, net._phys_legs() + _raw_dangling_legs(net))
     return out.reshape(net.phys_dim, bdry)
 
 

@@ -62,7 +62,7 @@ class TestToolBox1:
     def test_delta_commutes_with_plaq_weight(self):
         grp = make_cyclic(3)
         d = delta_projector(grp)
-        w = weight_plaq(grp, 1.1).matrix
+        w = weight_plaq(grp, 1.1)
         ww = kron(w, w)
         assert np.abs(ww @ d - d @ ww).max() < 1e-12
 
@@ -152,7 +152,7 @@ class TestEdgeBoundary:
         assert np.abs(s @ rho - rho).max() < 1e-10
         assert np.abs(rho @ s - rho).max() < 1e-10
         # commutes with the boundary weight product
-        wp = weight_plaq(grp, 0.9).matrix
+        wp = weight_plaq(grp, 0.9)
         d = delta_projector(grp)
         ww = kron(wp, wp)
         assert np.abs(ww @ d - d @ ww).max() < 1e-12

@@ -9,6 +9,7 @@ from qdlab.davies import (
     HTilde,
     IotaKernelProjector,
     RateError,
+    _local_patch,
     c1_constant,
     c2_constant,
     davies_gap,
@@ -106,6 +107,21 @@ def test_davies_gap_scales_with_the_rates(cylinder_patch):
     ht100 = HTilde(DaviesGenerator.build(model, BETA, rates=rates))
     assert ht100.norm_bound == pytest.approx(100 * ht.norm_bound, rel=1e-12)
     assert davies_gap(ht100, tfd) == pytest.approx(100 * davies_gap(ht, tfd), rel=1e-9)
+
+
+def test_patch_generator_from_the_torus_jumps():
+    """gap_chain's first link builds the support patch's H~ from the torus's edge-0
+    jumps alone; on Z2 N=2 it equals the one built on the patch, entry for entry."""
+    torus = QuantumDoubleModel(make_cyclic(2), TorusLattice(2))
+    gen = DaviesGenerator.build(torus, BETA)
+    e0 = torus.edge_list[0]
+    patch = _local_patch(torus, e0)[0]
+    on_patch = DaviesGenerator.build(patch, BETA)
+    assert gen.jumps[e0].support == on_patch.jumps[e0].support
+    pos, gen_e = HTilde(DaviesGenerator(patch, BETA, gen.coupling, gen.rates, {e0: gen.jumps[e0]})).local[e0]
+    pos_patch, gen_patch = HTilde(on_patch).local[e0]
+    assert pos == pos_patch
+    assert (gen_e != gen_patch).nnz == 0
 
 
 @pytest.fixture(scope="module", params=["Z2 cyl:v,0,1", "Z3 star"])

@@ -7,6 +7,7 @@ import pytest
 from qdlab.gap_tools import (
     EmbeddedProjector,
     RegionProjector,
+    complement_gap,
     delta_function,
     martingale_measurement,
     n_beta,
@@ -77,6 +78,22 @@ def test_embedded_projector_in_a_scrambled_ambient_order():
     oracle = embed_by_digits(dense_p, pos + [5 + i for i in pos], 2, 10)
     for x in np.random.default_rng(2).standard_normal((3, emb.dim)):
         assert np.abs(emb.apply(x) - oracle @ x).max() < 1e-12
+
+
+def test_complement_gap_against_a_dense_spectrum():
+    """sum_i (1 - P_i) for three random rank-31 projectors whose ranges share the unit
+    vector v: the gap off v and the residual ||H v|| against eigh of the dense sum."""
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(100)
+    v /= np.linalg.norm(v)
+    dense = [q @ q.T for q in (np.linalg.qr(np.column_stack([v, rng.standard_normal((100, 30))]))[0]
+                               for _ in range(3))]
+    projectors = [SimpleNamespace(apply=lambda x, p=p: p @ x) for p in dense]
+    gap, residual = complement_gap(projectors, 100, [v], tol=1e-10)
+    vals = np.linalg.eigvalsh(sum(np.eye(100) - p for p in dense))
+    assert abs(vals[0]) < 1e-12 and vals[1] > 0.1
+    assert gap == pytest.approx(vals[1], abs=1e-9)
+    assert residual < 1e-12
 
 
 def test_n_beta_at_beta_one():
