@@ -118,15 +118,13 @@ def complement_gap(projectors, dim: int, kernel_vectors, seed: int = 0, tol: flo
     The gap is the smallest eigenvalue of H on the orthogonal complement of the
     expected kernel, spanned by the orthonormal `kernel_vectors`; the residual
     is max ||H v|| over them (~0 when they do lie in the kernel). The deflation
-    shift is the number of terms, which bounds ||H||.
+    shift is the number of terms, which bounds ||H||. H returns the dtype its
+    terms return, so real projectors keep the solve in real arithmetic.
     """
     count = len(projectors)
 
     def apply(x):
-        acc = count * np.asarray(x, dtype=complex)
-        for p in projectors:
-            acc -= p.apply(x)
-        return acc
+        return count * np.asarray(x) - sum(p.apply(x) for p in projectors)
 
     vals = lowest_eigs_matrix_free(
         LinearMapHandle(dim=dim, apply=apply), k=1, seed=seed, tol=tol, deflate=kernel_vectors, shift=count

@@ -28,7 +28,7 @@ class FeasibilityError(RuntimeError):
 # The largest single dense array the package makes. It admits the largest array
 # of every certificate in the benchmark and the tests (512 MiB: the dense T of each
 # half of the smallest martingale split; the contraction steps of its matrix-free
-# whole region take 256 MiB) and refuses requests that would exhaust a desk machine.
+# whole region take 64 MiB) and refuses requests that would exhaust a desk machine.
 DENSE_BUDGET_BYTES = 2**31
 
 

@@ -12,6 +12,7 @@ handles and random matrices.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from qdlab.lattice import (
     classify_region,
 )
 from qdlab.linalg import LinalgError, LinearMapHandle, dagger, hermitian_spectrum, kron, require_fits, vectorize
-from qdlab.peps import RegionNetwork, star_leg_weights, weight_plaq
+from qdlab.peps import WRITE_COST, RegionNetwork, star_leg_weights, weight_plaq
 from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
 
 
@@ -289,6 +290,49 @@ def contract_region(model: QuantumDoubleModel, region: Region, beta: float):
     if region.kind == TORUS:
         return v_matrix(net).reshape(net.phys_dim)
     return v_matrix(net)
+
+
+# -- contraction orders ----------------------------------------------------------------
+# A node is a frozenset of (leg, dim); merging two nodes contracts the legs they share.
+
+
+def _step_counts(x: frozenset, y: frozenset) -> tuple[int, int]:
+    """(multiply-adds, output entries) of merging x and y: every leg of either once, and
+    the legs in just one of them."""
+    return math.prod(d for _, d in x | y), math.prod(d for _, d in x ^ y)
+
+
+def _step_cost(x: frozenset, y: frozenset) -> int:
+    multiply_adds, written = _step_counts(x, y)
+    return multiply_adds + WRITE_COST * written
+
+
+def plan_counts_oracle(nodes, steps) -> list[tuple[int, int]]:
+    """(multiply-adds, output entries) of each step of the pairwise sequence `steps`;
+    step k merges two nodes into node len(nodes) + k."""
+    pool = list(nodes)
+    counts = []
+    for a, b in steps:
+        counts.append(_step_counts(pool[a], pool[b]))
+        pool.append(pool[a] ^ pool[b])
+    return counts
+
+
+def plan_cost_oracle(nodes, steps) -> int:
+    """Cost of the pairwise sequence `steps` under the planner's rule."""
+    return sum(m + WRITE_COST * w for m, w in plan_counts_oracle(nodes, steps))
+
+
+def min_contraction_cost_oracle(nodes) -> int:
+    """Least cost over every pairwise contraction tree, outer products included, by trying
+    each pair at each step (for networks of up to about 7 nodes)."""
+    if len(nodes) == 1:
+        return 0
+    return min(
+        _step_cost(nodes[i], nodes[j])
+        + min_contraction_cost_oracle([n for k, n in enumerate(nodes) if k not in (i, j)] + [nodes[i] ^ nodes[j]])
+        for i, j in itertools.combinations(range(len(nodes)), 2)
+    )
 
 
 # -- the Davies generator on dense operators -------------------------------------------

@@ -96,6 +96,19 @@ def test_complement_gap_against_a_dense_spectrum():
     assert residual < 1e-12
 
 
+def test_complement_gap_hands_real_projectors_real_vectors():
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((100, 30)))[0]
+    dtypes = []
+
+    def apply(x):
+        dtypes.append(np.asarray(x).dtype)
+        return q @ (q.T @ x)
+
+    complement_gap([SimpleNamespace(apply=apply)], 100, [q[:, 0]])
+    assert set(dtypes) == {np.dtype(float)}
+
+
 def test_n_beta_at_beta_one():
     # ceil(4 (1 + (1 + (e - 1)/2) log 1152)) = ceil(56.42)
     assert n_beta(1.0, 2) == 57

@@ -19,7 +19,15 @@ from qdlab.quantum_double import (
     gamma_beta,
     gibbs_state,
 )
-from oracles import contract_region, edge_tensor_from_quarters, v_matrix, weight_star
+from oracles import (
+    contract_region,
+    edge_tensor_from_quarters,
+    min_contraction_cost_oracle,
+    plan_cost_oracle,
+    plan_counts_oracle,
+    v_matrix,
+    weight_star,
+)
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +168,13 @@ class TestRegionContraction:
             net.t_matrix()
         assert "_contract" not in [entry.name for entry in info.traceback]
 
+    def test_t_apply_over_budget_output_is_refused_before_planning(self, monkeypatch):
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**10)
+        net = self._z2_plaquette_network()
+        with pytest.raises(FeasibilityError, match=r"\(256, 1\)") as info:
+            net.t_apply(np.ones(net.reduced.dim))
+        assert "_contract" not in [entry.name for entry in info.traceback]
+
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_pepo_equals_exponential(self, z2_model, beta):
         asm = full_hamiltonian(z2_model)
@@ -204,7 +219,7 @@ class TestRegionContraction:
 
     def test_martingale_region_fits_a_quarter_gib_budget(self, monkeypatch):
         """The whole region of the smallest martingale split (2^20 doubled dims): the
-        pairwise order's largest step is 256 MiB; a column sweep needs 1 GiB."""
+        planned order's largest step is 64 MiB; a column sweep needs 1 GiB."""
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**28)
         lat = TorusLattice(4)
         net = RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,3,1"), 1.0)
@@ -214,6 +229,72 @@ class TestRegionContraction:
         lhs = np.vdot(net.t_apply(y), x)
         rhs = np.vdot(y, net.t_dagger_apply(x))
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
+
+    @staticmethod
+    def _martingale_region_network():
+        lat = TorusLattice(4)
+        return RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,3,1"), 1.0)
+
+    def test_martingale_region_fits_a_64_mib_budget(self, monkeypatch):
+        """The same region: the planned order's largest step is 2^23 float64 entries, 64 MiB."""
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**26)
+        net = self._martingale_region_network()
+        rng = np.random.default_rng(2)
+        y = rng.standard_normal(net.reduced.dim)
+        x = rng.standard_normal(net.phys_dim)
+        lhs = np.vdot(net.t_apply(y), x)
+        rhs = np.vdot(y, net.t_dagger_apply(x))
+        assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
+
+    def test_martingale_region_plans_stay_cheap(self):
+        """Counts, not times: T y plus T^dagger x on the martingale region take at most
+        6.0e9 multiply-adds (the greedy order took 2.17e10) with steps of at most 2^23
+        entries, and the Z2 N=2 torus, whose cheapest multiply-add-only order writes
+        2^26 entries in one step, keeps its steps within 2^24."""
+        net = self._martingale_region_network()
+        net.t_apply(np.zeros(net.reduced.dim))
+        net.t_dagger_apply(np.zeros(net.phys_dim))
+        assert len(net._plans) == 2
+        counts = [c for nodes, steps in net._plans.items() for c in plan_counts_oracle(nodes, steps)]
+        assert sum(m for m, _ in counts) <= 6.0e9
+        assert max(w for _, w in counts) <= 2**23
+        lat = TorusLattice(2)
+        torus = RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), Region(lat, TORUS), 1.0)
+        torus._plan([torus._edge_array(e) for e in torus.edges])
+        ((nodes, steps),) = torus._plans.items()
+        assert max(w for _, w in plan_counts_oracle(nodes, steps)) <= 2**24
+
+    @pytest.mark.parametrize("group", [make_cyclic(2), make_cyclic(3)], ids=["Z2", "Z3"])
+    def test_plan_has_the_brute_force_minimum_cost(self, group):
+        """T^dagger x on one plaquette of the N=3 torus: five nodes."""
+        lat = TorusLattice(3)
+        net = RegionNetwork(QuantumDoubleModel(group, lat), parse_region(lat, "rect:0,0,1,1"), 1.0)
+        net.t_dagger_apply(np.ones(net.phys_dim))
+        ((nodes, steps),) = net._plans.items()
+        assert len(nodes) == 5
+        assert plan_cost_oracle(nodes, steps) == min_contraction_cost_oracle(list(nodes))
+
+    def test_a_network_plans_once_per_input_shape(self, monkeypatch):
+        """Applying T again reuses the plan; another batch width plans again."""
+        planned = []
+        plan = peps.plan_contraction
+        monkeypatch.setattr(peps, "plan_contraction", lambda nodes: planned.append(nodes) or plan(nodes))
+        net = self._z2_plaquette_network()
+        dim = net.reduced.dim
+        assert np.array_equal(net.t_apply(np.ones(dim)), net.t_apply(np.ones(dim)))
+        assert len(planned) == 1
+        net.t_apply(np.ones((dim, 2)))
+        net.t_apply(np.ones((dim, 2)))
+        assert len(planned) == 2
+
+    def test_t_apply_on_the_torus_takes_an_outer_product(self):
+        """The whole torus has no reduced boundary, so the input vector shares no leg
+        with the edge nodes and is joined to them last, by an outer product."""
+        lat = TorusLattice(2)
+        net = RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), Region(lat, TORUS), 1.0)
+        assert net.reduced.dim == 1
+        y = np.array([[2.0, -1.0]])
+        assert np.allclose(net.t_apply(y), net.t_matrix() @ y, rtol=1e-12, atol=0)
 
     def test_thermofield_state(self, z2_model):
         beta = 1.0
