@@ -10,6 +10,15 @@ matrix depends on f only through the holonomy of f around each boundary
 component, and each holonomy tuple is shared by |G|^(L-c) assignments (L
 boundary edges, c components), as for G-injective PEPS (Schuch, Cirac and
 Perez-Garcia, arXiv:1001.3807).
+
+One walk serves every region kind.  Each boundary vertex lies on exactly two
+boundary edges, so the boundary components are cycles; a walk starts at the
+first boundary vertex no earlier walk reached and follows unused boundary edges
+back to it.  Another anchor conjugates a component's holonomy and the other
+direction inverts it.  Both are bijections of the keys, and a block's anchor
+values enter only through the chain value a(v) = u_v a u_v^{-1} each fixes at
+every boundary vertex, so the number of blocks, every summary and
+`group_function_matrix` do not depend on the walk.
 """
 
 from __future__ import annotations
@@ -21,9 +30,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .lattice import (
-    HORIZONTAL,
     RECT,
-    VERTICAL,
     Edge,
     Region,
     RegionClassification,
@@ -42,87 +49,6 @@ def reduced_character(group: FiniteGroup, g: int) -> float:
     return group.regular_character(g) - 1.0
 
 
-# -- boundary enumeration for rectangles/cylinders ----------------------------------
-
-
-@dataclass(frozen=True)
-class PerimeterStep:
-    edge: Edge
-    from_vertex: tuple[int, int]
-    to_vertex: tuple[int, int]
-
-
-@dataclass
-class BoundaryComponent:
-    """One connected ring of the region boundary, walked counterclockwise."""
-
-    anchor: tuple[int, int]
-    steps: list[PerimeterStep]
-
-    def vertices(self) -> list[tuple[int, int]]:
-        return [s.from_vertex for s in self.steps]
-
-
-def _rectangle_perimeter(region: Region) -> BoundaryComponent:
-    lat = region.lattice
-    N = lat.N
-    x0, y0, a, b = region.x0, region.y0, region.a, region.b
-    steps = []
-
-    def step(edge, frm, to):
-        steps.append(PerimeterStep(edge, frm, to))
-
-    for i in range(a):  # bottom, walking east
-        step(lat.norm_edge(HORIZONTAL, x0 + i, y0), ((x0 + i) % N, y0 % N), ((x0 + i + 1) % N, y0 % N))
-    for j in range(b):  # right side, walking north
-        step(lat.norm_edge(VERTICAL, x0 + a, y0 + j), ((x0 + a) % N, (y0 + j) % N), ((x0 + a) % N, (y0 + j + 1) % N))
-    for i in range(a):  # top, walking west
-        step(lat.norm_edge(HORIZONTAL, x0 + a - 1 - i, y0 + b), ((x0 + a - i) % N, (y0 + b) % N), ((x0 + a - 1 - i) % N, (y0 + b) % N))
-    for j in range(b):  # left side, walking south
-        step(lat.norm_edge(VERTICAL, x0, y0 + b - 1 - j), (x0 % N, (y0 + b - j) % N), (x0 % N, (y0 + b - 1 - j) % N))
-    anchor = ((x0 + a) % N, y0 % N)  # lower-right corner
-    return BoundaryComponent(anchor, steps)
-
-
-def _cylinder_rings(region: Region) -> list[BoundaryComponent]:
-    """The two boundary rings of a cylinder, each walked in its wrap direction."""
-    lat = region.lattice
-    N = lat.N
-    rings = []
-    if region.kind == "cylinder-horizontal":
-        rows = [(region.y0 + region.b) % N, region.y0 % N]  # top ring, bottom ring
-        for row in rows:
-            steps = []
-            for i in range(N):
-                e = lat.norm_edge(HORIZONTAL, i, row)
-                steps.append(PerimeterStep(e, ((i + 1) % N, row), (i % N, row)))
-            rings.append(BoundaryComponent(steps[0].from_vertex, steps))
-    elif region.kind == "cylinder-vertical":
-        cols = [(region.x0 + region.a) % N, region.x0 % N]
-        for col in cols:
-            steps = []
-            for j in range(N):
-                e = lat.norm_edge(VERTICAL, col, j)
-                steps.append(PerimeterStep(e, (col, (j + 1) % N), (col, j % N)))
-            rings.append(BoundaryComponent(steps[0].from_vertex, steps))
-    else:
-        raise BoundaryError(f"no boundary rings for region kind {region.kind}")
-    return rings
-
-
-def boundary_components(region: Region) -> list[BoundaryComponent]:
-    if region.kind == RECT:
-        return [_rectangle_perimeter(region)]
-    if region.kind.startswith("cylinder"):
-        return _cylinder_rings(region)
-    raise BoundaryError("the torus has no boundary")
-
-
-def chi_boundary(group: FiniteGroup, component: BoundaryComponent, gammas: dict[Edge, int]) -> int:
-    """The boundary word: the ordered product of reduced labels along the walk."""
-    return group.prod(gammas[s.edge] for s in component.steps)
-
-
 # -- plaquette-constant closed form ---------------------------------------------------
 
 
@@ -136,17 +62,20 @@ def kappa_epsilon(cls: RegionClassification, beta: float, order: int) -> tuple[f
     return kappa, eps
 
 
-def interior_sum_closed_form(group: FiniteGroup, cls: RegionClassification, word: int, beta: float) -> float:
+def interior_sum_closed_form(group: FiniteGroup, cls: RegionClassification, holonomy: int, beta: float) -> float:
     """sum over interior extensions of prod_p (1 + gamma chi_reg) in closed form.
 
-    Holds for a proper rectangle classified as `cls`, whose boundary word
-    (`chi_boundary` of the reduced labels: the dangling-pair convention needs
-    no extra inversion signs) is `word`.
+    Holds for a proper rectangle classified as `cls` whose boundary labels have
+    the holonomy `holonomy` (`BlockBoundary.holonomies`, from any anchor and in
+    either direction).  The formula needs chi_reg of the ordered product of the
+    reduced labels around the perimeter; the holonomy is conjugate to that
+    product or to its inverse, and chi_reg is a class function with
+    chi(g^{-1}) = chi(g).
     """
     g = gamma_beta(beta, group.order)
     n_p = cls.n_plaquettes
     return group.order ** len(cls.interior_edges) * (
-        (1 + g) ** n_p + (g**n_p) * reduced_character(group, word)
+        (1 + g) ** n_p + (g**n_p) * reduced_character(group, holonomy)
     )
 
 
@@ -173,7 +102,9 @@ class BlockBoundary:
     through the holonomy of f around each boundary component (the product of
     its labels along the walk from the anchor): gauge moves at the other
     boundary vertices keep the holonomies, so each holonomy tuple is shared by
-    |G|^(L-c) labellings, for L boundary edges and c components.  `block` folds
+    |G|^(L-c) labellings, for L boundary edges and c components.  The walks
+    follow the classified boundary edges alone, the same for rectangles and
+    cylinders (see the module docstring).  `block` folds
     the holonomies of f, looks the block up by them, and on a miss builds it
     from f and decomposes m once with `eigh`, so at most |G|^c blocks are built.
     The leading-term norm, the rank, the support norms and
@@ -186,53 +117,56 @@ class BlockBoundary:
         self.region = region
         self.beta = beta
         self.cls = classify_region(region)
-        self.components = boundary_components(region)
         self.kappa, self.epsilon = kappa_epsilon(self.cls, beta, group.order)
         self.boundary_edges = list(self.cls.boundary_edges)
         self.boundary_vertices = list(self.cls.boundary_vertices)
         self.n = group.order
         self.gamma = gamma_beta(beta, group.order)
         self._block_cache: dict = {}  # holonomy tuple -> BoundaryBlock
-        walk_edges = {s.edge for c in self.components for s in c.steps}
-        if walk_edges != set(self.boundary_edges):
-            raise BoundaryError("boundary walk does not cover the boundary edges")
+        if not self.boundary_edges:
+            raise BoundaryError("the torus has no boundary")
         self._walks, self._vertex_component = self._component_walks()
 
     def _component_walks(self):
-        """Per component, its steps from the anchor as (position of the edge in f,
+        """Per component, its walk as steps (position of the edge in f,
         left-multiplication rows of the step's factor, slot of the vertex reached
-        in `boundary_vertices` or None on a revisit); and per boundary vertex the
-        index of its component."""
+        in `boundary_vertices`, or None on the step back to the anchor); and per
+        boundary vertex the index of its component.
+
+        Each walk starts at the first boundary vertex that no earlier walk
+        reached and follows unused boundary edges until it is back there.
+        """
         G, lat = self.group, self.region.lattice
         left = G.mul.tolist()  # left[g][h] = g h
         left_inv = [left[g] for g in G.inv.tolist()]  # left_inv[g][h] = g^{-1} h
-        edge_pos = {e: i for i, e in enumerate(self.boundary_edges)}
         slot = {v: i for i, v in enumerate(self.boundary_vertices)}
-        component = [-1] * len(self.boundary_vertices)
+        incident: dict = {}  # vertex -> positions of its boundary edges
+        for i, e in enumerate(self.boundary_edges):
+            for v in lat.vertices_of_edge(e):
+                incident.setdefault(v, []).append(i)
+        if incident.keys() != slot.keys() or any(len(es) != 2 for es in incident.values()):
+            raise BoundaryError("each boundary vertex must lie on exactly two boundary edges")
+        unused = set(range(len(self.boundary_edges)))
+        component = [-1] * len(slot)
         walks = []
-        for c, comp in enumerate(self.components):
-            start = next(i for i, s in enumerate(comp.steps) if s.from_vertex == comp.anchor)
-            seen = {comp.anchor}
-            component[slot[comp.anchor]] = c
-            walk = []
-            for s in comp.steps[start:] + comp.steps[:start]:
-                away, toward = lat.vertices_of_edge(s.edge)
-                # value relation across e: a(away) = g a(toward) g^{-1}, g the physical label
-                if (s.from_vertex, s.to_vertex) == (toward, away):
-                    backward = False
-                elif (s.from_vertex, s.to_vertex) == (away, toward):
-                    backward = True
-                else:
-                    raise BoundaryError("perimeter step endpoints inconsistent with edge")
-                # the physical label is the reduced one, inverted where gamma_inverted
-                table = left_inv if backward != self.cls.gamma_inverted[s.edge] else left
-                fresh = s.to_vertex not in seen
-                walk.append((edge_pos[s.edge], table, slot[s.to_vertex] if fresh else None))
-                seen.add(s.to_vertex)
-                component[slot[s.to_vertex]] = c
+        for anchor in self.boundary_vertices:
+            if component[slot[anchor]] >= 0:
+                continue
+            c = component[slot[anchor]] = len(walks)
+            walk, v = [], anchor
+            while not walk or v != anchor:
+                i = next(i for i in incident[v] if i in unused)
+                unused.remove(i)
+                e = self.boundary_edges[i]
+                away, toward = lat.vertices_of_edge(e)
+                # value relation across e: a(away) = g a(toward) g^{-1}, g the physical
+                # label, which is the reduced one inverted where gamma_inverted
+                backward = v == away
+                table = left_inv if backward != self.cls.gamma_inverted[e] else left
+                v = toward if backward else away
+                component[slot[v]] = c
+                walk.append((i, table, None if v == anchor else slot[v]))
             walks.append(walk)
-        if -1 in component:
-            raise BoundaryError("boundary walk does not cover the boundary vertices")
         return walks, np.array(component)
 
     # -- label plumbing ---------------------------------------------------------
@@ -277,13 +211,13 @@ class BlockBoundary:
         ]
         return list(itertools.product(*per_comp))
 
-    def interior_sum(self, g_phys: dict[Edge, int], word: int | None, anchors: tuple, words: list[int]) -> float:
+    def interior_sum(self, g_phys: dict[Edge, int], holonomy: int, anchors: tuple, words: list[int]) -> float:
         """Interior-extension sum for the block of physical boundary labels `g_phys`
-        (boundary word `word`, None off rectangles, vertex words `words`) and
+        (first component's holonomy `holonomy`, vertex words `words`) and
         component anchors `anchors`."""
         G = self.group
         if self.region.kind == RECT and (G.is_abelian() or all(a == 0 for a in anchors)):
-            return interior_sum_closed_form(G, self.cls, word, self.beta)
+            return interior_sum_closed_form(G, self.cls, holonomy, self.beta)
         interior = list(self.cls.interior_edges)
         lat = self.region.lattice
         plaqs = self.region.plaquettes()
@@ -313,8 +247,6 @@ class BlockBoundary:
             return cached
         G = self.group
         g_phys = {e: self.phys_of_gamma(e, gam) for e, gam in zip(self.boundary_edges, f_hat)}
-        word = (chi_boundary(G, self.components[0], dict(zip(self.boundary_edges, f_hat)))
-                if self.region.kind == RECT else None)
         words = [0] * len(self.boundary_vertices)
         self.holonomies(f_hat, words)
         subgroup = self._anchor_subgroup(holonomies)
@@ -323,7 +255,7 @@ class BlockBoundary:
         for anchors in subgroup:
             vc = 1.0 + self.gamma if all(a == 0 for a in anchors) else self.gamma
             pref = vc**v_int if v_int > 0 else 1.0
-            inner = self.interior_sum(g_phys, word, anchors, words)
+            inner = self.interior_sum(g_phys, holonomies[0], anchors, words)
             c = self.n ** len(self.boundary_edges) * pref * inner / self.kappa
             coeffs[anchors] = c
         # group-algebra matrix over the product subgroup: right-multiplication perms
@@ -382,7 +314,7 @@ class BlockBoundary:
         base_idx = np.arange(chain_dim)
         digits = np.indices((n,) * nv).reshape(nv, chain_dim)  # h_v of each chain basis state
         strides = n ** np.arange(nv - 1, -1, -1)
-        ident = (0,) * len(self.components)
+        ident = (0,) * len(self._walks)
         weights = {}  # holonomy tuple -> (subgroup, func(m)'s identity column)
         words = [0] * nv
         rows, cols, vals = [], [], []

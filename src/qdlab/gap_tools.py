@@ -76,22 +76,12 @@ class RegionProjector:
             raise FeasibilityError("matrix-free region projectors need beta > 0")
         self._gram_halfinv()
 
-    def _w_dagger_apply(self, x: np.ndarray) -> np.ndarray:
-        return self._halfinv.T.conj() @ self.net.t_dagger_apply(x)
-
-    def _w_apply(self, y: np.ndarray) -> np.ndarray:
-        return self.net.t_apply(self._halfinv @ y)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """P x for a vector x or for every column of a (dim, m) block at once."""
         if self._w is not None:
             return self._w @ (dagger(self._w) @ x)
-        return self._w_apply(self._w_dagger_apply(x))
-
-    def apply_block(self, mat: np.ndarray) -> np.ndarray:
-        """Apply to every column of a (dim, m) block at once."""
-        if self._w is not None:
-            return self._w @ (dagger(self._w) @ mat)
-        return np.column_stack([self.apply(mat[:, j]) for j in range(mat.shape[1])])
+        y = self._halfinv.T.conj() @ self.net.t_dagger_apply(x)
+        return self.net.t_apply(self._halfinv @ y)
 
 
 class EmbeddedProjector:
@@ -109,7 +99,7 @@ class EmbeddedProjector:
         self.dim = self.n ** (2 * len(self.ambient))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return apply_on_sites(x, self.n, len(self.ambient), self.inner, self.proj.apply_block)
+        return apply_on_sites(x, self.n, len(self.ambient), self.inner, self.proj.apply)
 
 
 def complement_gap(projectors, dim: int, kernel_vectors, seed: int = 0, tol: float = 1e-9) -> tuple[float, float]:

@@ -64,17 +64,6 @@ def side_order(orientation: str) -> tuple[str, ...]:
     return PLAQ_SIDES[orientation] + STAR_SIDES[orientation]
 
 
-@dataclass(frozen=True)
-class EdgeTensor:
-    """Slim or full edge tensor with legs (ket, pur, then (out, in) per side)."""
-
-    variant: str
-    beta: float
-    orientation: str
-    sides: tuple[str, ...]
-    data: np.ndarray  # shape (n, n) + (n, n) per side
-
-
 def _edge_data(group: FiniteGroup, beta: float, variant: str) -> np.ndarray:
     """Entries of the edge tensor, written in place: one (n,)*10 array and no copy.
 
@@ -106,8 +95,9 @@ def _edge_data(group: FiniteGroup, beta: float, variant: str) -> np.ndarray:
 _EDGE_CACHE: dict = {}
 
 
-def edge_tensor(group: FiniteGroup, beta: float, orientation: str, variant: str = "full") -> EdgeTensor:
-    """The PEPS tensor of one edge; `variant` is 'slim' or 'full' (with weights)."""
+def edge_tensor(group: FiniteGroup, beta: float, variant: str = "full") -> np.ndarray:
+    """The PEPS tensor of one edge, read-only, with legs (ket, pur, then (out, in)
+    per side in `side_order`); `variant` is 'slim' or 'full' (with weights)."""
     if variant not in ("slim", "full"):
         raise ValueError(f"unknown edge tensor variant {variant!r}")
     key = (group.mul.tobytes(), round(beta, 14), variant)
@@ -120,7 +110,7 @@ def edge_tensor(group: FiniteGroup, beta: float, orientation: str, variant: str 
         _EDGE_CACHE[key] = data
         while sum(a.nbytes for a in _EDGE_CACHE.values()) > linalg.DENSE_BUDGET_BYTES:
             del _EDGE_CACHE[next(iter(_EDGE_CACHE))]
-    return EdgeTensor(variant, beta, orientation, side_order(orientation), data)
+    return data
 
 
 # -- contraction plans --------------------------------------------------------------
@@ -344,18 +334,17 @@ class RegionNetwork:
         self.reduced = ReducedBoundary(
             group=self.group,
             edges=self.cls.boundary_edges,
-            vertices=tuple(sorted(self.dangling_vertex_pairs)),
+            vertices=self.cls.boundary_vertices,
         )
 
     # -- tensors -----------------------------------------------------------------
 
     def _edge_array(self, e: Edge) -> tuple[np.ndarray, list[tuple]]:
-        t = edge_tensor(self.group, self.beta, e.orientation)
         i = self.edge_pos[e]
         legs = [(i, "ket"), (i, "pur")]
-        for s in t.sides:
+        for s in side_order(e.orientation):
             legs += [(i, s, "out"), (i, s, "in")]
-        return t.data, legs
+        return edge_tensor(self.group, self.beta), legs
 
     def _reduction_nodes(self):
         """3-leg reduction tensors for every dangling pair, with the inverse boundary
@@ -489,9 +478,11 @@ class RegionNetwork:
         return out if batched else out.reshape(self.phys_dim)
 
     def t_dagger_apply(self, x: np.ndarray) -> np.ndarray:
-        """T^dagger x for a doubled physical vector x."""
-        n = self.group.order
-        ne = len(self.edges)
-        data = np.asarray(x).conj().reshape((n,) * (2 * ne))
-        out = self._contract(self._bundles + [(data, self._phys_legs())], self._red_legs())
-        return out.conj().reshape(self.reduced.dim)
+        """T^dagger x for a doubled physical vector x (or a batch of columns)."""
+        x = np.asarray(x)
+        batched = x.ndim == 2
+        k = x.shape[1] if batched else 1
+        data = x.conj().reshape((self.group.order,) * (2 * len(self.edges)) + (k,))
+        nodes = self._bundles + [(data, self._phys_legs() + [("batch",)])]
+        out = self._contract(nodes, self._red_legs() + [("batch",)]).conj()
+        return out.reshape(self.reduced.dim, k) if batched else out.reshape(self.reduced.dim)

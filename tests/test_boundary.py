@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from qdlab.groups import group_by_name, make_cyclic, make_symmetric
-from qdlab.lattice import RECT, CYL_H, Region, TorusLattice, classify_region, parse_region
+from qdlab.lattice import RECT, CYL_H, TORUS, Region, TorusLattice, classify_region, parse_region
 from qdlab.linalg import kron
 from qdlab.peps import RegionNetwork, edge_tensor, weight_plaq
 from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
 from qdlab.boundary import (
     BlockBoundary,
-    boundary_components,
-    chi_boundary,
+    BoundaryError,
     interior_sum_closed_form,
     kappa_epsilon,
     support_and_sigma,
@@ -117,16 +116,16 @@ class TestEdgeBoundary:
         grp = make(2) if make is make_cyclic else make()
         for slim in (True, False):
             rho = boundary_state_edge(grp, beta, slim=slim, orientation="v")
-            t = edge_tensor(grp, beta, "v", "slim" if slim else "full")
-            v = t.data.reshape(grp.order**2, grp.order**8)
+            t = edge_tensor(grp, beta, "slim" if slim else "full")
+            v = t.reshape(grp.order**2, grp.order**8)
             assert np.abs(rho - v.conj().T @ v).max() <= 1e-12
 
     def test_s3_sampled_entries_and_probes(self):
         grp = make_symmetric(3)
         beta = 1.0
-        t = edge_tensor(grp, beta, "v", "full")
+        t = edge_tensor(grp, beta, "full")
         n = grp.order
-        v = t.data.reshape(n * n, n**8)
+        v = t.reshape(n * n, n**8)
         rng = np.random.default_rng(3)
         # sampled entries, exact comparison
         for _ in range(200):
@@ -159,9 +158,10 @@ class TestEdgeBoundary:
 
 
 def closed_form(grp, reg, fmap, beta):
-    """The closed form at the boundary word of the reduced labels `fmap`."""
-    word = chi_boundary(grp, boundary_components(reg)[0], fmap)
-    return interior_sum_closed_form(grp, classify_region(reg), word, beta)
+    """The closed form at the boundary holonomy of the reduced labels `fmap`."""
+    bb = BlockBoundary(grp, reg, beta)
+    (holonomy,) = bb.holonomies(tuple(fmap[e] for e in bb.boundary_edges))
+    return interior_sum_closed_form(grp, bb.cls, holonomy, beta)
 
 
 class TestInteriorSums:
@@ -380,7 +380,7 @@ class TestBlocks:
         by_key: dict = {}
         for f_hat in bb.f_hat_iter():
             by_key.setdefault(bb.holonomies(f_hat), []).append(f_hat)
-        n_edges, n_comp = len(bb.boundary_edges), len(bb.components)
+        n_edges, n_comp = len(bb.boundary_edges), len(next(iter(by_key)))
         assert {len(fs) for fs in by_key.values()} == {grp.order ** (n_edges - n_comp)}
         rng = np.random.default_rng(6)
         for fs in by_key.values():
@@ -395,11 +395,19 @@ class TestBlocks:
                 assert np.abs(fresh.m_matrix - shared.m_matrix).max() <= 1e-12
         assert len(bb._block_cache) == len(by_key) <= grp.order**n_comp
 
-    def test_gram_probes_match_network_z3(self):
-        """T^dag (T y) = kappa S~ y through the network for a group other than Z2.
+    @pytest.mark.parametrize("name, n, spec", [
+        ("Z3", 3, "rect:0,0,1,1"),
+        ("Z2", 2, "cyl:v,0,1"),  # two rings, each of two edges on the same two vertices
+        ("Z2", 2, "cyl:h,1,1"),
+        ("Z2", 3, "rect:2,2,2,1"),  # the perimeter crosses the wrap
+        ("Z3", 2, "rect:1,1,1,1"),
+    ])
+    def test_gram_probes_match_network_z3(self, name, n, spec):
+        """T^dag (T y) = kappa S~ y through the network, for a group other than Z2 and
+        for the boundary walk's edge cases; the identity does not depend on the walk.
         (S3 rect:0,0,1,1 @ N=3 needs a 2.7 GiB contraction step, above the budget.)"""
-        grp, lat = make_cyclic(3), TorusLattice(3)
-        region = parse_region(lat, "rect:0,0,1,1")
+        grp, lat = group_by_name(name), TorusLattice(n)
+        region = parse_region(lat, spec)
         net = RegionNetwork(QuantumDoubleModel(grp, lat), region, 1.0)
         bb = BlockBoundary(grp, region, 1.0)
         smat = bb.group_function_matrix(lambda v: v)
@@ -407,6 +415,10 @@ class TestBlocks:
         got = net.t_dagger_apply(net.t_apply(y))
         want = bb.kappa * (smat @ y)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_torus_has_no_boundary(self):
+        with pytest.raises(BoundaryError, match="the torus has no boundary"):
+            BlockBoundary(make_cyclic(2), Region(TorusLattice(2), TORUS), 1.0)
 
     def test_s3_two_plaquette_certificates(self):
         """S3 rect:0,0,2,1 @ N=3, beta=1, pinned at the values of the per-labelling

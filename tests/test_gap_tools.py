@@ -1,3 +1,4 @@
+import copy
 import math
 from types import SimpleNamespace
 
@@ -21,14 +22,19 @@ from oracles import embed_by_digits
 
 
 def test_dense_and_matrix_free_routes_agree():
-    """The dense isometry W and the network route (T G_dR^{-1}) Gram^{-1/2}, applied
-    vector by vector, give one P."""
+    """The dense isometry W and the network route (T G_dR^{-1}) Gram^{-1/2} give one P,
+    on a vector and on a block of columns."""
     lat = TorusLattice(3)
     model = QuantumDoubleModel(make_cyclic(2), lat)
     p = RegionProjector(model, parse_region(lat, "rect:0,0,1,1"), 1.0)
     assert p._w is not None
-    x = np.random.default_rng(0).standard_normal(p.dim)
-    assert np.abs(p.apply(x) - p._w_apply(p._w_dagger_apply(x))).max() < 1e-12
+    network = copy.copy(p)
+    network._w = None
+    rng = np.random.default_rng(0)
+    for x in (rng.standard_normal(p.dim), rng.standard_normal((p.dim, 3))):
+        got = network.apply(x)
+        assert got.shape == x.shape
+        assert np.abs(p.apply(x) - got).max() < 1e-12
 
 
 @pytest.mark.parametrize("name, beta, expect", [
@@ -72,7 +78,7 @@ def test_embedded_projector_in_a_scrambled_ambient_order():
     ambient = [edges[2], extra[0], edges[0], extra[1], edges[1]]
     dense_p = np.random.default_rng(1).standard_normal((64, 64))
     block = SimpleNamespace(model=QuantumDoubleModel(make_cyclic(2), lat), edges=edges, dim=64,
-                            apply_block=lambda m: dense_p @ m)
+                            apply=lambda m: dense_p @ m)
     emb = EmbeddedProjector(block, ambient)
     pos = [ambient.index(e) for e in edges]
     oracle = embed_by_digits(dense_p, pos + [5 + i for i in pos], 2, 10)

@@ -75,23 +75,23 @@ class TestWeights:
 
 class TestEdgeTensor:
     def test_entry_counts_z2(self):
-        t = edge_tensor(make_cyclic(2), 1.0, "v", "slim")
-        assert t.data.size == 4 * 256
+        t = edge_tensor(make_cyclic(2), 1.0, "slim")
+        assert t.size == 4 * 256
         # one structured block per (g, h, k) triple
-        assert np.count_nonzero(t.data) == 8 * 2 * 2
+        assert np.count_nonzero(t) == 8 * 2 * 2
 
     @pytest.mark.parametrize("orientation", ["v", "h"])
     @pytest.mark.parametrize("variant", ["slim", "full"])
     def test_quarter_contraction_oracle(self, orientation, variant):
         for grp in (make_cyclic(2), make_cyclic(3)):
-            t = edge_tensor(grp, 1.3, orientation, variant)
+            t = edge_tensor(grp, 1.3, variant)
             q = edge_tensor_from_quarters(grp, 1.3, orientation, variant)
-            assert np.abs(t.data - q).max() < 1e-12
+            assert np.abs(t - q).max() < 1e-12
 
     def test_full_beta0_is_diagonal_channel(self):
         grp = make_cyclic(2)
-        t = edge_tensor(grp, 0.0, "v", "full")
-        nz = np.argwhere(np.abs(t.data) > 1e-14)
+        t = edge_tensor(grp, 0.0, "full")
+        nz = np.argwhere(np.abs(t) > 1e-14)
         for idx in nz:
             ket, pur = idx[0], idx[1]
             assert ket == pur  # only g-diagonal terms survive at beta=0
@@ -100,14 +100,14 @@ class TestEdgeTensor:
     def test_cache_is_keyed_by_group_table(self):
         a = np.arange(4)
         klein = FiniteGroup(order=4, mul=a[:, None] ^ a[None, :], inv=a, label="V4")
-        z4 = edge_tensor(make_cyclic(4), 1.0, "v", "slim").data
-        v4 = edge_tensor(klein, 1.0, "v", "slim").data
+        z4 = edge_tensor(make_cyclic(4), 1.0, "slim")
+        v4 = edge_tensor(klein, 1.0, "slim")
         assert not np.array_equal(z4, v4)
         assert np.abs(v4 - edge_tensor_from_quarters(klein, 1.0, "v", "slim")).max() < 1e-12
-        edge_tensor(make_cyclic(2), 1.0, "v", "full")
+        edge_tensor(make_cyclic(2), 1.0, "full")
         size = len(peps._EDGE_CACHE)
-        # an equal group built anew, at the other orientation, reuses the entry
-        edge_tensor(make_cyclic(2), 1.0, "h", "full")
+        # an equal group built anew reuses the entry
+        edge_tensor(make_cyclic(2), 1.0, "full")
         assert len(peps._EDGE_CACHE) == size
 
     def test_cache_evicts_oldest_entries_beyond_budget(self, monkeypatch):
@@ -116,9 +116,9 @@ class TestEdgeTensor:
         monkeypatch.setattr(peps, "_EDGE_CACHE", {})
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 3 * entry)
         for beta in (1.0, 1.1, 1.2):
-            edge_tensor(z3, beta, "v")
+            edge_tensor(z3, beta)
         oldest = next(iter(peps._EDGE_CACHE))
-        edge_tensor(z3, 1.3, "v")
+        edge_tensor(z3, 1.3)
         assert oldest not in peps._EDGE_CACHE
         assert len(peps._EDGE_CACHE) == 3
         assert sum(a.nbytes for a in peps._EDGE_CACHE.values()) <= linalg.DENSE_BUDGET_BYTES
@@ -126,7 +126,7 @@ class TestEdgeTensor:
     def test_over_budget_tensor_is_refused(self):
         """Z7: 7^10 float64 entries, 2.1 GiB."""
         with pytest.raises(FeasibilityError, match="2.1 GiB"):
-            edge_tensor(make_cyclic(7), 1.0, "v")
+            edge_tensor(make_cyclic(7), 1.0)
 
     def test_full_build_peak_stays_near_one_tensor(self):
         """Z5 (75 MiB tensor), in a fresh process: the build adds at most twice its size to peak RSS."""
@@ -134,7 +134,7 @@ class TestEdgeTensor:
             "import resource, sys; from qdlab.groups import make_cyclic; from qdlab.peps import edge_tensor\n"
             "unit = 1 if sys.platform == 'darwin' else 1024  # ru_maxrss is in bytes on macOS, KiB elsewhere\n"
             "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit\n"
-            "before = rss(); data = edge_tensor(make_cyclic(5), 1.0, 'v', 'full').data\n"
+            "before = rss(); data = edge_tensor(make_cyclic(5), 1.0, 'full')\n"
             "print(rss() - before, data.nbytes)"
         )
         src = str(Path(peps.__file__).resolve().parents[1])
@@ -205,6 +205,8 @@ class TestRegionContraction:
         assert np.allclose(net.t_apply(y), t @ y, atol=1e-11)
         x = rng.standard_normal(t.shape[0])
         assert np.allclose(net.t_dagger_apply(x), t.T @ x, atol=1e-11)
+        xs = rng.standard_normal((t.shape[0], 2))
+        assert np.allclose(net.t_dagger_apply(xs), t.T @ xs, atol=1e-11)
 
     def test_t_apply_matches_t_matrix(self):
         grp = make_cyclic(2)
@@ -317,8 +319,8 @@ class TestGaugeRelation:
         # V_e = V~_e G_de on a single edge: weights act pairwise on the dangling legs
         grp = make_cyclic(3)
         beta = 1.2
-        slim = edge_tensor(grp, beta, "v", "slim").data
-        full = edge_tensor(grp, beta, "v", "full").data
+        slim = edge_tensor(grp, beta, "slim")
+        full = edge_tensor(grp, beta, "full")
         wp = weight_plaq(grp, beta)
         ws = np.diag(star_leg_weights(grp, beta, power=1 / 8))
         out = slim
