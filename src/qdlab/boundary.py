@@ -291,7 +291,7 @@ class BlockBoundary:
         """(|| rho^{1/2} sigma^{-1} rho^{1/2} - J ||, || rho^{-1/2} sigma rho^{-1/2} - J ||).
 
         Computed in the gauge-reduced form: per block these are ||m - supp(m)||
-        and ||pinv(m) - supp(m)|| for the group-algebra matrix m, that is
+        and ||m^+ - supp(m)|| for the group-algebra matrix m and its pseudo-inverse m^+, that is
         max |lambda - [kept]| and max |1/lambda - 1| over the kept lambda.
         """
         worst_a = worst_b = 0.0

@@ -472,6 +472,8 @@ def gap_chain(
 
     if model.edges is not None:
         raise FeasibilityError("the gap chain runs on the full torus model")
+    if beta <= 0:
+        raise ValueError(f"the gap chain needs beta > 0, where the parent Hamiltonian is defined; got {beta}")
     gen = DaviesGenerator.build(model, beta, coupling, rates)
     ht = HTilde(gen)
     rho = gibbs_state(model, beta)

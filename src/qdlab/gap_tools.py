@@ -12,12 +12,10 @@ from .boundary import BlockBoundary, kappa_epsilon
 from .lattice import Region, RegionSplit, classify_region, rectangles_up_to
 from .linalg import (
     ConvergenceError,
-    FeasibilityError,
     LinearMapHandle,
     apply_on_sites,
     dagger,
     lowest_eigs_matrix_free,
-    orthonormal_columns,
 )
 from .peps import RegionNetwork
 from .quantum_double import QuantumDoubleModel, gamma_beta
@@ -47,34 +45,10 @@ class RegionProjector:
         self.net = RegionNetwork(model, region, beta)
         self.edges = self.net.edges
         self.dim = self.net.phys_dim
-        self.rank: int | None = None
-        self._w: np.ndarray | None = None
-        self._halfinv = None  # sparse Gram^{-1/2} on the reduced basis
-        if self.dim <= DENSE_PROJECTOR_DIM:
-            self._build_dense()
-        else:
-            self._build_matrix_free()
-
-    def _gram_halfinv(self):
-        bb = BlockBoundary(self.model.group, self.region, self.beta)
-        self._halfinv = bb.group_function_matrix(lambda v: (bb.kappa * v) ** -0.5)
+        bb = BlockBoundary(model.group, region, beta)
+        self._halfinv = bb.group_function_matrix(lambda v: (bb.kappa * v) ** -0.5)  # sparse Gram^{-1/2}
         self.rank = bb.rank()
-
-    def _build_dense(self):
-        t = self.net.t_matrix()
-        if self.beta <= 0:
-            # the pseudo-inverse weights leave most columns exactly zero; drop them
-            w = orthonormal_columns(t[:, np.any(t != 0, axis=0)])
-            self.rank = w.shape[1]
-            self._w = w
-            return
-        self._gram_halfinv()
-        self._w = (self._halfinv.T @ t.T).T
-
-    def _build_matrix_free(self):
-        if self.beta <= 0:
-            raise FeasibilityError("matrix-free region projectors need beta > 0")
-        self._gram_halfinv()
+        self._w = (self._halfinv.T @ self.net.t_matrix().T).T if self.dim <= DENSE_PROJECTOR_DIM else None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P x for a vector x or for every column of a (dim, m) block at once."""
@@ -145,9 +119,7 @@ def martingale_bound(group_order: int, split: RegionSplit, beta: float) -> tuple
     overlap = split.overlaps[0]
     cls = classify_region(overlap)
     _, eps = kappa_epsilon(cls, beta, group_order)
-    cylinderish = len(split.overlaps) == 2
-    factor = 48.0 if cylinderish else 16.0
-    return factor * eps, eps, eps < 0.5
+    return 16.0 * eps, eps, eps < 0.5
 
 
 def martingale_measurement(

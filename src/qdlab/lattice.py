@@ -151,9 +151,6 @@ class Region:
                 seen.setdefault(e)
         return sorted(seen, key=self.lattice.edge_index)
 
-    def n_plaquettes(self) -> int:
-        return self.a * self.b
-
     def describe(self) -> str:
         if self.kind == TORUS:
             return "torus"
@@ -233,71 +230,31 @@ class RegionSplit:
     ell: int = 0
 
 
-def split_region(region: Region, pattern: str, at: int, ell: int, at2: int | None = None) -> RegionSplit:
-    """Split a region into overlapping halves per the martingale patterns.
+def split_region(region: Region, pattern: str, at: int, ell: int) -> RegionSplit:
+    """Split a proper rectangle into overlapping halves, ABC-cols or ABC-rows.
 
-    * ABC-cols / ABC-rows on a proper rectangle: A spans [0, at), B = [at, at+ell),
-      C the rest (offsets along the split axis); returns r1=AB, r2=BC, overlap B.
-    * ABCB'-cylinder / ABCB'-torus: two overlap bands B at [at, at+ell) and
-      B' at [at2, at2+ell) along the wrap axis; returns r1=B'AB, r2=BCB'.
+    A spans [0, at), B = [at, at+ell) and C the rest, as offsets along the split
+    axis (x for ABC-cols, y for ABC-rows); returns r1=AB, r2=BC, overlap B.
     """
+    if pattern not in ("ABC-cols", "ABC-rows"):
+        raise GeometryError(f"unknown split pattern {pattern!r}")
+    if region.kind != RECT:
+        raise GeometryError("ABC splits require a proper rectangle")
     lat = region.lattice
     N = lat.N
+    along_x = pattern == "ABC-cols"
+    width = region.a if along_x else region.b
+    if not (1 <= at and ell >= 1 and at + ell < width):
+        raise GeometryError(f"infeasible ABC split: need 1 <= at, at+ell < {width}, got at={at} ell={ell}")
 
-    if pattern in ("ABC-cols", "ABC-rows"):
-        if region.kind != RECT:
-            raise GeometryError("ABC splits require a proper rectangle")
-        along_x = pattern == "ABC-cols"
-        width = region.a if along_x else region.b
-        if not (1 <= at and ell >= 1 and at + ell < width):
-            raise GeometryError(
-                f"infeasible ABC split: need 1 <= at, at+ell < {width}, got at={at} ell={ell}"
-            )
+    def band(offset, length):
+        if along_x:
+            return Region(lat, RECT, x0=(region.x0 + offset) % N, a=length, y0=region.y0, b=region.b)
+        return Region(lat, RECT, x0=region.x0, a=region.a, y0=(region.y0 + offset) % N, b=length)
 
-        def band(offset, length):
-            if along_x:
-                return Region(lat, RECT, x0=(region.x0 + offset) % N, a=length, y0=region.y0, b=region.b)
-            return Region(lat, RECT, x0=region.x0, a=region.a, y0=(region.y0 + offset) % N, b=length)
-
-        a_part, b_part, c_part = band(0, at), band(at, ell), band(at + ell, width - at - ell)
-        r1, r2 = band(0, at + ell), band(at, width - at)
-        return RegionSplit(region, r1, r2, {"A": a_part, "B": b_part, "C": c_part}, (b_part,), ell)
-
-    if pattern in ("ABCB-cylinder", "ABCB-torus"):
-        if pattern == "ABCB-torus" and region.kind != TORUS:
-            raise GeometryError("ABCB'-torus split requires the torus region")
-        if pattern == "ABCB-cylinder" and region.kind not in (CYL_H, CYL_V):
-            raise GeometryError("ABCB'-cylinder split requires a cylinder region")
-        if at2 is None:
-            raise GeometryError("ABCB' splits need both band positions (at, at2)")
-        # split along the wrap axis: horizontal wrap for CYL_H and for the torus
-        along_x = region.kind in (CYL_H, TORUS)
-        width = N
-        b0, b1 = at % N, at2 % N
-        gap1 = (b1 - (b0 + ell)) % N  # width of C
-        gap2 = (b0 - (b1 + ell)) % N  # width of A
-        if ell < 1 or gap1 < 1 or gap2 < 1:
-            raise GeometryError("infeasible ABCB' split: bands must leave room for A and C")
-
-        def band(x_off, length, proper_kind):
-            if along_x:
-                return Region(lat, proper_kind, x0=x_off % N, a=length,
-                              y0=region.y0, b=region.b if region.kind != TORUS else N)
-            return Region(lat, proper_kind, x0=region.x0, a=region.a if region.kind != TORUS else N,
-                          y0=x_off % N, b=length)
-
-        sub_kind = RECT if region.kind != TORUS else (CYL_V if along_x else CYL_H)
-        bpart = band(b0, ell, sub_kind)
-        bprime = band(b1, ell, sub_kind)
-        a_part = band(b1 + ell, gap2, sub_kind)
-        c_part = band(b0 + ell, gap1, sub_kind)
-        r1 = band(b1, ell + gap2 + ell, sub_kind)        # B' A B
-        r2 = band(b0, ell + gap1 + ell, sub_kind)        # B C B'
-        return RegionSplit(region, r1, r2,
-                           {"A": a_part, "B": bpart, "C": c_part, "B'": bprime},
-                           (bpart, bprime), ell)
-
-    raise GeometryError(f"unknown split pattern {pattern!r}")
+    a_part, b_part, c_part = band(0, at), band(at, ell), band(at + ell, width - at - ell)
+    r1, r2 = band(0, at + ell), band(at, width - at)
+    return RegionSplit(region, r1, r2, {"A": a_part, "B": b_part, "C": c_part}, (b_part,), ell)
 
 
 def parse_region(lattice: TorusLattice, spec: str) -> Region:

@@ -125,14 +125,6 @@ def matrix_power_hermitian(m: np.ndarray, power: float) -> np.ndarray:
     return (vecs * out) @ dagger(vecs)
 
 
-def orthonormal_columns(v: np.ndarray) -> np.ndarray:
-    q, s, _ = np.linalg.svd(np.asarray(v), full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return q[:, :0]
-    rank = int(np.sum(s > RANK_CUTOFF * s[0]))
-    return q[:, :rank]
-
-
 # -- matrix-free machinery ----------------------------------------------------
 
 
@@ -165,8 +157,13 @@ def lowest_eigs_matrix_free(
     eigenvector found mostly inside their span: there the value is the shift, and
     the restricted spectrum lies at or above it.
     Raises ConvergenceError when ARPACK has not converged after ARPACK_MAXITER
-    restarts, or when an eigenpair's residual exceeds the tolerance.
+    restarts, or when an eigenpair's residual exceeds the tolerance, and
+    FeasibilityError, before the first matvec, when the Lanczos basis (scipy's
+    default ncv vectors), the start vector and the deflation basis would not
+    fit the dense budget as complex arrays.
     """
+    ncv = min(max(2 * k + 1, 20), h.dim)
+    require_fits((ncv + 1 + len(deflate), h.dim), complex)
     v0 = np.random.default_rng(seed).standard_normal(h.dim)
     probe = h.apply(v0)
     dtype = complex if any(np.iscomplexobj(v) for v in (probe, *deflate)) else float

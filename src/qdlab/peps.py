@@ -234,8 +234,7 @@ class RegionNetwork:
     supported inside the leading-term product subspace).  The reduced map
     (t_matrix, t_apply, t_dagger_apply) also undoes the boundary weights G_dR on
     each reduced leg, (wp wp)^{-1} per edge and the star weight to the power -m/4
-    per vertex, so its Gram is kappa S~, the slim `BlockBoundary` operator.  At
-    beta <= 0 the weights are singular; their pseudo-inverses keep the span.
+    per vertex, so its Gram is kappa S~, the slim `BlockBoundary` operator.
 
     Every map contracts one node per edge (its tensor with the reduction nodes
     of its dangling pairs, built once per network) and, for t_apply and
@@ -246,6 +245,8 @@ class RegionNetwork:
     """
 
     def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):
+        if beta <= 0:
+            raise ValueError(f"region networks need beta > 0, where the boundary weights invert; got {beta}")
         if model.edges is not None:
             raise ValueError("region networks live on the full torus model")
         self.model = model
@@ -357,7 +358,7 @@ class RegionNetwork:
         for gam in range(n):
             psi[self.group.mul[gam, idx], idx, gam] = 1.0 / np.sqrt(n)
         wp = weight_plaq(self.group, self.beta)
-        psi = psi @ np.linalg.pinv(wp @ wp)
+        psi = psi @ np.linalg.inv(wp @ wp)
         for e in self.reduced.edges:
             out_leg, in_leg = self.dangling_edge_pairs[e]
             nodes.append((psi, [out_leg, in_leg, ("red", "e", e)]))

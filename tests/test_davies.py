@@ -16,6 +16,7 @@ from qdlab.davies import (
     default_coupling,
     final_link_passed,
     fourier_components,
+    gap_chain,
     kms_rates,
     level_projectors,
     thermofield_vector,
@@ -122,6 +123,18 @@ def test_patch_generator_from_the_torus_jumps():
     pos_patch, gen_patch = HTilde(on_patch).local[e0]
     assert pos == pos_patch
     assert (gen_e != gen_patch).nnz == 0
+
+
+def test_gap_chain_refuses_nonpositive_beta_on_entry(monkeypatch):
+    """At beta = 0 the gap chain raises before it builds the Davies generator,
+    not in the parent Hamiltonian after the Davies stages."""
+
+    def build(*args, **kwargs):
+        raise AssertionError("DaviesGenerator.build reached")
+
+    monkeypatch.setattr(DaviesGenerator, "build", build)
+    with pytest.raises(ValueError, match="beta > 0"):
+        gap_chain(QuantumDoubleModel(make_cyclic(2), TorusLattice(2)), 0.0)
 
 
 @pytest.fixture(scope="module", params=["Z2 cyl:v,0,1", "Z3 star"])

@@ -15,8 +15,9 @@ from qdlab.gap_tools import (
     recursion_bound,
 )
 from qdlab.linalg import ConvergenceError
-from qdlab.groups import group_by_name, make_cyclic
+from qdlab.groups import make_cyclic
 from qdlab.lattice import TorusLattice, parse_region, split_region
+from qdlab.peps import RegionNetwork
 from qdlab.quantum_double import QuantumDoubleModel
 from oracles import embed_by_digits
 
@@ -37,20 +38,13 @@ def test_dense_and_matrix_free_routes_agree():
         assert np.abs(p.apply(x) - got).max() < 1e-12
 
 
-@pytest.mark.parametrize("name, beta, expect", [
-    ("Z2", 0.0, 2.2139934371900896e-4),
-    ("Z2", -0.5, 2.2139934371900896e-4),
-    ("Z3", 0.0, 3.2949048981780897e-4),
-    ("Z3", -0.5, 3.2949048981780897e-4),
-])
-def test_projector_at_nonpositive_beta(name, beta, expect):
-    """At beta <= 0 the boundary weights are singular and P is taken from the span
-    of the network's reduced map; pinned to the values of the unweighted T."""
+@pytest.mark.parametrize("beta", [0.0, -0.5])
+@pytest.mark.parametrize("build", [RegionNetwork, RegionProjector])
+def test_region_maps_refuse_nonpositive_beta(build, beta):
+    """At beta <= 0 the boundary weights are singular: both region maps refuse to build."""
     lat = TorusLattice(3)
-    p = RegionProjector(QuantumDoubleModel(group_by_name(name), lat), parse_region(lat, "rect:0,0,1,1"), beta)
-    x = np.random.default_rng(0).standard_normal(p.dim)
-    assert p.rank == 1
-    assert x @ p.apply(x) / (x @ x) == pytest.approx(expect, rel=1e-12, abs=0)
+    with pytest.raises(ValueError, match="beta > 0"):
+        build(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,1,1"), beta)
 
 
 def test_martingale_measurement_rejects_the_trivial_group():

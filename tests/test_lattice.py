@@ -114,20 +114,13 @@ def test_split_abc_cols():
     assert set(s.r1.plaquettes()) & set(s.r2.plaquettes()) == set(s.parts["B"].plaquettes())
 
 
-def test_split_abcb_torus():
-    lat = TorusLattice(6)
-    r = Region(lat, TORUS)
-    s = split_region(r, "ABCB-torus", at=0, ell=2, at2=3)
-    assert all(part.kind == CYL_V for part in s.overlaps)
-    assert s.overlaps[0].a == 2 and s.overlaps[1].a == 2
-    assert set(s.r1.plaquettes()) | set(s.r2.plaquettes()) == set(r.plaquettes())
-
-
 def test_degenerate_split_rejected():
     lat = TorusLattice(5)
     r = Region(lat, RECT, x0=0, a=3, y0=0, b=1)
     with pytest.raises(GeometryError):
         split_region(r, "ABC-cols", at=0, ell=3)
+    with pytest.raises(GeometryError, match="unknown split pattern"):
+        split_region(Region(lat, TORUS), "ABCB-torus", at=0, ell=2)
 
 
 def test_parse_region():

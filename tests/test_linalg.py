@@ -4,13 +4,13 @@ import pytest
 from qdlab import linalg
 from qdlab.linalg import (
     ConvergenceError,
+    FeasibilityError,
     LinalgError,
     LinearMapHandle,
     dagger,
     hermitian_spectrum,
     kron,
     lowest_eigs_matrix_free,
-    orthonormal_columns,
     vectorize,
 )
 from oracles import devectorize, handle_from_dense, matrix_exp_hermitian, random_hermitian, random_state
@@ -128,6 +128,28 @@ class TestEigsMatrixFree:
         with pytest.raises(ConvergenceError):
             lowest_eigs_matrix_free(h, k=1)
 
+    def test_workspace_budget_is_checked_before_any_matvec(self, monkeypatch):
+        """A 2^20-dim solve needs 21 complex vectors of workspace (336 MiB): under a
+        64 MiB budget it raises FeasibilityError before the map is applied once."""
+        calls = []
+
+        def apply(x):
+            calls.append(1)
+            return x
+
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**26)
+        with pytest.raises(FeasibilityError, match=r"\(21, 1048576\)"):
+            lowest_eigs_matrix_free(LinearMapHandle(dim=2**20, apply=apply), k=1)
+        assert calls == []
+
+    def test_workspace_of_the_largest_solve_fits_the_default_budget(self):
+        """The martingale whole region of the smallest split has 2^20 doubled
+        dimensions; its solve workspace fits the default budget."""
+        vals = 2.0 + np.random.default_rng(4).random(2**20)
+        vals[0] = 1.0
+        h = LinearMapHandle(dim=vals.size, apply=lambda x: vals * x)
+        assert lowest_eigs_matrix_free(h, k=1, tol=1e-6)[0] == pytest.approx(1.0, abs=1e-6)
+
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["lowest", "largest"])
     def test_real_map_gets_real_vectors(self, sign):
         """A map whose image of the real start vector is real is solved in real
@@ -142,11 +164,3 @@ class TestEigsMatrixFree:
 
         found = sign * lowest_eigs_matrix_free(LinearMapHandle(dim=vals.size, apply=apply), k=1)[0]
         assert found == pytest.approx(vals.min() if sign > 0 else vals.max(), abs=1e-9)
-
-
-class TestProjectors:
-    def test_orthonormal_columns(self):
-        rng = np.random.default_rng(14)
-        v = rng.standard_normal((8, 3))
-        q = orthonormal_columns(v)
-        assert np.allclose(dagger(q) @ q, np.eye(3), atol=1e-12)
