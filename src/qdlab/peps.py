@@ -259,10 +259,6 @@ class RegionNetwork:
         self.edge_pos = {e: i for i, e in enumerate(self.edges)}
         self._build_graph()
         self._plans: dict = {}  # see `_plan`
-        self._bond_of = {}
-        for a, b in self.bonds:
-            self._bond_of[a] = b
-            self._bond_of[b] = a
 
     # -- graph construction ----------------------------------------------------
 
@@ -282,22 +278,17 @@ class RegionNetwork:
         return "east" if v == away else "west"
 
     def _build_graph(self):
-        lat, region = self.lattice, self.region
-        plaqs = set(region.plaquettes())
+        lat = self.lattice
         edge_set = set(self.edges)
-        self.bonds: list[tuple[tuple, tuple]] = []  # (out-leg, in-leg)
+        self._bond_name: dict[tuple, tuple] = {}  # each bonded leg -> the name its bond shares
         self.dangling_edge_pairs: dict[Edge, tuple[tuple, tuple]] = {}
         self.dangling_vertex_pairs: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
-        for p in plaqs:
-            ring = lat.edges_of_plaquette(p)  # [(top,+),(left,+),(bottom,-),(right,-)]
-            sides = [self._facing_side(e, p) for e, _ in ring]
-            for i in range(4):
-                e_cur, _ = ring[i]
-                e_nxt, _ = ring[(i + 1) % 4]
-                self.bonds.append(
-                    (self._pair_leg(e_cur, sides[i], "out"), self._pair_leg(e_nxt, sides[(i + 1) % 4], "in"))
-                )
+        for p in self.region.plaquettes():
+            # counterclockwise from the top edge: top, left, bottom, right
+            ring = [(e, self._facing_side(e, p)) for e, _ in lat.edges_of_plaquette(p)]
+            for cur, nxt in zip(ring, ring[1:] + ring[:1]):
+                self._bond(*cur, *nxt)
 
         for e in self.cls.boundary_edges:
             # the dangling pair faces the outside plaquette: south/east when gamma is inverted
@@ -306,31 +297,16 @@ class RegionNetwork:
 
         for v in self.cls.vertices:
             ring = lat.edges_of_star(v)
-            present = [(e, self._star_side(e, v)) for e, _ in ring if e in edge_set]
-            m = len(present)
-            if m == 4:
-                for i in range(4):
-                    e_cur, s_cur = present[i]
-                    e_nxt, s_nxt = present[(i + 1) % 4]
-                    self.bonds.append(
-                        (self._pair_leg(e_cur, s_cur, "out"), self._pair_leg(e_nxt, s_nxt, "in"))
-                    )
-                continue
-            # open chain: rotate the cyclic ring so it starts right after a gap
             flags = [e in edge_set for e, _ in ring]
-            start = next(i for i in range(4) if flags[i] and not flags[i - 1])
-            ordered = []
-            for off in range(4):
-                e, _ = ring[(start + off) % 4]
-                if e in edge_set:
-                    ordered.append((e, self._star_side(e, v)))
-            for (e_cur, s_cur), (e_nxt, s_nxt) in zip(ordered, ordered[1:]):
-                self.bonds.append(
-                    (self._pair_leg(e_cur, s_cur, "out"), self._pair_leg(e_nxt, s_nxt, "in"))
-                )
-            first_in = self._pair_leg(ordered[0][0], ordered[0][1], "in")
-            last_out = self._pair_leg(ordered[-1][0], ordered[-1][1], "out")
-            self.dangling_vertex_pairs[v] = (first_in, last_out)
+            # an open chain starts right after a gap in the cyclic ring
+            start = next((i for i in range(4) if flags[i] and not flags[i - 1]), 0)
+            chain = [(e, self._star_side(e, v)) for e, _ in ring[start:] + ring[:start] if e in edge_set]
+            closed = len(chain) == 4
+            for cur, nxt in zip(chain, chain[1:] + chain[:1] * closed):
+                self._bond(*cur, *nxt)
+            if not closed:
+                first_in, last_out = self._pair_leg(*chain[0], "in"), self._pair_leg(*chain[-1], "out")
+                self.dangling_vertex_pairs[v] = (first_in, last_out)
 
         self.reduced = ReducedBoundary(
             group=self.group,
@@ -338,14 +314,20 @@ class RegionNetwork:
             vertices=self.cls.boundary_vertices,
         )
 
+    def _bond(self, e_out: Edge, side_out: str, e_in: Edge, side_in: str) -> None:
+        """Bond the out-leg of e_out's pair on side_out to the in-leg of e_in's pair on side_in."""
+        a, b = self._pair_leg(e_out, side_out, "out"), self._pair_leg(e_in, side_in, "in")
+        self._bond_name[a] = self._bond_name[b] = ("bond", a, b)
+
     # -- tensors -----------------------------------------------------------------
 
     def _edge_array(self, e: Edge) -> tuple[np.ndarray, list[tuple]]:
+        """The edge tensor with its legs named; a bonded leg takes its bond's name."""
         i = self.edge_pos[e]
         legs = [(i, "ket"), (i, "pur")]
         for s in side_order(e.orientation):
             legs += [(i, s, "out"), (i, s, "in")]
-        return edge_tensor(self.group, self.beta), legs
+        return edge_tensor(self.group, self.beta), [self._bond_name.get(leg, leg) for leg in legs]
 
     def _reduction_nodes(self):
         """3-leg reduction tensors for every dangling pair, with the inverse boundary
@@ -398,12 +380,13 @@ class RegionNetwork:
         ]
         return data, legs
 
-    def _shared_axes(self, xl: list, yl: list) -> tuple[list[int], list[int]]:
-        """Axes of x and y joined by a bond, or by the same leg name (e.g. a vector's)."""
+    @staticmethod
+    def _shared_axes(xl: list, yl: list) -> tuple[list[int], list[int]]:
+        """Axes of x and y whose legs have the same name."""
         pos = {l: k for k, l in enumerate(xl)}
         ax_x, ax_y = [], []
         for k, leg in enumerate(yl):
-            a = pos.get(self._bond_of.get(leg, leg))
+            a = pos.get(leg)
             if a is not None:
                 ax_x.append(a)
                 ax_y.append(k)
@@ -412,13 +395,10 @@ class RegionNetwork:
     def _plan(self, nodes: list) -> tuple[tuple[int, int], ...]:
         """The merge steps for `nodes`, planned on first use and kept on the network.
 
-        They are keyed by each node's set of (leg, dim), with each bond folded to
-        one id; the output legs are those no two nodes share, so the key fixes them.
+        They are keyed by each node's set of (leg, dim); the output legs are those
+        no two nodes share, so the key fixes them.
         """
-        def canonical(leg):
-            return frozenset((leg, self._bond_of[leg])) if leg in self._bond_of else leg
-
-        key = tuple(frozenset(zip(map(canonical, legs), data.shape)) for data, legs in nodes)
+        key = tuple(frozenset(zip(legs, data.shape)) for data, legs in nodes)
         if key not in self._plans:
             self._plans[key] = plan_contraction(key)
         return self._plans[key]
@@ -426,12 +406,12 @@ class RegionNetwork:
     def _contract(self, nodes: list, out_legs: list) -> np.ndarray:
         """Pairwise contraction of `nodes`, each (data, legs); returns the array over `out_legs`.
 
-        Nodes are joined by bond or by leg name (e.g. an input vector's legs to
-        the physical or reduced legs of the bundles). The merges replay the
-        plan of `plan_contraction`, the order with the least multiply-adds plus
-        WRITE_COST per written entry (opt_einsum's combo cost, Smith & Gray,
-        JOSS 3(26):753, 2018), found by exact search over connected subsets
-        (Pfeifer, Haegeman & Verstraete, PRE 90, 033315, 2014).
+        Nodes are joined by leg name: a bond's two legs share one name, and an
+        input vector's legs take the names of the physical or reduced legs of
+        the bundles. The merges replay the plan of `plan_contraction`, the order
+        with the least multiply-adds plus WRITE_COST per written entry (opt_einsum's
+        combo cost, Smith & Gray, JOSS 3(26):753, 2018), found by exact search over
+        connected subsets (Pfeifer, Haegeman & Verstraete, PRE 90, 033315, 2014).
         """
         pool = list(nodes)
         for a, b in self._plan(nodes):

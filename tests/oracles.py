@@ -1,12 +1,12 @@
 """Independent dense and brute-force oracles the tests compare `qdlab` against.
 
 None of these has a production caller: each rebuilds a quantity from its
-definition (dense operators on l2(G) x l2(G), sums over every interior
-extension, matrix elements one at a time, the Davies dissipator on dense
-operators, the jumps from an eigendecomposition of the local terms) so that
-the structured code in `qdlab` can be checked against it. The last
-sections hold the small builders only the tests use: region families, dense
-handles and random matrices.
+definition (the Hamiltonian as a dense sum of its terms, dense operators on
+l2(G) x l2(G), sums over every interior extension, matrix elements one at a
+time, the Davies dissipator on dense operators, the jumps from an
+eigendecomposition of the local terms) so that the structured code in `qdlab`
+can be checked against it. The last sections hold the small builders only
+the tests use: region families, dense handles and random matrices.
 """
 
 from __future__ import annotations
@@ -31,9 +31,26 @@ from qdlab.lattice import (
     TorusLattice,
     classify_region,
 )
-from qdlab.linalg import LinalgError, LinearMapHandle, dagger, hermitian_spectrum, kron, require_fits, vectorize
+from qdlab.linalg import (
+    LinalgError, LinearMapHandle, dagger, hermitian_spectrum, kron, matrix_power_hermitian, require_fits, vectorize,
+)
 from qdlab.peps import WRITE_COST, RegionNetwork, star_leg_weights, weight_plaq
 from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
+
+
+# -- the quantum double Hamiltonian ----------------------------------------------------
+
+
+def hamiltonian_terms(model: QuantumDoubleModel) -> list[np.ndarray]:
+    """The embedded star and plaquette projectors of the terms inside the patch."""
+    return [model.star_operator(v, embed=True) for v in model.stars()] + [
+        model.plaquette_operator(p, embed=True) for p in model.plaquettes()
+    ]
+
+
+def hamiltonian_dense(model: QuantumDoubleModel) -> np.ndarray:
+    """H = -sum_v A(v) - sum_p B(p), the terms summed densely."""
+    return -sum(hamiltonian_terms(model), np.zeros((model.dim, model.dim)))
 
 
 # -- elementary phi / psi operators (dense, on l2(G) x l2(G)) --------------------
@@ -352,6 +369,17 @@ def iota(q: np.ndarray, rho_sqrt: np.ndarray) -> np.ndarray:
 
 def iota_inverse(v: np.ndarray, rho_sqrt_inv: np.ndarray) -> np.ndarray:
     return devectorize(v) @ rho_sqrt_inv
+
+
+def kernel_projector_oracle(model: QuantumDoubleModel, rho: np.ndarray, rest) -> np.ndarray:
+    """The orthogonal projector onto span{iota(E_ij x 1)} over the matrix units E_ij of
+    the edges at positions `rest`, embedded digit by digit."""
+    d = model.local_dim ** len(rest)
+    rho_sqrt = matrix_power_hermitian(rho, 0.5)
+    units = np.eye(d * d).reshape(d * d, d, d)
+    embedded = [embed_by_digits(u, rest, model.local_dim, model.n_edges) for u in units]
+    q = np.linalg.qr(np.column_stack([iota(u, rho_sqrt) for u in embedded]))[0]
+    return q @ dagger(q)
 
 
 def apply_dissipator(gen: DaviesGenerator, q: np.ndarray, edges=None) -> np.ndarray:

@@ -19,14 +19,16 @@ from qdlab.davies import (
     gap_chain,
     kms_rates,
     level_projectors,
+    local_gap_check,
     thermofield_vector,
 )
+from qdlab.gap_tools import complement_gap
 from qdlab.groups import group_by_name, make_cyclic
 from qdlab.lattice import TorusLattice, parse_region
 from qdlab.linalg import dagger, matrix_power_hermitian
 from qdlab.quantum_double import QuantumDoubleModel, gibbs_state
 from oracles import (
-    apply_dissipator, c2_explicit_basis, embed_by_digits, fourier_components_eigh, iota, iota_inverse,
+    apply_dissipator, c2_explicit_basis, fourier_components_eigh, iota, iota_inverse, kernel_projector_oracle,
     local_term_sum,
 )
 
@@ -208,14 +210,45 @@ def test_thermofield_double_is_in_the_kernel(patch):
 
 def test_kernel_projector_range_against_matrix_units(patch):
     """Pi_X for X = edges 1 and 2 of 4 projects onto span{iota(E_ij x 1_X)} over the
-    matrix units E_ij of edges 0 and 3, embedded digit by digit."""
+    matrix units E_ij of edges 0 and 3."""
     model, _, ht, rho = patch
     pi = IotaKernelProjector(model, rho, model.edge_list[1:3])
-    rho_sqrt = matrix_power_hermitian(rho, 0.5)
-    units = np.eye(16).reshape(16, 4, 4)
-    span = np.column_stack([iota(embed_by_digits(u, [0, 3], 2, 4), rho_sqrt) for u in units])
-    q = np.linalg.qr(span)[0]
-    assert np.abs(dense_of(pi.apply, ht.dim) - q @ dagger(q)).max() < TOL
+    assert np.abs(dense_of(pi.apply, ht.dim) - kernel_projector_oracle(model, rho, [0, 3])).max() < TOL
+
+
+def test_davies_gap_against_the_dense_spectrum(patch):
+    """H~ from its 256 columns has a 1-dim kernel; davies_gap is its lowest nonzero
+    eigenvalue (3.2436)."""
+    model, _, ht, rho = patch
+    vals = np.linalg.eigvalsh(dense_of(ht.apply, ht.dim))
+    assert np.count_nonzero(np.abs(vals) < 1e-9) == 1
+    assert davies_gap(ht, thermofield_vector(model, BETA, rho)) == pytest.approx(vals[1], rel=1e-9)
+
+
+def test_local_gap_check_against_the_dense_spectrum(patch):
+    """min_eig at edge 0 is the lowest eigenvalue of H~_e - bound (1 - Pi_e), both dense."""
+    model, gen, ht, rho = patch
+    e0 = model.edge_list[0]
+    check = local_gap_check(gen, ht, e0, rho)
+    h_e = dense_of(lambda x: ht.apply_edges(x, [e0]), ht.dim)
+    pi_e = kernel_projector_oracle(model, rho, [1, 2, 3])
+    expect = np.linalg.eigvalsh(h_e - check.bound * (np.eye(ht.dim) - pi_e))[0]
+    assert check.min_eig == pytest.approx(expect, abs=1e-9)
+
+
+def test_complement_gap_against_the_dense_spectrum(patch):
+    """sum_e Pi_e^perp over the four edges, dense, has a 1-dim kernel; complement_gap
+    with the thermofield double deflated is its lowest nonzero eigenvalue (0.7191)."""
+    model, _, ht, rho = patch
+    pis = [IotaKernelProjector(model, rho, (e,)) for e in model.edge_list]
+    n = model.n_edges
+    dense = sum(np.eye(ht.dim) - kernel_projector_oracle(model, rho, [j for j in range(n) if j != i])
+                for i in range(n))
+    vals = np.linalg.eigvalsh(dense)
+    assert np.count_nonzero(np.abs(vals) < 1e-9) == 1
+    gap, residual = complement_gap(pis, ht.dim, [thermofield_vector(model, BETA, rho)])
+    assert gap == pytest.approx(vals[1], rel=1e-9)
+    assert residual < TOL
 
 
 def test_edge_kernel_projector_is_an_orthogonal_projector(patch):

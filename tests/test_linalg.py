@@ -84,6 +84,12 @@ class TestEigsMatrixFree:
         h = handle_from_dense(np.diag([0.0, 0.5, 1.0, 1.5]))
         assert lowest_eigs_matrix_free(h, k=1)[0] == pytest.approx(0.0, abs=1e-9)
 
+    def test_exact_zero_is_found(self):
+        """diag(0, d) with d uniform in [1, 2]: an unshifted Lanczos solve returns min d, 1.00008."""
+        vals = np.concatenate([[0.0], np.random.default_rng(0).uniform(1.0, 2.0, 2**14 - 1)])
+        h = LinearMapHandle(dim=vals.size, apply=lambda x: vals * x)
+        assert lowest_eigs_matrix_free(h, k=1)[0] == pytest.approx(0.0, abs=1e-9)
+
     def test_agrees_with_dense(self):
         m = random_hermitian(200, 8)
         m = m @ dagger(m)  # PSD

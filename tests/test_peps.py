@@ -12,16 +12,12 @@ from qdlab.groups import FiniteGroup, make_cyclic, make_symmetric
 from qdlab.lattice import RECT, TORUS, Region, TorusLattice, parse_region
 from qdlab.linalg import FeasibilityError
 from qdlab.peps import RegionNetwork, edge_tensor, star_leg_weights, weight_plaq
-from qdlab.quantum_double import (
-    QuantumDoubleModel,
-    exp_minus_beta_h,
-    full_hamiltonian,
-    gamma_beta,
-    gibbs_state,
-)
+from qdlab.quantum_double import QuantumDoubleModel, gamma_beta, gibbs_state
 from oracles import (
     contract_region,
     edge_tensor_from_quarters,
+    hamiltonian_dense,
+    matrix_exp_hermitian,
     min_contraction_cost_oracle,
     plan_cost_oracle,
     plan_counts_oracle,
@@ -177,9 +173,9 @@ class TestRegionContraction:
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_pepo_equals_exponential(self, z2_model, beta):
-        asm = full_hamiltonian(z2_model)
+        """The torus network is the PEPO e^{-beta H / 2}, here from eigh of the dense H."""
         vec = contract_region(z2_model, Region(z2_model.lattice, TORUS), beta)
-        ref = exp_minus_beta_h(z2_model, beta, asm)
+        ref = matrix_exp_hermitian(hamiltonian_dense(z2_model), -beta / 2)
         assert np.abs(vec.reshape(256, 256) - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_single_edge_network_matches_edge_tensor(self):

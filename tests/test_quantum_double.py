@@ -4,15 +4,8 @@ import pytest
 from qdlab.groups import make_cyclic, make_symmetric
 from qdlab.lattice import Edge, TorusLattice
 from qdlab.linalg import FeasibilityError, dagger, hermitian_spectrum
-from qdlab.quantum_double import (
-    QuantumDoubleModel,
-    exp_minus_beta_h,
-    exp_projector_term,
-    full_hamiltonian,
-    gamma_beta,
-    gibbs_state,
-)
-from oracles import embed_by_digits, matrix_exp_hermitian
+from qdlab.quantum_double import QuantumDoubleModel, gamma_beta, gibbs_state
+from oracles import embed_by_digits, hamiltonian_dense, hamiltonian_terms, matrix_exp_hermitian
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.diag([1.0, -1.0])
@@ -24,8 +17,8 @@ def z2_model():
 
 
 @pytest.fixture(scope="module")
-def z2_assembly(z2_model):
-    return full_hamiltonian(z2_model)
+def z2_hamiltonian(z2_model):
+    return hamiltonian_dense(z2_model)
 
 
 def test_t_operator_identity_and_bitflip(z2_model):
@@ -90,8 +83,8 @@ def test_plaquette_projection_and_trace():
     assert np.trace(z3.plaquette_operator((0, 0))) == pytest.approx(27.0)
 
 
-def test_full_hamiltonian_spectrum(z2_model, z2_assembly):
-    h = z2_assembly.dense
+def test_full_hamiltonian_spectrum(z2_hamiltonian):
+    h = z2_hamiltonian
     assert h.shape == (256, 256)
     vals, _ = hermitian_spectrum(h)
     assert vals[0] == pytest.approx(-8.0, abs=1e-10)
@@ -100,8 +93,8 @@ def test_full_hamiltonian_spectrum(z2_model, z2_assembly):
     assert np.round(shifted).max() == 8 and np.round(shifted).min() == 0
 
 
-def test_all_terms_commute(z2_assembly):
-    terms = [t for _, t in z2_assembly.terms()]
+def test_all_terms_commute(z2_model):
+    terms = hamiltonian_terms(z2_model)
     worst = 0.0
     for i, a in enumerate(terms):
         for b in terms[i + 1 :]:
@@ -109,38 +102,28 @@ def test_all_terms_commute(z2_assembly):
     assert worst <= 1e-12
 
 
-def test_ground_space_dimension_toric_code(z2_assembly):
-    vals, _ = hermitian_spectrum(z2_assembly.dense)
+def test_ground_space_dimension_toric_code(z2_hamiltonian):
+    vals, _ = hermitian_spectrum(z2_hamiltonian)
     assert int(np.sum(vals < -8.0 + 1e-9)) == 4
 
 
-def test_gibbs_state(z2_model, z2_assembly):
-    rho = gibbs_state(z2_model, 2.0, z2_assembly)
+def test_gibbs_state(z2_model):
+    rho = gibbs_state(z2_model, 2.0)
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
     vals, _ = hermitian_spectrum(rho)
     assert vals[0] > 0
-    for _, term in z2_assembly.terms():
+    for term in hamiltonian_terms(z2_model):
         assert np.abs(rho @ term - term @ rho).max() < 1e-12
-    rho0 = gibbs_state(z2_model, 0.0, z2_assembly)
+    rho0 = gibbs_state(z2_model, 0.0)
     assert np.allclose(np.diag(rho0), 1.0 / 256)
 
 
-def test_exp_projector_term(z2_model):
-    a = z2_model.star_operator((0, 0))
-    assert np.allclose(exp_projector_term(a, 0.0), np.eye(16))
-    beta = 1.3
-    assert np.allclose(
-        exp_projector_term(a, beta), matrix_exp_hermitian(a, beta / 2), atol=1e-12
-    )
-    with pytest.raises(ValueError):
-        exp_projector_term(2 * a, beta)
-
-
-def test_exp_factorization(z2_model, z2_assembly):
-    beta = 0.7
-    lhs = exp_minus_beta_h(z2_model, beta, z2_assembly)
-    rhs = matrix_exp_hermitian(z2_assembly.dense, -beta / 2)
-    assert np.abs(lhs - rhs).max() < 1e-10 * np.abs(rhs).max()
+def test_exp_factorization(z2_model, z2_hamiltonian):
+    """The product of the factors 1 + (e^beta - 1) P_t against e^{-beta H} from eigh."""
+    for beta in (0.7, 2.5):
+        rhs = matrix_exp_hermitian(z2_hamiltonian, -beta)
+        rhs /= np.trace(rhs)
+        assert np.abs(gibbs_state(z2_model, beta) - rhs).max() < 1e-10 * np.abs(rhs).max()
 
 
 def test_gamma_beta():
@@ -162,6 +145,7 @@ def test_embedding_with_a_scrambled_support_order():
 
 
 def test_open_patch_hamiltonian():
+    """A patch that holds no whole star or plaquette has H = 0 and Gibbs state 1/d."""
     lat = TorusLattice(3)
     model = QuantumDoubleModel(make_cyclic(2), lat)
     patch_edges = tuple(
@@ -170,9 +154,7 @@ def test_open_patch_hamiltonian():
     patch = QuantumDoubleModel(model.group, lat, patch_edges)
     assert patch.stars() == []
     assert patch.plaquettes() == []
-    asm = full_hamiltonian(patch)
-    assert asm.n_terms == 0
-    assert np.allclose(asm.dense, 0.0)
+    assert np.array_equal(gibbs_state(patch, 1.0), np.eye(8) / 8)
 
 
 def test_gibbs_state_over_budget_is_refused():
