@@ -24,7 +24,7 @@ from .quantum_double import QuantumDoubleModel, gamma_beta
 # -- region ground projectors ---------------------------------------------------------
 
 
-DENSE_PROJECTOR_DIM = 2**15  # doubled dimension up to which RegionProjector holds W densely
+DENSE_PROJECTOR_DIM = 2**13  # doubled dimension up to which RegionProjector holds W densely
 
 
 class RegionProjector:

@@ -26,9 +26,10 @@ class FeasibilityError(RuntimeError):
 
 
 # The largest single dense array the package makes. It admits the largest array
-# of every certificate in the benchmark and the tests (512 MiB: the dense T of each
-# half of the smallest martingale split; the contraction steps of its matrix-free
-# whole region take 64 MiB) and refuses requests that would exhaust a desk machine.
+# of every certificate in the benchmark and the tests (512 MiB: the dense T of the
+# Z2 N=3 `rect:2,2,2,1` test region; the contraction steps of the matrix-free
+# whole region of the smallest martingale split, and the operand copies they
+# make, take 64 MiB) and refuses requests that would exhaust a desk machine.
 DENSE_BUDGET_BYTES = 2**31
 
 

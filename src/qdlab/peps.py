@@ -207,6 +207,195 @@ def plan_contraction(nodes: tuple[frozenset, ...]) -> tuple[tuple[int, int], ...
     return tuple(steps)
 
 
+# -- merge layouts -------------------------------------------------------------------
+
+# What a layout costs, in entries of a plain copy: about 2.5 ns each on a 2-vCPU
+# Xeon VM with 1 BLAS thread, for 2^23-entry arrays. A transposed copy runs near
+# that speed when the legs that end both orders hold 32 entries or more, and up
+# to 8 times slower when they hold fewer: one entry costs 1 + COPY_LOOP / run, at
+# most 8. One matrix of a batched product costs BATCH_COST: a batch of 2^16 took
+# 10 ms more than one product of the same size. An output its next step cannot
+# read as a view costs MISS per entry, the least that step's copy costs. From
+# LARGE entries on, a copied operand is also tried in its memory order, and a
+# batch whose other operand is that large is refused: each product of the batch
+# would stream all of it.
+COPY_LOOP = 16
+BATCH_COST = 64
+MISS = 2
+LARGE = 2**16
+WISH_DEPTH = 2
+
+
+@dataclass(frozen=True)
+class MergeLayout:
+    """How one pairwise step runs, on views of its operands: one matrix product, or
+    one per matrix of a batch.
+
+    The operand `view` is read in `view_order`, P + S + Q with S its legs shared
+    with `other`, and `other` in `other_order`, J + S or S + J. Each is copied
+    only when its memory is not in that order already (legs of dimension 1 are
+    free). The output's legs are P + J + Q ("mid"), P + Q + J ("end") or, when
+    Q is empty, J + P ("front"), then the free legs of dimension 1. With P and
+    Q both non-empty the product runs once per entry of P.
+    """
+
+    view: int
+    other: int
+    view_order: tuple
+    other_order: tuple
+    out_order: tuple
+    form: str
+
+
+def _contiguous(legs, order) -> bool:
+    at = [i for i, leg in enumerate(order) if leg in legs]
+    return not at or at[-1] - at[0] + 1 == len(at)
+
+
+def _copy_cost(src: tuple, dst: tuple, dims) -> float:
+    """What arranging legs in memory order `src` into `dst` costs; 0 for a view."""
+    if src == dst:
+        return 0
+    run = 1
+    for a, b in zip(reversed(src), reversed(dst)):
+        if a != b:
+            break
+        run *= dims[a]
+    return math.prod(dims[leg] for leg in src) * min(1 + COPY_LOOP / run, 8)
+
+
+def _misses(out: tuple, wish) -> float:
+    """How far `out` is from the wish of `_merge_choices`: 0 when it is kept."""
+    if isinstance(wish, tuple):
+        return float(out != wish)
+    missed = 0.0
+    for t, legs in enumerate(wish, 1):
+        if not _contiguous(legs, out):
+            missed += 1 / t
+        out = tuple(leg for leg in out if leg not in legs)
+    return missed
+
+
+def _merge_choices(lv: tuple, lc: tuple, dims, wish, when: dict):
+    """(cost, P, S, Q, J, other_order, form) for each way to merge the operand with
+    legs `lv` (the view) and the one with legs `lc`, legs of dimension 1 left out.
+
+    The cost counts the copies made now, the batch, and MISS per output entry if
+    the output is not laid out as `wish` asks. The wish is either (a tuple) the
+    final order or a list of leg sets, one per later step on the output's way:
+    each must be contiguous once the legs of the sets before it are gone, as
+    when every step before put its new legs elsewhere; the t-th set counts 1/t.
+    A copied operand's free legs are laid out for the wish: the legs of its
+    first set next to the contracted ones, the others by the step that
+    contracts them.
+    """
+    shared = set(lv) & set(lc)
+    size = lambda legs: math.prod(dims[leg] for leg in legs)
+    final = isinstance(wish, tuple)
+
+    def lay_out(free, large):
+        """Orders of the legs `free`, given in memory order, for the wish."""
+        if final:
+            orders = [tuple(leg for leg in wish if leg in free)] + [tuple(free)] * large
+        else:
+            near = [leg for leg in free if leg in wish[0]]
+            far = [leg for leg in free if leg not in wish[0]]
+            soon = sorted(far, key=lambda leg: when.get(leg, math.inf))
+            orders = [tuple(near + soon), tuple(soon[::-1] + near)] + [tuple(near + far), tuple(far + near)] * large
+        return list(dict.fromkeys(orders))
+
+    j_now = tuple(leg for leg in lc if leg not in shared)
+    c_large = size(lc) >= LARGE
+    at = [i for i, leg in enumerate(lv) if leg in shared]
+    splits = []
+    if _contiguous(shared, lv):
+        i = at[0] if at else 0
+        splits.append((lv[:i], lv[i : i + len(at)], lv[i + len(at) :]))
+    if not splits or (at and 0 < at[0] and at[-1] < len(lv) - 1 and c_large):
+        s = tuple(leg for leg in lc if leg in shared)
+        rests = lay_out([leg for leg in lv if leg not in shared], size(lv) >= LARGE)
+        splits += [split for rest in rests for split in (((), s, rest), (rest, s, ()))]
+    for p, s, q in splits:
+        v_cost = _copy_cost(lv, p + s + q, dims)
+        batch = size(p) if p and q else 0
+        if batch and c_large:
+            continue
+        if lc in (j_now + s, s + j_now):
+            others = [(j_now, lc)]
+        else:
+            others = [(j, order) for j in lay_out(j_now, c_large) for order in (j + s, s + j)[: 1 + c_large]]
+        for j, c_order in others:
+            base = v_cost + _copy_cost(lc, c_order, dims) + BATCH_COST * batch
+            for form in ("mid", "end" if q else "front"):
+                out = {"mid": p + j + q, "end": p + q + j, "front": j + p}[form]
+                yield base + MISS * size(out) * _misses(out, wish), p, s, q, j, c_order, form
+
+
+def plan_layouts(nodes: tuple, steps: tuple, out_legs: tuple) -> tuple[MergeLayout, ...]:
+    """A layout for each step of `steps` on `nodes`, each node given as its legs in
+    memory order paired with their dims; `out_legs` is the order of the result.
+
+    Step by step, in the plan's order, it takes the cheapest choice of
+    `_merge_choices` over both roles of the two operands. The wish for a step's
+    output looks WISH_DEPTH steps ahead on its way, or, for the last step, is
+    `out_legs`, so that step takes over the final transpose where it can. The
+    legs are numbered first, so that the search compares small ints.
+    """
+    names = list(dict.fromkeys([leg for node in nodes for leg, _ in node]))
+    number = {leg: i for i, leg in enumerate(names)}
+    dims = [1] * len(names)
+    for node in nodes:
+        for leg, d in node:
+            dims[number[leg]] = d
+    eff = lambda legs: tuple(leg for leg in legs if dims[leg] != 1)
+    pool = [tuple(number[leg] for leg, _ in node) for node in nodes]
+    sets = [set(legs) for legs in pool]
+    shared, when, step_of = [], {}, {}
+    for k, (a, b) in enumerate(steps):
+        sets.append(sets[a] ^ sets[b])
+        shared.append(sets[a] & sets[b])
+        when.update(dict.fromkeys(shared[k], k))
+        step_of[a] = step_of[b] = k
+
+    def wish(i: int):
+        """The final order for the last node, else the sets of legs that the next
+        WISH_DEPTH steps on the node's way contract."""
+        if i not in step_of:
+            return eff(number[leg] for leg in out_legs)
+        sets_ahead = []
+        while i in step_of and len(sets_ahead) < WISH_DEPTH:
+            sets_ahead.append(shared[step_of[i]])
+            i = len(nodes) + step_of[i]
+        return sets_ahead
+
+    layouts = []
+    for k, (a, b) in enumerate(steps):
+        best = None
+        for v, c in ((a, b), (b, a)):
+            for cost, *choice in _merge_choices(eff(pool[v]), eff(pool[c]), dims, wish(len(nodes) + k), when):
+                if best is None or cost < best[0]:
+                    best = (cost, v, c, *choice)
+        _, v, c, p, s, q, j, c_order, form = best
+        v_ones = tuple(leg for leg in pool[v] if dims[leg] == 1)
+        c_ones = tuple(leg for leg in pool[c] if dims[leg] == 1)
+        free = tuple(leg for leg in v_ones + c_ones if leg not in shared[k])
+        pool.append({"mid": p + j + q, "end": p + q + j, "front": j + p}[form] + free)
+        named = lambda legs: tuple(names[leg] for leg in legs)
+        layouts.append(MergeLayout(v, c, named(p + s + q + v_ones), named(c_order + c_ones), named(pool[-1]), form))
+    return tuple(layouts)
+
+
+def _arranged(data: np.ndarray, legs: list, order: tuple, dtype) -> np.ndarray:
+    """`data` with its legs in `order`: a view when its memory already is in that
+    order (legs of dimension 1 aside) and of `dtype`, else a budget-checked copy."""
+    at = {leg: k for k, leg in enumerate(legs)}
+    view = data.transpose([at[leg] for leg in order])
+    if view.dtype == dtype and view.flags.c_contiguous:
+        return view
+    linalg.require_fits(view.shape, dtype)
+    return np.ascontiguousarray(view, dtype=dtype)
+
+
 # -- region networks --------------------------------------------------------------
 
 @dataclass
@@ -239,9 +428,13 @@ class RegionNetwork:
     Every map contracts one node per edge (its tensor with the reduction nodes
     of its dangling pairs, built once per network) and, for t_apply and
     t_dagger_apply, the input vector, pairwise in the cheapest order under
-    opt_einsum's combo cost (see `_contract`). The network plans that order
-    once per set of input shapes and replays it on every later call; each
-    step is checked against the dense budget before it allocates.
+    opt_einsum's combo cost (see `_contract`). Each pairwise step multiplies
+    views of its operands, as one matrix product or one per matrix of a batch,
+    with the legs of every intermediate laid out for the steps that contract
+    them next (`plan_layouts`), so an operand is copied only where no layout
+    avoids it. The network plans the order and the layouts once per set of
+    input shapes and replays them on every later call; each step, and each
+    copy it makes, is checked against the dense budget before it allocates.
     """
 
     def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):
@@ -259,6 +452,7 @@ class RegionNetwork:
         self.edge_pos = {e: i for i, e in enumerate(self.edges)}
         self._build_graph()
         self._plans: dict = {}  # see `_plan`
+        self._layouts: dict = {}  # see `_contract`
 
     # -- graph construction ----------------------------------------------------
 
@@ -362,35 +556,41 @@ class RegionNetwork:
         bundles = [self._edge_array(e) for e in self.edges]
         for data, legs in self._reduction_nodes():
             i = max(l[0] for l in legs if l[0] != "red")
-            bundles[i] = self._merge(bundles[i], (data, legs))
+            pair = [bundles[i], (data, legs)]
+            out = [l for l in bundles[i][1] if l not in legs] + [l for l in legs if l not in bundles[i][1]]
+            (layout,) = plan_layouts(self._layout_key(pair), ((0, 1),), tuple(out))
+            bundles[i] = self._merge(pair[layout.view], pair[layout.other], layout)
         return bundles
 
-    def _merge(self, x, y):
-        xd, xl = x
-        yd, yl = y
-        ax_x, ax_y = self._shared_axes(xl, yl)
-        linalg.require_fits(
-            [d for k, d in enumerate(xd.shape) if k not in ax_x]
-            + [d for k, d in enumerate(yd.shape) if k not in ax_y],
-            np.result_type(xd, yd),
-        )
-        data = np.tensordot(xd, yd, axes=(ax_x, ax_y))
-        legs = [l for k, l in enumerate(xl) if k not in ax_x] + [
-            l for k, l in enumerate(yl) if k not in ax_y
-        ]
-        return data, legs
-
     @staticmethod
-    def _shared_axes(xl: list, yl: list) -> tuple[list[int], list[int]]:
-        """Axes of x and y whose legs have the same name."""
-        pos = {l: k for k, l in enumerate(xl)}
-        ax_x, ax_y = [], []
-        for k, leg in enumerate(yl):
-            a = pos.get(leg)
-            if a is not None:
-                ax_x.append(a)
-                ax_y.append(k)
-        return ax_x, ax_y
+    def _merge(view, other, layout: MergeLayout):
+        """One planned step: views of the operands, arranged as `layout` says, and one
+        matrix product, or one per matrix of the batch P. Every array it makes, a
+        copy of an operand included, is checked against the dense budget first."""
+        (vd, vl), (cd, cl) = view, other
+        dtype = np.result_type(vd, cd)
+        dims = dict(zip(vl, vd.shape)) | dict(zip(cl, cd.shape))
+        shared = set(vl) & set(cl)
+        vd = _arranged(vd, vl, layout.view_order, dtype)
+        cd = _arranged(cd, cl, layout.other_order, dtype)
+        at = [i for i, leg in enumerate(layout.view_order) if leg in shared and dims[leg] != 1]
+        p = math.prod(vd.shape[: at[0]]) if at else 1
+        s = math.prod(dims[leg] for leg in shared)
+        q, j = vd.size // (p * s), cd.size // s
+        c = cd.reshape(s, j).T if layout.other_order and layout.other_order[0] in shared else cd.reshape(j, s)
+        out_shape = [dims[leg] for leg in layout.out_order]
+        linalg.require_fits(out_shape, dtype)
+        if layout.form == "front":  # J + P, with Q of one entry
+            out = c @ (vd.reshape(s, q) if p == 1 else vd.reshape(p, s).T)
+        elif q == 1:
+            out = vd.reshape(p, s) @ c.T
+        elif p == 1:
+            out = c @ vd.reshape(s, q) if layout.form == "mid" else vd.reshape(s, q).T @ c.T
+        elif layout.form == "mid":
+            out = np.matmul(c, vd.reshape(p, s, q))
+        else:
+            out = np.matmul(vd.reshape(p, s, q).transpose(0, 2, 1), c.T)
+        return out.reshape(out_shape), list(layout.out_order)
 
     def _plan(self, nodes: list) -> tuple[tuple[int, int], ...]:
         """The merge steps for `nodes`, planned on first use and kept on the network.
@@ -403,6 +603,10 @@ class RegionNetwork:
             self._plans[key] = plan_contraction(key)
         return self._plans[key]
 
+    @staticmethod
+    def _layout_key(nodes: list) -> tuple:
+        return tuple(tuple(zip(legs, data.shape)) for data, legs in nodes)
+
     def _contract(self, nodes: list, out_legs: list) -> np.ndarray:
         """Pairwise contraction of `nodes`, each (data, legs); returns the array over `out_legs`.
 
@@ -412,17 +616,27 @@ class RegionNetwork:
         with the least multiply-adds plus WRITE_COST per written entry (opt_einsum's
         combo cost, Smith & Gray, JOSS 3(26):753, 2018), found by exact search over
         connected subsets (Pfeifer, Haegeman & Verstraete, PRE 90, 033315, 2014).
+        Each merge multiplies views of its operands as matrices, batched over the
+        leading legs of one operand when its contracted legs sit in the middle,
+        without the transposed copies of `np.tensordot` (Matthews, SIAM J. Sci.
+        Comput. 40(1), 2018). The legs of each output are laid out by
+        `plan_layouts` for the steps that contract them next, and the last one
+        for `out_legs`; those layouts are planned once per set of input shapes,
+        with the plan. An operand is copied only where no layout avoids it.
         """
+        steps = self._plan(nodes)
+        key = (self._layout_key(nodes), tuple(out_legs))
+        if key not in self._layouts:
+            self._layouts[key] = plan_layouts(key[0], steps, key[1])
         pool = list(nodes)
-        for a, b in self._plan(nodes):
-            pool.append(self._merge(pool[a], pool[b]))
-            pool[a] = pool[b] = None
-        acc_data, acc_legs = pool[-1]
-        remaining = set(acc_legs) - set(out_legs)
+        for layout in self._layouts[key]:
+            pool.append(self._merge(pool[layout.view], pool[layout.other], layout))
+            pool[layout.view] = pool[layout.other] = None
+        data, legs = pool[-1]
+        remaining = set(legs) - set(out_legs)
         if remaining:
             raise RuntimeError(f"unconsumed legs after contraction: {remaining}")
-        perm = [acc_legs.index(l) for l in out_legs]
-        return acc_data.transpose(perm)
+        return _arranged(data, legs, out_legs, data.dtype)
 
     def _phys_legs(self) -> list:
         return [(self.edge_pos[e], "ket") for e in self.edges] + [

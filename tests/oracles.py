@@ -34,7 +34,7 @@ from qdlab.lattice import (
 from qdlab.linalg import (
     LinalgError, LinearMapHandle, dagger, hermitian_spectrum, kron, matrix_power_hermitian, require_fits, vectorize,
 )
-from qdlab.peps import WRITE_COST, RegionNetwork, star_leg_weights, weight_plaq
+from qdlab.peps import WRITE_COST, RegionNetwork, plan_contraction, star_leg_weights, weight_plaq
 from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
 
 
@@ -350,6 +350,78 @@ def min_contraction_cost_oracle(nodes) -> int:
         + min_contraction_cost_oracle([n for k, n in enumerate(nodes) if k not in (i, j)] + [nodes[i] ^ nodes[j]])
         for i, j in itertools.combinations(range(len(nodes)), 2)
     )
+
+
+def _tensordot(x: tuple, y: tuple) -> tuple:
+    (xd, xl), (yd, yl) = x, y
+    shared = [leg for leg in yl if leg in xl]
+    data = np.tensordot(xd, yd, axes=([xl.index(leg) for leg in shared], [yl.index(leg) for leg in shared]))
+    return data, [leg for leg in xl if leg not in shared] + [leg for leg in yl if leg not in shared]
+
+
+def _tensordot_contraction(net: RegionNetwork, start: tuple, out_legs: list) -> np.ndarray:
+    """The network's edge tensors, its reduction nodes and the input node `start`,
+    contracted with `np.tensordot`: each reduction node into the edge holding its
+    last leg, then the bundles and `start` pairwise in the order
+    `plan_contraction` gives; the result is transposed to `out_legs`."""
+    pool = [net._edge_array(e) for e in net.edges]
+    for data, legs in net._reduction_nodes():
+        i = max(leg[0] for leg in legs if leg[0] != "red")
+        pool[i] = _tensordot(pool[i], (data, legs))
+    pool.append(start)
+    for a, b in plan_contraction(tuple(frozenset(zip(legs, data.shape)) for data, legs in pool)):
+        pool.append(_tensordot(pool[a], pool[b]))
+    data, legs = pool[-1]
+    return data.transpose([legs.index(leg) for leg in out_legs])
+
+
+def t_apply_oracle(net: RegionNetwork, y: np.ndarray) -> np.ndarray:
+    """T y for a vector or a block of columns, through `_tensordot_contraction`."""
+    cols = y.reshape(net.reduced.dim, -1)
+    data = cols.reshape(net.reduced.shape() + (cols.shape[1],))
+    out = _tensordot_contraction(net, (data, net._red_legs() + [("batch",)]), net._phys_legs() + [("batch",)])
+    return out.reshape((net.phys_dim,) + y.shape[1:])
+
+
+def t_dagger_apply_oracle(net: RegionNetwork, x: np.ndarray) -> np.ndarray:
+    """T^dagger x for a vector or a block of columns, through `_tensordot_contraction`."""
+    cols = x.conj().reshape(net.phys_dim, -1)
+    data = cols.reshape((net.group.order,) * (2 * len(net.edges)) + (cols.shape[1],))
+    out = _tensordot_contraction(net, (data, net._phys_legs() + [("batch",)]), net._red_legs() + [("batch",)])
+    return out.conj().reshape((net.reduced.dim,) + x.shape[1:])
+
+
+def layout_copies_oracle(nodes: tuple, layouts: tuple, out_legs: tuple) -> list[int]:
+    """Entries copied by each planned step under its layouts, then by the final
+    arrangement into `out_legs`, replayed on leg orders alone.
+
+    `nodes` holds each node's legs in memory order with their dims, as the keys of
+    `RegionNetwork._layouts` do. An operand is copied when its legs, those of
+    dimension 1 left out, are not in the order its step reads them in. Each
+    layout is checked on the way: the view's shared legs are contiguous, the
+    other operand has them at one end in the view's order, and the output
+    holds the legs of the two that they do not share.
+    """
+    dims = {leg: d for node in nodes for leg, d in node}
+    nontrivial = lambda order: [leg for leg in order if dims[leg] != 1]
+    pool = [[leg for leg, _ in node] for node in nodes]
+    copies = []
+    for lay in layouts:
+        view, other = pool[lay.view], pool[lay.other]
+        assert set(lay.view_order) == set(view) and len(lay.view_order) == len(view)
+        assert set(lay.other_order) == set(other) and len(lay.other_order) == len(other)
+        v, c = nontrivial(lay.view_order), nontrivial(lay.other_order)
+        shared = [leg for leg in v if leg in other]
+        start = v.index(shared[0]) if shared else 0
+        assert v[start : start + len(shared)] == shared
+        assert c[: len(shared)] == shared or c[len(c) - len(shared) :] == shared
+        assert set(lay.out_order) == set(view) ^ set(other)
+        copies.append(sum(math.prod(dims[leg] for leg in order)
+                          for now, order in ((view, lay.view_order), (other, lay.other_order))
+                          if nontrivial(now) != nontrivial(order)))
+        pool.append(list(lay.out_order))
+    copies.append(math.prod(dims[leg] for leg in out_legs) if nontrivial(pool[-1]) != nontrivial(out_legs) else 0)
+    return copies
 
 
 # -- the Davies generator on dense operators -------------------------------------------

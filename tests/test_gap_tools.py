@@ -47,6 +47,18 @@ def test_region_maps_refuse_nonpositive_beta(build, beta):
         build(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,1,1"), beta)
 
 
+def test_martingale_split_halves_take_the_network_route():
+    """The 2^14-dim halves of the smallest martingale split are above DENSE_PROJECTOR_DIM
+    and hold no dense W; the split's 256-dim overlap keeps it."""
+    lat = TorusLattice(4)
+    model = QuantumDoubleModel(make_cyclic(2), lat)
+    split = split_region(parse_region(lat, "rect:0,0,3,1"), "ABC-cols", 1, 1)
+    half = RegionProjector(model, split.r1, 1.0)
+    assert half.dim == 2**14
+    assert half._w is None
+    assert RegionProjector(model, split.overlaps[0], 1.0)._w is not None
+
+
 def test_martingale_measurement_rejects_the_trivial_group():
     lat = TorusLattice(4)
     split = split_region(parse_region(lat, "rect:0,0,3,1"), "ABC-cols", 1, 1)

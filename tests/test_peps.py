@@ -17,10 +17,13 @@ from oracles import (
     contract_region,
     edge_tensor_from_quarters,
     hamiltonian_dense,
+    layout_copies_oracle,
     matrix_exp_hermitian,
     min_contraction_cost_oracle,
     plan_cost_oracle,
     plan_counts_oracle,
+    t_apply_oracle,
+    t_dagger_apply_oracle,
     v_matrix,
     weight_star,
 )
@@ -194,15 +197,27 @@ class TestRegionContraction:
         assert np.allclose(t.T @ (t @ y), gram_t @ y, atol=1e-10)
 
     @staticmethod
-    def _assert_applies_match_t_matrix(net):
-        t = net.t_matrix()
+    def _assert_applies_match(net, t_apply, t_dagger_apply, cases=((None, 0), (1, 1), (3, 1))):
+        """Vectors and blocks of 1 and 3 columns, real (imag 0) and complex (imag 1):
+        the legs leave each merge in planned orders, which a wrong permutation breaks."""
         rng = np.random.default_rng(1)
-        y = rng.standard_normal(t.shape[1])
-        assert np.allclose(net.t_apply(y), t @ y, atol=1e-11)
-        x = rng.standard_normal(t.shape[0])
-        assert np.allclose(net.t_dagger_apply(x), t.T @ x, atol=1e-11)
-        xs = rng.standard_normal((t.shape[0], 2))
-        assert np.allclose(net.t_dagger_apply(xs), t.T @ xs, atol=1e-11)
+        for width, imag in cases:
+            shape = (lambda dim: (dim,)) if width is None else (lambda dim: (dim, width))
+            draw = lambda dim: rng.standard_normal(shape(dim)) + imag * 1j * rng.standard_normal(shape(dim))
+            y, x = draw(net.reduced.dim), draw(net.phys_dim)
+            if not imag:
+                y, x = y.real, x.real
+            got_y, got_x = net.t_apply(y), net.t_dagger_apply(x)
+            assert got_y.shape == shape(net.phys_dim) and got_x.shape == shape(net.reduced.dim)
+            assert np.allclose(got_y, t_apply(y), atol=1e-11)
+            assert np.allclose(got_x, t_dagger_apply(x), atol=1e-11)
+
+    def _assert_applies_match_t_matrix(self, net):
+        t = net.t_matrix()
+        # real and imaginary parts apart, so that no complex copy of t is made
+        self._assert_applies_match(
+            net, lambda y: t @ y.real + 1j * (t @ y.imag), lambda x: t.T @ x.real + 1j * (t.T @ x.imag)
+        )
 
     def test_t_apply_matches_t_matrix(self):
         grp = make_cyclic(2)
@@ -214,6 +229,21 @@ class TestRegionContraction:
         lat = TorusLattice(3)
         model = QuantumDoubleModel(make_cyclic(3), lat)
         self._assert_applies_match_t_matrix(RegionNetwork(model, parse_region(lat, "rect:0,0,1,1"), 1.0))
+
+    def test_t_apply_matches_t_matrix_across_the_wrap(self):
+        lat = TorusLattice(3)
+        model = QuantumDoubleModel(make_cyclic(2), lat)
+        self._assert_applies_match_t_matrix(RegionNetwork(model, parse_region(lat, "rect:2,2,2,1"), 1.0))
+
+    def test_applies_match_a_tensordot_contraction_on_a_cylinder(self):
+        """Z2 N=3 `cyl:v,0,1`, whose dense T (2^18 x 2^12) is above the budget: the
+        reference is the network contracted with `np.tensordot` in the planned order,
+        on one complex column (each apply takes about a second)."""
+        lat = TorusLattice(3)
+        net = RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "cyl:v,0,1"), 1.0)
+        self._assert_applies_match(
+            net, lambda y: t_apply_oracle(net, y), lambda x: t_dagger_apply_oracle(net, x), cases=((1, 1),)
+        )
 
     def test_martingale_region_fits_a_quarter_gib_budget(self, monkeypatch):
         """The whole region of the smallest martingale split (2^20 doubled dims): the
@@ -261,6 +291,29 @@ class TestRegionContraction:
         torus._plan([torus._edge_array(e) for e in torus.edges])
         ((nodes, steps),) = torus._plans.items()
         assert max(w for _, w in plan_counts_oracle(nodes, steps)) <= 2**24
+
+    def test_martingale_region_layouts_copy_little(self):
+        """Counts, not times: under the planned layouts T y plus T^dagger x on the
+        martingale region copy at most 4.0e7 entries; `np.tensordot` in the same
+        order copied 6.2e7."""
+        net = self._martingale_region_network()
+        net.t_apply(np.zeros(net.reduced.dim))
+        net.t_dagger_apply(np.zeros(net.phys_dim))
+        assert len(net._layouts) == 2
+        copies = [sum(layout_copies_oracle(nodes, layouts, out)) for (nodes, out), layouts in net._layouts.items()]
+        assert sum(copies) <= 4.0e7
+
+    def test_operand_copy_over_budget_is_refused_before_it_is_made(self, monkeypatch):
+        """T^dagger x on the martingale region copies x (2^20 float64 entries, 8 MiB)
+        into the order of its first merge; under a 6 MiB budget every step before
+        fits, and that copy is refused by the budget check ahead of it."""
+        net = self._martingale_region_network()
+        net._bundles
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 6 * 2**20)
+        with pytest.raises(FeasibilityError, match=r"needs 0\.00781 GiB") as info:
+            net.t_dagger_apply(np.ones(net.phys_dim))
+        names = [entry.name for entry in info.traceback]
+        assert names[-3:] == ["_merge", "_arranged", "require_fits"]
 
     @pytest.mark.parametrize("group", [make_cyclic(2), make_cyclic(3)], ids=["Z2", "Z3"])
     def test_plan_has_the_brute_force_minimum_cost(self, group):
