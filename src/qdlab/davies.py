@@ -42,7 +42,7 @@ class CouplingSet:
     """Per-edge Hermitian jump operators; identical on every edge (translation invariant)."""
 
     operators: tuple[np.ndarray, ...]
-    label: str = "matrix-units"
+    label: str = "custom"
 
 
 def hermitian_unit_basis(d: int) -> list[np.ndarray]:
@@ -77,7 +77,7 @@ def commutant_dimension(operators) -> int:
 
 
 def default_coupling(group: FiniteGroup) -> CouplingSet:
-    return CouplingSet(operators=tuple(hermitian_unit_basis(group.order)))
+    return CouplingSet(operators=tuple(hermitian_unit_basis(group.order)), label="matrix-units")
 
 
 def validate_coupling(operators) -> None:
@@ -452,10 +452,11 @@ class GapChainReport:
     seed: int
 
 
-def final_link_passed(gap_l: float, final_bound: float, gap_parent: float, tol: float) -> bool:
-    """gap(L) >= final_bound, with the parent gap resolved above the eigensolver
-    tolerance `tol`; a parent gap at roundoff level (either sign) fails."""
-    return gap_parent > tol and final_bound > 0 and gap_l >= final_bound - 1e-9
+def parent_link_passed(lhs: float, rhs: float, gap_parent: float, tol: float) -> bool:
+    """lhs >= rhs for a link whose rhs is a positive multiple of the parent gap,
+    with that gap resolved above the eigensolver tolerance `tol`; a parent gap at
+    roundoff level (either sign) fails."""
+    return gap_parent > tol and rhs > 0 and lhs >= rhs - 1e-9
 
 
 def gap_chain(
@@ -463,12 +464,11 @@ def gap_chain(
     beta: float,
     coupling: CouplingSet | None = None,
     rates: RateFunction | None = None,
-    n_parent: int = 2,
     seed: int = 0,
     tol: float = 1e-7,
 ) -> GapChainReport:
     """Numerically certify every link of the Davies-to-parent-Hamiltonian chain."""
-    from .gap_tools import complement_gap, n_beta, parent_hamiltonian
+    from .gap_tools import PARENT_MAX_SIDE, complement_gap, n_beta, parent_hamiltonian
 
     if model.edges is not None:
         raise FeasibilityError("the gap chain runs on the full torus model")
@@ -485,8 +485,7 @@ def gap_chain(
     pis = {e: IotaKernelProjector(model, rho, (e,)) for e in model.edge_list}
     gap_pi, pi_tfd_residual = complement_gap(list(pis.values()), ht.dim, [tfd], seed=seed, tol=tol)
 
-    # parent Hamiltonian on the torus with rectangles up to n_parent per side
-    ph = parent_hamiltonian(model, beta, n_max=n_parent)
+    ph = parent_hamiltonian(model, beta)
     m_count = ph.max_terms_per_edge()
     gap_par, tfd_residual = complement_gap(ph.projectors, ph.dim, [tfd], seed=seed + 1, tol=tol)
 
@@ -534,14 +533,15 @@ def gap_chain(
     rhs3 = gap_par / max(m_count, 1)
     ineqs.append(
         ChainInequality(name="gap(sum Pi_perp) >= gap(H_parent)/m",
-                        lhs=gap_pi, rhs=rhs3, sense=">=", passed=gap_pi >= rhs3 - 1e-9,
+                        lhs=gap_pi, rhs=rhs3, sense=">=",
+                        passed=parent_link_passed(gap_pi, rhs3, gap_par, tol),
                         note=f"m={m_count}, parent kernel residual {tfd_residual:.2e}")
     )
     final_bound = local_pref * gap_par / max(m_count, 1)
     ineqs.append(
         ChainInequality(name="final: gap(L) >= c gap(H_parent)/m > 0",
                         lhs=gap_l, rhs=final_bound, sense=">=",
-                        passed=final_link_passed(gap_l, final_bound, gap_par, tol))
+                        passed=parent_link_passed(gap_l, final_bound, gap_par, tol))
     )
     passed = all(iq.passed for iq in ineqs)
     return GapChainReport(
@@ -550,7 +550,7 @@ def gap_chain(
         beta=beta,
         coupling=gen.coupling.label,
         rate_form=gen.rates.form,
-        n_parent=n_parent,
+        n_parent=PARENT_MAX_SIDE,
         constants={
             "C1": lg.c1, "C2": lg.c2, "g_min": lg.g_min, "n_omega": lg.n_omega,
             "m_X": m_count, "n_beta": n_beta(beta, model.group.order),

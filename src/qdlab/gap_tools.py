@@ -40,8 +40,6 @@ class RegionProjector:
 
     def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):
         self.model = model
-        self.region = region
-        self.beta = beta
         self.net = RegionNetwork(model, region, beta)
         self.edges = self.net.edges
         self.dim = self.net.phys_dim
@@ -241,11 +239,13 @@ def recursion_bound(r: int, delta_fn) -> RecursionBound:
 # -- parent Hamiltonian ---------------------------------------------------------------------
 
 
+# Sides of the parent Hamiltonian's rectangles go up to this. The gap chain fits
+# only on the Z2 N=2 torus, where `rectangles_up_to` caps each side at N - 1 = 1.
+PARENT_MAX_SIDE = 2
+
+
 @dataclass
 class ParentHamiltonian:
-    model: QuantumDoubleModel
-    beta: float
-    n_max: int
     family: list[Region]
     projectors: list[EmbeddedProjector]
     ambient_edges: list
@@ -258,15 +258,12 @@ class ParentHamiltonian:
         return worst
 
 
-def parent_hamiltonian(model: QuantumDoubleModel, beta: float, n_max: int = 2) -> ParentHamiltonian:
-    """H = sum_X P_X^perp over the rectangles X of the torus with sides in [1, n_max]."""
+def parent_hamiltonian(model: QuantumDoubleModel, beta: float) -> ParentHamiltonian:
+    """H = sum_X P_X^perp over the rectangles X of the torus with sides in [1, PARENT_MAX_SIDE]."""
     ambient = list(model.lattice.edges())
-    family = rectangles_up_to(model.lattice, n_max)
+    family = rectangles_up_to(model.lattice, PARENT_MAX_SIDE)
     projectors = [EmbeddedProjector(RegionProjector(model, x, beta), ambient) for x in family]
     return ParentHamiltonian(
-        model=model,
-        beta=beta,
-        n_max=n_max,
         family=family,
         projectors=projectors,
         ambient_edges=ambient,

@@ -29,8 +29,6 @@ class FiniteGroup:
     mul: np.ndarray
     inv: np.ndarray
     label: str = "G"
-    identity: int = 0
-    _classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, default=())
     _abelian: bool = field(init=False, repr=False, default=False)
 
     def __post_init__(self):
@@ -40,7 +38,6 @@ class FiniteGroup:
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "inv", np.asarray(self.inv, dtype=np.int64))
         self._validate()
-        object.__setattr__(self, "_classes", self._conjugacy_classes())
         object.__setattr__(self, "_abelian", bool(np.array_equal(mul, mul.T)))
 
     # -- validation -------------------------------------------------------
@@ -80,7 +77,7 @@ class FiniteGroup:
         """g a g^{-1}."""
         return self.mul[self.mul[g, a], self.inv[g]]
 
-    def _conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         seen = set()
         classes = []
         for a in range(self.order):
@@ -90,9 +87,6 @@ class FiniteGroup:
             seen |= cls
             classes.append(tuple(sorted(cls)))
         return tuple(classes)
-
-    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        return self._classes
 
     def prod(self, elements) -> int:
         """Left-to-right product of a sequence of element indices."""

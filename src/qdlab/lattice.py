@@ -225,9 +225,7 @@ class RegionSplit:
     whole: Region
     r1: Region
     r2: Region
-    parts: dict = field(hash=False)
-    overlaps: tuple[Region, ...] = ()
-    ell: int = 0
+    overlaps: tuple[Region, ...]
 
 
 def split_region(region: Region, pattern: str, at: int, ell: int) -> RegionSplit:
@@ -252,9 +250,7 @@ def split_region(region: Region, pattern: str, at: int, ell: int) -> RegionSplit
             return Region(lat, RECT, x0=(region.x0 + offset) % N, a=length, y0=region.y0, b=region.b)
         return Region(lat, RECT, x0=region.x0, a=region.a, y0=(region.y0 + offset) % N, b=length)
 
-    a_part, b_part, c_part = band(0, at), band(at, ell), band(at + ell, width - at - ell)
-    r1, r2 = band(0, at + ell), band(at, width - at)
-    return RegionSplit(region, r1, r2, {"A": a_part, "B": b_part, "C": c_part}, (b_part,), ell)
+    return RegionSplit(region, band(0, at + ell), band(at, width - at), (band(at, ell),))
 
 
 def parse_region(lattice: TorusLattice, spec: str) -> Region:

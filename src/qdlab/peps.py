@@ -451,7 +451,6 @@ class RegionNetwork:
         self.edges = list(self.cls.edges)
         self.edge_pos = {e: i for i, e in enumerate(self.edges)}
         self._build_graph()
-        self._plans: dict = {}  # see `_plan`
         self._layouts: dict = {}  # see `_contract`
 
     # -- graph construction ----------------------------------------------------
@@ -592,17 +591,6 @@ class RegionNetwork:
             out = np.matmul(vd.reshape(p, s, q).transpose(0, 2, 1), c.T)
         return out.reshape(out_shape), list(layout.out_order)
 
-    def _plan(self, nodes: list) -> tuple[tuple[int, int], ...]:
-        """The merge steps for `nodes`, planned on first use and kept on the network.
-
-        They are keyed by each node's set of (leg, dim); the output legs are those
-        no two nodes share, so the key fixes them.
-        """
-        key = tuple(frozenset(zip(legs, data.shape)) for data, legs in nodes)
-        if key not in self._plans:
-            self._plans[key] = plan_contraction(key)
-        return self._plans[key]
-
     @staticmethod
     def _layout_key(nodes: list) -> tuple:
         return tuple(tuple(zip(legs, data.shape)) for data, legs in nodes)
@@ -621,12 +609,12 @@ class RegionNetwork:
         without the transposed copies of `np.tensordot` (Matthews, SIAM J. Sci.
         Comput. 40(1), 2018). The legs of each output are laid out by
         `plan_layouts` for the steps that contract them next, and the last one
-        for `out_legs`; those layouts are planned once per set of input shapes,
-        with the plan. An operand is copied only where no layout avoids it.
+        for `out_legs`. Order and layouts are planned together, once per set of
+        input shapes and `out_legs`. An operand is copied only where no layout avoids it.
         """
-        steps = self._plan(nodes)
         key = (self._layout_key(nodes), tuple(out_legs))
         if key not in self._layouts:
+            steps = plan_contraction(tuple(frozenset(node) for node in key[0]))
             self._layouts[key] = plan_layouts(key[0], steps, key[1])
         pool = list(nodes)
         for layout in self._layouts[key]:

@@ -202,6 +202,29 @@ class TestInteriorSums:
             1 + gamma * 3
         )
 
+    def test_cylinder_sum_propagates_to_interior_vertices(self):
+        """Z2 cyl:v,0,2 @ N=3 has interior vertices (1,0), (1,1), (1,2) and 9 interior
+        edges, so the vertex values reach them from the boundary. In an abelian group
+        every chain value is its component's anchor and the rungs tie the two
+        components: equal anchors give the full brute-force sum, unequal ones 0."""
+        grp = make_cyclic(2)
+        reg = parse_region(TorusLattice(3), "cyl:v,0,2")
+        bb = BlockBoundary(grp, reg, 1.0)
+        assert len(bb.cls.interior_vertices) == 3 and len(bb.cls.interior_edges) == 9
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            f_hat = tuple(int(g) for g in rng.integers(0, 2, len(bb.boundary_edges)))
+            g_phys = {e: bb.phys_of_gamma(e, gam) for e, gam in zip(bb.boundary_edges, f_hat)}
+            words = [0] * len(bb.boundary_vertices)
+            holonomy = bb.holonomies(f_hat, words)[0]
+            bf = interior_sum_brute_force(grp, reg, dict(zip(bb.boundary_edges, f_hat)), 1.0)
+            for anchors in itertools.product(range(2), repeat=2):
+                got = bb.interior_sum(g_phys, holonomy, anchors, words)
+                if anchors[0] == anchors[1]:
+                    assert abs(got - bf) <= 1e-10 * max(abs(bf), 1.0)
+                else:
+                    assert got == 0.0
+
 
 class TestKappaEpsilon:
     def test_2x2_at_gamma_one(self):

@@ -1,5 +1,10 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+
+from qdlab import records
 
 from qdlab.davies import (
     BOHR_FREQUENCIES,
@@ -14,12 +19,12 @@ from qdlab.davies import (
     c2_constant,
     davies_gap,
     default_coupling,
-    final_link_passed,
     fourier_components,
     gap_chain,
     kms_rates,
     level_projectors,
     local_gap_check,
+    parent_link_passed,
     thermofield_vector,
 )
 from qdlab.gap_tools import complement_gap
@@ -261,9 +266,38 @@ def test_edge_kernel_projector_is_an_orthogonal_projector(patch):
 
 @pytest.mark.parametrize("gap_parent, passed", [(-8.0e-15, False), (8.0e-15, False), (0.45, True)])
 def test_final_link_needs_a_resolved_parent_gap(gap_parent, passed):
-    """Z2 N=2, beta=1 figures: gap(L) = 2.19, local prefactor 1.65e-3, m = 2, tol 1e-7."""
+    """The m-link and the final link, at the Z2 N=2, beta=1 figures: gap(L) = 2.19,
+    gap(sum Pi_perp) = 0.452, local prefactor 1.65e-3, m = 2, tol 1e-7."""
+    assert parent_link_passed(0.452, gap_parent / 2, gap_parent, tol=1e-7) is passed
     final_bound = 1.65e-3 * gap_parent / 2
-    assert final_link_passed(2.19, final_bound, gap_parent, tol=1e-7) is passed
+    assert parent_link_passed(2.19, final_bound, gap_parent, tol=1e-7) is passed
+
+
+@pytest.fixture(scope="module")
+def z2_chain():
+    """The whole chain on the Z2 N=2 torus at beta = 1: about 7 s with 1 BLAS thread."""
+    return gap_chain(QuantumDoubleModel(make_cyclic(2), TorusLattice(2)), BETA)
+
+
+def test_gap_chain_on_the_z2_torus(z2_chain):
+    """The two gaps match the exact sector-resolved values. The 1x1 rectangles of the
+    parent family have no interior vertex, so ker H_parent has 8192 dimensions and
+    the parent gap is at roundoff: the m-link and the final link fail, and the chain."""
+    assert z2_chain.gaps["davies"] == pytest.approx(2.193550161050, rel=1e-9)
+    assert z2_chain.gaps["sum_pi_perp"] == pytest.approx(0.452271364200, rel=1e-9)
+    c = z2_chain.constants
+    assert (c["C1"], c["C2"], c["m_X"], c["n_beta"], c["n_omega"]) == (4, 6, 2, 57, 9)
+    # local, (1), the two probe links, the m-link, the final link
+    assert [bool(iq.passed) for iq in z2_chain.inequalities] == [True, True, True, True, False, False]
+    assert z2_chain.passed is False
+    assert json.loads(records.to_json(z2_chain)) == dataclasses.asdict(z2_chain)
+
+
+def test_coupling_label_names_the_default_only(patch):
+    model, gen, _, _ = patch
+    assert gen.coupling.label == "matrix-units"
+    x, z = np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1, -1]).astype(complex)
+    assert DaviesGenerator.build(model, BETA, coupling=CouplingSet((x, z))).coupling.label == "custom"
 
 
 @pytest.mark.parametrize("operator, message", [

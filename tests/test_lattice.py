@@ -109,9 +109,10 @@ def test_split_abc_cols():
     r = Region(lat, RECT, x0=0, a=3, y0=0, b=1)
     s = split_region(r, "ABC-cols", at=1, ell=1)
     assert s.r1.a == 2 and s.r2.a == 2
-    assert s.parts["B"].a == 1
+    (b_part,) = s.overlaps
+    assert b_part.a == 1
     assert set(s.r1.plaquettes()) | set(s.r2.plaquettes()) == set(r.plaquettes())
-    assert set(s.r1.plaquettes()) & set(s.r2.plaquettes()) == set(s.parts["B"].plaquettes())
+    assert set(s.r1.plaquettes()) & set(s.r2.plaquettes()) == set(b_part.plaquettes())
 
 
 def test_degenerate_split_rejected():

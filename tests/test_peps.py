@@ -29,6 +29,13 @@ from oracles import (
 )
 
 
+def _planned_steps(key, layouts):
+    """The nodes of a `RegionNetwork._layouts` entry as sets of (leg, dim), and its
+    steps as (view, other) pairs."""
+    nodes, _ = key
+    return tuple(map(frozenset, nodes)), tuple((layout.view, layout.other) for layout in layouts)
+
+
 @pytest.fixture(scope="module")
 def z2_model():
     return QuantumDoubleModel(make_cyclic(2), TorusLattice(2))
@@ -282,15 +289,14 @@ class TestRegionContraction:
         net = self._martingale_region_network()
         net.t_apply(np.zeros(net.reduced.dim))
         net.t_dagger_apply(np.zeros(net.phys_dim))
-        assert len(net._plans) == 2
-        counts = [c for nodes, steps in net._plans.items() for c in plan_counts_oracle(nodes, steps)]
+        assert len(net._layouts) == 2
+        counts = [c for key, layouts in net._layouts.items() for c in plan_counts_oracle(*_planned_steps(key, layouts))]
         assert sum(m for m, _ in counts) <= 6.0e9
         assert max(w for _, w in counts) <= 2**23
         lat = TorusLattice(2)
         torus = RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), Region(lat, TORUS), 1.0)
-        torus._plan([torus._edge_array(e) for e in torus.edges])
-        ((nodes, steps),) = torus._plans.items()
-        assert max(w for _, w in plan_counts_oracle(nodes, steps)) <= 2**24
+        nodes = tuple(frozenset(zip(legs, data.shape)) for data, legs in map(torus._edge_array, torus.edges))
+        assert max(w for _, w in plan_counts_oracle(nodes, peps.plan_contraction(nodes))) <= 2**24
 
     def test_martingale_region_layouts_copy_little(self):
         """Counts, not times: under the planned layouts T y plus T^dagger x on the
@@ -321,7 +327,8 @@ class TestRegionContraction:
         lat = TorusLattice(3)
         net = RegionNetwork(QuantumDoubleModel(group, lat), parse_region(lat, "rect:0,0,1,1"), 1.0)
         net.t_dagger_apply(np.ones(net.phys_dim))
-        ((nodes, steps),) = net._plans.items()
+        (item,) = net._layouts.items()
+        nodes, steps = _planned_steps(*item)
         assert len(nodes) == 5
         assert plan_cost_oracle(nodes, steps) == min_contraction_cost_oracle(list(nodes))
 
