@@ -34,7 +34,9 @@ from qdlab.lattice import (
 from qdlab.linalg import (
     LinalgError, LinearMapHandle, dagger, hermitian_spectrum, kron, matrix_power_hermitian, require_fits, vectorize,
 )
-from qdlab.peps import WRITE_COST, RegionNetwork, plan_contraction, star_leg_weights, weight_plaq
+from qdlab.peps import (
+    STAR_SIDES, WRITE_COST, RegionNetwork, edge_tensor, plan_contraction, star_leg_weights, weight_plaq,
+)
 from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
 
 
@@ -282,23 +284,71 @@ def edge_tensor_from_quarters(group: FiniteGroup, beta: float, orientation: str,
     return comp
 
 
-def _raw_dangling_legs(net: RegionNetwork) -> list:
-    out = []
-    for e in net.reduced.edges:
-        out += list(net.dangling_edge_pairs[e])
+def paired_network(net: RegionNetwork) -> tuple[list, dict]:
+    """The network of `net` on the dense (n,)*10 edge tensors, with each star pair
+    kept as its (out, in) legs: the independent form of its vertex indices.
+
+    Around each vertex the star pairs are bonded edge to edge, the out-leg of one
+    to the in-leg of the next, in the cyclic order of `edges_of_star`; a closed
+    star is a loop, an open one a chain that starts after a gap in the ring. The
+    physical and plaquette legs keep the names `net` gives them. Returns the
+    (data, legs) nodes and, per dangling vertex, its chain's (first in, last out).
+    """
+    lat = net.lattice
+    in_region = set(net.edges)
+    bond, ends = {}, {}
+
+    def star_leg(e: Edge, v, direction: str) -> tuple:
+        return (net.edge_pos[e], STAR_SIDES[e.orientation][lat.vertices_of_edge(e).index(v)], direction)
+
+    for v in net.cls.vertices:
+        ring = [e for e, _ in lat.edges_of_star(v)]
+        start = next((i for i in range(4) if ring[i] in in_region and ring[i - 1] not in in_region), 0)
+        chain = [e for e in ring[start:] + ring[:start] if e in in_region]
+        closed = len(chain) == 4
+        for cur, nxt in zip(chain, chain[1:] + chain[:1] * closed):
+            a, b = star_leg(cur, v, "out"), star_leg(nxt, v, "in")
+            bond[a] = bond[b] = ("star bond", a, b)
+        if not closed:
+            ends[v] = (star_leg(chain[0], v, "in"), star_leg(chain[-1], v, "out"))
+    nodes = []
+    for e in net.edges:
+        i = net.edge_pos[e]
+        star = [(i, side, direction) for side in STAR_SIDES[e.orientation] for direction in ("out", "in")]
+        legs = net._edge_array(e)[1][:6] + [bond.get(leg, leg) for leg in star]
+        nodes.append((edge_tensor(net.group, net.beta), legs))
+    return nodes, ends
+
+
+def reduction_nodes(net: RegionNetwork, ends: dict) -> list:
+    """3-leg reduction tensors for every dangling pair of `paired_network`, with the
+    inverse boundary weight on the reduced leg: |L^gamma> / sqrt(|G|) times
+    (wp wp)^{-1} per edge pair, delta(in = out = h) times the star weight to the
+    power -m/4 per vertex chain."""
+    group, n = net.group, net.group.order
+    idx = np.arange(n)
+    psi = np.zeros((n, n, n))  # [out, in, gamma]
+    for gam in range(n):
+        psi[group.mul[gam, idx], idx, gam] = 1.0 / np.sqrt(n)
+    wp = weight_plaq(group, net.beta)
+    psi = psi @ np.linalg.inv(wp @ wp)
+    nodes = [(psi, [*net.dangling_edge_pairs[e], ("red", "e", e)]) for e in net.reduced.edges]
     for v in net.reduced.vertices:
-        out += list(net.dangling_vertex_pairs[v])
-    return out
+        phi = np.zeros((n, n, n))  # [in_first, out_last, h]
+        phi[idx, idx, idx] = star_leg_weights(group, net.beta, power=-net.cls.vertex_multiplicity[v] / 4)
+        nodes.append((phi, [*ends[v], ("red", "v", v)]))
+    return nodes
 
 
 def v_matrix(net: RegionNetwork) -> np.ndarray:
-    """Unreduced PEPS map on raw dangling legs ((out,in) per pair), or the torus vector."""
-    n_dangle = 2 * (len(net.reduced.edges) + len(net.reduced.vertices))
-    bdry = net.group.order**n_dangle
-    require_fits((net.phys_dim, bdry))
-    nodes = [net._edge_array(e) for e in net.edges]
-    out = net._contract(nodes, net._phys_legs() + _raw_dangling_legs(net))
-    return out.reshape(net.phys_dim, bdry)
+    """Unreduced PEPS map on raw dangling legs ((out,in) per pair), or the torus vector,
+    from the paired network."""
+    nodes, ends = paired_network(net)
+    raw = [leg for e in net.reduced.edges for leg in net.dangling_edge_pairs[e]]
+    raw += [leg for v in net.reduced.vertices for leg in ends[v]]
+    require_fits((net.phys_dim, net.group.order ** len(raw)))
+    out = net._contract(nodes, net._phys_legs() + raw)
+    return out.reshape(net.phys_dim, -1)
 
 
 def contract_region(model: QuantumDoubleModel, region: Region, beta: float):
@@ -310,46 +360,52 @@ def contract_region(model: QuantumDoubleModel, region: Region, beta: float):
 
 
 # -- contraction orders ----------------------------------------------------------------
-# A node is a frozenset of (leg, dim); merging two nodes contracts the legs they share.
+# A node is a frozenset of (leg, dim). Merging two nodes keeps the legs of either that
+# another node holds or that are output legs, and sums the rest.
 
 
-def _step_counts(x: frozenset, y: frozenset) -> tuple[int, int]:
-    """(multiply-adds, output entries) of merging x and y: every leg of either once, and
-    the legs in just one of them."""
-    return math.prod(d for _, d in x | y), math.prod(d for _, d in x ^ y)
+def _merged(x: frozenset, y: frozenset, others: list, out_legs) -> frozenset:
+    held = {leg for node in others for leg, _ in node}
+    return frozenset((leg, d) for leg, d in x | y if leg in out_legs or leg in held)
 
 
-def _step_cost(x: frozenset, y: frozenset) -> int:
-    multiply_adds, written = _step_counts(x, y)
-    return multiply_adds + WRITE_COST * written
+def _step_counts(x: frozenset, y: frozenset, merged: frozenset) -> tuple[int, int]:
+    """(multiply-adds, output entries) of merging x and y into `merged`: every leg of
+    either once, and the legs kept."""
+    return math.prod(d for _, d in x | y), math.prod(d for _, d in merged)
 
 
-def plan_counts_oracle(nodes, steps) -> list[tuple[int, int]]:
+def plan_counts_oracle(nodes, steps, out_legs) -> list[tuple[int, int]]:
     """(multiply-adds, output entries) of each step of the pairwise sequence `steps`;
     step k merges two nodes into node len(nodes) + k."""
     pool = list(nodes)
     counts = []
     for a, b in steps:
-        counts.append(_step_counts(pool[a], pool[b]))
-        pool.append(pool[a] ^ pool[b])
+        x, y = pool[a], pool[b]
+        pool[a] = pool[b] = None
+        pool.append(_merged(x, y, [node for node in pool if node is not None], out_legs))
+        counts.append(_step_counts(x, y, pool[-1]))
     return counts
 
 
-def plan_cost_oracle(nodes, steps) -> int:
+def plan_cost_oracle(nodes, steps, out_legs) -> int:
     """Cost of the pairwise sequence `steps` under the planner's rule."""
-    return sum(m + WRITE_COST * w for m, w in plan_counts_oracle(nodes, steps))
+    return sum(m + WRITE_COST * w for m, w in plan_counts_oracle(nodes, steps, out_legs))
 
 
-def min_contraction_cost_oracle(nodes) -> int:
+def min_contraction_cost_oracle(nodes, out_legs) -> int:
     """Least cost over every pairwise contraction tree, outer products included, by trying
     each pair at each step (for networks of up to about 7 nodes)."""
     if len(nodes) == 1:
         return 0
-    return min(
-        _step_cost(nodes[i], nodes[j])
-        + min_contraction_cost_oracle([n for k, n in enumerate(nodes) if k not in (i, j)] + [nodes[i] ^ nodes[j]])
-        for i, j in itertools.combinations(range(len(nodes)), 2)
-    )
+    best = math.inf
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        others = [node for k, node in enumerate(nodes) if k not in (i, j)]
+        merged = _merged(nodes[i], nodes[j], others, out_legs)
+        multiply_adds, written = _step_counts(nodes[i], nodes[j], merged)
+        rest = min_contraction_cost_oracle(others + [merged], out_legs)
+        best = min(best, multiply_adds + WRITE_COST * written + rest)
+    return best
 
 
 def _tensordot(x: tuple, y: tuple) -> tuple:
@@ -360,16 +416,17 @@ def _tensordot(x: tuple, y: tuple) -> tuple:
 
 
 def _tensordot_contraction(net: RegionNetwork, start: tuple, out_legs: list) -> np.ndarray:
-    """The network's edge tensors, its reduction nodes and the input node `start`,
-    contracted with `np.tensordot`: each reduction node into the edge holding its
-    last leg, then the bundles and `start` pairwise in the order
-    `plan_contraction` gives; the result is transposed to `out_legs`."""
-    pool = [net._edge_array(e) for e in net.edges]
-    for data, legs in net._reduction_nodes():
+    """The paired network's edge tensors, its reduction nodes and the input node
+    `start`, contracted with `np.tensordot`: each reduction node into the edge
+    holding its last leg, then the bundles and `start` pairwise in the order
+    `plan_contraction` gives; the result is transposed to `out_legs`. Every leg
+    has two holders here, so each step sums all the legs its operands share."""
+    pool, ends = paired_network(net)
+    for data, legs in reduction_nodes(net, ends):
         i = max(leg[0] for leg in legs if leg[0] != "red")
         pool[i] = _tensordot(pool[i], (data, legs))
     pool.append(start)
-    for a, b in plan_contraction(tuple(frozenset(zip(legs, data.shape)) for data, legs in pool)):
+    for a, b in plan_contraction(tuple(frozenset(zip(legs, data.shape)) for data, legs in pool), frozenset(out_legs)):
         pool.append(_tensordot(pool[a], pool[b]))
     data, legs = pool[-1]
     return data.transpose([legs.index(leg) for leg in out_legs])
@@ -389,39 +446,6 @@ def t_dagger_apply_oracle(net: RegionNetwork, x: np.ndarray) -> np.ndarray:
     data = cols.reshape((net.group.order,) * (2 * len(net.edges)) + (cols.shape[1],))
     out = _tensordot_contraction(net, (data, net._phys_legs() + [("batch",)]), net._red_legs() + [("batch",)])
     return out.conj().reshape((net.reduced.dim,) + x.shape[1:])
-
-
-def layout_copies_oracle(nodes: tuple, layouts: tuple, out_legs: tuple) -> list[int]:
-    """Entries copied by each planned step under its layouts, then by the final
-    arrangement into `out_legs`, replayed on leg orders alone.
-
-    `nodes` holds each node's legs in memory order with their dims, as the keys of
-    `RegionNetwork._layouts` do. An operand is copied when its legs, those of
-    dimension 1 left out, are not in the order its step reads them in. Each
-    layout is checked on the way: the view's shared legs are contiguous, the
-    other operand has them at one end in the view's order, and the output
-    holds the legs of the two that they do not share.
-    """
-    dims = {leg: d for node in nodes for leg, d in node}
-    nontrivial = lambda order: [leg for leg in order if dims[leg] != 1]
-    pool = [[leg for leg, _ in node] for node in nodes]
-    copies = []
-    for lay in layouts:
-        view, other = pool[lay.view], pool[lay.other]
-        assert set(lay.view_order) == set(view) and len(lay.view_order) == len(view)
-        assert set(lay.other_order) == set(other) and len(lay.other_order) == len(other)
-        v, c = nontrivial(lay.view_order), nontrivial(lay.other_order)
-        shared = [leg for leg in v if leg in other]
-        start = v.index(shared[0]) if shared else 0
-        assert v[start : start + len(shared)] == shared
-        assert c[: len(shared)] == shared or c[len(c) - len(shared) :] == shared
-        assert set(lay.out_order) == set(view) ^ set(other)
-        copies.append(sum(math.prod(dims[leg] for leg in order)
-                          for now, order in ((view, lay.view_order), (other, lay.other_order))
-                          if nontrivial(now) != nontrivial(order)))
-        pool.append(list(lay.out_order))
-    copies.append(math.prod(dims[leg] for leg in out_legs) if nontrivial(pool[-1]) != nontrivial(out_legs) else 0)
-    return copies
 
 
 # -- the Davies generator on dense operators -------------------------------------------

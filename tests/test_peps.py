@@ -17,7 +17,6 @@ from oracles import (
     contract_region,
     edge_tensor_from_quarters,
     hamiltonian_dense,
-    layout_copies_oracle,
     matrix_exp_hermitian,
     min_contraction_cost_oracle,
     plan_cost_oracle,
@@ -29,11 +28,10 @@ from oracles import (
 )
 
 
-def _planned_steps(key, layouts):
-    """The nodes of a `RegionNetwork._layouts` entry as sets of (leg, dim), and its
-    steps as (view, other) pairs."""
-    nodes, _ = key
-    return tuple(map(frozenset, nodes)), tuple((layout.view, layout.other) for layout in layouts)
+def _planned(key, steps):
+    """A `RegionNetwork._plans` entry as (nodes as sets of (leg, dim), steps, output legs)."""
+    nodes, out_legs = key
+    return tuple(map(frozenset, nodes)), steps, frozenset(out_legs)
 
 
 @pytest.fixture(scope="module")
@@ -159,9 +157,9 @@ class TestRegionContraction:
 
     @pytest.mark.parametrize("method", ["t_apply", "t_dagger_apply"])
     def test_contraction_step_over_budget_is_refused(self, monkeypatch, method):
-        """Edge tensors (8 KiB) fit a 16 KiB budget; the pairwise merges (up to 128 KiB) do not."""
+        """Edge tensors (8 KiB) fit an 8 KiB budget; the pairwise merges (up to 16 KiB) do not."""
         monkeypatch.setattr(peps, "_EDGE_CACHE", {})
-        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**14)
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**13)
         net = self._z2_plaquette_network()
         with pytest.raises(FeasibilityError) as info:
             getattr(net, method)(np.ones(256))
@@ -205,8 +203,9 @@ class TestRegionContraction:
 
     @staticmethod
     def _assert_applies_match(net, t_apply, t_dagger_apply, cases=((None, 0), (1, 1), (3, 1))):
-        """Vectors and blocks of 1 and 3 columns, real (imag 0) and complex (imag 1):
-        the legs leave each merge in planned orders, which a wrong permutation breaks."""
+        """Vectors and blocks of 1 and 3 columns, real (imag 0) and complex (imag 1),
+        to 1e-12 relative: the legs leave each merge in the orders the steps give,
+        which a wrong permutation breaks."""
         rng = np.random.default_rng(1)
         for width, imag in cases:
             shape = (lambda dim: (dim,)) if width is None else (lambda dim: (dim, width))
@@ -216,15 +215,19 @@ class TestRegionContraction:
                 y, x = y.real, x.real
             got_y, got_x = net.t_apply(y), net.t_dagger_apply(x)
             assert got_y.shape == shape(net.phys_dim) and got_x.shape == shape(net.reduced.dim)
-            assert np.allclose(got_y, t_apply(y), atol=1e-11)
-            assert np.allclose(got_x, t_dagger_apply(x), atol=1e-11)
+            for got, want in ((got_y, t_apply(y)), (got_x, t_dagger_apply(x))):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def _assert_applies_match_t_matrix(self, net):
+        """The applies against t_matrix, and t_matrix against the paired oracle on a
+        complex block of 2 columns."""
         t = net.t_matrix()
         # real and imaginary parts apart, so that no complex copy of t is made
-        self._assert_applies_match(
-            net, lambda y: t @ y.real + 1j * (t @ y.imag), lambda x: t.T @ x.real + 1j * (t.T @ x.imag)
-        )
+        t_at = lambda y: t @ y.real + 1j * (t @ y.imag)
+        self._assert_applies_match(net, t_at, lambda x: t.T @ x.real + 1j * (t.T @ x.imag))
+        y = np.random.default_rng(3).standard_normal((net.reduced.dim, 4)).view(complex)
+        want = t_apply_oracle(net, y)
+        assert np.abs(t_at(y) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_t_apply_matches_t_matrix(self):
         grp = make_cyclic(2)
@@ -252,9 +255,34 @@ class TestRegionContraction:
             net, lambda y: t_apply_oracle(net, y), lambda x: t_dagger_apply_oracle(net, x), cases=((1, 1),)
         )
 
+    @pytest.mark.parametrize(
+        "order, n, spec, cases",
+        [
+            (3, 3, "rect:0,0,1,1", ((None, 0), (None, 1), (2, 0), (2, 1))),
+            (2, 2, "torus", ((None, 0), (2, 1))),
+            (2, 4, "rect:0,0,3,1", ((None, 0), (2, 1))),
+        ],
+        ids=["Z3-plaquette", "Z2-torus", "Z2-martingale-region"],
+    )
+    def test_applies_match_the_paired_oracle(self, order, n, spec, cases):
+        """Against `np.tensordot` on the dense edge tensors, with each star pair kept
+        as two legs and bonded around its vertex (`paired_network`): one plaquette
+        whose four vertices dangle; the Z2 N=2 torus, where every star is closed and
+        the input joins by an outer product (t_matrix too); and the whole region of
+        the smallest martingale split. The last two run on a real vector and a
+        complex block of 2 columns only: each oracle apply there takes 0.5 to 1 s."""
+        lat = TorusLattice(n)
+        region = Region(lat, TORUS) if spec == "torus" else parse_region(lat, spec)
+        net = RegionNetwork(QuantumDoubleModel(make_cyclic(order), lat), region, 1.0)
+        self._assert_applies_match(
+            net, lambda y: t_apply_oracle(net, y), lambda x: t_dagger_apply_oracle(net, x), cases=cases
+        )
+        if spec == "torus":
+            self._assert_applies_match_t_matrix(net)
+
     def test_martingale_region_fits_a_quarter_gib_budget(self, monkeypatch):
         """The whole region of the smallest martingale split (2^20 doubled dims): the
-        planned order's largest step is 64 MiB; a column sweep needs 1 GiB."""
+        planned order's largest step is 16 MiB; a column sweep needs 1 GiB."""
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**28)
         lat = TorusLattice(4)
         net = RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,3,1"), 1.0)
@@ -270,9 +298,9 @@ class TestRegionContraction:
         lat = TorusLattice(4)
         return RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,3,1"), 1.0)
 
-    def test_martingale_region_fits_a_64_mib_budget(self, monkeypatch):
-        """The same region: the planned order's largest step is 2^23 float64 entries, 64 MiB."""
-        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**26)
+    def test_martingale_region_fits_a_16_mib_budget(self, monkeypatch):
+        """The same region: the planned order's largest step is 2^21 float64 entries, 16 MiB."""
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**24)
         net = self._martingale_region_network()
         rng = np.random.default_rng(2)
         y = rng.standard_normal(net.reduced.dim)
@@ -283,60 +311,63 @@ class TestRegionContraction:
 
     def test_martingale_region_plans_stay_cheap(self):
         """Counts, not times: T y plus T^dagger x on the martingale region take at most
-        6.0e9 multiply-adds (the greedy order took 2.17e10) with steps of at most 2^23
-        entries, and the Z2 N=2 torus, whose cheapest multiply-add-only order writes
-        2^26 entries in one step, keeps its steps within 2^24."""
+        1.5e9 multiply-adds (the greedy order on star pairs took 2.17e10, the cheapest
+        6.0e9) with steps of at most 2^21 entries, and the Z2 N=2 torus, whose cheapest
+        multiply-add-only order writes 2^21 entries in one step, keeps its steps
+        within 2^18."""
         net = self._martingale_region_network()
         net.t_apply(np.zeros(net.reduced.dim))
         net.t_dagger_apply(np.zeros(net.phys_dim))
-        assert len(net._layouts) == 2
-        counts = [c for key, layouts in net._layouts.items() for c in plan_counts_oracle(*_planned_steps(key, layouts))]
-        assert sum(m for m, _ in counts) <= 6.0e9
-        assert max(w for _, w in counts) <= 2**23
+        assert len(net._plans) == 2
+        counts = [c for item in net._plans.items() for c in plan_counts_oracle(*_planned(*item))]
+        assert sum(m for m, _ in counts) <= 1.5e9
+        assert max(w for _, w in counts) <= 2**21
         lat = TorusLattice(2)
         torus = RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), Region(lat, TORUS), 1.0)
         nodes = tuple(frozenset(zip(legs, data.shape)) for data, legs in map(torus._edge_array, torus.edges))
-        assert max(w for _, w in plan_counts_oracle(nodes, peps.plan_contraction(nodes))) <= 2**24
-
-    def test_martingale_region_layouts_copy_little(self):
-        """Counts, not times: under the planned layouts T y plus T^dagger x on the
-        martingale region copy at most 4.0e7 entries; `np.tensordot` in the same
-        order copied 6.2e7."""
-        net = self._martingale_region_network()
-        net.t_apply(np.zeros(net.reduced.dim))
-        net.t_dagger_apply(np.zeros(net.phys_dim))
-        assert len(net._layouts) == 2
-        copies = [sum(layout_copies_oracle(nodes, layouts, out)) for (nodes, out), layouts in net._layouts.items()]
-        assert sum(copies) <= 4.0e7
+        out = frozenset(torus._phys_legs())
+        assert max(w for _, w in plan_counts_oracle(nodes, peps.plan_contraction(nodes, out), out)) <= 2**18
 
     def test_operand_copy_over_budget_is_refused_before_it_is_made(self, monkeypatch):
         """T^dagger x on the martingale region copies x (2^20 float64 entries, 8 MiB)
-        into the order of its first merge; under a 6 MiB budget every step before
-        fits, and that copy is refused by the budget check ahead of it."""
+        into the order of the first step that reads it, the third; the copies and
+        outputs of the two steps before hold at most 4096 entries, and under a 6 MiB
+        budget that copy is refused by the budget check ahead of it."""
         net = self._martingale_region_network()
         net._bundles
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 6 * 2**20)
         with pytest.raises(FeasibilityError, match=r"needs 0\.00781 GiB") as info:
             net.t_dagger_apply(np.ones(net.phys_dim))
         names = [entry.name for entry in info.traceback]
-        assert names[-3:] == ["_merge", "_arranged", "require_fits"]
+        assert names[-4:] == ["_merge", "_matrices", "_arranged", "require_fits"]
 
     @pytest.mark.parametrize("group", [make_cyclic(2), make_cyclic(3)], ids=["Z2", "Z3"])
     def test_plan_has_the_brute_force_minimum_cost(self, group):
-        """T^dagger x on one plaquette of the N=3 torus: five nodes."""
+        """T^dagger x and T y on one plaquette of the N=3 torus: five nodes, where each
+        corner's vertex index is held by two edges and is an output leg of T^dagger x
+        and summed in T y, where the input holds it too."""
         lat = TorusLattice(3)
         net = RegionNetwork(QuantumDoubleModel(group, lat), parse_region(lat, "rect:0,0,1,1"), 1.0)
         net.t_dagger_apply(np.ones(net.phys_dim))
-        (item,) = net._layouts.items()
-        nodes, steps = _planned_steps(*item)
-        assert len(nodes) == 5
-        assert plan_cost_oracle(nodes, steps) == min_contraction_cost_oracle(list(nodes))
+        net.t_apply(np.ones(net.reduced.dim))
+        assert len(net._plans) == 2
+        for item in net._plans.items():
+            nodes, steps, out_legs = _planned(*item)
+            assert len(nodes) == 5
+            assert plan_cost_oracle(nodes, steps, out_legs) == min_contraction_cost_oracle(list(nodes), out_legs)
+
+    def test_a_leg_held_by_one_node_must_be_an_output(self):
+        """A leg with one holder has no step that could sum it."""
+        nodes = (frozenset({("a", 2), ("b", 2)}), frozenset({("b", 2), ("c", 2)}))
+        assert peps.plan_contraction(nodes, frozenset({"a", "c"})) == ((0, 1),)
+        with pytest.raises(ValueError, match="must be output legs"):
+            peps.plan_contraction(nodes, frozenset({"a"}))
 
     def test_a_network_plans_once_per_input_shape(self, monkeypatch):
         """Applying T again reuses the plan; another batch width plans again."""
         planned = []
         plan = peps.plan_contraction
-        monkeypatch.setattr(peps, "plan_contraction", lambda nodes: planned.append(nodes) or plan(nodes))
+        monkeypatch.setattr(peps, "plan_contraction", lambda *args: planned.append(args) or plan(*args))
         net = self._z2_plaquette_network()
         dim = net.reduced.dim
         assert np.array_equal(net.t_apply(np.ones(dim)), net.t_apply(np.ones(dim)))
