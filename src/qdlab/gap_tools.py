@@ -14,7 +14,6 @@ from .linalg import (
     ConvergenceError,
     LinearMapHandle,
     apply_on_sites,
-    dagger,
     lowest_eigs_matrix_free,
 )
 from .peps import RegionNetwork
@@ -24,36 +23,37 @@ from .quantum_double import QuantumDoubleModel, gamma_beta
 # -- region ground projectors ---------------------------------------------------------
 
 
-DENSE_PROJECTOR_DIM = 2**13  # doubled dimension up to which RegionProjector holds W densely
-
-
 class RegionProjector:
     """Orthogonal projector onto Im(V_X) on the doubled space of the region.
 
-    P = W W^dagger with W = T G_dR^{-1} (kappa S~)^{-1/2}: the network's reduced
-    map (boundary weights already undone) times the half-inverse of its Gram, the
-    slim block boundary.  Dense mode holds W; matrix-free mode applies it through
-    the network.  The half-inverse is built on `BlockBoundary`'s reduced basis,
-    whose order the network's reduced axes share, from the one `eigh` of each
-    block, on the modes that `BlockBoundary.rank` counts (`linalg.RANK_CUTOFF`).
+    P = W W^dagger with W = T G_dR^{-1} (kappa S~)^{-1/2}, held as one sparse
+    matrix: the network's reduced map (boundary weights already undone), the
+    gauge-orbit scatter
+
+        T = sum_{g,h} |G|^{E_b/2} prod_{interior v} (delta(h_v = 1) + q)
+            prod_p (1 + q |G| delta(hol_p(g) = 1)) |ket(g, h), g><gamma(g), h_dangling|
+
+    of `RegionNetwork` (Kitaev, quant-ph/9707021; Schuch, Cirac and
+    Perez-Garcia, arXiv:1001.3807), times the half-inverse of its Gram, the
+    slim block boundary.  The half-inverse is built on `BlockBoundary`'s
+    reduced basis, whose order the network's reduced axes share, from the one
+    `eigh` of each block, on the modes that `BlockBoundary.rank` counts
+    (`linalg.RANK_CUTOFF`).  W is real, so P x = W (W^T x).
     """
 
     def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):
         self.model = model
-        self.net = RegionNetwork(model, region, beta)
-        self.edges = self.net.edges
-        self.dim = self.net.phys_dim
+        net = RegionNetwork(model, region, beta)
+        self.edges = net.edges
+        self.dim = net.phys_dim
         bb = BlockBoundary(model.group, region, beta)
-        self._halfinv = bb.group_function_matrix(lambda v: (bb.kappa * v) ** -0.5)  # sparse Gram^{-1/2}
+        halfinv = bb.group_function_matrix(lambda v: (bb.kappa * v) ** -0.5)  # sparse Gram^{-1/2}
         self.rank = bb.rank()
-        self._w = (self._halfinv.T @ self.net.t_matrix().T).T if self.dim <= DENSE_PROJECTOR_DIM else None
+        self._w = net.t_sparse @ halfinv
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P x for a vector x or for every column of a (dim, m) block at once."""
-        if self._w is not None:
-            return self._w @ (dagger(self._w) @ x)
-        y = self._halfinv.T.conj() @ self.net.t_dagger_apply(x)
-        return self.net.t_apply(self._halfinv @ y)
+        return self._w @ (self._w.T @ x)
 
 
 class EmbeddedProjector:
@@ -107,7 +107,8 @@ class MartingaleReport:
     bound: float
     epsilon: float
     hypothesis_ok: bool
-    passed: bool
+    vacuous: bool  # the bound's hypothesis fails, so the measurement certifies nothing
+    passed: bool  # only when the hypothesis holds and measured <= min(1, bound)
     method: str
     seed: int
 
@@ -145,7 +146,7 @@ def martingale_measurement(
     measured = float(np.sqrt(max(top, 0.0)))
 
     bound, eps, ok = martingale_bound(model.local_dim, beta=beta, split=split)
-    passed = measured <= 1.0 + 1e-9 and (not ok or measured <= bound + 1e-8)
+    passed = ok and measured <= 1.0 + 1e-9 and measured <= bound + 1e-8
     return MartingaleReport(
         region=whole.describe(),
         split=f"{r1.describe()}|{r2.describe()}",
@@ -154,6 +155,7 @@ def martingale_measurement(
         bound=bound,
         epsilon=eps,
         hypothesis_ok=ok,
+        vacuous=not ok,
         passed=passed,
         method="matrix-free",
         seed=seed,

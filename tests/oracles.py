@@ -34,9 +34,7 @@ from qdlab.lattice import (
 from qdlab.linalg import (
     LinalgError, LinearMapHandle, dagger, hermitian_spectrum, kron, matrix_power_hermitian, require_fits, vectorize,
 )
-from qdlab.peps import (
-    STAR_SIDES, WRITE_COST, RegionNetwork, edge_tensor, plan_contraction, star_leg_weights, weight_plaq,
-)
+from qdlab.peps import PLAQ_SIDES, STAR_SIDES, RegionNetwork, edge_tensor, star_leg_weights, weight_plaq
 from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
 
 
@@ -284,27 +282,52 @@ def edge_tensor_from_quarters(group: FiniteGroup, beta: float, orientation: str,
     return comp
 
 
-def paired_network(net: RegionNetwork) -> tuple[list, dict]:
-    """The network of `net` on the dense (n,)*10 edge tensors, with each star pair
-    kept as its (out, in) legs: the independent form of its vertex indices.
+def _phys_legs(net: RegionNetwork) -> list:
+    return [("ket", i) for i in range(len(net.edges))] + [("pur", i) for i in range(len(net.edges))]
 
-    Around each vertex the star pairs are bonded edge to edge, the out-leg of one
-    to the in-leg of the next, in the cyclic order of `edges_of_star`; a closed
-    star is a loop, an open one a chain that starts after a gap in the ring. The
-    physical and plaquette legs keep the names `net` gives them. Returns the
-    (data, legs) nodes and, per dangling vertex, its chain's (first in, last out).
+
+def _red_legs(net: RegionNetwork) -> list:
+    return [("red", "e", e) for e in net.reduced.edges] + [("red", "v", v) for v in net.reduced.vertices]
+
+
+def paired_network(net: RegionNetwork) -> tuple[list, dict]:
+    """The network of `net`'s region on the dense (n,)*10 edge tensors, with every
+    leg named here and each star pair kept as its (out, in) legs.
+
+    Edge i of `net.edges` holds ("ket", i), ("pur", i) and (i, side, direction)
+    for the (out, in) pair of each side, `PLAQ_SIDES` then `STAR_SIDES`, as in
+    `edge_tensor`. Around each plaquette of the region the pairs facing it are
+    bonded edge to edge, the out-leg of one to the in-leg of the next,
+    counterclockwise from the top edge. Around each vertex the star pairs are
+    bonded the same way in the cyclic order of `edges_of_star`: a closed star
+    is a loop, an open one a chain that starts after a gap in the ring. Returns
+    the (data, legs) nodes and the open ends: per dangling edge the (out, in)
+    pair facing the outside plaquette, per dangling vertex its chain's (first
+    in, last out).
     """
     lat = net.lattice
-    in_region = set(net.edges)
+    pos = {e: i for i, e in enumerate(net.edges)}
     bond, ends = {}, {}
 
-    def star_leg(e: Edge, v, direction: str) -> tuple:
-        return (net.edge_pos[e], STAR_SIDES[e.orientation][lat.vertices_of_edge(e).index(v)], direction)
+    def plaq_leg(e: Edge, p, direction: str) -> tuple:
+        return (pos[e], PLAQ_SIDES[e.orientation][lat.plaquettes_of_edge(e).index(p)], direction)
 
+    def star_leg(e: Edge, v, direction: str) -> tuple:
+        return (pos[e], STAR_SIDES[e.orientation][lat.vertices_of_edge(e).index(v)], direction)
+
+    for p in net.region.plaquettes():
+        ring = [e for e, _ in lat.edges_of_plaquette(p)]
+        for cur, nxt in zip(ring, ring[1:] + ring[:1]):
+            a, b = plaq_leg(cur, p, "out"), plaq_leg(nxt, p, "in")
+            bond[a] = bond[b] = ("plaquette bond", a, b)
+    for e in net.reduced.edges:
+        # the north/west plaquette is inside where gamma is inverted: the pair faces south/east
+        side = PLAQ_SIDES[e.orientation][net.cls.gamma_inverted[e]]
+        ends[e] = ((pos[e], side, "out"), (pos[e], side, "in"))
     for v in net.cls.vertices:
         ring = [e for e, _ in lat.edges_of_star(v)]
-        start = next((i for i in range(4) if ring[i] in in_region and ring[i - 1] not in in_region), 0)
-        chain = [e for e in ring[start:] + ring[:start] if e in in_region]
+        start = next((i for i in range(4) if ring[i] in pos and ring[i - 1] not in pos), 0)
+        chain = [e for e in ring[start:] + ring[:start] if e in pos]
         closed = len(chain) == 4
         for cur, nxt in zip(chain, chain[1:] + chain[:1] * closed):
             a, b = star_leg(cur, v, "out"), star_leg(nxt, v, "in")
@@ -312,16 +335,14 @@ def paired_network(net: RegionNetwork) -> tuple[list, dict]:
         if not closed:
             ends[v] = (star_leg(chain[0], v, "in"), star_leg(chain[-1], v, "out"))
     nodes = []
-    for e in net.edges:
-        i = net.edge_pos[e]
-        star = [(i, side, direction) for side in STAR_SIDES[e.orientation] for direction in ("out", "in")]
-        legs = net._edge_array(e)[1][:6] + [bond.get(leg, leg) for leg in star]
-        nodes.append((edge_tensor(net.group, net.beta), legs))
+    for e, i in pos.items():
+        pairs = [(i, side, d) for side in PLAQ_SIDES[e.orientation] + STAR_SIDES[e.orientation] for d in ("out", "in")]
+        nodes.append((edge_tensor(net.group, net.beta), [("ket", i), ("pur", i)] + [bond.get(leg, leg) for leg in pairs]))
     return nodes, ends
 
 
 def reduction_nodes(net: RegionNetwork, ends: dict) -> list:
-    """3-leg reduction tensors for every dangling pair of `paired_network`, with the
+    """3-leg reduction tensors for every open end of `paired_network`, with the
     inverse boundary weight on the reduced leg: |L^gamma> / sqrt(|G|) times
     (wp wp)^{-1} per edge pair, delta(in = out = h) times the star weight to the
     power -m/4 per vertex chain."""
@@ -332,7 +353,7 @@ def reduction_nodes(net: RegionNetwork, ends: dict) -> list:
         psi[group.mul[gam, idx], idx, gam] = 1.0 / np.sqrt(n)
     wp = weight_plaq(group, net.beta)
     psi = psi @ np.linalg.inv(wp @ wp)
-    nodes = [(psi, [*net.dangling_edge_pairs[e], ("red", "e", e)]) for e in net.reduced.edges]
+    nodes = [(psi, [*ends[e], ("red", "e", e)]) for e in net.reduced.edges]
     for v in net.reduced.vertices:
         phi = np.zeros((n, n, n))  # [in_first, out_last, h]
         phi[idx, idx, idx] = star_leg_weights(group, net.beta, power=-net.cls.vertex_multiplicity[v] / 4)
@@ -344,11 +365,10 @@ def v_matrix(net: RegionNetwork) -> np.ndarray:
     """Unreduced PEPS map on raw dangling legs ((out,in) per pair), or the torus vector,
     from the paired network."""
     nodes, ends = paired_network(net)
-    raw = [leg for e in net.reduced.edges for leg in net.dangling_edge_pairs[e]]
+    raw = [leg for e in net.reduced.edges for leg in ends[e]]
     raw += [leg for v in net.reduced.vertices for leg in ends[v]]
     require_fits((net.phys_dim, net.group.order ** len(raw)))
-    out = net._contract(nodes, net._phys_legs() + raw)
-    return out.reshape(net.phys_dim, -1)
+    return contract_nodes(nodes, _phys_legs(net) + raw).reshape(net.phys_dim, -1)
 
 
 def contract_region(model: QuantumDoubleModel, region: Region, beta: float):
@@ -360,52 +380,77 @@ def contract_region(model: QuantumDoubleModel, region: Region, beta: float):
 
 
 # -- contraction orders ----------------------------------------------------------------
-# A node is a frozenset of (leg, dim). Merging two nodes keeps the legs of either that
-# another node holds or that are output legs, and sums the rest.
+
+# What one written entry costs in `contraction_order`, in multiply-adds: the "combo"
+# cost of opt_einsum (Smith & Gray, JOSS 3(26):753, 2018) with its default factor.
+WRITE_COST = 64
 
 
-def _merged(x: frozenset, y: frozenset, others: list, out_legs) -> frozenset:
-    held = {leg for node in others for leg, _ in node}
-    return frozenset((leg, d) for leg, d in x | y if leg in out_legs or leg in held)
+def contraction_order(nodes: list) -> list[tuple[int, int]]:
+    """The cheapest pairwise order of (data, legs) nodes where each leg has one holder
+    (an output leg) or two (a bond, summed when its holders merge).
 
+    Step k merges two nodes into node len(nodes) + k, at a cost of its multiply-adds,
+    the product of the dims of every leg of either operand, plus WRITE_COST per entry
+    written. The dynamic program runs over the connected subsets, smallest first,
+    and splits each into two connected parts that share a leg in every way
+    (Pfeifer, Haegeman & Verstraete, PRE 90, 033315, 2014); the open legs of a
+    subset are the XOR of its nodes' legs. Connected components join last, by
+    outer products.
+    """
+    n = len(nodes)
+    bit, by_dim, held, holders = {}, {}, [], {}
+    for data, legs in nodes:
+        mask = 0
+        for leg, d in zip(legs, data.shape):
+            b = bit.setdefault(leg, 1 << len(bit))
+            by_dim[d] = by_dim.get(d, 0) | b
+            holders[leg] = holders.get(leg, 0) + 1
+            mask |= b
+        held.append(mask)
+    if max(holders.values(), default=0) > 2:
+        raise ValueError("each leg needs at most two holders")
+    volume = lambda mask: math.prod(d ** (mask & bits).bit_count() for d, bits in by_dim.items())
+    full = (1 << n) - 1
+    open_legs = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        open_legs[s] = open_legs[s ^ low] ^ held[low.bit_length() - 1]
+    cost = {1 << i: 0 for i in range(n)}  # one entry per connected subset
+    split = {}  # the part holding the lowest node, in the cheapest split
+    for s in range(1, full + 1):
+        low = s & -s
+        rest = s ^ low
+        best, written = math.inf, WRITE_COST * volume(open_legs[s])
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            a, b = sub | low, rest ^ sub
+            if a in cost and b in cost and open_legs[a] & open_legs[b]:
+                c = cost[a] + cost[b] + volume(open_legs[a] | open_legs[b]) + written
+                if c < best:
+                    best, split[s] = c, a
+        if best < math.inf:
+            cost[s] = best
 
-def _step_counts(x: frozenset, y: frozenset, merged: frozenset) -> tuple[int, int]:
-    """(multiply-adds, output entries) of merging x and y into `merged`: every leg of
-    either once, and the legs kept."""
-    return math.prod(d for _, d in x | y), math.prod(d for _, d in merged)
+    steps: list[tuple[int, int]] = []
 
+    def emit(s: int) -> int:
+        if not s & (s - 1):
+            return s.bit_length() - 1
+        steps.append((emit(split[s]), emit(s ^ split[s])))
+        return n + len(steps) - 1
 
-def plan_counts_oracle(nodes, steps, out_legs) -> list[tuple[int, int]]:
-    """(multiply-adds, output entries) of each step of the pairwise sequence `steps`;
-    step k merges two nodes into node len(nodes) + k."""
-    pool = list(nodes)
-    counts = []
-    for a, b in steps:
-        x, y = pool[a], pool[b]
-        pool[a] = pool[b] = None
-        pool.append(_merged(x, y, [node for node in pool if node is not None], out_legs))
-        counts.append(_step_counts(x, y, pool[-1]))
-    return counts
-
-
-def plan_cost_oracle(nodes, steps, out_legs) -> int:
-    """Cost of the pairwise sequence `steps` under the planner's rule."""
-    return sum(m + WRITE_COST * w for m, w in plan_counts_oracle(nodes, steps, out_legs))
-
-
-def min_contraction_cost_oracle(nodes, out_legs) -> int:
-    """Least cost over every pairwise contraction tree, outer products included, by trying
-    each pair at each step (for networks of up to about 7 nodes)."""
-    if len(nodes) == 1:
-        return 0
-    best = math.inf
-    for i, j in itertools.combinations(range(len(nodes)), 2):
-        others = [node for k, node in enumerate(nodes) if k not in (i, j)]
-        merged = _merged(nodes[i], nodes[j], others, out_legs)
-        multiply_adds, written = _step_counts(nodes[i], nodes[j], merged)
-        rest = min_contraction_cost_oracle(others + [merged], out_legs)
-        best = min(best, multiply_adds + WRITE_COST * written + rest)
-    return best
+    left, acc = full, None
+    while left:
+        part = max((s for s in cost if s & left & -left and not s & ~left), key=int.bit_count)
+        left ^= part
+        root = emit(part)
+        if acc is not None:
+            steps.append((acc, root))
+            root = n + len(steps) - 1
+        acc = root
+    return steps
 
 
 def _tensordot(x: tuple, y: tuple) -> tuple:
@@ -415,37 +460,64 @@ def _tensordot(x: tuple, y: tuple) -> tuple:
     return data, [leg for leg in xl if leg not in shared] + [leg for leg in yl if leg not in shared]
 
 
-def _tensordot_contraction(net: RegionNetwork, start: tuple, out_legs: list) -> np.ndarray:
-    """The paired network's edge tensors, its reduction nodes and the input node
-    `start`, contracted with `np.tensordot`: each reduction node into the edge
-    holding its last leg, then the bundles and `start` pairwise in the order
-    `plan_contraction` gives; the result is transposed to `out_legs`. Every leg
-    has two holders here, so each step sums all the legs its operands share."""
-    pool, ends = paired_network(net)
-    for data, legs in reduction_nodes(net, ends):
-        i = max(leg[0] for leg in legs if leg[0] != "red")
-        pool[i] = _tensordot(pool[i], (data, legs))
-    pool.append(start)
-    for a, b in plan_contraction(tuple(frozenset(zip(legs, data.shape)) for data, legs in pool), frozenset(out_legs)):
+def contract_nodes(nodes: list, out_legs: list) -> np.ndarray:
+    """(data, legs) nodes contracted with `np.tensordot` in the order of
+    `contraction_order`, transposed to `out_legs`."""
+    pool = list(nodes)
+    for a, b in contraction_order(nodes):
         pool.append(_tensordot(pool[a], pool[b]))
+        pool[a] = pool[b] = None
     data, legs = pool[-1]
     return data.transpose([legs.index(leg) for leg in out_legs])
 
 
+def _reduced_contraction(net: RegionNetwork, start: tuple, out_legs: list) -> np.ndarray:
+    """The paired network's edge tensors, its reduction nodes and the input node
+    `start`: each reduction node is contracted into the edge holding its last leg,
+    then the rest by `contract_nodes`."""
+    pool, ends = paired_network(net)
+    for data, legs in reduction_nodes(net, ends):
+        i = max(leg[0] for leg in legs if leg[0] != "red")
+        pool[i] = _tensordot(pool[i], (data, legs))
+    return contract_nodes(pool + [start], out_legs)
+
+
 def t_apply_oracle(net: RegionNetwork, y: np.ndarray) -> np.ndarray:
-    """T y for a vector or a block of columns, through `_tensordot_contraction`."""
+    """T y for a vector or a block of columns, through `_reduced_contraction`."""
     cols = y.reshape(net.reduced.dim, -1)
     data = cols.reshape(net.reduced.shape() + (cols.shape[1],))
-    out = _tensordot_contraction(net, (data, net._red_legs() + [("batch",)]), net._phys_legs() + [("batch",)])
+    out = _reduced_contraction(net, (data, _red_legs(net) + [("batch",)]), _phys_legs(net) + [("batch",)])
     return out.reshape((net.phys_dim,) + y.shape[1:])
 
 
 def t_dagger_apply_oracle(net: RegionNetwork, x: np.ndarray) -> np.ndarray:
-    """T^dagger x for a vector or a block of columns, through `_tensordot_contraction`."""
+    """T^dagger x for a vector or a block of columns, through `_reduced_contraction`."""
     cols = x.conj().reshape(net.phys_dim, -1)
     data = cols.reshape((net.group.order,) * (2 * len(net.edges)) + (cols.shape[1],))
-    out = _tensordot_contraction(net, (data, net._phys_legs() + [("batch",)]), net._red_legs() + [("batch",)])
+    out = _reduced_contraction(net, (data, _phys_legs(net) + [("batch",)]), _red_legs(net) + [("batch",)])
     return out.conj().reshape((net.reduced.dim,) + x.shape[1:])
+
+
+class _ReversedPlaquetteWords:
+    """A lattice that lists the edges of each plaquette in reverse order."""
+
+    def __init__(self, lattice: TorusLattice):
+        self._lattice = lattice
+
+    def __getattr__(self, name):
+        return getattr(self._lattice, name)
+
+    def edges_of_plaquette(self, p):
+        return self._lattice.edges_of_plaquette(p)[::-1]
+
+
+def reversed_word_scatter(net: RegionNetwork):
+    """The sparse T of `net`'s region built with each plaquette word folded in
+    reverse order: a control. On a non-abelian group the reversed holonomy is
+    another group element, so this T is no longer the reduced boundary map."""
+    control = RegionNetwork(net.model, net.region, net.beta)
+    control.lattice = _ReversedPlaquetteWords(net.lattice)
+    return control.t_sparse
 
 
 # -- the Davies generator on dense operators -------------------------------------------

@@ -427,8 +427,7 @@ class TestBlocks:
     ])
     def test_gram_probes_match_network_z3(self, name, n, spec):
         """T^dag (T y) = kappa S~ y through the network, for a group other than Z2 and
-        for the boundary walk's edge cases; the identity does not depend on the walk.
-        (S3 rect:0,0,1,1 @ N=3 needs a 2.7 GiB contraction step, above the budget.)"""
+        for the boundary walk's edge cases; the identity does not depend on the walk."""
         grp, lat = group_by_name(name), TorusLattice(n)
         region = parse_region(lat, spec)
         net = RegionNetwork(QuantumDoubleModel(grp, lat), region, 1.0)
@@ -438,6 +437,20 @@ class TestBlocks:
         got = net.t_dagger_apply(net.t_apply(y))
         want = bb.kappa * (smat @ y)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name, n, spec", [
+        ("Z2", 3, "rect:0,0,2,2"),  # an interior vertex; 2^24 doubled dims
+        ("Z3", 4, "rect:0,0,2,1"),
+    ])
+    def test_gram_is_kappa_times_the_slim_blocks(self, name, n, spec):
+        """T^dag T = kappa S~ entry by entry, T from the network's sparse scatter and
+        S~ from the blocks."""
+        grp, lat = group_by_name(name), TorusLattice(n)
+        region = parse_region(lat, spec)
+        t = RegionNetwork(QuantumDoubleModel(grp, lat), region, 1.0).t_sparse
+        bb = BlockBoundary(grp, region, 1.0)
+        want = bb.kappa * bb.group_function_matrix(lambda v: v)
+        assert abs(t.T @ t - want).max() <= 1e-12 * abs(want).max()
 
     def test_torus_has_no_boundary(self):
         with pytest.raises(BoundaryError, match="the torus has no boundary"):

@@ -1,4 +1,3 @@
-import copy
 import math
 from types import SimpleNamespace
 
@@ -15,27 +14,12 @@ from qdlab.gap_tools import (
     recursion_bound,
 )
 from qdlab.linalg import ConvergenceError
-from qdlab.groups import make_cyclic
+from qdlab.boundary import BlockBoundary
+from qdlab.groups import make_cyclic, make_symmetric
 from qdlab.lattice import TorusLattice, parse_region, split_region
 from qdlab.peps import RegionNetwork
 from qdlab.quantum_double import QuantumDoubleModel
-from oracles import embed_by_digits
-
-
-def test_dense_and_matrix_free_routes_agree():
-    """The dense isometry W and the network route (T G_dR^{-1}) Gram^{-1/2} give one P,
-    on a vector and on a block of columns."""
-    lat = TorusLattice(3)
-    model = QuantumDoubleModel(make_cyclic(2), lat)
-    p = RegionProjector(model, parse_region(lat, "rect:0,0,1,1"), 1.0)
-    assert p._w is not None
-    network = copy.copy(p)
-    network._w = None
-    rng = np.random.default_rng(0)
-    for x in (rng.standard_normal(p.dim), rng.standard_normal((p.dim, 3))):
-        got = network.apply(x)
-        assert got.shape == x.shape
-        assert np.abs(p.apply(x) - got).max() < 1e-12
+from oracles import embed_by_digits, reversed_word_scatter
 
 
 @pytest.mark.parametrize("beta", [0.0, -0.5])
@@ -47,16 +31,41 @@ def test_region_maps_refuse_nonpositive_beta(build, beta):
         build(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,1,1"), beta)
 
 
-def test_martingale_split_halves_take_the_network_route():
-    """The 2^14-dim halves of the smallest martingale split are above DENSE_PROJECTOR_DIM
-    and hold no dense W; the split's 256-dim overlap keeps it."""
+def test_martingale_certificate_on_the_smallest_split():
+    """Z2 N=4 rect:0,0,3,1, ABC-cols at 1, 1, beta = 1: || P_r1 P_r2 - P_whole || pinned at
+    its value from the contracted region networks. Its overlap has epsilon = 12, so the
+    bound's hypothesis fails and the report is vacuous, never a pass."""
     lat = TorusLattice(4)
-    model = QuantumDoubleModel(make_cyclic(2), lat)
     split = split_region(parse_region(lat, "rect:0,0,3,1"), "ABC-cols", 1, 1)
-    half = RegionProjector(model, split.r1, 1.0)
-    assert half.dim == 2**14
-    assert half._w is None
-    assert RegionProjector(model, split.overlaps[0], 1.0)._w is not None
+    rep = martingale_measurement(QuantumDoubleModel(make_cyclic(2), lat), 1.0, split)
+    assert rep.measured == pytest.approx(0.38079707797788237, rel=1e-12)
+    assert (rep.epsilon, rep.bound) == (12.0, 192.0)
+    assert not rep.hypothesis_ok and rep.vacuous and not rep.passed
+
+
+def _projector_defect(w) -> tuple[float, float]:
+    """(||M^2 - M||, tr M) for M = W^dagger W of a real sparse W; the row-sum norm
+    bounds the spectral norm of the symmetric M^2 - M."""
+    m = (w.T @ w).tocsr()
+    return float(abs(m @ m - m).sum(axis=1).max()), float(m.diagonal().sum())
+
+
+def test_s3_region_projector_is_an_orthogonal_projector():
+    """S3 N=3 rect:0,0,1,1 (1.7M doubled dims): W^dagger W is a projector of the rank
+    that `BlockBoundary` counts. Control: with each plaquette word folded in reverse
+    order the same construction is no projector."""
+    lat = TorusLattice(3)
+    model = QuantumDoubleModel(make_symmetric(3), lat)
+    region = parse_region(lat, "rect:0,0,1,1")
+    p = RegionProjector(model, region, 1.0)
+    bb = BlockBoundary(model.group, region, 1.0)
+    assert p.rank == bb.rank() == 653184
+    defect, trace = _projector_defect(p._w)
+    assert defect <= 1e-12
+    assert trace == pytest.approx(653184, abs=1e-6)
+    halfinv = bb.group_function_matrix(lambda v: (bb.kappa * v) ** -0.5)
+    defect, _ = _projector_defect(reversed_word_scatter(RegionNetwork(model, region, 1.0)) @ halfinv)
+    assert defect > 0.1
 
 
 def test_martingale_measurement_rejects_the_trivial_group():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,20 +19,11 @@ from oracles import (
     edge_tensor_from_quarters,
     hamiltonian_dense,
     matrix_exp_hermitian,
-    min_contraction_cost_oracle,
-    plan_cost_oracle,
-    plan_counts_oracle,
     t_apply_oracle,
     t_dagger_apply_oracle,
     v_matrix,
     weight_star,
 )
-
-
-def _planned(key, steps):
-    """A `RegionNetwork._plans` entry as (nodes as sets of (leg, dim), steps, output legs)."""
-    nodes, out_legs = key
-    return tuple(map(frozenset, nodes)), steps, frozenset(out_legs)
 
 
 @pytest.fixture(scope="module")
@@ -155,29 +147,38 @@ class TestRegionContraction:
         lat = TorusLattice(3)
         return RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), Region(lat, RECT, a=1, b=1), 1.0)
 
-    @pytest.mark.parametrize("method", ["t_apply", "t_dagger_apply"])
-    def test_contraction_step_over_budget_is_refused(self, monkeypatch, method):
-        """Edge tensors (8 KiB) fit an 8 KiB budget; the pairwise merges (up to 16 KiB) do not."""
-        monkeypatch.setattr(peps, "_EDGE_CACHE", {})
-        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**13)
-        net = self._z2_plaquette_network()
-        with pytest.raises(FeasibilityError) as info:
-            getattr(net, method)(np.ones(256))
-        assert "_merge" in [entry.name for entry in info.traceback]
-
     def test_t_matrix_over_budget_is_refused_before_contracting(self, monkeypatch):
+        """The dense (256, 256) T is refused before the sparse T is built."""
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**18)
         net = self._z2_plaquette_network()
-        with pytest.raises(FeasibilityError, match=r"\(256, 256\)") as info:
+        with pytest.raises(FeasibilityError, match=r"\(256, 256\)"):
             net.t_matrix()
-        assert "_contract" not in [entry.name for entry in info.traceback]
+        assert "t_sparse" not in vars(net)
 
     def test_t_apply_over_budget_output_is_refused_before_planning(self, monkeypatch):
+        """The (256, 1) output is refused before the sparse T is built."""
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**10)
         net = self._z2_plaquette_network()
-        with pytest.raises(FeasibilityError, match=r"\(256, 1\)") as info:
+        with pytest.raises(FeasibilityError, match=r"\(256, 1\)"):
             net.t_apply(np.ones(net.reduced.dim))
-        assert "_contract" not in [entry.name for entry in info.traceback]
+        assert "t_sparse" not in vars(net)
+
+    def test_scatter_arrays_over_budget_are_refused_before_they_are_made(self, monkeypatch):
+        """T^dagger x on the martingale region builds T from int64 index arrays over its
+        2^18 gauge configurations (2 MiB each). Under a 1 MiB budget the first is
+        refused by `require_fits`, and the call allocates less than one of them."""
+        net = self._martingale_region_network()
+        x = np.ones(net.phys_dim)
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FeasibilityError, match=r"int64 array of shape \(2(, 2){17}\)") as info:
+                net.t_dagger_apply(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.traceback[-1].name == "require_fits"
+        assert peak < 2**20
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_pepo_equals_exponential(self, z2_model, beta):
@@ -204,8 +205,7 @@ class TestRegionContraction:
     @staticmethod
     def _assert_applies_match(net, t_apply, t_dagger_apply, cases=((None, 0), (1, 1), (3, 1))):
         """Vectors and blocks of 1 and 3 columns, real (imag 0) and complex (imag 1),
-        to 1e-12 relative: the legs leave each merge in the orders the steps give,
-        which a wrong permutation breaks."""
+        to 1e-12 relative, with the shapes of the inputs."""
         rng = np.random.default_rng(1)
         for width, imag in cases:
             shape = (lambda dim: (dim,)) if width is None else (lambda dim: (dim, width))
@@ -247,8 +247,8 @@ class TestRegionContraction:
 
     def test_applies_match_a_tensordot_contraction_on_a_cylinder(self):
         """Z2 N=3 `cyl:v,0,1`, whose dense T (2^18 x 2^12) is above the budget: the
-        reference is the network contracted with `np.tensordot` in the planned order,
-        on one complex column (each apply takes about a second)."""
+        reference is the paired network contracted with `np.tensordot`, on one complex
+        column (each oracle apply takes about a second)."""
         lat = TorusLattice(3)
         net = RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "cyl:v,0,1"), 1.0)
         self._assert_applies_match(
@@ -280,27 +280,13 @@ class TestRegionContraction:
         if spec == "torus":
             self._assert_applies_match_t_matrix(net)
 
-    def test_martingale_region_fits_a_quarter_gib_budget(self, monkeypatch):
-        """The whole region of the smallest martingale split (2^20 doubled dims): the
-        planned order's largest step is 16 MiB; a column sweep needs 1 GiB."""
-        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**28)
-        lat = TorusLattice(4)
-        net = RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,3,1"), 1.0)
-        rng = np.random.default_rng(2)
-        y = rng.standard_normal(net.reduced.dim)
-        x = rng.standard_normal(net.phys_dim)
-        lhs = np.vdot(net.t_apply(y), x)
-        rhs = np.vdot(y, net.t_dagger_apply(x))
-        assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
-
     @staticmethod
     def _martingale_region_network():
         lat = TorusLattice(4)
         return RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,3,1"), 1.0)
 
-    def test_martingale_region_fits_a_16_mib_budget(self, monkeypatch):
-        """The same region: the planned order's largest step is 2^21 float64 entries, 16 MiB."""
-        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**24)
+    def _assert_martingale_region_fits(self, monkeypatch, budget):
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
         net = self._martingale_region_network()
         rng = np.random.default_rng(2)
         y = rng.standard_normal(net.reduced.dim)
@@ -309,76 +295,19 @@ class TestRegionContraction:
         rhs = np.vdot(y, net.t_dagger_apply(x))
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
-    def test_martingale_region_plans_stay_cheap(self):
-        """Counts, not times: T y plus T^dagger x on the martingale region take at most
-        1.5e9 multiply-adds (the greedy order on star pairs took 2.17e10, the cheapest
-        6.0e9) with steps of at most 2^21 entries, and the Z2 N=2 torus, whose cheapest
-        multiply-add-only order writes 2^21 entries in one step, keeps its steps
-        within 2^18."""
-        net = self._martingale_region_network()
-        net.t_apply(np.zeros(net.reduced.dim))
-        net.t_dagger_apply(np.zeros(net.phys_dim))
-        assert len(net._plans) == 2
-        counts = [c for item in net._plans.items() for c in plan_counts_oracle(*_planned(*item))]
-        assert sum(m for m, _ in counts) <= 1.5e9
-        assert max(w for _, w in counts) <= 2**21
-        lat = TorusLattice(2)
-        torus = RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), Region(lat, TORUS), 1.0)
-        nodes = tuple(frozenset(zip(legs, data.shape)) for data, legs in map(torus._edge_array, torus.edges))
-        out = frozenset(torus._phys_legs())
-        assert max(w for _, w in plan_counts_oracle(nodes, peps.plan_contraction(nodes, out), out)) <= 2**18
+    def test_martingale_region_fits_a_quarter_gib_budget(self, monkeypatch):
+        """The whole region of the smallest martingale split (2^20 doubled dims), whose
+        dense T would take 2 TiB."""
+        self._assert_martingale_region_fits(monkeypatch, 2**28)
 
-    def test_operand_copy_over_budget_is_refused_before_it_is_made(self, monkeypatch):
-        """T^dagger x on the martingale region copies x (2^20 float64 entries, 8 MiB)
-        into the order of the first step that reads it, the third; the copies and
-        outputs of the two steps before hold at most 4096 entries, and under a 6 MiB
-        budget that copy is refused by the budget check ahead of it."""
-        net = self._martingale_region_network()
-        net._bundles
-        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 6 * 2**20)
-        with pytest.raises(FeasibilityError, match=r"needs 0\.00781 GiB") as info:
-            net.t_dagger_apply(np.ones(net.phys_dim))
-        names = [entry.name for entry in info.traceback]
-        assert names[-4:] == ["_merge", "_matrices", "_arranged", "require_fits"]
-
-    @pytest.mark.parametrize("group", [make_cyclic(2), make_cyclic(3)], ids=["Z2", "Z3"])
-    def test_plan_has_the_brute_force_minimum_cost(self, group):
-        """T^dagger x and T y on one plaquette of the N=3 torus: five nodes, where each
-        corner's vertex index is held by two edges and is an output leg of T^dagger x
-        and summed in T y, where the input holds it too."""
-        lat = TorusLattice(3)
-        net = RegionNetwork(QuantumDoubleModel(group, lat), parse_region(lat, "rect:0,0,1,1"), 1.0)
-        net.t_dagger_apply(np.ones(net.phys_dim))
-        net.t_apply(np.ones(net.reduced.dim))
-        assert len(net._plans) == 2
-        for item in net._plans.items():
-            nodes, steps, out_legs = _planned(*item)
-            assert len(nodes) == 5
-            assert plan_cost_oracle(nodes, steps, out_legs) == min_contraction_cost_oracle(list(nodes), out_legs)
-
-    def test_a_leg_held_by_one_node_must_be_an_output(self):
-        """A leg with one holder has no step that could sum it."""
-        nodes = (frozenset({("a", 2), ("b", 2)}), frozenset({("b", 2), ("c", 2)}))
-        assert peps.plan_contraction(nodes, frozenset({"a", "c"})) == ((0, 1),)
-        with pytest.raises(ValueError, match="must be output legs"):
-            peps.plan_contraction(nodes, frozenset({"a"}))
-
-    def test_a_network_plans_once_per_input_shape(self, monkeypatch):
-        """Applying T again reuses the plan; another batch width plans again."""
-        planned = []
-        plan = peps.plan_contraction
-        monkeypatch.setattr(peps, "plan_contraction", lambda *args: planned.append(args) or plan(*args))
-        net = self._z2_plaquette_network()
-        dim = net.reduced.dim
-        assert np.array_equal(net.t_apply(np.ones(dim)), net.t_apply(np.ones(dim)))
-        assert len(planned) == 1
-        net.t_apply(np.ones((dim, 2)))
-        net.t_apply(np.ones((dim, 2)))
-        assert len(planned) == 2
+    def test_martingale_region_fits_a_16_mib_budget(self, monkeypatch):
+        """The same region: the largest array either apply checks is T y, 8 MiB, and
+        the scatter's index and value arrays take 2 MiB each."""
+        self._assert_martingale_region_fits(monkeypatch, 2**24)
 
     def test_t_apply_on_the_torus_takes_an_outer_product(self):
-        """The whole torus has no reduced boundary, so the input vector shares no leg
-        with the edge nodes and is joined to them last, by an outer product."""
+        """The whole torus has no reduced boundary: T is one column, and a block of
+        inputs is a row of scalars."""
         lat = TorusLattice(2)
         net = RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), Region(lat, TORUS), 1.0)
         assert net.reduced.dim == 1

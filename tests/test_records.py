@@ -46,11 +46,11 @@ def test_recursion_bound():
 def test_martingale_report_with_numpy_flags():
     rep = MartingaleReport(
         region="rect", split="a|b", beta=1.0, measured=np.float64(0.25), bound=48.0,
-        epsilon=np.float64(3.0), hypothesis_ok=np.bool_(False), passed=np.bool_(True),
-        method="matrix-free", seed=0,
+        epsilon=np.float64(3.0), hypothesis_ok=np.bool_(False), vacuous=np.bool_(True),
+        passed=np.bool_(False), method="matrix-free", seed=0,
     )
     out = round_trip(rep)
-    assert out["hypothesis_ok"] is False and out["passed"] is True
+    assert out["hypothesis_ok"] is False and out["vacuous"] is True and out["passed"] is False
 
 
 def test_gap_chain_report_with_numpy_flags():
