@@ -147,6 +147,19 @@ class TestRegionContraction:
         lat = TorusLattice(3)
         return RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), Region(lat, RECT, a=1, b=1), 1.0)
 
+    @pytest.mark.parametrize("method", ["t_apply", "t_dagger_apply"])
+    def test_contraction_step_over_budget_is_refused(self, monkeypatch, method):
+        """The plaquette's scatter arrays and the applies' outputs take 2 KiB each: a
+        2 KiB budget admits either apply, and one byte less refuses it before T is built."""
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**11)
+        assert getattr(self._z2_plaquette_network(), method)(np.ones(256)).shape == (256,)
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**11 - 1)
+        net = self._z2_plaquette_network()
+        with pytest.raises(FeasibilityError, match=r"needs 1\.91e-06 GiB") as info:
+            getattr(net, method)(np.ones(256))
+        assert info.traceback[-1].name == "require_fits"
+        assert "t_sparse" not in vars(net)
+
     def test_t_matrix_over_budget_is_refused_before_contracting(self, monkeypatch):
         """The dense (256, 256) T is refused before the sparse T is built."""
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**18)
@@ -163,10 +176,10 @@ class TestRegionContraction:
             net.t_apply(np.ones(net.reduced.dim))
         assert "t_sparse" not in vars(net)
 
-    def test_scatter_arrays_over_budget_are_refused_before_they_are_made(self, monkeypatch):
-        """T^dagger x on the martingale region builds T from int64 index arrays over its
-        2^18 gauge configurations (2 MiB each). Under a 1 MiB budget the first is
-        refused by `require_fits`, and the call allocates less than one of them."""
+    def test_operand_copy_over_budget_is_refused_before_it_is_made(self, monkeypatch):
+        """T^dagger x on the martingale region builds T from its operands, int64 index
+        arrays over its 2^18 gauge configurations (2 MiB each). Under a 1 MiB budget the
+        first is refused by `require_fits`, and the call allocates less than one of them."""
         net = self._martingale_region_network()
         x = np.ones(net.phys_dim)
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**20)
