@@ -145,7 +145,13 @@ def kms_rates(beta: float, form: str = "exponential-half", table: dict | None = 
 class JumpDecomposition:
     """The Davies jumps of one edge: for each coupling operator S, the dense
     S(w) on the support edges for the Bohr frequencies w at which S makes a
-    transition (S(w) = 0 at the others, which are left out)."""
+    transition (S(w) = 0 at the others, which are left out).
+
+    An S that is real up to a phase, S = c R with c the phase of its first
+    nonzero entry, has S(w) = c R(w): float64 for c = +-1, complex for c = +-i
+    (a Hermitian S real up to a phase has one of these four). Every default
+    coupling operator is of this kind; any other S gives complex S(w).
+    """
 
     support: tuple[Edge, ...]
     components: list[dict]  # per coupling operator: omega -> S(omega)
@@ -191,6 +197,20 @@ def level_projectors(model: QuantumDoubleModel, e: Edge) -> tuple[QuantumDoubleM
     return sub, {k: q for k, q in enumerate(qs) if q.any()}, n ** len(stars)
 
 
+def _phase_split(m: np.ndarray) -> tuple[complex | float, np.ndarray]:
+    """(c, R) with m = c R: when m is exactly real up to the phase c of its first
+    nonzero entry, R is float64 (and c = 1 for a real or zero m); else (1, m)."""
+    if not np.iscomplexobj(m):
+        return 1.0, m
+    flat = m.ravel()
+    nonzero = np.flatnonzero(flat)
+    c = flat[nonzero[0]] / abs(flat[nonzero[0]]) if nonzero.size else 1.0
+    r = m * np.conj(c)
+    if r.imag.any():
+        return 1.0, m
+    return (c.real if c.imag == 0 else c), r.real
+
+
 def fourier_components(model: QuantumDoubleModel, e: Edge, operators) -> JumpDecomposition:
     """S(w) = sum_k Q_{k+w} S Q_k for each coupling operator S acting on the edge.
 
@@ -199,13 +219,17 @@ def fourier_components(model: QuantumDoubleModel, e: Edge, operators) -> JumpDec
     e^{itH} S e^{-itH} = sum_w e^{-iwt} S(w). The sums run over the integer
     scale Q_k of `level_projectors` and are divided by scale^2 once, so an
     entry is exactly zero where the transition is absent, and an S(w) that is
-    zero is not stored. FeasibilityError is raised before the stored S(w) of the
-    edge exceed the dense budget.
+    zero is not stored. An S that is real up to its phase c (`_phase_split`)
+    is summed as the real R = S c^* and stored as c R(w): scale Q_k and R are
+    small-integer matrices, so these are the values of the complex sums, bit
+    for bit. FeasibilityError is raised before the stored S(w) of the edge
+    exceed the dense budget in bytes.
     """
     sub, levels, scale = level_projectors(model, e)
     components = []
-    stored = 0
+    stored = 0  # bytes of the stored S(w)
     for s_op in operators:
+        c, s_op = _phase_split(s_op)
         s_emb = sub._embed_multi([e], s_op)
         s_q = {k: s_emb @ q for k, q in levels.items()}
         comps = {}
@@ -215,9 +239,9 @@ def fourier_components(model: QuantumDoubleModel, e: Edge, operators) -> JumpDec
                 if k + w in levels:
                     acc += levels[k + w] @ sq
             if acc.any():
-                stored += 1
-                require_fits((stored,) + acc.shape, acc.dtype)
-                comps[w] = acc / scale**2
+                stored += acc.size * np.result_type(acc, c).itemsize
+                require_fits((stored,), np.uint8)
+                comps[w] = c * (acc / scale**2)
         components.append(comps)
     return JumpDecomposition(support=sub.edge_list, components=components)
 
@@ -242,11 +266,11 @@ class DaviesGenerator:
         validate_coupling(coupling.operators)
         rates = rates or kms_rates(beta)
         gen = cls(model=model, beta=beta, coupling=coupling, rates=rates)
-        stored = 0  # entries of every stored S(w), checked against the dense budget
+        stored = 0  # bytes of every stored S(w), checked against the dense budget
         for e in model.edge_list:
             gen.jumps[e] = dec = fourier_components(model, e, coupling.operators)
-            stored += sum(s.size for comps in dec.components for s in comps.values())
-            require_fits((stored,), complex)
+            stored += sum(s.nbytes for comps in dec.components for s in comps.values())
+            require_fits((stored,), np.uint8)
         return gen
 
 
@@ -266,6 +290,12 @@ class HTilde:
     and the identity on every other leg; `linalg.sites_first_axes` gives the leg
     layout. `fourier_components` leaves an entry of S(w) exactly zero where its
     transition is absent, so the nonzero entries of L_e are those of the true jumps.
+    Each term pairs S with S^dag or S^*, so L_e is unchanged by S -> S c^* with
+    |c| = 1: it is built from the real R of each S(w) = c R (`_phase_split`) and
+    is float64 when every S(w) of the edge is real up to a phase, as for the
+    default coupling; otherwise it is complex. `apply_edges` returns the dtype
+    of its input and the L_e it applies, so on real L_e a real vector stays
+    real and the eigensolves run in real arithmetic.
     """
 
     def __init__(self, gen: DaviesGenerator):
@@ -280,7 +310,7 @@ class HTilde:
             self.norm_bound += float(abs(gen_e).sum(axis=1).max())
 
     def apply_edges(self, x: np.ndarray, edges) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
+        out = np.zeros(self.dim, dtype=np.result_type(x, *(self.local[e][1].dtype for e in edges)))
         for e in edges:
             pos, gen_e = self.local[e]
             out += apply_on_sites(x, self.model.local_dim, self.model.n_edges, pos, lambda m: gen_e @ m)
@@ -291,23 +321,25 @@ class HTilde:
 
 
 def _local_generator(gen: DaviesGenerator, dec: JumpDecomposition, d: int) -> sp.csr_matrix:
-    """L_e of HTilde in CSR, from the dense S(w) of the edge's jumps on its support of dimension d."""
-    m1 = np.zeros((d, d), dtype=complex)  # sum g c^2 S S^dag
-    m2 = np.zeros((d, d), dtype=complex)  # sum g S^dag S
+    """L_e of HTilde in CSR, from the dense S(w) of the edge's jumps on its support
+    of dimension d, each taken as its real R = S(w) c^* when it is real up to a phase."""
+    jumps = [(w, _phase_split(s)[1]) for comps in dec.components for w, s in comps.items()]
+    dtype = np.result_type(float, *(s for _, s in jumps))
+    m1 = np.zeros((d, d), dtype=dtype)  # sum g c^2 S S^dag
+    m2 = np.zeros((d, d), dtype=dtype)  # sum g S^dag S
     rows, cols, vals = [], [], []  # COO entries of sum g c S x S^*
-    for comps in dec.components:
-        for w, s in comps.items():
-            # the half makes H~ equal to -iota L iota^{-1}: the +-omega pairing in the
-            # Dirichlet form double counts each squared commutator
-            g = 0.5 * gen.rates(w)
-            c = float(np.exp(-gen.beta * w / 2.0))
-            m1 += (g * c * c) * (s @ dagger(s))
-            m2 += g * (dagger(s) @ s)
-            r, k = np.nonzero(s)
-            v = s[r, k]
-            rows.append((r[:, None] * d + r[None, :]).ravel())
-            cols.append((k[:, None] * d + k[None, :]).ravel())
-            vals.append(((g * c) * np.outer(v, v.conj())).ravel())
+    for w, s in jumps:
+        # the half makes H~ equal to -iota L iota^{-1}: the +-omega pairing in the
+        # Dirichlet form double counts each squared commutator
+        g = 0.5 * gen.rates(w)
+        c = float(np.exp(-gen.beta * w / 2.0))
+        m1 += (g * c * c) * (s @ dagger(s))
+        m2 += g * (dagger(s) @ s)
+        r, k = np.nonzero(s)
+        v = s[r, k]
+        rows.append((r[:, None] * d + r[None, :]).ravel())
+        cols.append((k[:, None] * d + k[None, :]).ravel())
+        vals.append(((g * c) * np.outer(v, v.conj())).ravel())
     cross = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(d * d, d * d)
     )

@@ -45,8 +45,8 @@ def require_fits(shape: Sequence[int], dtype=np.float64) -> None:
 
 # ARPACK restarts allowed per solve (each restart takes up to ncv - k matvecs);
 # ARPACK's own default is 10 n. The two solves of the benchmark's gap_chain
-# workload take 76 matvecs in all: 72 inside ARPACK, a few restarts, far below
-# this cap, and per solve one probe and one residual check.
+# workload (both real, dsaupd) take 76 matvecs in all: 72 inside ARPACK, a few
+# restarts, far below this cap, and per solve one probe and one residual check.
 ARPACK_MAXITER = 1000
 
 # ARPACK's Lanczos misses an eigenvalue that is exactly 0 (on diag(0, d) with d uniform

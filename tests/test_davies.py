@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qdlab import records
+from qdlab import linalg, records
 
 from qdlab.davies import (
     BOHR_FREQUENCIES,
@@ -30,7 +30,7 @@ from qdlab.davies import (
 from qdlab.gap_tools import complement_gap
 from qdlab.groups import group_by_name, make_cyclic
 from qdlab.lattice import TorusLattice, parse_region
-from qdlab.linalg import dagger, matrix_power_hermitian
+from qdlab.linalg import FeasibilityError, dagger, matrix_power_hermitian
 from qdlab.quantum_double import QuantumDoubleModel, gibbs_state
 from oracles import (
     apply_dissipator, c2_explicit_basis, fourier_components_eigh, iota, iota_inverse, kernel_projector_oracle,
@@ -69,6 +69,21 @@ def test_htilde_equals_minus_iota_l_iota_inverse(patch):
     expect = dense_of(oracle, ht.dim)
     assert np.abs(h - expect).max() < TOL
     assert np.abs(h - dagger(h)).max() < TOL
+
+
+def test_complex_coupling_stays_complex(patch):
+    """A coupling with an operator that is not real up to a phase, (sigma_x+sigma_y)/sqrt 2,
+    gives complex L_e, and H~ still equals -iota L iota^{-1}."""
+    model, _, _, rho = patch
+    x, y, z = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])
+    gen = DaviesGenerator.build(model, BETA, coupling=CouplingSet((x + 0j, z + 0j, (x + y) / np.sqrt(2))))
+    ht = HTilde(gen)
+    for _, gen_e in ht.local.values():
+        assert gen_e.dtype == complex and abs(gen_e.imag).max() > 0.1
+    rho_sqrt = matrix_power_hermitian(rho, 0.5)
+    rho_sqrt_inv = matrix_power_hermitian(rho, -0.5)
+    expect = dense_of(lambda v: -iota(apply_dissipator(gen, iota_inverse(v, rho_sqrt_inv)), rho_sqrt), ht.dim)
+    assert np.abs(dense_of(ht.apply, ht.dim) - expect).max() < TOL
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +130,40 @@ def test_davies_gap_scales_with_the_rates(cylinder_patch):
     ht100 = HTilde(DaviesGenerator.build(model, BETA, rates=rates))
     assert ht100.norm_bound == pytest.approx(100 * ht.norm_bound, rel=1e-12)
     assert davies_gap(ht100, tfd) == pytest.approx(100 * davies_gap(ht, tfd), rel=1e-9)
+
+
+class RealOnlyHTilde(HTilde):
+    def apply_edges(self, x, edges):
+        if np.iscomplexobj(x):
+            raise TypeError("complex input to a real H~")
+        return super().apply_edges(x, edges)
+
+
+def test_default_coupling_solves_run_real(cylinder_patch):
+    """With real L_e a real vector stays real, so the Davies gap and the local check
+    run their eigensolves in real arithmetic, with the values of the complex solves."""
+    model, gen, ht, rho = cylinder_patch
+    x = np.random.default_rng(5).standard_normal(ht.dim)
+    assert ht.apply_edges(x, model.edge_list).dtype == float
+    real_ht = RealOnlyHTilde(gen)
+    tfd = thermofield_vector(model, BETA, rho)
+    assert davies_gap(real_ht, tfd) == pytest.approx(2.697855988183939, rel=1e-9)
+    check = local_gap_check(gen, real_ht, model.edge_list[0], rho)
+    assert check.passed and abs(check.min_eig) < 1e-9
+
+
+def test_jump_budget_counts_the_stored_bytes(cylinder_patch, monkeypatch):
+    """The build budgets the bytes its S(w) take: float64 for the real-phase operators,
+    so a budget that fits them but not complex S(w) admits the default build."""
+    model, gen, _, _ = cylinder_patch
+    jumps = [s for dec in gen.jumps.values() for comps in dec.components for s in comps.values()]
+    stored = sum(s.nbytes for s in jumps)
+    assert stored < sum(s.size for s in jumps) * np.dtype(complex).itemsize
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", stored)
+    DaviesGenerator.build(model, BETA)
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", stored - 1)
+    with pytest.raises(FeasibilityError):
+        DaviesGenerator.build(model, BETA)
 
 
 def test_patch_generator_from_the_torus_jumps():
@@ -182,6 +231,26 @@ def test_jumps_against_their_definition(jump_patch):
             assert np.abs(sum(comps.values()) - s_emb).max() <= 1e-14
             for w, s in comps.items():
                 assert np.abs(total @ s - s @ total - w * s).max() <= 1e-13
+
+
+def test_real_phase_sums_equal_the_complex_sums(jump_patch):
+    """S(w) summed as c R(w) in real arithmetic are the complex sums sum_k Q_{k+w} S Q_k, bit for bit."""
+    model, ops = jump_patch
+    for e in model.edge_list:
+        sub, levels, scale = level_projectors(model, e)
+        for s_op, comps in zip(ops, fourier_components(model, e, ops).components):
+            s_emb = sub._embed_multi([e], s_op)
+            for w in BOHR_FREQUENCIES:
+                direct = sum((levels[k + w] @ s_emb @ q for k, q in levels.items() if k + w in levels),
+                             np.zeros_like(s_emb)) / scale**2
+                assert np.array_equal(comps.get(w, np.zeros_like(direct)), direct)
+
+
+def test_default_coupling_gives_real_local_generators(jump_patch):
+    """Every default coupling operator is real up to a phase (1 or i), so every L_e is float64."""
+    model = jump_patch[0]
+    ht = HTilde(DaviesGenerator.build(model, BETA))
+    assert {gen_e.dtype for _, gen_e in ht.local.values()} == {np.dtype(float)}
 
 
 def test_level_projectors_resolve_the_identity(jump_patch):
