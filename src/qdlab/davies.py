@@ -283,17 +283,18 @@ class HTilde:
     The jumps S(w) of edge e act only on its support, the edges of its stars and
     plaquettes, whose space has dimension D. With iota delta_{alpha,w} iota^{-1} = c (1 x S^T) - (S x 1)
     on row-major vectors and c = e^{-beta w/2}, H~_e is, on the ket and bra legs of
-    that support, the sparse D^2 x D^2 matrix
+    that support, the sparse D^2 x D^2 Dirichlet form
 
-        L_e = sum_{alpha,w} g(w)/2 [ c^2 1 x (S S^dag)^T + S^dag S x 1 - c (S x S^* + S^dag x S^T) ],
+        L_e = sum_{alpha,w} g(w)/2 D^dag D = B^dag B,    D = c (1 x S^T) - S x 1,
 
-    and the identity on every other leg; `linalg.sites_first_axes` gives the leg
-    layout. `fourier_components` leaves an entry of S(w) exactly zero where its
-    transition is absent, so the nonzero entries of L_e are those of the true jumps.
-    Each term pairs S with S^dag or S^*, so L_e is unchanged by S -> S c^* with
-    |c| = 1: it is built from the real R of each S(w) = c R (`_phase_split`) and
-    is float64 when every S(w) of the edge is real up to a phase, as for the
-    default coupling; otherwise it is complex. `apply_edges` returns the dtype
+    with B the stack of the sqrt(g(w)/2) D, and the identity on every other leg;
+    `linalg.sites_first_axes` gives the leg layout. L_e is Hermitian and positive
+    semidefinite by construction. `fourier_components` leaves an entry of S(w)
+    exactly zero where its transition is absent, so B holds only the true jumps.
+    S -> S c^* with |c| = 1 multiplies D by c^*, so L_e is unchanged: it is built
+    from the real R of each S(w) = c R (`_phase_split`) and is float64 when every
+    S(w) of the edge is real up to a phase, as for the default coupling; otherwise
+    it is complex. `apply_edges` returns the dtype
     of its input and the L_e it applies, so on real L_e a real vector stays
     real and the eigensolves run in real arithmetic.
     """
@@ -321,31 +322,26 @@ class HTilde:
 
 
 def _local_generator(gen: DaviesGenerator, dec: JumpDecomposition, d: int) -> sp.csr_matrix:
-    """L_e of HTilde in CSR, from the dense S(w) of the edge's jumps on its support
-    of dimension d, each taken as its real R = S(w) c^* when it is real up to a phase."""
+    """L_e = B^dag B of HTilde in CSR, on the edge's support of dimension d. B stacks
+    d^2 rows per jump (w, R), R = S(w) c^* the real form of S(w) when it is real up
+    to a phase: sqrt(g(w)/2) (c (1 x R^T) - R x 1), written entry by entry."""
     jumps = [(w, _phase_split(s)[1]) for comps in dec.components for w, s in comps.items()]
-    dtype = np.result_type(float, *(s for _, s in jumps))
-    m1 = np.zeros((d, d), dtype=dtype)  # sum g c^2 S S^dag
-    m2 = np.zeros((d, d), dtype=dtype)  # sum g S^dag S
-    rows, cols, vals = [], [], []  # COO entries of sum g c S x S^*
-    for w, s in jumps:
+    a = np.arange(d)[:, None]
+    rows, cols, vals = [], [], []
+    for j, (w, r) in enumerate(jumps):
         # the half makes H~ equal to -iota L iota^{-1}: the +-omega pairing in the
         # Dirichlet form double counts each squared commutator
-        g = 0.5 * gen.rates(w)
+        amp = np.sqrt(0.5 * gen.rates(w))
         c = float(np.exp(-gen.beta * w / 2.0))
-        m1 += (g * c * c) * (s @ dagger(s))
-        m2 += g * (dagger(s) @ s)
-        r, k = np.nonzero(s)
-        v = s[r, k]
-        rows.append((r[:, None] * d + r[None, :]).ravel())
-        cols.append((k[:, None] * d + k[None, :]).ravel())
-        vals.append(((g * c) * np.outer(v, v.conj())).ravel())
-    cross = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(d * d, d * d)
+        p, k = np.nonzero(r)
+        v = np.broadcast_to(r[p, k], (d, p.size))
+        rows += [((j * d + a) * d + k).ravel(), ((j * d + p) * d + a).ravel()]  # c (1 x R^T), then R x 1
+        cols += [(a * d + p).ravel(), (k * d + a).ravel()]
+        vals += [(amp * c * v).ravel(), (-amp * v).ravel()]
+    b = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(len(jumps) * d * d, d * d)
     )
-    eye = sp.identity(d, format="csr")
-    out = sp.kron(eye, sp.csr_matrix(m1.T)) + sp.kron(sp.csr_matrix(m2), eye) - cross - cross.conj().T
-    return out.tocsr()
+    return (b.conj().T @ b).tocsr()
 
 
 # -- kernel projectors (iota images) -----------------------------------------------------------
@@ -389,9 +385,10 @@ def thermofield_vector(model: QuantumDoubleModel, beta: float, rho: np.ndarray |
 
 def c1_constant(model: QuantumDoubleModel, e: Edge) -> float:
     """Operator norm of the sum of the local terms of the edge (stars + plaquettes):
-    the highest level k at which some state satisfies k of them."""
-    _, levels, _ = level_projectors(model, e)
-    return float(max(levels))
+    their number, as the quantum double is frustration free and some state
+    satisfies all of them at once."""
+    _, stars, plaqs = _local_patch(model, e)
+    return float(len(stars) + len(plaqs))
 
 
 def c2_constant(coupling: CouplingSet) -> float:

@@ -205,27 +205,24 @@ def recursion_bound(r: int, delta_fn) -> RecursionBound:
     if r < 16:
         raise ValueError("recursion requires r >= 16")
     deltas, s_values = [], []
-    product = 1.0
-    for k in range(RECURSION_TERMS):
+    product, tail_sum = 1.0, 0.0
+    # the first RECURSION_TERMS k give the product, the rest the geometrically decaying tail
+    for k in range(4 * RECURSION_TERMS):
         ell = math.floor((r / 4.0) * (9.0 / 8.0) ** (k / 2.0))
         dk = float(delta_fn(max(ell, 1)))
         sk = max(int((4.0 / 3.0) ** (k / 2.0)), 1)
-        deltas.append(dk)
-        s_values.append(sk)
-        product *= (1.0 - dk) / (1.0 + 1.0 / sk)
-    if product <= 0.0:
-        raise ConvergenceError("recursion product vanished: decay function does not decay")
-    # tail: sum_{k >= RECURSION_TERMS}; both series decay geometrically, bound by doubling range
-    tail_sum = 0.0
-    for k in range(RECURSION_TERMS, 4 * RECURSION_TERMS):
-        ell = math.floor((r / 4.0) * (9.0 / 8.0) ** (k / 2.0))
-        dk = float(delta_fn(max(ell, 1)))
-        if dk >= 0.5:
+        if k < RECURSION_TERMS:
+            deltas.append(dk)
+            s_values.append(sk)
+            product *= (1.0 - dk) / (1.0 + 1.0 / sk)
+        elif product <= 0.0:
+            raise ConvergenceError("recursion product vanished: decay function does not decay")
+        elif dk >= 0.5:
             raise ConvergenceError("decay function not below 1/2 in the tail")
-        sk = max(int((4.0 / 3.0) ** (k / 2.0)), 1)
-        tail_sum += 2.0 * dk + 1.0 / sk
-        if 2.0 * dk + 1.0 / sk < 1e-18:
-            break
+        else:
+            tail_sum += 2.0 * dk + 1.0 / sk
+            if 2.0 * dk + 1.0 / sk < 1e-18:
+                break
     tail_lower = math.exp(-tail_sum)
     return RecursionBound(
         r=r,

@@ -27,9 +27,9 @@ class FeasibilityError(RuntimeError):
 
 # The largest single dense array the package makes. It admits the largest array
 # of every certificate in the benchmark and the tests (512 MiB: the dense T of the
-# Z2 N=3 `rect:2,2,2,1` test region; the contraction steps of the matrix-free
-# whole region of the smallest martingale split, and the operand copies they
-# make, take 64 MiB) and refuses requests that would exhaust a desk machine.
+# Z2 N=3 `rect:2,2,2,1` test region; the Lanczos workspace of the whole region of
+# the smallest martingale split takes 168 MiB) and refuses requests that would
+# exhaust a desk machine.
 DENSE_BUDGET_BYTES = 2**31
 
 
@@ -45,8 +45,9 @@ def require_fits(shape: Sequence[int], dtype=np.float64) -> None:
 
 # ARPACK restarts allowed per solve (each restart takes up to ncv - k matvecs);
 # ARPACK's own default is 10 n. The two solves of the benchmark's gap_chain
-# workload (both real, dsaupd) take 76 matvecs in all: 72 inside ARPACK, a few
-# restarts, far below this cap, and per solve one probe and one residual check.
+# workload (both real, dsaupd) take 76 matvecs in all, 53 for the Davies gap and
+# 23 for the local check: 51 and 21 inside ARPACK, far below this cap, and per
+# solve one probe and one residual check.
 ARPACK_MAXITER = 1000
 
 # ARPACK's Lanczos misses an eigenvalue that is exactly 0 (on diag(0, d) with d uniform
@@ -164,15 +165,18 @@ def lowest_eigs_matrix_free(
     the restricted spectrum lies at or above it.
     Raises ConvergenceError when ARPACK has not converged after ARPACK_MAXITER
     restarts, or when an eigenpair's residual exceeds the tolerance, and
-    FeasibilityError, before the first matvec, when the Lanczos basis (scipy's
-    default ncv vectors), the start vector and the deflation basis would not
-    fit the dense budget as complex arrays.
+    FeasibilityError when the Lanczos basis (scipy's default ncv vectors), the
+    start vector and the deflation basis would not fit the dense budget: as
+    real arrays before the first matvec, and as complex arrays after the probe
+    when the solve is complex.
     """
     ncv = min(max(2 * k + 1, 20), h.dim)
-    require_fits((ncv + 1 + len(deflate), h.dim), complex)
+    workspace = (ncv + 1 + len(deflate), h.dim)
+    require_fits(workspace, float)
     v0 = np.random.default_rng(seed).standard_normal(h.dim)
     probe = h.apply(v0)
     dtype = complex if any(np.iscomplexobj(v) for v in (probe, *deflate)) else float
+    require_fits(workspace, dtype)
     basis = np.array([np.ravel(v) for v in deflate], dtype=dtype).reshape(len(deflate), h.dim)
     if len(basis):
         dev = np.abs(basis.conj() @ basis.T - np.eye(len(basis))).max()

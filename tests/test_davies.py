@@ -69,6 +69,9 @@ def test_htilde_equals_minus_iota_l_iota_inverse(patch):
     expect = dense_of(oracle, ht.dim)
     assert np.abs(h - expect).max() < TOL
     assert np.abs(h - dagger(h)).max() < TOL
+    for _, gen_e in ht.local.values():  # each L_e is a Dirichlet form, so positive semidefinite
+        dense = gen_e.toarray()
+        assert np.linalg.eigvalsh(dense)[0] >= -1e-12 * np.linalg.norm(dense, 2)
 
 
 def test_complex_coupling_stays_complex(patch):

@@ -135,8 +135,8 @@ class TestEigsMatrixFree:
             lowest_eigs_matrix_free(h, k=1)
 
     def test_workspace_budget_is_checked_before_any_matvec(self, monkeypatch):
-        """A 2^20-dim solve needs 21 complex vectors of workspace (336 MiB): under a
-        64 MiB budget it raises FeasibilityError before the map is applied once."""
+        """A 2^20-dim solve needs 21 vectors of workspace (168 MiB even when real):
+        under a 64 MiB budget it raises FeasibilityError before the map is applied once."""
         calls = []
 
         def apply(x):
@@ -147,6 +147,25 @@ class TestEigsMatrixFree:
         with pytest.raises(FeasibilityError, match=r"\(21, 1048576\)"):
             lowest_eigs_matrix_free(LinearMapHandle(dim=2**20, apply=apply), k=1)
         assert calls == []
+
+    def test_workspace_budget_follows_the_solve_dtype(self, monkeypatch):
+        """A 4096-dim solve needs 21 vectors of workspace: 672 KiB real, 1.3 MiB
+        complex. Under a 1 MiB budget a real map is solved, and a complex map is
+        refused after the one probe matvec that shows it complex."""
+        vals = 2.0 + np.random.default_rng(5).random(4096)
+        vals[0] = 1.0
+        calls = []
+
+        def apply_complex(x):
+            calls.append(1)
+            return vals * x + 0j
+
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**20)
+        real = LinearMapHandle(dim=vals.size, apply=lambda x: vals * x)
+        assert lowest_eigs_matrix_free(real, k=1)[0] == pytest.approx(1.0, abs=1e-8)
+        with pytest.raises(FeasibilityError, match=r"complex128 array of shape \(21, 4096\)"):
+            lowest_eigs_matrix_free(LinearMapHandle(dim=vals.size, apply=apply_complex), k=1)
+        assert calls == [1]
 
     def test_workspace_of_the_largest_solve_fits_the_default_budget(self):
         """The martingale whole region of the smallest split has 2^20 doubled
