@@ -278,7 +278,8 @@ class DaviesGenerator:
 
 
 class HTilde:
-    """Matrix-free H~ = sum_e H~_e on the doubled space, equal to -iota L iota^{-1}.
+    """H~ = sum_e H~_e on the doubled space, equal to -iota L iota^{-1}, held as one
+    CSR matrix `matrix`, so that `apply` is one sparse product.
 
     The jumps S(w) of edge e act only on its support, the edges of its stars and
     plaquettes, whose space has dimension D. With iota delta_{alpha,w} iota^{-1} = c (1 x S^T) - (S x 1)
@@ -294,9 +295,11 @@ class HTilde:
     S -> S c^* with |c| = 1 multiplies D by c^*, so L_e is unchanged: it is built
     from the real R of each S(w) = c R (`_phase_split`) and is float64 when every
     S(w) of the edge is real up to a phase, as for the default coupling; otherwise
-    it is complex. `apply_edges` returns the dtype
-    of its input and the L_e it applies, so on real L_e a real vector stays
-    real and the eigensolves run in real arithmetic.
+    it is complex. `local` keeps each L_e; `matrix` is their sum, each embedded
+    into the doubled space (`_embedded`), float64 when every L_e is. `apply_edges`
+    applies the L_e of a subset of the edges one by one, for the local gap check.
+    Both return the dtype of their input and the matrices they apply, so on real
+    L_e a real vector stays real and the eigensolves run in real arithmetic.
     """
 
     def __init__(self, gen: DaviesGenerator):
@@ -309,6 +312,16 @@ class HTilde:
             gen_e = _local_generator(gen, dec, self.model.local_dim ** len(pos))
             self.local[e] = (pos, gen_e)
             self.norm_bound += float(abs(gen_e).sum(axis=1).max())
+        # the bytes of every embedded entry (value and int32 column index) and of the
+        # row pointers bound the sum's, which merges the entries that edges share
+        dtype = np.result_type(*(gen_e.dtype for _, gen_e in self.local.values()))
+        entries = sum(gen_e.nnz * (self.dim // gen_e.shape[0]) for _, gen_e in self.local.values())
+        require_fits((entries * (dtype.itemsize + 4) + 4 * (self.dim + 1),), np.uint8)
+        self.matrix = sp.csr_matrix((self.dim, self.dim), dtype=dtype)
+        # a running sum of one CSR per edge: a single COO of every edge's entries
+        # would hold them all at once, with int64 indices
+        for pos, gen_e in self.local.values():
+            self.matrix = self.matrix + _embedded(self.model, pos, gen_e)
 
     def apply_edges(self, x: np.ndarray, edges) -> np.ndarray:
         out = np.zeros(self.dim, dtype=np.result_type(x, *(self.local[e][1].dtype for e in edges)))
@@ -318,7 +331,25 @@ class HTilde:
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.apply_edges(x, self.model.edge_list)
+        return self.matrix @ x
+
+
+def _embedded(model: QuantumDoubleModel, pos: list[int], gen_e: sp.csr_matrix) -> sp.csr_matrix:
+    """L_e x 1 on the doubled space in CSR. With idx[i, r] the doubled index at row i,
+    column r of the matrix view of `linalg.apply_on_sites`, entry (i, j) of L_e lands at
+    (idx[i, r], idx[j, r]) for every state r of the other legs: one copy of L_e per r,
+    its columns relabelled by idx, then its rows put in doubled order. The indices are
+    int32, as scipy stores them: HTilde's budget check keeps the dimension below 2^29."""
+    legs = (model.local_dim,) * (2 * model.n_edges)
+    idx = np.arange(model.dim**2, dtype=np.int32).reshape(legs).transpose(sites_first_axes(model.n_edges, pos))
+    idx = idx.reshape(gen_e.shape[0], -1)  # a sum of place values: idx[i, r] = idx[i, 0] + idx[0, r]
+    n_r = idx.shape[1]
+    indptr = np.append((gen_e.indptr[:-1] + gen_e.nnz * np.arange(n_r)[:, None]).ravel(), gen_e.nnz * n_r)
+    cols = (idx[0, :, None] + idx[gen_e.indices, 0]).ravel()
+    copies = sp.csr_matrix((np.tile(gen_e.data, n_r), cols, indptr), shape=(idx.size, idx.size))
+    order = np.empty(idx.size, dtype=np.int32)
+    order[idx.T.ravel()] = np.arange(idx.size, dtype=np.int32)
+    return copies[order]
 
 
 def _local_generator(gen: DaviesGenerator, dec: JumpDecomposition, d: int) -> sp.csr_matrix:

@@ -28,8 +28,9 @@ class FeasibilityError(RuntimeError):
 # The largest single dense array the package makes. It admits the largest array
 # of every certificate in the benchmark and the tests (512 MiB: the dense T of the
 # Z2 N=3 `rect:2,2,2,1` test region; the Lanczos workspace of the whole region of
-# the smallest martingale split takes 168 MiB) and refuses requests that would
-# exhaust a desk machine.
+# the smallest martingale split takes 168 MiB, and H~ of the Z2 N=2 torus, one CSR
+# matrix, holds 82 MiB (86 MB), which its build budgets as 138 MiB of embedded
+# entries) and refuses requests that would exhaust a desk machine.
 DENSE_BUDGET_BYTES = 2**31
 
 
@@ -45,9 +46,9 @@ def require_fits(shape: Sequence[int], dtype=np.float64) -> None:
 
 # ARPACK restarts allowed per solve (each restart takes up to ncv - k matvecs);
 # ARPACK's own default is 10 n. The two solves of the benchmark's gap_chain
-# workload (both real, dsaupd) take 76 matvecs in all, 53 for the Davies gap and
-# 23 for the local check: 51 and 21 inside ARPACK, far below this cap, and per
-# solve one probe and one residual check.
+# workload (both real, dsaupd) take 76 matvecs in all, 53 for the Davies gap (each
+# one CSR product with H~) and 23 for the local check (each an edge's L_e): 51 and
+# 21 inside ARPACK, far below this cap, and per solve one probe and one residual check.
 ARPACK_MAXITER = 1000
 
 # ARPACK's Lanczos misses an eigenvalue that is exactly 0 (on diag(0, d) with d uniform

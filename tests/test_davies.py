@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qdlab import linalg, records
+from qdlab import davies, linalg, records
 
 from qdlab.davies import (
     BOHR_FREQUENCIES,
@@ -14,6 +14,7 @@ from qdlab.davies import (
     HTilde,
     IotaKernelProjector,
     RateError,
+    _embedded,
     _local_patch,
     c1_constant,
     c2_constant,
@@ -83,6 +84,8 @@ def test_complex_coupling_stays_complex(patch):
     ht = HTilde(gen)
     for _, gen_e in ht.local.values():
         assert gen_e.dtype == complex and abs(gen_e.imag).max() > 0.1
+    assert ht.matrix.dtype == complex
+    assert abs(ht.matrix - ht.matrix.conj().T).max() <= 1e-14 * abs(ht.matrix).max()
     rho_sqrt = matrix_power_hermitian(rho, 0.5)
     rho_sqrt_inv = matrix_power_hermitian(rho, -0.5)
     expect = dense_of(lambda v: -iota(apply_dissipator(gen, iota_inverse(v, rho_sqrt_inv)), rho_sqrt), ht.dim)
@@ -136,23 +139,88 @@ def test_davies_gap_scales_with_the_rates(cylinder_patch):
 
 
 class RealOnlyHTilde(HTilde):
-    def apply_edges(self, x, edges):
+    """Counts the vectors each of its two products takes, and refuses a complex one."""
+
+    def __init__(self, gen):
+        super().__init__(gen)
+        self.calls = {"apply": 0, "apply_edges": 0}
+
+    def _take(self, name, x):
         if np.iscomplexobj(x):
-            raise TypeError("complex input to a real H~")
+            raise TypeError(f"complex input to a real H~ in {name}")
+        self.calls[name] += 1
+
+    def apply(self, x):
+        self._take("apply", x)
+        return super().apply(x)
+
+    def apply_edges(self, x, edges):
+        self._take("apply_edges", x)
         return super().apply_edges(x, edges)
 
 
 def test_default_coupling_solves_run_real(cylinder_patch):
-    """With real L_e a real vector stays real, so the Davies gap and the local check
-    run their eigensolves in real arithmetic, with the values of the complex solves."""
+    """With real L_e, H~ is a float64 matrix and a real vector stays real, so the
+    Davies gap (through `apply`) and the local check (through `apply_edges`) run
+    their eigensolves in real arithmetic, with the values of the complex solves."""
     model, gen, ht, rho = cylinder_patch
+    assert ht.matrix.dtype == np.float64
     x = np.random.default_rng(5).standard_normal(ht.dim)
-    assert ht.apply_edges(x, model.edge_list).dtype == float
+    assert ht.apply(x).dtype == ht.apply_edges(x, model.edge_list).dtype == float
     real_ht = RealOnlyHTilde(gen)
     tfd = thermofield_vector(model, BETA, rho)
     assert davies_gap(real_ht, tfd) == pytest.approx(2.697855988183939, rel=1e-9)
     check = local_gap_check(gen, real_ht, model.edge_list[0], rho)
     assert check.passed and abs(check.min_eig) < 1e-9
+    assert real_ht.calls["apply"] > 0 and real_ht.calls["apply_edges"] > 0
+
+
+@pytest.fixture(scope="module", params=["Z2 cyl:v,0,1", "Z3 rect:0,0,1,1"])
+def embedding_patch(request, cylinder_patch):
+    """The cylinder patch (four supports with other legs, two full) and the Z3 N=3
+    plaquette (four full supports, so H~ is the sum of the L_e themselves)."""
+    if request.param == "Z2 cyl:v,0,1":
+        return cylinder_patch[2]
+    lat = TorusLattice(3)
+    model = QuantumDoubleModel(make_cyclic(3), lat).restrict(parse_region(lat, "rect:0,0,1,1"))
+    return HTilde(DaviesGenerator.build(model, BETA))
+
+
+def test_htilde_matrix_is_the_sum_of_the_edge_terms(embedding_patch):
+    """The one CSR product equals the per-edge products summed, and the matrix is symmetric."""
+    ht = embedding_patch
+    rng = np.random.default_rng(11)
+    for x in (rng.standard_normal(ht.dim), rng.standard_normal(ht.dim) + 1j * rng.standard_normal(ht.dim)):
+        expect = sum(ht.apply_edges(x, [e]) for e in ht.model.edge_list)
+        assert np.abs(ht.apply(x) - expect).max() <= 1e-13 * np.abs(expect).max()
+    assert abs(ht.matrix - ht.matrix.T).max() <= 1e-14 * abs(ht.matrix).max()
+
+
+def test_htilde_budget_counts_the_embedded_bytes(cylinder_patch, monkeypatch):
+    """The build budgets every embedded entry of the L_e (a float64 value and an int32
+    column index) and the row pointers, a bound on the summed matrix's bytes: a budget
+    of exactly those bytes admits the build, and one byte less refuses it before any
+    L_e is embedded."""
+    model, gen, ht, _ = cylinder_patch
+    entries = sum(gen_e.nnz * ht.dim // gen_e.shape[0] for _, gen_e in ht.local.values())
+    budget = entries * (8 + 4) + 4 * (ht.dim + 1)
+    m = ht.matrix
+    assert m.data.nbytes + m.indices.nbytes + m.indptr.nbytes <= budget
+    embedded = []
+
+    def counted(*args):
+        embedded.append(args)
+        return _embedded(*args)
+
+    monkeypatch.setattr(davies, "_embedded", counted)
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
+    assert (HTilde(gen).matrix != m).nnz == 0
+    assert len(embedded) == model.n_edges
+    embedded.clear()
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget - 1)
+    with pytest.raises(FeasibilityError):
+        HTilde(gen)
+    assert embedded == []
 
 
 def test_jump_budget_counts_the_stored_bytes(cylinder_patch, monkeypatch):
