@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .groups import FiniteGroup
 from .lattice import (
@@ -36,7 +37,7 @@ from .lattice import (
     RegionClassification,
     classify_region,
 )
-from .linalg import RANK_CUTOFF
+from .linalg import RANK_CUTOFF, require_fits
 from .quantum_double import gamma_beta
 
 
@@ -302,44 +303,81 @@ class BlockBoundary:
 
     # -- lifting block data to reduced-basis vectors ---------------------------------
 
-    def group_function_matrix(self, func):
+    def group_function_matrix(self, func) -> sp.csc_matrix:
         """func(m) per block, applied on the kept modes only (e.g. x -> x^{-1/2} gives
-        the pseudo-inverse square root), as a sparse matrix on the reduced basis:
-        block diagonal over f, a permutation sum within a block."""
-        import scipy.sparse as sp
+        the pseudo-inverse square root), as a sparse CSC matrix on the reduced basis:
+        block diagonal over f, and within the block of f the sum over anchors a of
+        d_a times the permutation that takes the chain state h to h a(v) at every
+        boundary vertex v, where d is func(m)'s identity column (anchors with
+        d_a = 0 are left out).
 
+        The holonomy keys and vertex words of all |G|^L labellings are folded at
+        once along the walks. Each key's block is taken once, from its first
+        labelling. Each anchor's rows for all the labellings with that key are
+        sums of one small table per boundary vertex, the first half of the
+        vertices and the second added as one outer sum, and go straight to their
+        places in column order: column (f, h) holds one entry per anchor, in
+        subgroup order, so nothing is sorted. The matrix's arrays, with one
+        anchor's rows and positions for the largest key, are checked against the
+        dense budget before any of them is made."""
         G = self.group
         n, ne, nv = self.n, len(self.boundary_edges), len(self.boundary_vertices)
-        chain_dim = n**nv
-        base_idx = np.arange(chain_dim)
-        digits = np.indices((n,) * nv).reshape(nv, chain_dim)  # h_v of each chain basis state
-        strides = n ** np.arange(nv - 1, -1, -1)
+        mul, inv = G.mul, G.inv
+        n_f, chain_dim = n**ne, n**nv
+        labels = np.indices((n,) * ne).reshape(ne, n_f)  # f in row-major order
+        words = np.zeros((nv, n_f), np.intp)  # u_v of each f, 1 at the anchors
+        keys = np.zeros(n_f, np.intp)  # the holonomy tuple as one base-|G| number
+        for walk in self._walks:
+            cur = np.zeros(n_f, np.intp)
+            for i, table, slot in walk:
+                cur = np.asarray(table)[labels[i], cur]
+                if slot is not None:
+                    words[slot] = cur
+            keys = keys * n + cur
+        _, first, key_of = np.unique(keys, return_index=True, return_inverse=True)
         ident = (0,) * len(self._walks)
-        weights = {}  # holonomy tuple -> (subgroup, func(m)'s identity column)
-        words = [0] * nv
-        rows, cols, vals = [], [], []
-        for k, f_hat in enumerate(self.f_hat_iter()):  # f in row-major order
-            key = self.holonomies(f_hat, words)
-            if key not in weights:
-                blk = self.block(f_hat)
-                # func(m) lies in the group algebra: its identity column holds the weights
-                vecs = blk.vecs[:, blk.kept]
-                weights[key] = (blk.subgroup, vecs @ (func(blk.vals[blk.kept]) * vecs[blk.subgroup.index(ident)]))
-            subgroup, w = weights[key]
-            offset = k * chain_dim
-            for anchors, d in zip(subgroup, w):
-                if d == 0.0:
-                    continue
-                value = self._anchor_values(words, anchors)
-                rows.append(offset + strides @ G.mul[digits, value[:, None]])  # h -> h a(v) per vertex
-                cols.append(offset + base_idx)
-                vals.append(np.full(chain_dim, d))
-        dim = self.n ** (ne + nv)
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        )
-        return mat.tocsr()
+        anchors, weights = [], []
+        for f in first:
+            blk = self.block(tuple(labels[:, f].tolist()))
+            # func(m) lies in the group algebra: its identity column holds the weights
+            vecs = blk.vecs[:, blk.kept]
+            w = vecs @ (func(blk.vals[blk.kept]) * vecs[blk.subgroup.index(ident)])
+            nonzero = np.flatnonzero(w != 0.0)
+            anchors.append(np.array(blk.subgroup)[nonzero])
+            weights.append(w[nonzero])
+        per_col = np.array([len(w) for w in weights])[key_of]  # entries in each column of f
+        start = chain_dim * np.concatenate(([0], np.cumsum(per_col)))  # f's first entry
+        nnz, dim = int(start[-1]), n_f * chain_dim
+        index = np.dtype(np.int32 if max(dim, nnz) < 2**31 else np.int64)  # scipy's choice, so no copy
+        emit = chain_dim * int(np.bincount(key_of).max())
+        require_fits(((nnz + emit) * (index.itemsize + 8) + (dim + 1) * index.itemsize,), np.uint8)
+        rows, data, indptr = np.empty(nnz, index), np.empty(nnz), np.empty(dim + 1, index)
+        pointers = indptr[:-1].reshape(n_f, chain_dim)  # column (f, h) starts at start_f + h per_col_f
+        np.multiply.outer(per_col.astype(index), np.arange(chain_dim, dtype=index), out=pointers)
+        pointers += start[:-1, None].astype(index)
+        indptr[-1] = nnz
+        strides = n ** np.arange(nv - 1, -1, -1, dtype=index)
+        right = mul.astype(index)  # right[h, a] = h a
+        for k, (key_anchors, key_weights) in enumerate(zip(anchors, weights)):
+            fs = np.flatnonzero(key_of == k)
+            u, offsets = words[:, fs], (fs * chain_dim).astype(index)
+            pos = start[fs, None] + np.arange(chain_dim) * len(key_weights)  # the first anchor's entries
+            for a, d in zip(key_anchors, key_weights):
+                value = mul[mul[u, a[self._vertex_component, None]], inv[u]]  # a(v) per vertex and f
+                steps = strides[:, None, None] * right[:, value].transpose(1, 2, 0)  # [v, f, h_v]: digit of h_v a(v)
+                head, tail = _outer_sum(steps[: nv // 2]), _outer_sum(steps[nv // 2 :])
+                rows[pos] = (offsets[:, None, None] + head[:, :, None] + tail[:, None, :]).reshape(len(fs), chain_dim)
+                data[pos] = d
+                pos += 1
+        return sp.csc_matrix((data, rows, indptr), shape=(dim, dim))
+
+
+def _outer_sum(tables: np.ndarray) -> np.ndarray:
+    """sum_v tables[v][f, h_v] as an array over f and the states of all the v, in row-major order."""
+    out = np.zeros((tables.shape[1], 1), tables.dtype)
+    for t in tables:
+        out = (out[:, :, None] + t[:, None, :]).reshape(len(out), -1)
+    return out
 
 
 def _consistent_vertex_values(group, lat, cls, g_all, values) -> bool:

@@ -38,7 +38,8 @@ class RegionProjector:
     slim block boundary.  The half-inverse is built on `BlockBoundary`'s
     reduced basis, whose order the network's reduced axes share, from the one
     `eigh` of each block, on the modes that `BlockBoundary.rank` counts
-    (`linalg.RANK_CUTOFF`).  W is real, so P x = W (W^T x).
+    (`linalg.RANK_CUTOFF`).  Both factors are CSC matrices, built in column
+    order, so W is one too.  W is real, so P x = W (W^T x).
     """
 
     def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):

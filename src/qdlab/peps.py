@@ -175,10 +175,12 @@ class RegionNetwork:
             prod_p (1 + q |G| delta(hol_p(g) = 1)) |ket(g, h), g><gamma(g), h_dangling|,
 
     where hol_p folds g_e^{sign} in the order of `lattice.edges_of_plaquette`
-    and E_b counts the boundary edges. `t_sparse` scatters those |G|^(E+V)
-    terms into a CSR matrix, once, summing terms that meet at one entry (on the
-    torus, whose columns are one); rows are the kets then the purifiers of
-    `self.edges`, columns the reduced edges then the reduced vertices.
+    and E_b counts the boundary edges. `t_sparse` lays those |G|^(E+V) terms
+    out once, in column order, as a CSC matrix whose columns each hold
+    |G|^(interior edges + interior vertices) of them, and sums the terms that
+    meet at one entry (on the torus, whose columns are one); rows are the kets
+    then the purifiers of `self.edges`, columns the reduced edges (by gamma)
+    then the reduced vertices.
     """
 
     def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):
@@ -204,35 +206,40 @@ class RegionNetwork:
         return self.group.order ** (2 * len(self.edges))
 
     @functools.cached_property
-    def t_sparse(self) -> sp.csr_matrix:
-        """T as a sparse (phys_doubled, reduced_dim) matrix, one entry per gauge
-        configuration. Its row and column indices and values are each one array
-        over the configuration axes (the edges, then `cls.vertices`), summed or
+    def t_sparse(self) -> sp.csc_matrix:
+        """T as a sparse (phys_doubled, reduced_dim) CSC matrix, one entry per gauge
+        configuration, laid out in column order so that nothing is sorted.
+
+        The configuration axes are the reduced edges and the reduced vertices,
+        in the order of T's column digits, then the interior edges and the
+        interior vertices; the C-order ravel of the configurations is then T's
+        column order, each column holding the |G|^(interior axes) configurations
+        that share its reduced labels. On a gamma-inverted reduced edge the axis
+        runs over gamma = g_e^{-1}, the column digit, so the small tables of that
+        edge are indexed by g_e = gamma^{-1} before they are spread. The row and
+        value arrays are each one array over the configuration axes, summed or
         multiplied from small per-edge, per-vertex and per-plaquette tables by
-        broadcasting; each is checked against the dense budget before it is made."""
+        broadcasting, and become the matrix's indices and data without a copy;
+        they and the column pointers are checked against the dense budget before
+        any of them is made."""
         G, lat, cls = self.group, self.lattice, self.cls
         n, mul, inv = G.order, G.mul, G.inv
         n_edges = len(self.edges)
-        axis = {e: i for i, e in enumerate(self.edges)}
-        axis.update({v: n_edges + i for i, v in enumerate(cls.vertices)})
+        order = [*cls.boundary_edges, *cls.boundary_vertices, *cls.interior_edges, *cls.interior_vertices]
+        axis = {x: i for i, x in enumerate(order)}
         ndim = len(axis)
         shape = (n,) * ndim
-        linalg.require_fits(shape, np.int64)
+        nnz, n_cols = n**ndim, self.reduced.dim
+        index = np.dtype(np.int32 if max(self.phys_dim, nnz) < 2**31 else np.int64)  # scipy's choice, so no copy
+        linalg.require_fits((nnz * (index.itemsize + 8) + (n_cols + 1) * index.itemsize,), np.uint8)
         g = np.arange(n)
+        label = {e: inv if cls.gamma_inverted[e] else g for e in self.reduced.edges}  # axis value -> g_e
         ket = mul[mul.T[:, :, None], inv]  # [g, h, k] -> h g k^-1
-        row = np.zeros(shape, np.int64)
+        row = np.zeros(shape, index)
         for i, e in enumerate(self.edges):
             away, toward = lat.vertices_of_edge(e)
             digits = ket * n ** (2 * n_edges - 1 - i) + g[:, None, None] * n ** (n_edges - 1 - i)
-            row += _spread(digits, [i, axis[away], axis[toward]], ndim)
-        col = np.zeros(shape, np.int64)
-        stride = self.reduced.dim
-        for e in self.reduced.edges:
-            stride //= n
-            col += _spread((inv if cls.gamma_inverted[e] else g) * stride, [axis[e]], ndim)
-        for v in self.reduced.vertices:
-            stride //= n
-            col += _spread(g * stride, [axis[v]], ndim)
+            row += _spread(digits[label.get(e, g)].astype(index), [axis[e], axis[away], axis[toward]], ndim)
         q = gamma_beta(self.beta / 2, n)
         value = np.full(shape, float(n) ** (len(self.reduced.edges) / 2))
         closed_star = q + (g == 0)
@@ -241,10 +248,19 @@ class RegionNetwork:
         for p in self.region.plaquettes():
             word, axes = np.zeros((), np.int64), []
             for e, sign in lat.edges_of_plaquette(p):
-                word = mul[word[..., None], g if sign > 0 else inv]
+                factor = label.get(e, g)
+                word = mul[word[..., None], factor if sign > 0 else inv[factor]]
                 axes.append(axis[e])
             value *= _spread(1.0 + q * n * (word == 0), axes, ndim)
-        return sp.csr_matrix((value.ravel(), (row.ravel(), col.ravel())), shape=(self.phys_dim, self.reduced.dim))
+        t = sp.csc_matrix(
+            (value.ravel(), row.ravel(), np.arange(0, nnz + 1, nnz // n_cols, dtype=index)),
+            shape=(self.phys_dim, n_cols),
+        )
+        if not self.reduced.vertices:
+            # configurations meet at one entry only when no vertex dangles (the
+            # torus): a dangling h_v fixes every other h_v through the kets and g
+            t.sum_duplicates()
+        return t
 
     def t_matrix(self) -> np.ndarray:
         """Dense reduced boundary map, shape (phys_doubled, reduced_dim)."""

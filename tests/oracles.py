@@ -15,8 +15,9 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
-from qdlab.boundary import BoundaryError, reduced_character
+from qdlab.boundary import BlockBoundary, BoundaryError, reduced_character
 from qdlab.davies import BOHR_FREQUENCIES, CouplingSet, DaviesGenerator, _local_patch
 from qdlab.groups import FiniteGroup
 from qdlab.lattice import (
@@ -163,6 +164,41 @@ def interior_sum_brute_force(group: FiniteGroup, region: Region, f_hat: dict[Edg
             val *= 1.0 + gamma * group.regular_character(word)
         total += val
     return total
+
+
+def group_function_matrix_oracle(bb: BlockBoundary, func) -> sp.csr_matrix:
+    """`BlockBoundary.group_function_matrix` one labelling and one anchor at a time:
+    for each f in row-major order, its block (looked up by its holonomies) gives
+    func(m)'s identity column d, and each anchor tuple with d_a != 0 adds d_a at
+    (f, h a(v)) x (f, h) for every chain state h; the entries are sorted by
+    scipy's COO to CSR conversion."""
+    G = bb.group
+    n, ne, nv = bb.n, len(bb.boundary_edges), len(bb.boundary_vertices)
+    chain_dim = n**nv
+    base_idx = np.arange(chain_dim)
+    digits = np.indices((n,) * nv).reshape(nv, chain_dim)  # h_v of each chain basis state
+    strides = n ** np.arange(nv - 1, -1, -1)
+    ident = (0,) * len(bb.holonomies((0,) * ne))
+    weights = {}  # holonomy tuple -> (subgroup, func(m)'s identity column)
+    words = [0] * nv
+    rows, cols, vals = [], [], []
+    for k, f_hat in enumerate(bb.f_hat_iter()):
+        key = bb.holonomies(f_hat, words)
+        if key not in weights:
+            blk = bb.block(f_hat)
+            vecs = blk.vecs[:, blk.kept]
+            weights[key] = (blk.subgroup, vecs @ (func(blk.vals[blk.kept]) * vecs[blk.subgroup.index(ident)]))
+        subgroup, w = weights[key]
+        offset = k * chain_dim
+        for anchors, d in zip(subgroup, w):
+            if d == 0.0:
+                continue
+            value = bb._anchor_values(words, anchors)
+            rows.append(offset + strides @ G.mul[digits, value[:, None]])  # h -> h a(v) per vertex
+            cols.append(offset + base_idx)
+            vals.append(np.full(chain_dim, d))
+    dim = n ** (ne + nv)
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)).tocsr()
 
 
 # -- dense single-edge boundary states ------------------------------------------------
@@ -518,6 +554,55 @@ def reversed_word_scatter(net: RegionNetwork):
     control = RegionNetwork(net.model, net.region, net.beta)
     control.lattice = _ReversedPlaquetteWords(net.lattice)
     return control.t_sparse
+
+
+def _broadcast_on(small: np.ndarray, axes: list[int], ndim: int) -> np.ndarray:
+    """`small`, whose k-th axis is axis axes[k] of an `ndim`-axis array, shaped to broadcast against it."""
+    shape = [1] * ndim
+    for a in axes:
+        shape[a] = small.shape[0]
+    return small.transpose(np.argsort(axes)).reshape(shape)
+
+
+def t_scatter_oracle(net: RegionNetwork) -> sp.csr_matrix:
+    """The sparse T of `net` as a COO scatter over the configuration axes in their
+    natural order (the region edges, then `cls.vertices`), with each entry's row,
+    column and value computed on its own and the entries sorted, and summed where
+    configurations meet, by scipy's COO to CSR conversion."""
+    G, lat, cls = net.group, net.lattice, net.cls
+    n, mul, inv = G.order, G.mul, G.inv
+    n_edges = len(net.edges)
+    axis = {e: i for i, e in enumerate(net.edges)}
+    axis.update({v: n_edges + i for i, v in enumerate(cls.vertices)})
+    ndim = len(axis)
+    shape = (n,) * ndim
+    require_fits(shape, np.int64)
+    g = np.arange(n)
+    ket = mul[mul.T[:, :, None], inv]  # [g, h, k] -> h g k^-1
+    row = np.zeros(shape, np.int64)
+    for i, e in enumerate(net.edges):
+        away, toward = lat.vertices_of_edge(e)
+        digits = ket * n ** (2 * n_edges - 1 - i) + g[:, None, None] * n ** (n_edges - 1 - i)
+        row += _broadcast_on(digits, [i, axis[away], axis[toward]], ndim)
+    col = np.zeros(shape, np.int64)
+    stride = net.reduced.dim
+    for e in net.reduced.edges:
+        stride //= n
+        col += _broadcast_on((inv if cls.gamma_inverted[e] else g) * stride, [axis[e]], ndim)
+    for v in net.reduced.vertices:
+        stride //= n
+        col += _broadcast_on(g * stride, [axis[v]], ndim)
+    q = gamma_beta(net.beta / 2, n)
+    value = np.full(shape, float(n) ** (len(net.reduced.edges) / 2))
+    for v in cls.interior_vertices:
+        value *= _broadcast_on(q + (g == 0), [axis[v]], ndim)
+    for p in net.region.plaquettes():
+        word, axes = np.zeros((), np.int64), []
+        for e, sign in lat.edges_of_plaquette(p):
+            word = mul[word[..., None], g if sign > 0 else inv]
+            axes.append(axis[e])
+        value *= _broadcast_on(1.0 + q * n * (word == 0), axes, ndim)
+    return sp.csr_matrix((value.ravel(), (row.ravel(), col.ravel())), shape=(net.phys_dim, net.reduced.dim))
 
 
 # -- the Davies generator on dense operators -------------------------------------------

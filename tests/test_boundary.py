@@ -21,6 +21,7 @@ from oracles import (
     delta_projector,
     edge_boundary_entry,
     gathering_check,
+    group_function_matrix_oracle,
     interior_sum_brute_force,
     leading_term_edge,
     phi_operator,
@@ -451,6 +452,27 @@ class TestBlocks:
         bb = BlockBoundary(grp, region, 1.0)
         want = bb.kappa * bb.group_function_matrix(lambda v: v)
         assert abs(t.T @ t - want).max() <= 1e-12 * abs(want).max()
+
+    @pytest.mark.parametrize("name, n, spec", [
+        ("Z2", 4, "rect:0,0,3,1"),
+        ("Z2", 4, "rect:0,0,2,2"),
+        ("Z3", 3, "rect:0,0,1,1"),
+        ("S3", 3, "rect:0,0,1,1"),  # anchor subgroups of 6, 3 and 2 elements
+        ("Z2", 3, "cyl:v,0,1"),  # two components
+    ])
+    @pytest.mark.parametrize("half_inverse", [False, True], ids=["v", "half-inverse"])
+    def test_group_function_matrix_matches_the_per_labelling_loop(self, name, n, spec, half_inverse):
+        """The matrix made for all labellings at once, in column order, against the
+        loop over each labelling and anchor sorted by scipy, entry for entry, for
+        func = v (the slim Gram) and (kappa v)^{-1/2} (the projector's half-inverse)."""
+        grp, lat = group_by_name(name), TorusLattice(n)
+        region = parse_region(lat, spec)
+        bb = BlockBoundary(grp, region, 1.0)
+        func = (lambda v: (bb.kappa * v) ** -0.5) if half_inverse else (lambda v: v)
+        got = bb.group_function_matrix(func)
+        want = group_function_matrix_oracle(BlockBoundary(grp, region, 1.0), func)
+        assert got.format == "csc"
+        assert got.nnz == want.nnz and (got != want).nnz == 0
 
     def test_torus_has_no_boundary(self):
         with pytest.raises(BoundaryError, match="the torus has no boundary"):

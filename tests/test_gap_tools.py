@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,8 @@ from qdlab.gap_tools import (
     n_beta,
     recursion_bound,
 )
-from qdlab.linalg import ConvergenceError
+from qdlab import linalg
+from qdlab.linalg import ConvergenceError, FeasibilityError
 from qdlab.boundary import BlockBoundary
 from qdlab.groups import make_cyclic, make_symmetric
 from qdlab.lattice import TorusLattice, parse_region, split_region
@@ -66,6 +68,46 @@ def test_s3_region_projector_is_an_orthogonal_projector():
     halfinv = bb.group_function_matrix(lambda v: (bb.kappa * v) ** -0.5)
     defect, _ = _projector_defect(reversed_word_scatter(RegionNetwork(model, region, 1.0)) @ halfinv)
     assert defect > 0.1
+
+
+def _refused_build(monkeypatch, budget, group, n, spec):
+    """The FeasibilityError of a RegionProjector build under `budget`, and the
+    build's peak of traced allocations."""
+    lat = TorusLattice(n)
+    model, region = QuantumDoubleModel(group, lat), parse_region(lat, spec)
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FeasibilityError) as info:
+            RegionProjector(model, region, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.traceback[-1].name == "require_fits"
+    return info, peak
+
+
+def test_half_inverse_over_budget_is_refused_before_it_is_made(monkeypatch):
+    """S3 N=3 rect:0,0,1,1: the half-inverse holds 5,038,848 entries (int32 rows and
+    float64 values), 1,679,617 column pointers, and one anchor's rows and positions
+    for 216 labellings, 70,543,876 bytes. A 64 MiB budget refuses it before any of
+    them is made: the build allocates less than 1/4 MiB."""
+    info, peak = _refused_build(monkeypatch, 2**26, make_symmetric(3), 3, "rect:0,0,1,1")
+    assert info.match(r"uint8 array of shape \(70543876,\)")
+    assert info.traceback[-2].name == "group_function_matrix"
+    assert peak < 2**18
+
+
+def test_t_over_budget_is_refused_after_the_half_inverse(monkeypatch):
+    """Z2 N=4 rect:0,0,3,1, the martingale split's whole region: the half-inverse
+    takes 2,228,228 bytes and T 3,407,876 (its 1 MiB of rows, 2 MiB of values and
+    1/4 MiB of column pointers). A 3 MiB budget admits the first and refuses T
+    before its row array is made: the peak stays within the half-inverse's bytes
+    and half of that array."""
+    info, peak = _refused_build(monkeypatch, 3 * 2**20, make_cyclic(2), 4, "rect:0,0,3,1")
+    assert info.match(r"uint8 array of shape \(3407876,\)")
+    assert info.traceback[-2].name == "t_sparse"
+    assert peak < 2228228 + 2**19
 
 
 def test_martingale_measurement_rejects_the_trivial_group():

@@ -9,7 +9,7 @@ import pytest
 
 from qdlab import linalg, peps
 from qdlab.davies import thermofield_vector
-from qdlab.groups import FiniteGroup, make_cyclic, make_symmetric
+from qdlab.groups import FiniteGroup, group_by_name, make_cyclic, make_symmetric
 from qdlab.lattice import RECT, TORUS, Region, TorusLattice, parse_region
 from qdlab.linalg import FeasibilityError
 from qdlab.peps import RegionNetwork, edge_tensor, star_leg_weights, weight_plaq
@@ -21,6 +21,7 @@ from oracles import (
     matrix_exp_hermitian,
     t_apply_oracle,
     t_dagger_apply_oracle,
+    t_scatter_oracle,
     v_matrix,
     weight_star,
 )
@@ -149,13 +150,14 @@ class TestRegionContraction:
 
     @pytest.mark.parametrize("method", ["t_apply", "t_dagger_apply"])
     def test_contraction_step_over_budget_is_refused(self, monkeypatch, method):
-        """The plaquette's scatter arrays and the applies' outputs take 2 KiB each: a
-        2 KiB budget admits either apply, and one byte less refuses it before T is built."""
-        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**11)
+        """The plaquette's T holds 4,100 bytes (256 int32 rows, 256 float64 values and
+        257 int32 column pointers) and the applies' outputs 2 KiB: a 4,100-byte budget
+        admits either apply, and one byte less refuses it before T is built."""
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 4100)
         assert getattr(self._z2_plaquette_network(), method)(np.ones(256)).shape == (256,)
-        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**11 - 1)
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 4099)
         net = self._z2_plaquette_network()
-        with pytest.raises(FeasibilityError, match=r"needs 1\.91e-06 GiB") as info:
+        with pytest.raises(FeasibilityError, match=r"needs 3\.82e-06 GiB") as info:
             getattr(net, method)(np.ones(256))
         assert info.traceback[-1].name == "require_fits"
         assert "t_sparse" not in vars(net)
@@ -177,15 +179,16 @@ class TestRegionContraction:
         assert "t_sparse" not in vars(net)
 
     def test_operand_copy_over_budget_is_refused_before_it_is_made(self, monkeypatch):
-        """T^dagger x on the martingale region builds T from its operands, int64 index
-        arrays over its 2^18 gauge configurations (2 MiB each). Under a 1 MiB budget the
-        first is refused by `require_fits`, and the call allocates less than one of them."""
+        """T^dagger x on the martingale region builds T from its row and value arrays over
+        its 2^18 gauge configurations (1 and 2 MiB) and its 2^16 + 1 column pointers,
+        3,407,876 bytes in all. Under a 1 MiB budget `require_fits` refuses them
+        together, and the call allocates less than the row array alone."""
         net = self._martingale_region_network()
         x = np.ones(net.phys_dim)
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**20)
         tracemalloc.start()
         try:
-            with pytest.raises(FeasibilityError, match=r"int64 array of shape \(2(, 2){17}\)") as info:
+            with pytest.raises(FeasibilityError, match=r"uint8 array of shape \(3407876,\)") as info:
                 net.t_dagger_apply(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -315,7 +318,7 @@ class TestRegionContraction:
 
     def test_martingale_region_fits_a_16_mib_budget(self, monkeypatch):
         """The same region: the largest array either apply checks is T y, 8 MiB, and
-        the scatter's index and value arrays take 2 MiB each."""
+        T's row and value arrays and column pointers take 3.25 MiB together."""
         self._assert_martingale_region_fits(monkeypatch, 2**24)
 
     def test_t_apply_on_the_torus_takes_an_outer_product(self):
@@ -341,6 +344,33 @@ class TestRegionContraction:
         m = tfd.reshape(256, 256)
         red = m @ m.conj().T
         assert np.abs(red - rho).max() < 1e-10
+
+
+class TestScatterLayout:
+    @pytest.mark.parametrize(
+        "name, n, spec",
+        [("Z3", 3, "rect:0,0,1,1"), ("S3", 3, "rect:0,0,1,1"), ("Z2", 3, "cyl:v,0,1")],
+        ids=["Z3-plaquette", "S3-plaquette", "Z2-cylinder"],
+    )
+    def test_t_equals_the_coo_scatter(self, name, n, spec):
+        """T, laid out in column order, against the COO scatter sorted by scipy, entry
+        for entry: on Z3 and S3 the gamma-inverted edges have g^-1 != g."""
+        lat = TorusLattice(n)
+        net = RegionNetwork(QuantumDoubleModel(group_by_name(name), lat), parse_region(lat, spec), 1.0)
+        t, want = net.t_sparse, t_scatter_oracle(net)
+        assert t.format == "csc" and any(net.cls.gamma_inverted.values())
+        assert t.nnz == want.nnz == net.group.order ** (len(net.edges) + len(net.cls.vertices))
+        assert (t != want).nnz == 0
+
+    def test_torus_configurations_meet_in_one_entry(self):
+        """On the Z2 N=2 torus the 2^12 configurations fill 2^11 entries of the one
+        column, two in each; T has the scatter's entries, none of them stored twice."""
+        lat = TorusLattice(2)
+        net = RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), Region(lat, TORUS), 1.0)
+        t, want = net.t_sparse, t_scatter_oracle(net)
+        assert t.shape == (2**16, 1) and t.nnz == want.nnz == 2**11
+        assert len(np.unique(t.tocoo().row)) == t.nnz
+        assert (t != want).nnz == 0
 
 
 class TestGaugeRelation:
