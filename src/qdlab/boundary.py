@@ -105,9 +105,10 @@ class BlockBoundary:
     boundary vertices keep the holonomies, so each holonomy tuple is shared by
     |G|^(L-c) labellings, for L boundary edges and c components.  The walks
     follow the classified boundary edges alone, the same for rectangles and
-    cylinders (see the module docstring).  `block` folds
-    the holonomies of f, looks the block up by them, and on a miss builds it
-    from f and decomposes m once with `eigh`, so at most |G|^c blocks are built.
+    cylinders (see the module docstring).  `block` folds the holonomies of f,
+    looks the block up by them, and on a miss takes its coefficients from
+    `interior_sum`, one per anchor tuple, and decomposes m once with `eigh`, so
+    at most |G|^c blocks are built.
     The leading-term norm, the rank, the support norms and
     `group_function_matrix` all read those eigenvalues, under the one cutoff
     `linalg.RANK_CUTOFF`.
@@ -214,31 +215,36 @@ class BlockBoundary:
 
     def interior_sum(self, g_phys: dict[Edge, int], holonomy: int, anchors: tuple, words: list[int]) -> float:
         """Interior-extension sum for the block of physical boundary labels `g_phys`
-        (first component's holonomy `holonomy`, vertex words `words`) and
-        component anchors `anchors`."""
-        G = self.group
+        (first component's holonomy `holonomy`, vertex words `words`) and component
+        anchors `anchors`: `interior_sum_closed_form` on a rectangle with an abelian
+        group or trivial anchors, else one broadcast over the gauge configurations
+        of the interior, laid out as in `RegionNetwork.t_sparse`: an axis per
+        interior edge, then per interior vertex. A cell is prod_p (1 + gamma
+        chi_reg(hol_p)), in plaquette order, masked by a(away) = g a(toward) g^{-1}
+        on every region edge. That relation fixes the interior vertices, so each
+        assignment of the interior edges has at most one unmasked cell, and a
+        running sum in C order adds them in the order of those assignments. The
+        cells and the running sum are checked against the dense budget first."""
+        G, lat, n = self.group, self.region.lattice, self.n
         if self.region.kind == RECT and (G.is_abelian() or all(a == 0 for a in anchors)):
             return interior_sum_closed_form(G, self.cls, holonomy, self.beta)
-        interior = list(self.cls.interior_edges)
-        lat = self.region.lattice
-        plaqs = self.region.plaquettes()
-        seed = dict(zip(self.boundary_vertices, self._anchor_values(words, anchors).tolist()))
-        total = 0.0
-        for assign in itertools.product(G.elements(), repeat=len(interior)):
-            g_all = dict(g_phys)
-            g_all.update({e: g for e, g in zip(interior, assign)})
-            values = dict(seed)
-            if not _consistent_vertex_values(G, lat, self.cls, g_all, values):
-                continue
-            val = 1.0
-            for p in plaqs:
-                loop = 0
-                for e, sign in lat.edges_of_plaquette(p):
-                    g = g_all[e]
-                    loop = G.mul[loop, g if sign > 0 else G.inv[g]]
-                val *= 1.0 + self.gamma * G.regular_character(loop)
-            total += val
-        return total
+        free = [*self.cls.interior_edges, *self.cls.interior_vertices]
+        require_fits((2,) + (n,) * len(free))
+        label = dict(g_phys)  # edge or vertex -> its group element, an axis where free
+        label.update(zip(self.boundary_vertices, self._anchor_values(words, anchors).tolist()))
+        for i, x in enumerate(free):
+            label[x] = np.arange(n).reshape((n,) + (1,) * (len(free) - 1 - i))
+        weight = 1.0 + self.gamma * np.array([G.regular_character(h) for h in G.elements()])
+        cells = np.ones((n,) * len(free))
+        for p in self.region.plaquettes():
+            loop = 0
+            for e, sign in lat.edges_of_plaquette(p):
+                loop = G.mul[loop, label[e] if sign > 0 else G.inv[label[e]]]
+            cells *= weight[loop]
+        for e in self.cls.edges:
+            away, toward = lat.vertices_of_edge(e)
+            cells *= label[away] == G.conj(label[e], label[toward])
+        return float(np.cumsum(cells)[-1])
 
     def block(self, f_hat: tuple[int, ...]) -> BoundaryBlock:
         """The block of the labelling f_hat, looked up by its holonomies."""
@@ -255,10 +261,8 @@ class BlockBoundary:
         coeffs = {}
         for anchors in subgroup:
             vc = 1.0 + self.gamma if all(a == 0 for a in anchors) else self.gamma
-            pref = vc**v_int if v_int > 0 else 1.0
             inner = self.interior_sum(g_phys, holonomies[0], anchors, words)
-            c = self.n ** len(self.boundary_edges) * pref * inner / self.kappa
-            coeffs[anchors] = c
+            coeffs[anchors] = self.n ** len(self.boundary_edges) * vc**v_int * inner / self.kappa
         # group-algebra matrix over the product subgroup: right-multiplication perms
         order = {t: i for i, t in enumerate(subgroup)}
         m = np.zeros((len(subgroup), len(subgroup)))
@@ -378,29 +382,6 @@ def _outer_sum(tables: np.ndarray) -> np.ndarray:
     for t in tables:
         out = (out[:, :, None] + t[:, None, :]).reshape(len(out), -1)
     return out
-
-
-def _consistent_vertex_values(group, lat, cls, g_all, values) -> bool:
-    """Propagate vertex values over all region edges; False on any contradiction."""
-    edges = list(cls.edges)
-    pending = True
-    while pending:
-        pending = False
-        for e in edges:
-            away, toward = lat.vertices_of_edge(e)
-            g = g_all[e]
-            va, vt = values.get(away), values.get(toward)
-            if vt is not None:
-                expect = group.conj(g, vt)
-                if va is None:
-                    values[away] = expect
-                    pending = True
-                elif va != expect:
-                    return False
-            elif va is not None:
-                values[toward] = group.conj(group.inv[g], va)
-                pending = True
-    return all(v in values for v in cls.vertices)
 
 
 # -- certificates ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ the GNS-vectorized Hamiltonian H~, kernel projectors, and the gap chain."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,7 +297,8 @@ class HTilde:
     from the real R of each S(w) = c R (`_phase_split`) and is float64 when every
     S(w) of the edge is real up to a phase, as for the default coupling; otherwise
     it is complex. `local` keeps each L_e; `matrix` is their sum, each embedded
-    into the doubled space (`_embedded`), float64 when every L_e is. `apply_edges`
+    into the doubled space (`_embedded`), float64 when every L_e is, and is built
+    only when `apply` first needs it; its budget is checked here. `apply_edges`
     applies the L_e of a subset of the edges one by one, for the local gap check.
     Both return the dtype of their input and the matrices they apply, so on real
     L_e a real vector stays real and the eigensolves run in real arithmetic.
@@ -312,16 +314,22 @@ class HTilde:
             gen_e = _local_generator(gen, dec, self.model.local_dim ** len(pos))
             self.local[e] = (pos, gen_e)
             self.norm_bound += float(abs(gen_e).sum(axis=1).max())
-        # the bytes of every embedded entry (value and int32 column index) and of the
-        # row pointers bound the sum's, which merges the entries that edges share
-        dtype = np.result_type(*(gen_e.dtype for _, gen_e in self.local.values()))
-        entries = sum(gen_e.nnz * (self.dim // gen_e.shape[0]) for _, gen_e in self.local.values())
-        require_fits((entries * (dtype.itemsize + 4) + 4 * (self.dim + 1),), np.uint8)
-        self.matrix = sp.csr_matrix((self.dim, self.dim), dtype=dtype)
-        # a running sum of one CSR per edge: a single COO of every edge's entries
-        # would hold them all at once, with int64 indices
+        self.dtype = np.result_type(*(gen_e.dtype for _, gen_e in self.local.values()))
+        # `matrix` adds each embedded L_e to a running sum, holding the old sum, the new
+        # one before scipy prunes it (each at most every embedded entry) and the edge's
+        # embedded copies: a value and an int32 column index each, and three row pointers
+        sizes = [gen_e.nnz * (self.dim // gen_e.shape[0]) for _, gen_e in self.local.values()]
+        entries = 2 * sum(sizes) + max(sizes)
+        require_fits((entries * (self.dtype.itemsize + 4) + 3 * 4 * (self.dim + 1),), np.uint8)
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """H~ in CSR, built on the first `apply` as a running sum over the edges: one
+        COO of every edge's entries would hold them all at once, with int64 indices."""
+        total = sp.csr_matrix((self.dim, self.dim), dtype=self.dtype)
         for pos, gen_e in self.local.values():
-            self.matrix = self.matrix + _embedded(self.model, pos, gen_e)
+            total = total + _embedded(self.model, pos, gen_e)
+        return total
 
     def apply_edges(self, x: np.ndarray, edges) -> np.ndarray:
         out = np.zeros(self.dim, dtype=np.result_type(x, *(self.local[e][1].dtype for e in edges)))

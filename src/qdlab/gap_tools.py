@@ -15,6 +15,7 @@ from .linalg import (
     LinearMapHandle,
     apply_on_sites,
     lowest_eigs_matrix_free,
+    require_fits,
 )
 from .peps import RegionNetwork
 from .quantum_double import QuantumDoubleModel, gamma_beta
@@ -39,7 +40,9 @@ class RegionProjector:
     reduced basis, whose order the network's reduced axes share, from the one
     `eigh` of each block, on the modes that `BlockBoundary.rank` counts
     (`linalg.RANK_CUTOFF`).  Both factors are CSC matrices, built in column
-    order, so W is one too.  W is real, so P x = W (W^T x).
+    order, so W is one too; its arrays and the product's accumulators are
+    checked against the dense budget before the product.  W is real, so
+    P x = W (W^T x).
     """
 
     def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):
@@ -50,7 +53,13 @@ class RegionProjector:
         bb = BlockBoundary(model.group, region, beta)
         halfinv = bb.group_function_matrix(lambda v: (bb.kappa * v) ** -0.5)  # sparse Gram^{-1/2}
         self.rank = bb.rank()
-        self._w = net.t_sparse @ halfinv
+        t = net.t_sparse
+        # scipy's product makes W's arrays, with at most nnz(T) times the most entries
+        # in a row of the half-inverse, and an index and a value accumulator per row of W
+        index = np.result_type(t.indices, halfinv.indices).itemsize
+        nnz = t.nnz * int(np.bincount(halfinv.indices).max())
+        require_fits(((nnz + self.dim) * (index + 8) + (halfinv.shape[1] + 1) * index,), np.uint8)
+        self._w = t @ halfinv
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P x for a vector x or for every column of a (dim, m) block at once."""

@@ -29,8 +29,8 @@ class FeasibilityError(RuntimeError):
 # of every certificate in the benchmark and the tests (512 MiB: the dense T of the
 # Z2 N=3 `rect:2,2,2,1` test region; the Lanczos workspace of the whole region of
 # the smallest martingale split takes 168 MiB, and H~ of the Z2 N=2 torus, one CSR
-# matrix, holds 82 MiB (86 MB), which its build budgets as 138 MiB of embedded
-# entries) and refuses requests that would exhaust a desk machine.
+# matrix, holds 82 MiB (86 MB), whose running sum peaks at 195 MiB traced and is
+# budgeted as 294 MiB) and refuses requests that would exhaust a desk machine.
 DENSE_BUDGET_BYTES = 2**31
 
 

@@ -30,7 +30,6 @@ with q = gamma_{beta/2} (see its docstring), and contracts no network.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,7 +38,6 @@ from .groups import FiniteGroup
 from .lattice import (
     HORIZONTAL,
     VERTICAL,
-    Edge,
     Region,
     RegionClassification,
     classify_region,
@@ -125,23 +123,6 @@ def edge_tensor(group: FiniteGroup, beta: float, variant: str = "full") -> np.nd
 
 # -- region networks --------------------------------------------------------------
 
-@dataclass
-class ReducedBoundary:
-    """Ordering and dimensions of the reduced (leading-term) boundary basis."""
-
-    group: FiniteGroup
-    edges: tuple[Edge, ...]
-    vertices: tuple[tuple[int, int], ...]
-
-    @property
-    def dim(self) -> int:
-        return self.group.order ** (len(self.edges) + len(self.vertices))
-
-    def shape(self) -> tuple[int, ...]:
-        n = self.group.order
-        return (n,) * (len(self.edges) + len(self.vertices))
-
-
 def _spread(small: np.ndarray, axes: list[int], ndim: int) -> np.ndarray:
     """`small`, whose k-th axis is configuration axis axes[k], shaped to broadcast
     against an array over all `ndim` configuration axes."""
@@ -179,8 +160,8 @@ class RegionNetwork:
     out once, in column order, as a CSC matrix whose columns each hold
     |G|^(interior edges + interior vertices) of them, and sums the terms that
     meet at one entry (on the torus, whose columns are one); rows are the kets
-    then the purifiers of `self.edges`, columns the reduced edges (by gamma)
-    then the reduced vertices.
+    then the purifiers of `self.edges`, columns the boundary edges of `cls` (by
+    gamma) then its boundary vertices.
     """
 
     def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):
@@ -195,26 +176,26 @@ class RegionNetwork:
         self.lattice = model.lattice
         self.cls: RegionClassification = classify_region(region)
         self.edges = list(self.cls.edges)
-        self.reduced = ReducedBoundary(
-            group=self.group,
-            edges=self.cls.boundary_edges,
-            vertices=self.cls.boundary_vertices,
-        )
 
     @property
     def phys_dim(self) -> int:
         return self.group.order ** (2 * len(self.edges))
+
+    @property
+    def reduced_dim(self) -> int:
+        """Dimension of the reduced boundary basis: one label per boundary edge and vertex."""
+        return self.group.order ** (len(self.cls.boundary_edges) + len(self.cls.boundary_vertices))
 
     @functools.cached_property
     def t_sparse(self) -> sp.csc_matrix:
         """T as a sparse (phys_doubled, reduced_dim) CSC matrix, one entry per gauge
         configuration, laid out in column order so that nothing is sorted.
 
-        The configuration axes are the reduced edges and the reduced vertices,
+        The configuration axes are the boundary edges and the boundary vertices,
         in the order of T's column digits, then the interior edges and the
         interior vertices; the C-order ravel of the configurations is then T's
         column order, each column holding the |G|^(interior axes) configurations
-        that share its reduced labels. On a gamma-inverted reduced edge the axis
+        that share its reduced labels. On a gamma-inverted boundary edge the axis
         runs over gamma = g_e^{-1}, the column digit, so the small tables of that
         edge are indexed by g_e = gamma^{-1} before they are spread. The row and
         value arrays are each one array over the configuration axes, summed or
@@ -229,11 +210,11 @@ class RegionNetwork:
         axis = {x: i for i, x in enumerate(order)}
         ndim = len(axis)
         shape = (n,) * ndim
-        nnz, n_cols = n**ndim, self.reduced.dim
+        nnz, n_cols = n**ndim, self.reduced_dim
         index = np.dtype(np.int32 if max(self.phys_dim, nnz) < 2**31 else np.int64)  # scipy's choice, so no copy
         linalg.require_fits((nnz * (index.itemsize + 8) + (n_cols + 1) * index.itemsize,), np.uint8)
         g = np.arange(n)
-        label = {e: inv if cls.gamma_inverted[e] else g for e in self.reduced.edges}  # axis value -> g_e
+        label = {e: inv if cls.gamma_inverted[e] else g for e in cls.boundary_edges}  # axis value -> g_e
         ket = mul[mul.T[:, :, None], inv]  # [g, h, k] -> h g k^-1
         row = np.zeros(shape, index)
         for i, e in enumerate(self.edges):
@@ -241,7 +222,7 @@ class RegionNetwork:
             digits = ket * n ** (2 * n_edges - 1 - i) + g[:, None, None] * n ** (n_edges - 1 - i)
             row += _spread(digits[label.get(e, g)].astype(index), [axis[e], axis[away], axis[toward]], ndim)
         q = gamma_beta(self.beta / 2, n)
-        value = np.full(shape, float(n) ** (len(self.reduced.edges) / 2))
+        value = np.full(shape, float(n) ** (len(cls.boundary_edges) / 2))
         closed_star = q + (g == 0)
         for v in cls.interior_vertices:
             value *= _spread(closed_star, [axis[v]], ndim)
@@ -256,7 +237,7 @@ class RegionNetwork:
             (value.ravel(), row.ravel(), np.arange(0, nnz + 1, nnz // n_cols, dtype=index)),
             shape=(self.phys_dim, n_cols),
         )
-        if not self.reduced.vertices:
+        if not cls.boundary_vertices:
             # configurations meet at one entry only when no vertex dangles (the
             # torus): a dangling h_v fixes every other h_v through the kets and g
             t.sum_duplicates()
@@ -264,7 +245,7 @@ class RegionNetwork:
 
     def t_matrix(self) -> np.ndarray:
         """Dense reduced boundary map, shape (phys_doubled, reduced_dim)."""
-        linalg.require_fits((self.phys_dim, self.reduced.dim))
+        linalg.require_fits((self.phys_dim, self.reduced_dim))
         return self.t_sparse.toarray()
 
     def t_apply(self, y: np.ndarray) -> np.ndarray:

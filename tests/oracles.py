@@ -166,6 +166,54 @@ def interior_sum_brute_force(group: FiniteGroup, region: Region, f_hat: dict[Edg
     return total
 
 
+def interior_sum_enumerated(bb: BlockBoundary, g_phys: dict[Edge, int], anchors: tuple, words: list[int]) -> float:
+    """`BlockBoundary.interior_sum` off its closed form, one interior edge assignment
+    at a time: the vertex values spread from the boundary chain values over the
+    region edges until they settle, an assignment that contradicts them adds
+    nothing, and the others add prod_p (1 + gamma chi_reg(hol_p)) in enumeration order."""
+    G, cls, lat = bb.group, bb.cls, bb.region.lattice
+    interior = list(cls.interior_edges)
+    seed = dict(zip(bb.boundary_vertices, bb._anchor_values(words, anchors).tolist()))
+    total = 0.0
+    for assign in itertools.product(G.elements(), repeat=len(interior)):
+        g_all = dict(g_phys)
+        g_all.update(zip(interior, assign))
+        if not consistent_vertex_values(G, lat, cls, g_all, dict(seed)):
+            continue
+        val = 1.0
+        for p in bb.region.plaquettes():
+            loop = 0
+            for e, sign in lat.edges_of_plaquette(p):
+                g = g_all[e]
+                loop = G.mul[loop, g if sign > 0 else G.inv[g]]
+            val *= 1.0 + bb.gamma * G.regular_character(loop)
+        total += val
+    return total
+
+
+def consistent_vertex_values(group, lat, cls, g_all, values) -> bool:
+    """Propagate vertex values over all region edges; False on any contradiction."""
+    edges = list(cls.edges)
+    pending = True
+    while pending:
+        pending = False
+        for e in edges:
+            away, toward = lat.vertices_of_edge(e)
+            g = g_all[e]
+            va, vt = values.get(away), values.get(toward)
+            if vt is not None:
+                expect = group.conj(g, vt)
+                if va is None:
+                    values[away] = expect
+                    pending = True
+                elif va != expect:
+                    return False
+            elif va is not None:
+                values[toward] = group.conj(group.inv[g], va)
+                pending = True
+    return all(v in values for v in cls.vertices)
+
+
 def group_function_matrix_oracle(bb: BlockBoundary, func) -> sp.csr_matrix:
     """`BlockBoundary.group_function_matrix` one labelling and one anchor at a time:
     for each f in row-major order, its block (looked up by its holonomies) gives
@@ -323,7 +371,7 @@ def _phys_legs(net: RegionNetwork) -> list:
 
 
 def _red_legs(net: RegionNetwork) -> list:
-    return [("red", "e", e) for e in net.reduced.edges] + [("red", "v", v) for v in net.reduced.vertices]
+    return [("red", "e", e) for e in net.cls.boundary_edges] + [("red", "v", v) for v in net.cls.boundary_vertices]
 
 
 def paired_network(net: RegionNetwork) -> tuple[list, dict]:
@@ -356,7 +404,7 @@ def paired_network(net: RegionNetwork) -> tuple[list, dict]:
         for cur, nxt in zip(ring, ring[1:] + ring[:1]):
             a, b = plaq_leg(cur, p, "out"), plaq_leg(nxt, p, "in")
             bond[a] = bond[b] = ("plaquette bond", a, b)
-    for e in net.reduced.edges:
+    for e in net.cls.boundary_edges:
         # the north/west plaquette is inside where gamma is inverted: the pair faces south/east
         side = PLAQ_SIDES[e.orientation][net.cls.gamma_inverted[e]]
         ends[e] = ((pos[e], side, "out"), (pos[e], side, "in"))
@@ -389,8 +437,8 @@ def reduction_nodes(net: RegionNetwork, ends: dict) -> list:
         psi[group.mul[gam, idx], idx, gam] = 1.0 / np.sqrt(n)
     wp = weight_plaq(group, net.beta)
     psi = psi @ np.linalg.inv(wp @ wp)
-    nodes = [(psi, [*ends[e], ("red", "e", e)]) for e in net.reduced.edges]
-    for v in net.reduced.vertices:
+    nodes = [(psi, [*ends[e], ("red", "e", e)]) for e in net.cls.boundary_edges]
+    for v in net.cls.boundary_vertices:
         phi = np.zeros((n, n, n))  # [in_first, out_last, h]
         phi[idx, idx, idx] = star_leg_weights(group, net.beta, power=-net.cls.vertex_multiplicity[v] / 4)
         nodes.append((phi, [*ends[v], ("red", "v", v)]))
@@ -401,8 +449,8 @@ def v_matrix(net: RegionNetwork) -> np.ndarray:
     """Unreduced PEPS map on raw dangling legs ((out,in) per pair), or the torus vector,
     from the paired network."""
     nodes, ends = paired_network(net)
-    raw = [leg for e in net.reduced.edges for leg in ends[e]]
-    raw += [leg for v in net.reduced.vertices for leg in ends[v]]
+    raw = [leg for e in net.cls.boundary_edges for leg in ends[e]]
+    raw += [leg for v in net.cls.boundary_vertices for leg in ends[v]]
     require_fits((net.phys_dim, net.group.order ** len(raw)))
     return contract_nodes(nodes, _phys_legs(net) + raw).reshape(net.phys_dim, -1)
 
@@ -520,8 +568,8 @@ def _reduced_contraction(net: RegionNetwork, start: tuple, out_legs: list) -> np
 
 def t_apply_oracle(net: RegionNetwork, y: np.ndarray) -> np.ndarray:
     """T y for a vector or a block of columns, through `_reduced_contraction`."""
-    cols = y.reshape(net.reduced.dim, -1)
-    data = cols.reshape(net.reduced.shape() + (cols.shape[1],))
+    cols = y.reshape(net.reduced_dim, -1)
+    data = cols.reshape((net.group.order,) * len(_red_legs(net)) + (cols.shape[1],))
     out = _reduced_contraction(net, (data, _red_legs(net) + [("batch",)]), _phys_legs(net) + [("batch",)])
     return out.reshape((net.phys_dim,) + y.shape[1:])
 
@@ -531,7 +579,7 @@ def t_dagger_apply_oracle(net: RegionNetwork, x: np.ndarray) -> np.ndarray:
     cols = x.conj().reshape(net.phys_dim, -1)
     data = cols.reshape((net.group.order,) * (2 * len(net.edges)) + (cols.shape[1],))
     out = _reduced_contraction(net, (data, _phys_legs(net) + [("batch",)]), _red_legs(net) + [("batch",)])
-    return out.conj().reshape((net.reduced.dim,) + x.shape[1:])
+    return out.conj().reshape((net.reduced_dim,) + x.shape[1:])
 
 
 class _ReversedPlaquetteWords:
@@ -585,15 +633,15 @@ def t_scatter_oracle(net: RegionNetwork) -> sp.csr_matrix:
         digits = ket * n ** (2 * n_edges - 1 - i) + g[:, None, None] * n ** (n_edges - 1 - i)
         row += _broadcast_on(digits, [i, axis[away], axis[toward]], ndim)
     col = np.zeros(shape, np.int64)
-    stride = net.reduced.dim
-    for e in net.reduced.edges:
+    stride = net.reduced_dim
+    for e in net.cls.boundary_edges:
         stride //= n
         col += _broadcast_on((inv if cls.gamma_inverted[e] else g) * stride, [axis[e]], ndim)
-    for v in net.reduced.vertices:
+    for v in net.cls.boundary_vertices:
         stride //= n
         col += _broadcast_on(g * stride, [axis[v]], ndim)
     q = gamma_beta(net.beta / 2, n)
-    value = np.full(shape, float(n) ** (len(net.reduced.edges) / 2))
+    value = np.full(shape, float(n) ** (len(net.cls.boundary_edges) / 2))
     for v in cls.interior_vertices:
         value *= _broadcast_on(q + (g == 0), [axis[v]], ndim)
     for p in net.region.plaquettes():
@@ -602,7 +650,7 @@ def t_scatter_oracle(net: RegionNetwork) -> sp.csr_matrix:
             word = mul[word[..., None], g if sign > 0 else inv]
             axes.append(axis[e])
         value *= _broadcast_on(1.0 + q * n * (word == 0), axes, ndim)
-    return sp.csr_matrix((value.ravel(), (row.ravel(), col.ravel())), shape=(net.phys_dim, net.reduced.dim))
+    return sp.csr_matrix((value.ravel(), (row.ravel(), col.ravel())), shape=(net.phys_dim, net.reduced_dim))
 
 
 # -- the Davies generator on dense operators -------------------------------------------

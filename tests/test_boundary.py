@@ -1,11 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qdlab.groups import group_by_name, make_cyclic, make_symmetric
 from qdlab.lattice import RECT, CYL_H, TORUS, Region, TorusLattice, classify_region, parse_region
-from qdlab.linalg import kron
+from qdlab import linalg
+from qdlab.linalg import FeasibilityError, kron
 from qdlab.peps import RegionNetwork, edge_tensor, weight_plaq
 from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
 from qdlab.boundary import (
@@ -23,6 +25,7 @@ from oracles import (
     gathering_check,
     group_function_matrix_oracle,
     interior_sum_brute_force,
+    interior_sum_enumerated,
     leading_term_edge,
     phi_operator,
     plaquette_loop_scalar,
@@ -227,6 +230,71 @@ class TestInteriorSums:
                     assert got == 0.0
 
 
+def block_inputs(bb):
+    """(holonomies, physical labels, vertex words) of one labelling per holonomy key:
+    the first edge of each component's walk runs over G and every other label is 1,
+    so the component's holonomy is that label or its inverse."""
+    firsts = [walk[0][0] for walk in bb._walks]
+    for labels in itertools.product(range(bb.n), repeat=len(firsts)):
+        f_hat = [0] * len(bb.boundary_edges)
+        for i, g in zip(firsts, labels):
+            f_hat[i] = g
+        words = [0] * len(bb.boundary_vertices)
+        holonomies = bb.holonomies(tuple(f_hat), words)
+        yield holonomies, {e: bb.phys_of_gamma(e, gam) for e, gam in zip(bb.boundary_edges, f_hat)}, words
+
+
+class TestInteriorBroadcast:
+    @pytest.mark.parametrize("name, n, spec", [
+        ("S3", 4, "rect:0,0,2,2"),  # an interior vertex, non-trivial anchors
+        ("S3", 3, "cyl:v,0,1"),
+        ("Z3", 3, "cyl:v,0,1"),
+        ("Z2", 3, "cyl:v,0,2"),  # three interior vertices
+    ])
+    def test_broadcast_matches_the_enumeration(self, name, n, spec):
+        """Every anchor tuple of every holonomy key: the broadcast equals the
+        enumeration with its vertex-value fixpoint bit for bit. The rectangle's
+        trivial anchors take the closed form, which agrees to roundoff."""
+        bb = BlockBoundary(group_by_name(name), parse_region(TorusLattice(n), spec), 1.0)
+        keys, broadcast = set(), 0
+        for holonomies, g_phys, words in block_inputs(bb):
+            keys.add(holonomies)
+            for anchors in bb._anchor_subgroup(holonomies):
+                got = bb.interior_sum(g_phys, holonomies[0], anchors, words)
+                expect = interior_sum_enumerated(bb, g_phys, anchors, words)
+                if bb.region.kind == RECT and all(a == 0 for a in anchors):
+                    assert got == pytest.approx(expect, rel=1e-12)
+                else:
+                    assert got == expect
+                    broadcast += 1
+        assert len(keys) == bb.n ** len(bb._walks)
+        assert broadcast > 0
+
+    def test_budget_counts_the_cells_and_their_running_sum(self, monkeypatch):
+        """S3 N=4 rect:0,0,2,2 has 4 interior edges and 1 interior vertex, so the
+        broadcast has 6^5 float64 cells and as many running sums, 124,416 bytes. A
+        budget of exactly that builds the block of the trivial holonomy, whose
+        non-trivial anchors take the broadcast; one byte less refuses it before the
+        cells are made."""
+        bb = BlockBoundary(make_symmetric(3), parse_region(TorusLattice(4), "rect:0,0,2,2"), 1.0)
+        assert (len(bb.cls.interior_edges), len(bb.cls.interior_vertices)) == (4, 1)
+        budget = 2 * 6**5 * 8
+        f_hat = (0,) * len(bb.boundary_edges)
+        expect = bb.block(f_hat).coeffs
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
+        assert BlockBoundary(bb.group, bb.region, 1.0).block(f_hat).coeffs == expect
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FeasibilityError) as info:
+                BlockBoundary(bb.group, bb.region, 1.0).block(f_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [entry.name for entry in info.traceback[-2:]] == ["interior_sum", "require_fits"]
+        assert peak < 6**5 * 8
+
+
 class TestKappaEpsilon:
     def test_2x2_at_gamma_one(self):
         lat = TorusLattice(4)
@@ -266,8 +334,8 @@ class TestBlocks:
         region = parse_region(lat, spec)
         net = RegionNetwork(QuantumDoubleModel(grp, lat), region, 1.0)
         bb = BlockBoundary(grp, region, 1.0)
-        assert list(net.reduced.edges) == bb.boundary_edges
-        assert list(net.reduced.vertices) == bb.boundary_vertices
+        assert list(net.cls.boundary_edges) == bb.boundary_edges
+        assert list(net.cls.boundary_vertices) == bb.boundary_vertices
 
     def test_block_gram_matches_network(self):
         grp = make_cyclic(2)
@@ -355,7 +423,7 @@ class TestBlocks:
         # Gram probes of the network's reduced map: T^dag (T y) vs kappa S~ y
         smat = bb.group_function_matrix(lambda v: v)
         rng = np.random.default_rng(5)
-        y = rng.standard_normal(net.reduced.dim)
+        y = rng.standard_normal(net.reduced_dim)
         got = net.t_dagger_apply(net.t_apply(y))
         want = bb.kappa * (smat @ y)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
@@ -434,7 +502,7 @@ class TestBlocks:
         net = RegionNetwork(QuantumDoubleModel(grp, lat), region, 1.0)
         bb = BlockBoundary(grp, region, 1.0)
         smat = bb.group_function_matrix(lambda v: v)
-        y = np.random.default_rng(7).standard_normal(net.reduced.dim)
+        y = np.random.default_rng(7).standard_normal(net.reduced_dim)
         got = net.t_dagger_apply(net.t_apply(y))
         want = bb.kappa * (smat @ y)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()

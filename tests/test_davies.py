@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,16 +197,21 @@ def test_htilde_matrix_is_the_sum_of_the_edge_terms(embedding_patch):
     assert abs(ht.matrix - ht.matrix.T).max() <= 1e-14 * abs(ht.matrix).max()
 
 
+def htilde_budget(ht):
+    """The bytes HTilde budgets for assembling `matrix`: twice every embedded entry of
+    the L_e (the old running sum and the new one before pruning) and the largest
+    edge's embedded copies, each a float64 value and an int32 column index, and three
+    sets of int32 row pointers."""
+    sizes = [gen_e.nnz * ht.dim // gen_e.shape[0] for _, gen_e in ht.local.values()]
+    return (2 * sum(sizes) + max(sizes)) * (8 + 4) + 3 * 4 * (ht.dim + 1)
+
+
 def test_htilde_budget_counts_the_embedded_bytes(cylinder_patch, monkeypatch):
-    """The build budgets every embedded entry of the L_e (a float64 value and an int32
-    column index) and the row pointers, a bound on the summed matrix's bytes: a budget
-    of exactly those bytes admits the build, and one byte less refuses it before any
-    L_e is embedded."""
+    """A budget of exactly `htilde_budget` admits the build, and one byte less
+    refuses it before any L_e is embedded."""
     model, gen, ht, _ = cylinder_patch
-    entries = sum(gen_e.nnz * ht.dim // gen_e.shape[0] for _, gen_e in ht.local.values())
-    budget = entries * (8 + 4) + 4 * (ht.dim + 1)
+    budget = htilde_budget(ht)
     m = ht.matrix
-    assert m.data.nbytes + m.indices.nbytes + m.indptr.nbytes <= budget
     embedded = []
 
     def counted(*args):
@@ -221,6 +227,29 @@ def test_htilde_budget_counts_the_embedded_bytes(cylinder_patch, monkeypatch):
     with pytest.raises(FeasibilityError):
         HTilde(gen)
     assert embedded == []
+
+
+def test_htilde_budget_bounds_the_traced_peak(cylinder_patch):
+    """The budgeted bytes are at least the traced peak of assembling `matrix`, and
+    the assembled matrix takes less than that."""
+    _, gen, _, _ = cylinder_patch
+    ht = HTilde(gen)
+    tracemalloc.start()
+    try:
+        m = ht.matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.data.nbytes + m.indices.nbytes + m.indptr.nbytes < peak <= htilde_budget(ht)
+
+
+def test_local_gap_check_leaves_the_matrix_unbuilt(cylinder_patch):
+    """The local check reads the L_e alone, so the patch H~ of the gap chain is
+    never assembled."""
+    model, gen, _, rho = cylinder_patch
+    ht = HTilde(gen)
+    local_gap_check(gen, ht, model.edge_list[0], rho, tol=1e-7)
+    assert "matrix" not in vars(ht)
 
 
 def test_jump_budget_counts_the_stored_bytes(cylinder_patch, monkeypatch):

@@ -110,6 +110,29 @@ def test_t_over_budget_is_refused_after_the_half_inverse(monkeypatch):
     assert peak < 2228228 + 2**19
 
 
+def test_w_product_budget_counts_its_arrays_and_accumulators(monkeypatch):
+    """Z2 N=4 rect:0,0,3,1, the martingale split's whole region: W = T H has at most
+    nnz(T) = 2^18 times 2 entries, H's most in a row, and scipy's product adds an
+    int32 index and a float64 value accumulator for each of W's 2^20 rows. A budget
+    of exactly those bytes with W's column pointers, 19,136,516, admits the build,
+    and one byte less refuses it before the product; W takes less."""
+    lat = TorusLattice(4)
+    model, region = QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,3,1")
+    bb = BlockBoundary(model.group, region, 1.0)
+    halfinv = bb.group_function_matrix(lambda v: (bb.kappa * v) ** -0.5)
+    t = RegionNetwork(model, region, 1.0).t_sparse
+    nnz = t.nnz * int(np.bincount(halfinv.indices).max())
+    budget = (nnz + t.shape[0]) * (4 + 8) + (halfinv.shape[1] + 1) * 4
+    assert (t.nnz, nnz, t.shape[0], budget) == (2**18, 2**19, 2**20, 19136516)
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
+    w = RegionProjector(model, region, 1.0)._w
+    assert w.data.nbytes + w.indices.nbytes + w.indptr.nbytes < budget
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget - 1)
+    with pytest.raises(FeasibilityError) as info:
+        RegionProjector(model, region, 1.0)
+    assert [entry.name for entry in info.traceback[-2:]] == ["__init__", "require_fits"]
+
+
 def test_martingale_measurement_rejects_the_trivial_group():
     lat = TorusLattice(4)
     split = split_region(parse_region(lat, "rect:0,0,3,1"), "ABC-cols", 1, 1)

@@ -175,7 +175,7 @@ class TestRegionContraction:
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**10)
         net = self._z2_plaquette_network()
         with pytest.raises(FeasibilityError, match=r"\(256, 1\)"):
-            net.t_apply(np.ones(net.reduced.dim))
+            net.t_apply(np.ones(net.reduced_dim))
         assert "t_sparse" not in vars(net)
 
     def test_operand_copy_over_budget_is_refused_before_it_is_made(self, monkeypatch):
@@ -226,11 +226,11 @@ class TestRegionContraction:
         for width, imag in cases:
             shape = (lambda dim: (dim,)) if width is None else (lambda dim: (dim, width))
             draw = lambda dim: rng.standard_normal(shape(dim)) + imag * 1j * rng.standard_normal(shape(dim))
-            y, x = draw(net.reduced.dim), draw(net.phys_dim)
+            y, x = draw(net.reduced_dim), draw(net.phys_dim)
             if not imag:
                 y, x = y.real, x.real
             got_y, got_x = net.t_apply(y), net.t_dagger_apply(x)
-            assert got_y.shape == shape(net.phys_dim) and got_x.shape == shape(net.reduced.dim)
+            assert got_y.shape == shape(net.phys_dim) and got_x.shape == shape(net.reduced_dim)
             for got, want in ((got_y, t_apply(y)), (got_x, t_dagger_apply(x))):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -241,7 +241,7 @@ class TestRegionContraction:
         # real and imaginary parts apart, so that no complex copy of t is made
         t_at = lambda y: t @ y.real + 1j * (t @ y.imag)
         self._assert_applies_match(net, t_at, lambda x: t.T @ x.real + 1j * (t.T @ x.imag))
-        y = np.random.default_rng(3).standard_normal((net.reduced.dim, 4)).view(complex)
+        y = np.random.default_rng(3).standard_normal((net.reduced_dim, 4)).view(complex)
         want = t_apply_oracle(net, y)
         assert np.abs(t_at(y) - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -305,7 +305,7 @@ class TestRegionContraction:
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
         net = self._martingale_region_network()
         rng = np.random.default_rng(2)
-        y = rng.standard_normal(net.reduced.dim)
+        y = rng.standard_normal(net.reduced_dim)
         x = rng.standard_normal(net.phys_dim)
         lhs = np.vdot(net.t_apply(y), x)
         rhs = np.vdot(y, net.t_dagger_apply(x))
@@ -326,7 +326,7 @@ class TestRegionContraction:
         inputs is a row of scalars."""
         lat = TorusLattice(2)
         net = RegionNetwork(QuantumDoubleModel(make_cyclic(2), lat), Region(lat, TORUS), 1.0)
-        assert net.reduced.dim == 1
+        assert net.reduced_dim == 1
         y = np.array([[2.0, -1.0]])
         assert np.allclose(net.t_apply(y), net.t_matrix() @ y, rtol=1e-12, atol=0)
 
