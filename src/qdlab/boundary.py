@@ -308,8 +308,9 @@ class BlockBoundary:
     # -- lifting block data to reduced-basis vectors ---------------------------------
 
     def group_function_matrix(self, func) -> sp.csc_matrix:
-        """func(m) per block, applied on the kept modes only (e.g. x -> x^{-1/2} gives
-        the pseudo-inverse square root), as a sparse CSC matrix on the reduced basis:
+        """func(m) per block, applied on the kept modes only (e.g. x -> 1/(kappa x)
+        gives the pseudo-inverse of the Gram kappa m, which `RegionProjector` holds),
+        as a sparse CSC matrix on the reduced basis:
         block diagonal over f, and within the block of f the sum over anchors a of
         d_a times the permutation that takes the chain state h to h a(v) at every
         boundary vertex v, where d is func(m)'s identity column (anchors with
@@ -321,13 +322,19 @@ class BlockBoundary:
         sums of one small table per boundary vertex, the first half of the
         vertices and the second added as one outer sum, and go straight to their
         places in column order: column (f, h) holds one entry per anchor, in
-        subgroup order, so nothing is sorted. The matrix's arrays, with one
-        anchor's rows and positions for the largest key, are checked against the
-        dense budget before any of them is made."""
+        subgroup order, so nothing is sorted. The fold's arrays are checked
+        against the dense budget before any of them is made, and so are the
+        matrix's, with the fold's and one anchor's rows and positions for the
+        largest key."""
         G = self.group
         n, ne, nv = self.n, len(self.boundary_edges), len(self.boundary_vertices)
         mul, inv = G.mul, G.inv
         n_f, chain_dim = n**ne, n**nv
+        # the fold holds labels and words, and at most 9 more arrays over the labellings:
+        # the keys with the running holonomy and its successor, or with np.unique's
+        # flattened copy, sort order, sorted keys, mask, running count (twice) and inverse
+        fold = (ne + nv + 9) * n_f * np.dtype(np.intp).itemsize
+        require_fits((fold,), np.uint8)
         labels = np.indices((n,) * ne).reshape(ne, n_f)  # f in row-major order
         words = np.zeros((nv, n_f), np.intp)  # u_v of each f, 1 at the anchors
         keys = np.zeros(n_f, np.intp)  # the holonomy tuple as one base-|G| number
@@ -354,7 +361,7 @@ class BlockBoundary:
         nnz, dim = int(start[-1]), n_f * chain_dim
         index = np.dtype(np.int32 if max(dim, nnz) < 2**31 else np.int64)  # scipy's choice, so no copy
         emit = chain_dim * int(np.bincount(key_of).max())
-        require_fits(((nnz + emit) * (index.itemsize + 8) + (dim + 1) * index.itemsize,), np.uint8)
+        require_fits((fold + (nnz + emit) * (index.itemsize + 8) + (dim + 1) * index.itemsize,), np.uint8)
         rows, data, indptr = np.empty(nnz, index), np.empty(nnz), np.empty(dim + 1, index)
         pointers = indptr[:-1].reshape(n_f, chain_dim)  # column (f, h) starts at start_f + h per_col_f
         np.multiply.outer(per_col.astype(index), np.arange(chain_dim, dtype=index), out=pointers)

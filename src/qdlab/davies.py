@@ -363,8 +363,23 @@ def _embedded(model: QuantumDoubleModel, pos: list[int], gen_e: sp.csr_matrix) -
 def _local_generator(gen: DaviesGenerator, dec: JumpDecomposition, d: int) -> sp.csr_matrix:
     """L_e = B^dag B of HTilde in CSR, on the edge's support of dimension d. B stacks
     d^2 rows per jump (w, R), R = S(w) c^* the real form of S(w) when it is real up
-    to a phase: sqrt(g(w)/2) (c (1 x R^T) - R x 1), written entry by entry."""
+    to a phase: sqrt(g(w)/2) (c (1 x R^T) - R x 1), written entry by entry. Row (x, y)
+    of a jump's block holds at most the nonzeros of R's row x and of its column y, so
+    B's row counts bound the product's entries; the build's arrays are checked
+    against the dense budget before B's first triplet is made."""
     jumps = [(w, _phase_split(s)[1]) for comps in dec.components for w, s in comps.items()]
+    entries = products = 0  # B's triplets; the sum over B's rows of their squared counts
+    for _, r in jumps:
+        in_rows, in_cols = np.count_nonzero(r, axis=1), np.count_nonzero(r, axis=0)
+        nnz = int(in_rows.sum())
+        entries += 2 * d * nnz
+        products += d * int(in_rows @ in_rows + in_cols @ in_cols) + 2 * nnz**2
+    value = np.result_type(*(r for _, r in jumps)).itemsize
+    # held at once at most: every R; B's triplets (int64 rows and columns) as pieces and
+    # joined, with their int32 COO indices; B, its conjugate and scipy's CSC copy of B
+    # for the product; the product and its CSR copy; the five matrices' int64 pointers
+    held = sum(r.nbytes for _, r in jumps) + entries * (2 * (16 + value) + 8 + 3 * (4 + value))
+    require_fits((held + products * 2 * (8 + value) + 8 * (2 * len(jumps) + 3) * (d * d + 1),), np.uint8)
     a = np.arange(d)[:, None]
     rows, cols, vals = [], [], []
     for j, (w, r) in enumerate(jumps):

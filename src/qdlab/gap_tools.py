@@ -15,7 +15,6 @@ from .linalg import (
     LinearMapHandle,
     apply_on_sites,
     lowest_eigs_matrix_free,
-    require_fits,
 )
 from .peps import RegionNetwork
 from .quantum_double import QuantumDoubleModel, gamma_beta
@@ -27,22 +26,20 @@ from .quantum_double import QuantumDoubleModel, gamma_beta
 class RegionProjector:
     """Orthogonal projector onto Im(V_X) on the doubled space of the region.
 
-    P = W W^dagger with W = T G_dR^{-1} (kappa S~)^{-1/2}, held as one sparse
-    matrix: the network's reduced map (boundary weights already undone), the
-    gauge-orbit scatter
+    P = T G^+ T^dagger, the projector onto Im T, held as its two factors: the
+    network's reduced map (boundary weights already undone), the gauge-orbit
+    scatter
 
         T = sum_{g,h} |G|^{E_b/2} prod_{interior v} (delta(h_v = 1) + q)
             prod_p (1 + q |G| delta(hol_p(g) = 1)) |ket(g, h), g><gamma(g), h_dangling|
 
     of `RegionNetwork` (Kitaev, quant-ph/9707021; Schuch, Cirac and
-    Perez-Garcia, arXiv:1001.3807), times the half-inverse of its Gram, the
-    slim block boundary.  The half-inverse is built on `BlockBoundary`'s
-    reduced basis, whose order the network's reduced axes share, from the one
-    `eigh` of each block, on the modes that `BlockBoundary.rank` counts
-    (`linalg.RANK_CUTOFF`).  Both factors are CSC matrices, built in column
-    order, so W is one too; its arrays and the product's accumulators are
-    checked against the dense budget before the product.  W is real, so
-    P x = W (W^T x).
+    Perez-Garcia, arXiv:1001.3807), and G^+ the pseudo-inverse of its Gram, the
+    slim block boundary kappa S~.  G^+ is lifted to `BlockBoundary`'s reduced
+    basis, whose order the network's reduced axes share, from the one `eigh` of
+    each block, on the modes that `BlockBoundary.rank` counts
+    (`linalg.RANK_CUTOFF`).  T is real, so P x = T (G^+ (T^T x)): three sparse
+    products with vectors, and no product of the two matrices.
     """
 
     def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):
@@ -51,19 +48,13 @@ class RegionProjector:
         self.edges = net.edges
         self.dim = net.phys_dim
         bb = BlockBoundary(model.group, region, beta)
-        halfinv = bb.group_function_matrix(lambda v: (bb.kappa * v) ** -0.5)  # sparse Gram^{-1/2}
+        self._gram_pinv = bb.group_function_matrix(lambda v: 1.0 / (bb.kappa * v))
         self.rank = bb.rank()
-        t = net.t_sparse
-        # scipy's product makes W's arrays, with at most nnz(T) times the most entries
-        # in a row of the half-inverse, and an index and a value accumulator per row of W
-        index = np.result_type(t.indices, halfinv.indices).itemsize
-        nnz = t.nnz * int(np.bincount(halfinv.indices).max())
-        require_fits(((nnz + self.dim) * (index + 8) + (halfinv.shape[1] + 1) * index,), np.uint8)
-        self._w = t @ halfinv
+        self._t = net.t_sparse
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P x for a vector x or for every column of a (dim, m) block at once."""
-        return self._w @ (self._w.T @ x)
+        return self._t @ (self._gram_pinv @ (self._t.T @ x))
 
 
 class EmbeddedProjector:

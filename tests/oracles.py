@@ -653,6 +653,15 @@ def t_scatter_oracle(net: RegionNetwork) -> sp.csr_matrix:
     return sp.csr_matrix((value.ravel(), (row.ravel(), col.ravel())), shape=(net.phys_dim, net.reduced_dim))
 
 
+def region_projector_w(model: QuantumDoubleModel, region: Region, beta: float) -> sp.csc_matrix:
+    """W = T (kappa S~)^{-1/2}, T times the half-inverse of its Gram on the kept
+    modes, as one sparse product: the region projector is P = W W^T, a second
+    construction of the P that `RegionProjector` applies as T G^+ T^T."""
+    bb = BlockBoundary(model.group, region, beta)
+    halfinv = bb.group_function_matrix(lambda v: (bb.kappa * v) ** -0.5)
+    return RegionNetwork(model, region, beta).t_sparse @ halfinv
+
+
 # -- the Davies generator on dense operators -------------------------------------------
 
 

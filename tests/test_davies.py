@@ -16,7 +16,9 @@ from qdlab.davies import (
     IotaKernelProjector,
     RateError,
     _embedded,
+    _local_generator,
     _local_patch,
+    _phase_split,
     c1_constant,
     c2_constant,
     davies_gap,
@@ -208,17 +210,21 @@ def htilde_budget(ht):
 
 def test_htilde_budget_counts_the_embedded_bytes(cylinder_patch, monkeypatch):
     """A budget of exactly `htilde_budget` admits the build, and one byte less
-    refuses it before any L_e is embedded."""
+    refuses it before any L_e is embedded. Each L_e build has its own, larger count
+    (`test_local_generator_budget_bounds_its_traced_peak`), so here
+    `_local_generator` hands back the L_e already built."""
     model, gen, ht, _ = cylinder_patch
     budget = htilde_budget(ht)
     m = ht.matrix
     embedded = []
+    built = {id(gen.jumps[e]): gen_e for e, (_, gen_e) in ht.local.items()}
 
     def counted(*args):
         embedded.append(args)
         return _embedded(*args)
 
     monkeypatch.setattr(davies, "_embedded", counted)
+    monkeypatch.setattr(davies, "_local_generator", lambda gen, dec, d: built[id(dec)])
     monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
     assert (HTilde(gen).matrix != m).nnz == 0
     assert len(embedded) == model.n_edges
@@ -241,6 +247,51 @@ def test_htilde_budget_bounds_the_traced_peak(cylinder_patch):
     finally:
         tracemalloc.stop()
     assert m.data.nbytes + m.indices.nbytes + m.indptr.nbytes < peak <= htilde_budget(ht)
+
+
+def local_generator_budget(dec, d):
+    """The bytes `_local_generator` budgets for one edge, from the nonzeros of each
+    real form R: the R; two triplets per nonzero and state, as int64 pieces, joined
+    and as int32 COO indices; B, its conjugate and a CSC copy; twice the product
+    B^dag B, whose entries are at most the sum over B's rows of their squared
+    counts, row (x, y) of a jump's block holding at most the nonzeros of R's row x
+    and column y; and five sets of int64 pointers."""
+    jumps = [_phase_split(s)[1] for comps in dec.components for s in comps.values()]
+    value = np.result_type(*jumps).itemsize
+    held = entries = products = 0
+    for r in jumps:
+        x, y = np.nonzero(r)
+        per_row = np.bincount(x, minlength=d)[:, None] + np.bincount(y, minlength=d)[None, :]
+        held += r.nbytes
+        entries += 2 * d * x.size
+        products += int((per_row**2).sum())
+    held += entries * (2 * (8 + 8 + value) + 2 * 4 + 3 * (4 + value))
+    return held + products * 2 * (8 + value) + 8 * (2 * len(jumps) + 3) * (d * d + 1)
+
+
+def test_local_generator_budget_bounds_its_traced_peak(cylinder_patch, monkeypatch):
+    """On the patch's largest support (d = 64): a budget of exactly
+    `local_generator_budget` admits the build of L_e, whose traced peak is at most
+    that count, and one byte less refuses it in `_local_generator`."""
+    model, gen, ht, _ = cylinder_patch
+    e = max(gen.jumps, key=lambda e: len(gen.jumps[e].support))
+    dec = gen.jumps[e]
+    d = model.local_dim ** len(dec.support)
+    budget = local_generator_budget(dec, d)
+    assert d == 64
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
+    tracemalloc.start()
+    try:
+        gen_e = _local_generator(gen, dec, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (gen_e != ht.local[e][1]).nnz == 0
+    assert peak <= budget
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget - 1)
+    with pytest.raises(FeasibilityError) as info:
+        _local_generator(gen, dec, d)
+    assert [entry.name for entry in info.traceback[-2:]] == ["_local_generator", "require_fits"]
 
 
 def test_local_gap_check_leaves_the_matrix_unbuilt(cylinder_patch):

@@ -17,11 +17,11 @@ from qdlab.gap_tools import (
 from qdlab import linalg
 from qdlab.linalg import ConvergenceError, FeasibilityError
 from qdlab.boundary import BlockBoundary
-from qdlab.groups import make_cyclic, make_symmetric
+from qdlab.groups import group_by_name, make_cyclic, make_symmetric
 from qdlab.lattice import TorusLattice, parse_region, split_region
 from qdlab.peps import RegionNetwork
 from qdlab.quantum_double import QuantumDoubleModel
-from oracles import embed_by_digits, reversed_word_scatter
+from oracles import embed_by_digits, region_projector_w, reversed_word_scatter
 
 
 @pytest.mark.parametrize("beta", [0.0, -0.5])
@@ -45,29 +45,47 @@ def test_martingale_certificate_on_the_smallest_split():
     assert not rep.hypothesis_ok and rep.vacuous and not rep.passed
 
 
-def _projector_defect(w) -> tuple[float, float]:
-    """(||M^2 - M||, tr M) for M = W^dagger W of a real sparse W; the row-sum norm
-    bounds the spectral norm of the symmetric M^2 - M."""
-    m = (w.T @ w).tocsr()
-    return float(abs(m @ m - m).sum(axis=1).max()), float(m.diagonal().sum())
+@pytest.mark.parametrize("name, n, spec", [
+    ("Z2", 4, "rect:0,0,3,1"),
+    ("Z2", 4, "rect:1,0,1,1"),
+    ("S3", 3, "rect:0,0,1,1"),
+    ("Z2", 3, "cyl:v,0,1"),
+])
+def test_region_projector_matches_w_w_transpose(name, n, spec):
+    """P x = T (G^+ (T^T x)) against W (W^T x), W = T times the half-inverse of its
+    Gram, to 1e-12 relative, for a vector and for a 3-column block: on the martingale
+    split's whole region and its overlap, on S3 and on a cylinder."""
+    lat = TorusLattice(n)
+    model, region = QuantumDoubleModel(group_by_name(name), lat), parse_region(lat, spec)
+    p, w = RegionProjector(model, region, 1.0), region_projector_w(model, region, 1.0)
+    rng = np.random.default_rng(3)
+    for x in (rng.standard_normal(p.dim), rng.standard_normal((p.dim, 3))):
+        want = w @ (w.T @ x)
+        assert np.abs(p.apply(x) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _projector_defect(m) -> float:
+    """The larger of the row-sum and column-sum norms of M^2 - M for a sparse M; it
+    bounds the spectral norm."""
+    d = abs(m @ m - m)
+    return max(float(d.sum(axis=0).max()), float(d.sum(axis=1).max()))
 
 
 def test_s3_region_projector_is_an_orthogonal_projector():
-    """S3 N=3 rect:0,0,1,1 (1.7M doubled dims): W^dagger W is a projector of the rank
-    that `BlockBoundary` counts. Control: with each plaquette word folded in reverse
+    """S3 N=3 rect:0,0,1,1 (1.7M doubled dims): M = T^T T G^+, on the reduced basis,
+    is idempotent with the trace that `BlockBoundary.rank` counts, so T G^+ T^T is a
+    projector of that rank. Control: with each plaquette word folded in reverse
     order the same construction is no projector."""
     lat = TorusLattice(3)
     model = QuantumDoubleModel(make_symmetric(3), lat)
     region = parse_region(lat, "rect:0,0,1,1")
     p = RegionProjector(model, region, 1.0)
-    bb = BlockBoundary(model.group, region, 1.0)
-    assert p.rank == bb.rank() == 653184
-    defect, trace = _projector_defect(p._w)
-    assert defect <= 1e-12
-    assert trace == pytest.approx(653184, abs=1e-6)
-    halfinv = bb.group_function_matrix(lambda v: (bb.kappa * v) ** -0.5)
-    defect, _ = _projector_defect(reversed_word_scatter(RegionNetwork(model, region, 1.0)) @ halfinv)
-    assert defect > 0.1
+    assert p.rank == BlockBoundary(model.group, region, 1.0).rank() == 653184
+    m = (p._t.T @ p._t @ p._gram_pinv).tocsr()
+    assert _projector_defect(m) <= 1e-12
+    assert m.diagonal().sum() == pytest.approx(653184, abs=1e-6)
+    control = reversed_word_scatter(RegionNetwork(model, region, 1.0))
+    assert _projector_defect((control.T @ control @ p._gram_pinv).tocsr()) > 0.1
 
 
 def _refused_build(monkeypatch, budget, group, n, spec):
@@ -88,49 +106,39 @@ def _refused_build(monkeypatch, budget, group, n, spec):
 
 
 def test_half_inverse_over_budget_is_refused_before_it_is_made(monkeypatch):
-    """S3 N=3 rect:0,0,1,1: the half-inverse holds 5,038,848 entries (int32 rows and
-    float64 values), 1,679,617 column pointers, and one anchor's rows and positions
-    for 216 labellings, 70,543,876 bytes. A 64 MiB budget refuses it before any of
-    them is made: the build allocates less than 1/4 MiB."""
+    """S3 N=3 rect:0,0,1,1: the Gram's pseudo-inverse, laid out as its half-inverse
+    is, holds 5,038,848 entries (int32 rows and float64 values), 1,679,617 column
+    pointers, and one anchor's rows and positions for 216 labellings; with the
+    fold's 25 int64 arrays over the 1,296 labellings that is 70,720,132 bytes. A
+    64 MiB budget refuses it before any of them is made: the build allocates less
+    than 1/4 MiB."""
     info, peak = _refused_build(monkeypatch, 2**26, make_symmetric(3), 3, "rect:0,0,1,1")
-    assert info.match(r"uint8 array of shape \(70543876,\)")
+    assert info.match(r"uint8 array of shape \(70720132,\)")
     assert info.traceback[-2].name == "group_function_matrix"
     assert peak < 2**18
 
 
+def test_holonomy_fold_over_budget_is_refused_before_it_is_made(monkeypatch):
+    """S3 N=4 rect:0,0,2,2: folding the holonomies of its 6^8 = 1,679,616 labellings
+    holds their 8 labels and 8 vertex words and at most 9 more int64 arrays over
+    them, 335,923,200 bytes. A 64 MiB budget refuses the fold before any of them is
+    made: the build allocates less than 1 MiB."""
+    info, peak = _refused_build(monkeypatch, 2**26, make_symmetric(3), 4, "rect:0,0,2,2")
+    assert info.match(r"uint8 array of shape \(335923200,\)")
+    assert info.traceback[-2].name == "group_function_matrix"
+    assert peak < 2**20
+
+
 def test_t_over_budget_is_refused_after_the_half_inverse(monkeypatch):
-    """Z2 N=4 rect:0,0,3,1, the martingale split's whole region: the half-inverse
-    takes 2,228,228 bytes and T 3,407,876 (its 1 MiB of rows, 2 MiB of values and
-    1/4 MiB of column pointers). A 3 MiB budget admits the first and refuses T
-    before its row array is made: the peak stays within the half-inverse's bytes
-    and half of that array."""
+    """Z2 N=4 rect:0,0,3,1, the martingale split's whole region: the check of the
+    Gram's pseudo-inverse counts 2,279,428 bytes (51,200 of them the fold's) and
+    T's 3,407,876 (its 1 MiB of rows, 2 MiB of values and 1/4 MiB of column
+    pointers). A 3 MiB budget admits the first and refuses T before its row array
+    is made: the peak stays within 2,228,228 bytes and half of that array."""
     info, peak = _refused_build(monkeypatch, 3 * 2**20, make_cyclic(2), 4, "rect:0,0,3,1")
     assert info.match(r"uint8 array of shape \(3407876,\)")
     assert info.traceback[-2].name == "t_sparse"
     assert peak < 2228228 + 2**19
-
-
-def test_w_product_budget_counts_its_arrays_and_accumulators(monkeypatch):
-    """Z2 N=4 rect:0,0,3,1, the martingale split's whole region: W = T H has at most
-    nnz(T) = 2^18 times 2 entries, H's most in a row, and scipy's product adds an
-    int32 index and a float64 value accumulator for each of W's 2^20 rows. A budget
-    of exactly those bytes with W's column pointers, 19,136,516, admits the build,
-    and one byte less refuses it before the product; W takes less."""
-    lat = TorusLattice(4)
-    model, region = QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,3,1")
-    bb = BlockBoundary(model.group, region, 1.0)
-    halfinv = bb.group_function_matrix(lambda v: (bb.kappa * v) ** -0.5)
-    t = RegionNetwork(model, region, 1.0).t_sparse
-    nnz = t.nnz * int(np.bincount(halfinv.indices).max())
-    budget = (nnz + t.shape[0]) * (4 + 8) + (halfinv.shape[1] + 1) * 4
-    assert (t.nnz, nnz, t.shape[0], budget) == (2**18, 2**19, 2**20, 19136516)
-    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
-    w = RegionProjector(model, region, 1.0)._w
-    assert w.data.nbytes + w.indices.nbytes + w.indptr.nbytes < budget
-    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget - 1)
-    with pytest.raises(FeasibilityError) as info:
-        RegionProjector(model, region, 1.0)
-    assert [entry.name for entry in info.traceback[-2:]] == ["__init__", "require_fits"]
 
 
 def test_martingale_measurement_rejects_the_trivial_group():
