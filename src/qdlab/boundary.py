@@ -19,12 +19,17 @@ direction inverts it.  Both are bijections of the keys, and a block's anchor
 values enter only through the chain value a(v) = u_v a u_v^{-1} each fixes at
 every boundary vertex, so the number of blocks, every summary and
 `group_function_matrix` do not depend on the walk.
+
+The walks are folded once, over all |G|^L labellings in row-major order, into
+each labelling's holonomy tuple as one base-|G| number (its key) and its vertex
+words u_v; everything else reads that fold by the labelling's index.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,11 +72,11 @@ def interior_sum_closed_form(group: FiniteGroup, cls: RegionClassification, holo
     """sum over interior extensions of prod_p (1 + gamma chi_reg) in closed form.
 
     Holds for a proper rectangle classified as `cls` whose boundary labels have
-    the holonomy `holonomy` (`BlockBoundary.holonomies`, from any anchor and in
-    either direction).  The formula needs chi_reg of the ordered product of the
-    reduced labels around the perimeter; the holonomy is conjugate to that
-    product or to its inverse, and chi_reg is a class function with
-    chi(g^{-1}) = chi(g).
+    the holonomy `holonomy` (its digit in `BlockBoundary`'s holonomy key, from
+    any anchor and in either direction).  The formula needs chi_reg of the
+    ordered product of the reduced labels around the perimeter; the holonomy is
+    conjugate to that product or to its inverse, and chi_reg is a class
+    function with chi(g^{-1}) = chi(g).
     """
     g = gamma_beta(beta, group.order)
     n_p = cls.n_plaquettes
@@ -105,10 +110,11 @@ class BlockBoundary:
     boundary vertices keep the holonomies, so each holonomy tuple is shared by
     |G|^(L-c) labellings, for L boundary edges and c components.  The walks
     follow the classified boundary edges alone, the same for rectangles and
-    cylinders (see the module docstring).  `block` folds the holonomies of f,
-    looks the block up by them, and on a miss takes its coefficients from
-    `interior_sum`, one per anchor tuple, and decomposes m once with `eigh`, so
-    at most |G|^c blocks are built.
+    cylinders (see the module docstring).  `block` takes f by its row-major
+    index, reads its holonomy key from the one fold of all labellings, looks the
+    block up by it, and on a miss takes its coefficients from `interior_sum`,
+    one per anchor tuple, and decomposes m once with `eigh`, so at most |G|^c
+    blocks are built.
     The leading-term norm, the rank, the support norms and
     `group_function_matrix` all read those eigenvalues, under the one cutoff
     `linalg.RANK_CUTOFF`.
@@ -123,24 +129,23 @@ class BlockBoundary:
         self.boundary_edges = list(self.cls.boundary_edges)
         self.boundary_vertices = list(self.cls.boundary_vertices)
         self.n = group.order
+        self.n_labellings = self.n ** len(self.boundary_edges)  # f in row-major order
         self.gamma = gamma_beta(beta, group.order)
-        self._block_cache: dict = {}  # holonomy tuple -> BoundaryBlock
+        self._block_cache: dict = {}  # holonomy key -> BoundaryBlock
         if not self.boundary_edges:
             raise BoundaryError("the torus has no boundary")
         self._walks, self._vertex_component = self._component_walks()
 
     def _component_walks(self):
-        """Per component, its walk as steps (position of the edge in f,
-        left-multiplication rows of the step's factor, slot of the vertex reached
-        in `boundary_vertices`, or None on the step back to the anchor); and per
+        """Per component, its walk as steps (position of the edge in f, whether the
+        step's factor is the inverse of that label, slot of the vertex reached in
+        `boundary_vertices`, or None on the step back to the anchor); and per
         boundary vertex the index of its component.
 
         Each walk starts at the first boundary vertex that no earlier walk
         reached and follows unused boundary edges until it is back there.
         """
-        G, lat = self.group, self.region.lattice
-        left = G.mul.tolist()  # left[g][h] = g h
-        left_inv = [left[g] for g in G.inv.tolist()]  # left_inv[g][h] = g^{-1} h
+        lat = self.region.lattice
         slot = {v: i for i, v in enumerate(self.boundary_vertices)}
         incident: dict = {}  # vertex -> positions of its boundary edges
         for i, e in enumerate(self.boundary_edges):
@@ -164,56 +169,56 @@ class BlockBoundary:
                 # value relation across e: a(away) = g a(toward) g^{-1}, g the physical
                 # label, which is the reduced one inverted where gamma_inverted
                 backward = v == away
-                table = left_inv if backward != self.cls.gamma_inverted[e] else left
                 v = toward if backward else away
                 component[slot[v]] = c
-                walk.append((i, table, None if v == anchor else slot[v]))
+                walk.append((i, backward != self.cls.gamma_inverted[e], None if v == anchor else slot[v]))
             walks.append(walk)
         return walks, np.array(component)
+
+    @cached_property
+    def _fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, words) of every labelling f in row-major order: its holonomy tuple as
+        one base-|G| number, the first component's digit leading, and its running
+        word u_v at each boundary vertex (1 at the anchors).  The walks fold as
+        broadcasts, an axis per boundary edge, in the smallest unsigned dtypes that
+        hold |G|^c - 1 and |G| - 1; the keys, the words and the running holonomy with
+        its successor are checked against the dense budget before any is made."""
+        G, n, ne, nv = self.group, self.n, len(self.boundary_edges), len(self.boundary_vertices)
+        key_type, word_type = np.min_scalar_type(n ** len(self._walks) - 1), np.min_scalar_type(n - 1)
+        require_fits((n**ne * (key_type.itemsize + (nv + 2) * word_type.itemsize),), np.uint8)
+        tables = G.mul.astype(word_type), G.mul[G.inv].astype(word_type)  # [g, h] -> g h, g^{-1} h
+        keys, words = np.zeros((n,) * ne, key_type), np.zeros((nv,) + (n,) * ne, word_type)
+        for walk in self._walks:
+            cur = np.zeros((), word_type)
+            for i, inverted, slot in walk:
+                label = np.arange(n, dtype=word_type).reshape((n,) + (1,) * (ne - 1 - i))
+                cur = tables[inverted][label, cur]
+                if slot is not None:
+                    words[slot] = cur
+            keys *= n
+            keys += cur
+        return keys.reshape(-1), words.reshape(nv, -1)
 
     # -- label plumbing ---------------------------------------------------------
 
     def phys_of_gamma(self, e: Edge, gam: int) -> int:
         return self.group.inv[gam] if self.cls.gamma_inverted[e] else gam
 
-    def f_hat_iter(self):
-        return itertools.product(range(self.n), repeat=len(self.boundary_edges))
-
-    def holonomies(self, f_hat: tuple[int, ...], words: list[int] | None = None) -> tuple[int, ...]:
-        """The holonomy of the labelling f_hat around each boundary component.
-
-        Folds the physical labels along each walk from the anchor.  When `words`
-        is given (one entry per boundary vertex), the running word u_v at each
-        vertex is written into it: the chain value there is a(v) = u_v a u_v^{-1}
-        for the anchor value a of its component (u = 1 at the anchor).
-        """
-        hols = []
-        for walk in self._walks:
-            cur = 0
-            for i, table, slot in walk:
-                cur = table[f_hat[i]][cur]
-                if words is not None and slot is not None:
-                    words[slot] = cur
-            hols.append(cur)
-        return tuple(hols)
-
     def _anchor_values(self, words, anchors: tuple[int, ...]) -> np.ndarray:
-        """Per boundary vertex, its chain value a(v) = u_v a u_v^{-1} for the component anchors."""
-        G = self.group
-        u = np.asarray(words)
-        a = np.asarray(anchors)[self._vertex_component]
+        """Per boundary vertex, its chain value a(v) = u_v a u_v^{-1} for the component
+        anchors, from `words` with u_v on the first axis (further axes broadcast)."""
+        G, u = self.group, np.asarray(words)
+        a = np.asarray(anchors)[self._vertex_component].reshape((-1,) + (1,) * (u.ndim - 1))
         return G.mul[G.mul[u, a], G.inv[u]]
 
     # -- per-block data ----------------------------------------------------------
 
     def _anchor_subgroup(self, holonomies: tuple[int, ...]) -> list[tuple[int, ...]]:
         G = self.group
-        per_comp = [
-            [a for a in G.elements() if G.conj(w, a) == a] for w in holonomies
-        ]
+        per_comp = [[a for a in G.elements() if G.conj(w, a) == a] for w in holonomies]
         return list(itertools.product(*per_comp))
 
-    def interior_sum(self, g_phys: dict[Edge, int], holonomy: int, anchors: tuple, words: list[int]) -> float:
+    def interior_sum(self, g_phys: dict[Edge, int], holonomy: int, anchors: tuple, words) -> float:
         """Interior-extension sum for the block of physical boundary labels `g_phys`
         (first component's holonomy `holonomy`, vertex words `words`) and component
         anchors `anchors`: `interior_sum_closed_form` on a rectangle with an abelian
@@ -246,48 +251,49 @@ class BlockBoundary:
             cells *= label[away] == G.conj(label[e], label[toward])
         return float(np.cumsum(cells)[-1])
 
-    def block(self, f_hat: tuple[int, ...]) -> BoundaryBlock:
-        """The block of the labelling f_hat, looked up by its holonomies."""
-        holonomies = self.holonomies(f_hat)
-        cached = self._block_cache.get(holonomies)
+    def block(self, f: int) -> BoundaryBlock:
+        """The block of the labelling of row-major index f, looked up by its holonomy key."""
+        keys, words = self._fold
+        key = int(keys[f])
+        cached = self._block_cache.get(key)
         if cached is not None:
             return cached
-        G = self.group
+        G, n, ne, c = self.group, self.n, len(self.boundary_edges), len(self._walks)
+        f_hat = [f // n ** (ne - 1 - i) % n for i in range(ne)]  # the labels: f's base-|G| digits
+        holonomies = tuple(key // n ** (c - 1 - k) % n for k in range(c))
         g_phys = {e: self.phys_of_gamma(e, gam) for e, gam in zip(self.boundary_edges, f_hat)}
-        words = [0] * len(self.boundary_vertices)
-        self.holonomies(f_hat, words)
         subgroup = self._anchor_subgroup(holonomies)
         v_int = len(self.cls.interior_vertices)
         coeffs = {}
         for anchors in subgroup:
             vc = 1.0 + self.gamma if all(a == 0 for a in anchors) else self.gamma
-            inner = self.interior_sum(g_phys, holonomies[0], anchors, words)
-            coeffs[anchors] = self.n ** len(self.boundary_edges) * vc**v_int * inner / self.kappa
+            inner = self.interior_sum(g_phys, holonomies[0], anchors, words[:, f])
+            coeffs[anchors] = n**ne * vc**v_int * inner / self.kappa
         # group-algebra matrix over the product subgroup: right-multiplication perms
         order = {t: i for i, t in enumerate(subgroup)}
         m = np.zeros((len(subgroup), len(subgroup)))
-        for anchors, c in coeffs.items():
+        for anchors, coeff in coeffs.items():
             for t in subgroup:
                 prod = tuple(G.mul[z, a] for z, a in zip(t, anchors))
-                m[order[prod], order[t]] += c
+                m[order[prod], order[t]] += coeff
         vals, vecs = np.linalg.eigh(m)
         kept = np.abs(vals) > RANK_CUTOFF * max(np.abs(vals).max(), 1e-300)
         support = (float(np.abs(vals - kept).max()), float(np.abs(1.0 / vals[kept] - 1.0).max(initial=0.0)))
         blk = BoundaryBlock(coeffs, subgroup, m, vals, vecs, kept,
                             float(np.abs(vals - 1.0).max()), int(kept.sum()), support)
-        self._block_cache[holonomies] = blk
+        self._block_cache[key] = blk
         return blk
 
     # -- spectral summaries --------------------------------------------------------
 
     def leading_term_norm(self) -> float:
         """|| rho~/kappa - S~ || as the max over f-blocks of max |lambda - 1|."""
-        return max(self.block(f_hat).lead for f_hat in self.f_hat_iter())
+        return max(self.block(f).lead for f in range(self.n_labellings))
 
     def rank(self) -> int:
         """Numerical rank of the slim (equivalently full, beta>0) boundary state."""
         chain_dim = self.n ** len(self.boundary_vertices)
-        return sum(chain_dim // len(blk.subgroup) * blk.n_kept for blk in map(self.block, self.f_hat_iter()))
+        return sum(chain_dim // len(blk.subgroup) * blk.n_kept for blk in map(self.block, range(self.n_labellings)))
 
     def leading_rank(self) -> int:
         return self.n ** (len(self.boundary_edges) + len(self.boundary_vertices))
@@ -300,8 +306,8 @@ class BlockBoundary:
         max |lambda - [kept]| and max |1/lambda - 1| over the kept lambda.
         """
         worst_a = worst_b = 0.0
-        for f_hat in self.f_hat_iter():
-            a, b = self.block(f_hat).support
+        for f in range(self.n_labellings):
+            a, b = self.block(f).support
             worst_a, worst_b = max(worst_a, a), max(worst_b, b)
         return worst_a, worst_b
 
@@ -316,65 +322,53 @@ class BlockBoundary:
         boundary vertex v, where d is func(m)'s identity column (anchors with
         d_a = 0 are left out).
 
-        The holonomy keys and vertex words of all |G|^L labellings are folded at
-        once along the walks. Each key's block is taken once, from its first
-        labelling. Each anchor's rows for all the labellings with that key are
-        sums of one small table per boundary vertex, the first half of the
+        Every holonomy key is taken, by |G|^(L-c) labellings, and its block is
+        built once, from its first labelling, which one reversed scatter of the
+        fold's keys finds. Each anchor's rows for all the labellings with that key
+        are sums of one small table per boundary vertex, the first half of the
         vertices and the second added as one outer sum, and go straight to their
         places in column order: column (f, h) holds one entry per anchor, in
-        subgroup order, so nothing is sorted. The fold's arrays are checked
-        against the dense budget before any of them is made, and so are the
-        matrix's, with the fold's and one anchor's rows and positions for the
-        largest key."""
-        G = self.group
-        n, ne, nv = self.n, len(self.boundary_edges), len(self.boundary_vertices)
-        mul, inv = G.mul, G.inv
-        n_f, chain_dim = n**ne, n**nv
-        # the fold holds labels and words, and at most 9 more arrays over the labellings:
-        # the keys with the running holonomy and its successor, or with np.unique's
-        # flattened copy, sort order, sorted keys, mask, running count (twice) and inverse
-        fold = (ne + nv + 9) * n_f * np.dtype(np.intp).itemsize
-        require_fits((fold,), np.uint8)
-        labels = np.indices((n,) * ne).reshape(ne, n_f)  # f in row-major order
-        words = np.zeros((nv, n_f), np.intp)  # u_v of each f, 1 at the anchors
-        keys = np.zeros(n_f, np.intp)  # the holonomy tuple as one base-|G| number
-        for walk in self._walks:
-            cur = np.zeros(n_f, np.intp)
-            for i, table, slot in walk:
-                cur = np.asarray(table)[labels[i], cur]
-                if slot is not None:
-                    words[slot] = cur
-            keys = keys * n + cur
-        _, first, key_of = np.unique(keys, return_index=True, return_inverse=True)
+        subgroup order, so nothing is sorted. The fold and four int arrays over the
+        labellings are checked against the dense budget before the scatter, and
+        again with the matrix and one anchor's rows and positions for the largest
+        key before the matrix is made."""
+        G, n, nv, n_f = self.group, self.n, len(self.boundary_vertices), self.n_labellings
+        chain_dim, n_keys = n**nv, n ** len(self._walks)
+        keys, words = self._fold
+        # the scatter's labelling indices, and each f's entry count, running count and first entry
+        labelled = keys.nbytes + words.nbytes + 4 * (n_f + 1) * np.dtype(np.intp).itemsize
+        require_fits((labelled,), np.uint8)
+        first = np.empty(n_keys, np.intp)
+        first[keys[::-1]] = np.arange(n_f - 1, -1, -1)  # the last write, the first labelling, wins
         ident = (0,) * len(self._walks)
         anchors, weights = [], []
-        for f in first:
-            blk = self.block(tuple(labels[:, f].tolist()))
+        for f in first.tolist():
+            blk = self.block(f)
             # func(m) lies in the group algebra: its identity column holds the weights
             vecs = blk.vecs[:, blk.kept]
             w = vecs @ (func(blk.vals[blk.kept]) * vecs[blk.subgroup.index(ident)])
             nonzero = np.flatnonzero(w != 0.0)
             anchors.append(np.array(blk.subgroup)[nonzero])
             weights.append(w[nonzero])
-        per_col = np.array([len(w) for w in weights])[key_of]  # entries in each column of f
+        per_col = np.array([len(w) for w in weights])[keys]  # entries in each column of f
         start = chain_dim * np.concatenate(([0], np.cumsum(per_col)))  # f's first entry
         nnz, dim = int(start[-1]), n_f * chain_dim
         index = np.dtype(np.int32 if max(dim, nnz) < 2**31 else np.int64)  # scipy's choice, so no copy
-        emit = chain_dim * int(np.bincount(key_of).max())
-        require_fits((fold + (nnz + emit) * (index.itemsize + 8) + (dim + 1) * index.itemsize,), np.uint8)
+        emit = chain_dim * (n_f // n_keys)
+        require_fits((labelled + (nnz + emit) * (index.itemsize + 8) + (dim + 1) * index.itemsize,), np.uint8)
         rows, data, indptr = np.empty(nnz, index), np.empty(nnz), np.empty(dim + 1, index)
         pointers = indptr[:-1].reshape(n_f, chain_dim)  # column (f, h) starts at start_f + h per_col_f
         np.multiply.outer(per_col.astype(index), np.arange(chain_dim, dtype=index), out=pointers)
         pointers += start[:-1, None].astype(index)
         indptr[-1] = nnz
         strides = n ** np.arange(nv - 1, -1, -1, dtype=index)
-        right = mul.astype(index)  # right[h, a] = h a
+        right = G.mul.astype(index)  # right[h, a] = h a
         for k, (key_anchors, key_weights) in enumerate(zip(anchors, weights)):
-            fs = np.flatnonzero(key_of == k)
+            fs = np.flatnonzero(keys == k)
             u, offsets = words[:, fs], (fs * chain_dim).astype(index)
             pos = start[fs, None] + np.arange(chain_dim) * len(key_weights)  # the first anchor's entries
             for a, d in zip(key_anchors, key_weights):
-                value = mul[mul[u, a[self._vertex_component, None]], inv[u]]  # a(v) per vertex and f
+                value = self._anchor_values(u, a)  # a(v) per vertex and f
                 steps = strides[:, None, None] * right[:, value].transpose(1, 2, 0)  # [v, f, h_v]: digit of h_v a(v)
                 head, tail = _outer_sum(steps[: nv // 2]), _outer_sum(steps[nv // 2 :])
                 rows[pos] = (offsets[:, None, None] + head[:, :, None] + tail[:, None, :]).reshape(len(fs), chain_dim)

@@ -124,6 +124,8 @@ def kms_rates(beta: float, form: str = "exponential-half", table: dict | None = 
     elif form == "custom":
         if table is None:
             raise RateError("custom rate form needs a table")
+        if stray := [w for w in table if not isinstance(w, (int, np.integer)) or w not in BOHR_FREQUENCIES]:
+            raise RateError(f"rate table keys {stray} are not Bohr frequencies")
         table = {int(w): float(v) for w, v in table.items()}
         missing = [w for w in BOHR_FREQUENCIES if w not in table]
         if missing:

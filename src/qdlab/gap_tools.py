@@ -201,7 +201,8 @@ def recursion_bound(r: int, delta_fn) -> RecursionBound:
     """Truncated evaluation of prod_k (1 - delta_k)/(1 + 1/s_k) with a rigorous tail factor.
 
     delta_k = delta(floor((r/4) (9/8)^{k/2})), s_k = floor((4/3)^{k/2}); the tail
-    beyond the truncation is bounded below by exp[-2 sum delta_k - sum 1/s_k].
+    beyond the truncation is bounded below by exp[-2 sum delta_k - sum 1/s_k], whose
+    terms must fall below 1e-18 within 4 RECURSION_TERMS k (else ConvergenceError).
     """
     if r < 16:
         raise ValueError("recursion requires r >= 16")
@@ -224,6 +225,8 @@ def recursion_bound(r: int, delta_fn) -> RecursionBound:
             tail_sum += 2.0 * dk + 1.0 / sk
             if 2.0 * dk + 1.0 / sk < 1e-18:
                 break
+    else:
+        raise ConvergenceError("recursion tail did not fall below 1e-18: sum of delta_k may diverge")
     tail_lower = math.exp(-tail_sum)
     return RecursionBound(
         r=r,

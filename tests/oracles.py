@@ -214,11 +214,44 @@ def consistent_vertex_values(group, lat, cls, g_all, values) -> bool:
     return all(v in values for v in cls.vertices)
 
 
+def holonomy_walk(bb: BlockBoundary, f_hat) -> tuple[tuple[int, ...], list[int]]:
+    """`BlockBoundary._fold` for one labelling, one scalar step at a time: the
+    holonomy of the reduced labels f_hat around each boundary component (the
+    product of the step factors along its walk from the anchor, each the label or
+    its inverse) and the running word u_v at each boundary vertex (1 at the
+    anchors)."""
+    G = bb.group
+    hols, words = [], [0] * len(bb.boundary_vertices)
+    for walk in bb._walks:
+        cur = 0
+        for i, inverted, slot in walk:
+            g = int(f_hat[i])
+            cur = int(G.mul[G.inv[g] if inverted else g, cur])
+            if slot is not None:
+                words[slot] = cur
+        hols.append(cur)
+    return tuple(hols), words
+
+
+def holonomy_key(bb: BlockBoundary, hols: tuple[int, ...]) -> int:
+    """The holonomy tuple as one base-|G| number, the first component's digit leading."""
+    key = 0
+    for h in hols:
+        key = key * bb.n + h
+    return key
+
+
+def labellings(bb: BlockBoundary):
+    """Every reduced labelling f_hat of the boundary edges, in row-major order."""
+    return itertools.product(range(bb.n), repeat=len(bb.boundary_edges))
+
+
 def group_function_matrix_oracle(bb: BlockBoundary, func) -> sp.csr_matrix:
     """`BlockBoundary.group_function_matrix` one labelling and one anchor at a time:
-    for each f in row-major order, its block (looked up by its holonomies) gives
-    func(m)'s identity column d, and each anchor tuple with d_a != 0 adds d_a at
-    (f, h a(v)) x (f, h) for every chain state h; the entries are sorted by
+    for each f in row-major order, the scalar walk gives its holonomies and vertex
+    words, its block (built by its index on the first labelling of its holonomies)
+    gives func(m)'s identity column d, and each anchor tuple with d_a != 0 adds d_a
+    at (f, h a(v)) x (f, h) for every chain state h; the entries are sorted by
     scipy's COO to CSR conversion."""
     G = bb.group
     n, ne, nv = bb.n, len(bb.boundary_edges), len(bb.boundary_vertices)
@@ -226,14 +259,13 @@ def group_function_matrix_oracle(bb: BlockBoundary, func) -> sp.csr_matrix:
     base_idx = np.arange(chain_dim)
     digits = np.indices((n,) * nv).reshape(nv, chain_dim)  # h_v of each chain basis state
     strides = n ** np.arange(nv - 1, -1, -1)
-    ident = (0,) * len(bb.holonomies((0,) * ne))
+    ident = (0,) * len(bb._walks)
     weights = {}  # holonomy tuple -> (subgroup, func(m)'s identity column)
-    words = [0] * nv
     rows, cols, vals = [], [], []
-    for k, f_hat in enumerate(bb.f_hat_iter()):
-        key = bb.holonomies(f_hat, words)
+    for k, f_hat in enumerate(labellings(bb)):
+        key, words = holonomy_walk(bb, f_hat)
         if key not in weights:
-            blk = bb.block(f_hat)
+            blk = bb.block(k)
             vecs = blk.vecs[:, blk.kept]
             weights[key] = (blk.subgroup, vecs @ (func(blk.vals[blk.kept]) * vecs[blk.subgroup.index(ident)]))
         subgroup, w = weights[key]

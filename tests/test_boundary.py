@@ -24,8 +24,11 @@ from oracles import (
     edge_boundary_entry,
     gathering_check,
     group_function_matrix_oracle,
+    holonomy_key,
+    holonomy_walk,
     interior_sum_brute_force,
     interior_sum_enumerated,
+    labellings,
     leading_term_edge,
     phi_operator,
     plaquette_loop_scalar,
@@ -164,7 +167,7 @@ class TestEdgeBoundary:
 def closed_form(grp, reg, fmap, beta):
     """The closed form at the boundary holonomy of the reduced labels `fmap`."""
     bb = BlockBoundary(grp, reg, beta)
-    (holonomy,) = bb.holonomies(tuple(fmap[e] for e in bb.boundary_edges))
+    (holonomy,), _ = holonomy_walk(bb, [fmap[e] for e in bb.boundary_edges])
     return interior_sum_closed_form(grp, bb.cls, holonomy, beta)
 
 
@@ -219,8 +222,7 @@ class TestInteriorSums:
         for _ in range(10):
             f_hat = tuple(int(g) for g in rng.integers(0, 2, len(bb.boundary_edges)))
             g_phys = {e: bb.phys_of_gamma(e, gam) for e, gam in zip(bb.boundary_edges, f_hat)}
-            words = [0] * len(bb.boundary_vertices)
-            holonomy = bb.holonomies(f_hat, words)[0]
+            (holonomy, _), words = holonomy_walk(bb, f_hat)
             bf = interior_sum_brute_force(grp, reg, dict(zip(bb.boundary_edges, f_hat)), 1.0)
             for anchors in itertools.product(range(2), repeat=2):
                 got = bb.interior_sum(g_phys, holonomy, anchors, words)
@@ -239,8 +241,7 @@ def block_inputs(bb):
         f_hat = [0] * len(bb.boundary_edges)
         for i, g in zip(firsts, labels):
             f_hat[i] = g
-        words = [0] * len(bb.boundary_vertices)
-        holonomies = bb.holonomies(tuple(f_hat), words)
+        holonomies, words = holonomy_walk(bb, f_hat)
         yield holonomies, {e: bb.phys_of_gamma(e, gam) for e, gam in zip(bb.boundary_edges, f_hat)}, words
 
 
@@ -275,19 +276,21 @@ class TestInteriorBroadcast:
         broadcast has 6^5 float64 cells and as many running sums, 124,416 bytes. A
         budget of exactly that builds the block of the trivial holonomy, whose
         non-trivial anchors take the broadcast; one byte less refuses it before the
-        cells are made."""
+        cells are made. The fold of the labellings, which `block` reads, is made
+        under the default budget beforehand and shared."""
         bb = BlockBoundary(make_symmetric(3), parse_region(TorusLattice(4), "rect:0,0,2,2"), 1.0)
         assert (len(bb.cls.interior_edges), len(bb.cls.interior_vertices)) == (4, 1)
         budget = 2 * 6**5 * 8
-        f_hat = (0,) * len(bb.boundary_edges)
-        expect = bb.block(f_hat).coeffs
+        expect = bb.block(0).coeffs
+        admitted, refused = (BlockBoundary(bb.group, bb.region, 1.0) for _ in range(2))
+        admitted._fold = refused._fold = bb._fold
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
-        assert BlockBoundary(bb.group, bb.region, 1.0).block(f_hat).coeffs == expect
+        assert admitted.block(0).coeffs == expect
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget - 1)
         tracemalloc.start()
         try:
             with pytest.raises(FeasibilityError) as info:
-                BlockBoundary(bb.group, bb.region, 1.0).block(f_hat)
+                refused.block(0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,10 +354,9 @@ class TestBlocks:
         n = 2
         slim = np.zeros_like(gram)
         nv = len(bb.boundary_vertices)
-        words = [0] * nv
-        for f_hat in bb.f_hat_iter():
-            blk = bb.block(f_hat)
-            bb.holonomies(f_hat, words)
+        for f, f_hat in enumerate(labellings(bb)):
+            blk = bb.block(f)
+            _, words = holonomy_walk(bb, f_hat)
             chain = np.zeros((n**nv, n**nv))
             for anchors, c in blk.coeffs.items():
                 # right-multiplication by a(v)^{-1} at each boundary vertex
@@ -441,8 +443,8 @@ class TestBlocks:
         chain_dim = grp.order ** len(bb.boundary_vertices)
         lead = norm_a = norm_b = 0.0
         rank = 0
-        for f_hat in bb.f_hat_iter():
-            m = bb.block(f_hat).m_matrix
+        for f in range(grp.order ** len(bb.boundary_edges)):
+            m = bb.block(f).m_matrix
             assert np.array_equal(m, m.T)  # eigh reads one triangle
             lead = max(lead, np.linalg.norm(m - np.eye(len(m)), 2))
             s = np.linalg.svd(m, compute_uv=False)
@@ -470,8 +472,8 @@ class TestBlocks:
         region = parse_region(lat, spec)
         bb = BlockBoundary(grp, region, 1.0)
         by_key: dict = {}
-        for f_hat in bb.f_hat_iter():
-            by_key.setdefault(bb.holonomies(f_hat), []).append(f_hat)
+        for f, f_hat in enumerate(labellings(bb)):
+            by_key.setdefault(holonomy_walk(bb, f_hat)[0], []).append(f)
         n_edges, n_comp = len(bb.boundary_edges), len(next(iter(by_key)))
         assert {len(fs) for fs in by_key.values()} == {grp.order ** (n_edges - n_comp)}
         rng = np.random.default_rng(6)
@@ -480,12 +482,60 @@ class TestBlocks:
                 sample = fs
             else:
                 sample = [fs[i] for i in rng.choice(len(fs), 6, replace=False)]
-            for f_hat in sample:
-                shared = bb.block(f_hat)
-                fresh = BlockBoundary(grp, region, 1.0).block(f_hat)
+            for f in sample:
+                shared = bb.block(f)
+                fresh = BlockBoundary(grp, region, 1.0).block(f)
                 assert fresh.subgroup == shared.subgroup
                 assert np.abs(fresh.m_matrix - shared.m_matrix).max() <= 1e-12
         assert len(bb._block_cache) == len(by_key) <= grp.order**n_comp
+
+    @pytest.mark.parametrize("name, n, spec", [
+        ("Z2", 4, "rect:0,0,2,2"),
+        ("Z3", 3, "rect:0,0,1,1"),
+        ("Z2", 3, "cyl:v,0,1"),  # two components
+        ("S3", 3, "rect:0,0,1,1"),
+    ])
+    def test_fold_matches_the_scalar_walk(self, name, n, spec):
+        """The fold's key and vertex words of every labelling, in row-major order,
+        equal those of the walk taken one label at a time."""
+        grp, lat = group_by_name(name), TorusLattice(n)
+        bb = BlockBoundary(grp, parse_region(lat, spec), 1.0)
+        keys, words = bb._fold
+        assert keys.dtype == words.dtype == np.uint8
+        walked = [holonomy_walk(bb, f_hat) for f_hat in labellings(bb)]
+        assert keys.tolist() == [holonomy_key(bb, hols) for hols, _ in walked]
+        assert words.T.tolist() == [u for _, u in walked]
+
+    def test_fold_budget_is_exact(self, monkeypatch):
+        """S3 N=4 rect:0,0,2,2: the fold of its 6^8 = 1,679,616 labellings holds one
+        uint8 key and 8 uint8 vertex words each, and the walk's running holonomy
+        and its successor, 1,679,616 * 11 = 18,475,776 bytes. That budget makes
+        the fold, within its count; one byte less refuses it before any of its
+        arrays is made."""
+        grp, lat = make_symmetric(3), TorusLattice(4)
+        region = parse_region(lat, "rect:0,0,2,2")
+        count = 18475776
+        keys, words = BlockBoundary(grp, region, 1.0)._fold
+        admitted, refused = (BlockBoundary(grp, region, 1.0) for _ in range(2))
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", count)
+        tracemalloc.start()
+        try:
+            got = admitted._fold
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got[0], keys) and np.array_equal(got[1], words)
+        assert peak <= count
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", count - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FeasibilityError, match=r"shape \(18475776,\)") as info:
+                refused._fold
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [entry.name for entry in info.traceback[-2:]] == ["_fold", "require_fits"]
+        assert peak < 2**16
 
     @pytest.mark.parametrize("name, n, spec", [
         ("Z3", 3, "rect:0,0,1,1"),
@@ -560,6 +610,20 @@ class TestBlocks:
         assert lead.passed
         assert supp.extras["inverse_norm"] == pytest.approx(2.3095485768622956, rel=1e-10)
         assert supp.extras["rank"] == supp.extras["leading_rank"] == 2176782336
+
+    def test_s3_two_by_two_certificates(self):
+        """S3 rect:0,0,2,2 @ N=4, beta=1: 6^8 = 1,679,616 labellings, 6 holonomy
+        keys and an interior vertex; both certificates pinned at their values."""
+        grp, lat = make_symmetric(3), TorusLattice(4)
+        reg = parse_region(lat, "rect:0,0,2,2")
+        lead = verify_leading_term(grp, reg, 1.0)
+        supp = support_and_sigma(grp, reg, 1.0)
+        for cert in (lead, supp):
+            assert cert.epsilon == pytest.approx(24.04349071438699, rel=1e-10)
+            assert cert.measured == pytest.approx(0.2538603289553283, rel=1e-10)
+            assert cert.passed and cert.vacuous
+        assert supp.extras["inverse_norm"] == pytest.approx(0.20246300412649287, rel=1e-10)
+        assert supp.extras["rank"] == supp.extras["leading_rank"] == 2821109907456
 
     def test_non_vacuous_certificates_z2_3x3(self):
         """The one instance with epsilon < 1 that fits: both certificates pass on

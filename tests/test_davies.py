@@ -543,6 +543,9 @@ def test_default_rates_satisfy_kms():
     ("custom", {w: 1.0 for w in BOHR_FREQUENCIES if w != 3}, "misses Bohr frequencies"),
     ("custom", {w: 0.0 for w in BOHR_FREQUENCIES}, "strictly positive"),
     ("custom", {w: 1.0 for w in BOHR_FREQUENCIES}, "KMS condition"),
+    # a key 0.5 would be truncated onto omega = 0, a key 9 would set g_min
+    ("custom", {**{w: float(np.exp(w / 2)) for w in BOHR_FREQUENCIES}, 0.5: 7.0}, "not Bohr frequencies"),
+    ("custom", {**{w: float(np.exp(w / 2)) for w in BOHR_FREQUENCIES}, 9: 1e-6}, "not Bohr frequencies"),
 ])
 def test_kms_rates_rejects(form, table, match):
     with pytest.raises(RateError, match=match):

@@ -109,32 +109,33 @@ def test_half_inverse_over_budget_is_refused_before_it_is_made(monkeypatch):
     """S3 N=3 rect:0,0,1,1: the Gram's pseudo-inverse, laid out as its half-inverse
     is, holds 5,038,848 entries (int32 rows and float64 values), 1,679,617 column
     pointers, and one anchor's rows and positions for 216 labellings; with the
-    fold's 25 int64 arrays over the 1,296 labellings that is 70,720,132 bytes. A
-    64 MiB budget refuses it before any of them is made: the build allocates less
-    than 1/4 MiB."""
+    fold's 5 uint8 arrays and 4 int64 arrays over the 1,296 labellings that is
+    70,591,860 bytes. A 64 MiB budget refuses it before any of them is made: the
+    build allocates less than 1/4 MiB."""
     info, peak = _refused_build(monkeypatch, 2**26, make_symmetric(3), 3, "rect:0,0,1,1")
-    assert info.match(r"uint8 array of shape \(70720132,\)")
+    assert info.match(r"uint8 array of shape \(70591860,\)")
     assert info.traceback[-2].name == "group_function_matrix"
     assert peak < 2**18
 
 
 def test_holonomy_fold_over_budget_is_refused_before_it_is_made(monkeypatch):
     """S3 N=4 rect:0,0,2,2: folding the holonomies of its 6^8 = 1,679,616 labellings
-    holds their 8 labels and 8 vertex words and at most 9 more int64 arrays over
-    them, 335,923,200 bytes. A 64 MiB budget refuses the fold before any of them is
-    made: the build allocates less than 1 MiB."""
-    info, peak = _refused_build(monkeypatch, 2**26, make_symmetric(3), 4, "rect:0,0,2,2")
-    assert info.match(r"uint8 array of shape \(335923200,\)")
-    assert info.traceback[-2].name == "group_function_matrix"
+    holds one uint8 key and 8 uint8 vertex words for each, and the running
+    holonomy with its successor, 18,475,776 bytes. A 16 MiB budget refuses the
+    fold before any of them is made: the build allocates less than 1 MiB."""
+    info, peak = _refused_build(monkeypatch, 2**24, make_symmetric(3), 4, "rect:0,0,2,2")
+    assert info.match(r"uint8 array of shape \(18475776,\)")
+    assert info.traceback[-2].name == "_fold"
     assert peak < 2**20
 
 
 def test_t_over_budget_is_refused_after_the_half_inverse(monkeypatch):
     """Z2 N=4 rect:0,0,3,1, the martingale split's whole region: the check of the
-    Gram's pseudo-inverse counts 2,279,428 bytes (51,200 of them the fold's) and
-    T's 3,407,876 (its 1 MiB of rows, 2 MiB of values and 1/4 MiB of column
-    pointers). A 3 MiB budget admits the first and refuses T before its row array
-    is made: the peak stays within 2,228,228 bytes and half of that array."""
+    Gram's pseudo-inverse counts 2,238,756 bytes (10,528 of them the fold's and
+    four int64 arrays over the labellings) and T's 3,407,876 (its 1 MiB of rows,
+    2 MiB of values and 1/4 MiB of column pointers). A 3 MiB budget admits the
+    first and refuses T before its row array is made: the peak stays within
+    2,228,228 bytes and half of that array."""
     info, peak = _refused_build(monkeypatch, 3 * 2**20, make_cyclic(2), 4, "rect:0,0,3,1")
     assert info.match(r"uint8 array of shape \(3407876,\)")
     assert info.traceback[-2].name == "t_sparse"
@@ -238,3 +239,7 @@ def test_recursion_bound_rejects():
         recursion_bound(15, lambda ell: 0.0)
     with pytest.raises(ConvergenceError):
         recursion_bound(57, lambda ell: 1.0)
+    # sum_k delta_k diverges, so the product is 0 and no truncation bounds it
+    for delta in (lambda ell: 0.3, lambda ell: 0.4 / math.log(ell + 2)):
+        with pytest.raises(ConvergenceError, match="tail did not fall"):
+            recursion_bound(57, delta)
