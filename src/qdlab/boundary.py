@@ -22,7 +22,8 @@ every boundary vertex, so the number of blocks, every summary and
 
 The walks are folded once, over all |G|^L labellings in row-major order, into
 each labelling's holonomy tuple as one base-|G| number (its key) and its vertex
-words u_v; everything else reads that fold by the labelling's index.
+words u_v; everything else reads that fold by the labelling's index, and all
+but the leading-term norm read only the first labelling of each key.
 """
 
 from __future__ import annotations
@@ -112,12 +113,12 @@ class BlockBoundary:
     follow the classified boundary edges alone, the same for rectangles and
     cylinders (see the module docstring).  `block` takes f by its row-major
     index, reads its holonomy key from the one fold of all labellings, looks the
-    block up by it, and on a miss takes its coefficients from `interior_sum`,
-    one per anchor tuple, and decomposes m once with `eigh`, so at most |G|^c
-    blocks are built.
+    block up by it, and on a miss takes its coefficients from one
+    `interior_sum` call for all its anchor tuples and decomposes m once with
+    `eigh`, so at most |G|^c blocks are built.
     The leading-term norm, the rank, the support norms and
     `group_function_matrix` all read those eigenvalues, under the one cutoff
-    `linalg.RANK_CUTOFF`.
+    `linalg.RANK_CUTOFF`; all but the first read one labelling per key (`_first`).
     """
 
     def __init__(self, group: FiniteGroup, region: Region, beta: float):
@@ -199,16 +200,33 @@ class BlockBoundary:
             keys += cur
         return keys.reshape(-1), words.reshape(nv, -1)
 
+    @cached_property
+    def _first(self) -> list[int]:
+        """The first labelling of each holonomy key, in key order."""
+        keys = self._fold[0]
+        return [int((keys == k).argmax()) for k in range(self.n ** len(self._walks))]
+
+    @cached_property
+    def _interior(self) -> tuple[list, list, np.ndarray]:
+        """For `interior_sum`: each plaquette's (edge, sign) steps, each region edge's
+        (edge, away, toward) and the weight 1 + gamma chi_reg(h) of each h in G."""
+        G, lat = self.group, self.region.lattice
+        loops = [lat.edges_of_plaquette(p) for p in self.region.plaquettes()]
+        relations = [(e, *lat.vertices_of_edge(e)) for e in self.cls.edges]
+        weight = 1.0 + self.gamma * np.array([G.regular_character(h) for h in G.elements()])
+        return loops, relations, weight
+
     # -- label plumbing ---------------------------------------------------------
 
     def phys_of_gamma(self, e: Edge, gam: int) -> int:
         return self.group.inv[gam] if self.cls.gamma_inverted[e] else gam
 
-    def _anchor_values(self, words, anchors: tuple[int, ...]) -> np.ndarray:
+    def _anchor_values(self, words, anchors) -> np.ndarray:
         """Per boundary vertex, its chain value a(v) = u_v a u_v^{-1} for the component
-        anchors, from `words` with u_v on the first axis (further axes broadcast)."""
-        G, u = self.group, np.asarray(words)
-        a = np.asarray(anchors)[self._vertex_component].reshape((-1,) + (1,) * (u.ndim - 1))
+        anchors, from `words` with u_v on the first axis and `anchors` with the
+        component on the first axis (their further axes broadcast)."""
+        G, u, a = self.group, np.asarray(words), np.asarray(anchors)[self._vertex_component]
+        a = a.reshape(a.shape[:1] + (1,) * (u.ndim - a.ndim) + a.shape[1:])
         return G.mul[G.mul[u, a], G.inv[u]]
 
     # -- per-block data ----------------------------------------------------------
@@ -218,38 +236,40 @@ class BlockBoundary:
         per_comp = [[a for a in G.elements() if G.conj(w, a) == a] for w in holonomies]
         return list(itertools.product(*per_comp))
 
-    def interior_sum(self, g_phys: dict[Edge, int], holonomy: int, anchors: tuple, words) -> float:
-        """Interior-extension sum for the block of physical boundary labels `g_phys`
-        (first component's holonomy `holonomy`, vertex words `words`) and component
-        anchors `anchors`: `interior_sum_closed_form` on a rectangle with an abelian
-        group or trivial anchors, else one broadcast over the gauge configurations
-        of the interior, laid out as in `RegionNetwork.t_sparse`: an axis per
-        interior edge, then per interior vertex. A cell is prod_p (1 + gamma
-        chi_reg(hol_p)), in plaquette order, masked by a(away) = g a(toward) g^{-1}
-        on every region edge. That relation fixes the interior vertices, so each
-        assignment of the interior edges has at most one unmasked cell, and a
-        running sum in C order adds them in the order of those assignments. The
-        cells and the running sum are checked against the dense budget first."""
-        G, lat, n = self.group, self.region.lattice, self.n
-        if self.region.kind == RECT and (G.is_abelian() or all(a == 0 for a in anchors)):
-            return interior_sum_closed_form(G, self.cls, holonomy, self.beta)
-        free = [*self.cls.interior_edges, *self.cls.interior_vertices]
-        require_fits((2,) + (n,) * len(free))
-        label = dict(g_phys)  # edge or vertex -> its group element, an axis where free
-        label.update(zip(self.boundary_vertices, self._anchor_values(words, anchors).tolist()))
-        for i, x in enumerate(free):
-            label[x] = np.arange(n).reshape((n,) + (1,) * (len(free) - 1 - i))
-        weight = 1.0 + self.gamma * np.array([G.regular_character(h) for h in G.elements()])
-        cells = np.ones((n,) * len(free))
-        for p in self.region.plaquettes():
-            loop = 0
-            for e, sign in lat.edges_of_plaquette(p):
-                loop = G.mul[loop, label[e] if sign > 0 else G.inv[label[e]]]
-            cells *= weight[loop]
-        for e in self.cls.edges:
-            away, toward = lat.vertices_of_edge(e)
-            cells *= label[away] == G.conj(label[e], label[toward])
-        return float(np.cumsum(cells)[-1])
+    def interior_sum(self, g_phys: dict[Edge, int], holonomy: int, subgroup: list[tuple], words) -> list[float]:
+        """Interior-extension sums for the block of physical boundary labels `g_phys`
+        (first component's holonomy `holonomy`, vertex words `words`), one per
+        anchor tuple of `subgroup`: `interior_sum_closed_form` on a rectangle with
+        an abelian group or trivial anchors, the rest one broadcast with an axis
+        per such anchor tuple, then per interior edge and interior vertex (the
+        gauge configurations, laid out as in `RegionNetwork.t_sparse`). A cell is
+        prod_p (1 + gamma chi_reg(hol_p)), in plaquette order, masked by
+        a(away) = g a(toward) g^{-1} on every region edge, which fixes the interior
+        vertices: a row's running sum in C order adds its unmasked cells in the
+        order of the interior edge assignments. The stacked tuples, at most |G|^c,
+        multiply the cells and running sums, checked against the dense budget first."""
+        G, n, sums = self.group, self.n, {}
+        rest = [t for t in subgroup if self.region.kind != RECT or (any(t) and not G.is_abelian())]
+        if rest:
+            free = [*self.cls.interior_edges, *self.cls.interior_vertices]
+            require_fits((2, len(rest)) + (n,) * len(free))
+            loops, relations, weight = self._interior
+            label = dict(g_phys)  # edge or vertex -> its group element, an axis where free
+            values = self._anchor_values(np.asarray(words)[:, None], np.array(rest).T)  # [v, anchor tuple]
+            label.update(zip(self.boundary_vertices, values.reshape(values.shape + (1,) * len(free))))
+            for i, x in enumerate(free):
+                label[x] = np.arange(n).reshape((n,) + (1,) * (len(free) - 1 - i))
+            cells = np.ones((n,) * len(free))
+            for loop_edges in loops:
+                loop = 0
+                for e, sign in loop_edges:
+                    loop = G.mul[loop, label[e] if sign > 0 else G.inv[label[e]]]
+                cells *= weight[loop]
+            cells = np.repeat(cells[None], len(rest), axis=0)
+            for e, away, toward in relations:
+                cells *= label[away] == G.conj(label[e], label[toward])
+            sums = dict(zip(rest, np.cumsum(cells.reshape(len(rest), -1), axis=1)[:, -1].tolist()))
+        return [sums[t] if t in sums else interior_sum_closed_form(G, self.cls, holonomy, self.beta) for t in subgroup]
 
     def block(self, f: int) -> BoundaryBlock:
         """The block of the labelling of row-major index f, looked up by its holonomy key."""
@@ -263,11 +283,9 @@ class BlockBoundary:
         holonomies = tuple(key // n ** (c - 1 - k) % n for k in range(c))
         g_phys = {e: self.phys_of_gamma(e, gam) for e, gam in zip(self.boundary_edges, f_hat)}
         subgroup = self._anchor_subgroup(holonomies)
-        v_int = len(self.cls.interior_vertices)
-        coeffs = {}
-        for anchors in subgroup:
+        coeffs, v_int = {}, len(self.cls.interior_vertices)
+        for anchors, inner in zip(subgroup, self.interior_sum(g_phys, holonomies[0], subgroup, words[:, f])):
             vc = 1.0 + self.gamma if all(a == 0 for a in anchors) else self.gamma
-            inner = self.interior_sum(g_phys, holonomies[0], anchors, words[:, f])
             coeffs[anchors] = n**ne * vc**v_int * inner / self.kappa
         # group-algebra matrix over the product subgroup: right-multiplication perms
         order = {t: i for i, t in enumerate(subgroup)}
@@ -291,9 +309,10 @@ class BlockBoundary:
         return max(self.block(f).lead for f in range(self.n_labellings))
 
     def rank(self) -> int:
-        """Numerical rank of the slim (equivalently full, beta>0) boundary state."""
-        chain_dim = self.n ** len(self.boundary_vertices)
-        return sum(chain_dim // len(blk.subgroup) * blk.n_kept for blk in map(self.block, range(self.n_labellings)))
+        """Numerical rank of the slim (equivalently full, beta>0) boundary state: each
+        key's block counts once for each of its |G|^(L-c) labellings."""
+        chain_dim, per_key = self.n ** len(self.boundary_vertices), self.n_labellings // len(self._first)
+        return per_key * sum(chain_dim // len(blk.subgroup) * blk.n_kept for blk in map(self.block, self._first))
 
     def leading_rank(self) -> int:
         return self.n ** (len(self.boundary_edges) + len(self.boundary_vertices))
@@ -303,10 +322,11 @@ class BlockBoundary:
 
         Computed in the gauge-reduced form: per block these are ||m - supp(m)||
         and ||m^+ - supp(m)|| for the group-algebra matrix m and its pseudo-inverse m^+, that is
-        max |lambda - [kept]| and max |1/lambda - 1| over the kept lambda.
+        max |lambda - [kept]| and max |1/lambda - 1| over the kept lambda, maxima
+        over the keys.
         """
         worst_a = worst_b = 0.0
-        for f in range(self.n_labellings):
+        for f in self._first:
             a, b = self.block(f).support
             worst_a, worst_b = max(worst_a, a), max(worst_b, b)
         return worst_a, worst_b
@@ -323,26 +343,23 @@ class BlockBoundary:
         d_a = 0 are left out).
 
         Every holonomy key is taken, by |G|^(L-c) labellings, and its block is
-        built once, from its first labelling, which one reversed scatter of the
-        fold's keys finds. Each anchor's rows for all the labellings with that key
-        are sums of one small table per boundary vertex, the first half of the
-        vertices and the second added as one outer sum, and go straight to their
-        places in column order: column (f, h) holds one entry per anchor, in
-        subgroup order, so nothing is sorted. The fold and four int arrays over the
-        labellings are checked against the dense budget before the scatter, and
-        again with the matrix and one anchor's rows and positions for the largest
-        key before the matrix is made."""
+        built once, from its first labelling (`_first`). Each anchor's rows for
+        all the labellings with that key are sums of one small table per boundary
+        vertex, the first half of the vertices and the second added as one outer
+        sum, and go straight to their places in column order: column (f, h) holds
+        one entry per anchor, in subgroup order, so nothing is sorted. The fold
+        and four int arrays over the labellings are checked against the dense
+        budget first, and again with the matrix and one anchor's rows and
+        positions for the largest key before the matrix is made."""
         G, n, nv, n_f = self.group, self.n, len(self.boundary_vertices), self.n_labellings
         chain_dim, n_keys = n**nv, n ** len(self._walks)
         keys, words = self._fold
-        # the scatter's labelling indices, and each f's entry count, running count and first entry
+        # `_first`'s bool mask (within an intp array), and each f's entry count, running count and first entry
         labelled = keys.nbytes + words.nbytes + 4 * (n_f + 1) * np.dtype(np.intp).itemsize
         require_fits((labelled,), np.uint8)
-        first = np.empty(n_keys, np.intp)
-        first[keys[::-1]] = np.arange(n_f - 1, -1, -1)  # the last write, the first labelling, wins
         ident = (0,) * len(self._walks)
         anchors, weights = [], []
-        for f in first.tolist():
+        for f in self._first:
             blk = self.block(f)
             # func(m) lies in the group algebra: its identity column holds the weights
             vecs = blk.vecs[:, blk.kept]

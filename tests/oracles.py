@@ -281,6 +281,19 @@ def group_function_matrix_oracle(bb: BlockBoundary, func) -> sp.csr_matrix:
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)).tocsr()
 
 
+def summaries_per_labelling(bb: BlockBoundary) -> tuple[int, tuple[float, float]]:
+    """`BlockBoundary.rank` and `.support_norms` read block by block over every
+    labelling f in row-major order, not once per holonomy key: the rank sums each
+    f's kept modes, and the norms take their maxima over every f."""
+    chain_dim = bb.n ** len(bb.boundary_vertices)
+    rank = sum(chain_dim // len(blk.subgroup) * blk.n_kept for blk in map(bb.block, range(bb.n_labellings)))
+    worst_a = worst_b = 0.0
+    for f in range(bb.n_labellings):
+        a, b = bb.block(f).support
+        worst_a, worst_b = max(worst_a, a), max(worst_b, b)
+    return rank, (worst_a, worst_b)
+
+
 # -- dense single-edge boundary states ------------------------------------------------
 
 

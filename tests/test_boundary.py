@@ -33,6 +33,7 @@ from oracles import (
     phi_operator,
     plaquette_loop_scalar,
     psi_operator,
+    summaries_per_labelling,
     vertex_contraction_scalar,
 )
 
@@ -224,8 +225,8 @@ class TestInteriorSums:
             g_phys = {e: bb.phys_of_gamma(e, gam) for e, gam in zip(bb.boundary_edges, f_hat)}
             (holonomy, _), words = holonomy_walk(bb, f_hat)
             bf = interior_sum_brute_force(grp, reg, dict(zip(bb.boundary_edges, f_hat)), 1.0)
-            for anchors in itertools.product(range(2), repeat=2):
-                got = bb.interior_sum(g_phys, holonomy, anchors, words)
+            subgroup = list(itertools.product(range(2), repeat=2))
+            for anchors, got in zip(subgroup, bb.interior_sum(g_phys, holonomy, subgroup, words), strict=True):
                 if anchors[0] == anchors[1]:
                     assert abs(got - bf) <= 1e-10 * max(abs(bf), 1.0)
                 else:
@@ -253,15 +254,17 @@ class TestInteriorBroadcast:
         ("Z2", 3, "cyl:v,0,2"),  # three interior vertices
     ])
     def test_broadcast_matches_the_enumeration(self, name, n, spec):
-        """Every anchor tuple of every holonomy key: the broadcast equals the
-        enumeration with its vertex-value fixpoint bit for bit. The rectangle's
-        trivial anchors take the closed form, which agrees to roundoff."""
+        """Every anchor tuple of every holonomy key: the one broadcast over a key's
+        anchor tuples equals, row by row, the enumeration with its vertex-value
+        fixpoint bit for bit. The rectangle's trivial anchors take the closed form,
+        which agrees to roundoff."""
         bb = BlockBoundary(group_by_name(name), parse_region(TorusLattice(n), spec), 1.0)
         keys, broadcast = set(), 0
         for holonomies, g_phys, words in block_inputs(bb):
             keys.add(holonomies)
-            for anchors in bb._anchor_subgroup(holonomies):
-                got = bb.interior_sum(g_phys, holonomies[0], anchors, words)
+            subgroup = bb._anchor_subgroup(holonomies)
+            sums = bb.interior_sum(g_phys, holonomies[0], subgroup, words)
+            for anchors, got in zip(subgroup, sums, strict=True):
                 expect = interior_sum_enumerated(bb, g_phys, anchors, words)
                 if bb.region.kind == RECT and all(a == 0 for a in anchors):
                     assert got == pytest.approx(expect, rel=1e-12)
@@ -272,15 +275,16 @@ class TestInteriorBroadcast:
         assert broadcast > 0
 
     def test_budget_counts_the_cells_and_their_running_sum(self, monkeypatch):
-        """S3 N=4 rect:0,0,2,2 has 4 interior edges and 1 interior vertex, so the
-        broadcast has 6^5 float64 cells and as many running sums, 124,416 bytes. A
-        budget of exactly that builds the block of the trivial holonomy, whose
-        non-trivial anchors take the broadcast; one byte less refuses it before the
-        cells are made. The fold of the labellings, which `block` reads, is made
-        under the default budget beforehand and shared."""
+        """S3 N=4 rect:0,0,2,2 has 4 interior edges and 1 interior vertex. The block
+        of the trivial holonomy stacks its 5 non-trivial anchors in one broadcast,
+        5 * 6^5 float64 cells and as many running sums, 622,080 bytes. A budget of
+        exactly that builds the block; one byte less refuses it before the cells
+        are made. The fold of the labellings, which `block` reads, is made under
+        the default budget beforehand and shared."""
         bb = BlockBoundary(make_symmetric(3), parse_region(TorusLattice(4), "rect:0,0,2,2"), 1.0)
         assert (len(bb.cls.interior_edges), len(bb.cls.interior_vertices)) == (4, 1)
-        budget = 2 * 6**5 * 8
+        assert len(bb.block(0).subgroup) == 6
+        budget = 2 * 5 * 6**5 * 8
         expect = bb.block(0).coeffs
         admitted, refused = (BlockBoundary(bb.group, bb.region, 1.0) for _ in range(2))
         admitted._fold = refused._fold = bb._fold
@@ -433,6 +437,7 @@ class TestBlocks:
     @pytest.mark.parametrize("name, n, spec", [
         ("Z2", 4, "rect:0,0,2,2"),
         ("Z2", 3, "cyl:v,0,1"),
+        ("Z3", 3, "cyl:h,0,1"),  # two components, 9 keys
         ("S3", 3, "rect:0,0,1,1"),
     ])
     def test_block_summaries_match_svd_oracle(self, name, n, spec):
@@ -456,6 +461,36 @@ class TestBlocks:
         assert bb.leading_term_norm() == pytest.approx(lead, rel=1e-10)
         assert bb.rank() == rank
         assert bb.support_norms() == pytest.approx((norm_a, norm_b), rel=1e-10)
+
+    @pytest.mark.parametrize("name, n, spec", [
+        ("Z2", 4, "rect:0,0,2,2"),
+        ("Z3", 3, "cyl:h,0,1"),  # two components, 9 keys
+        ("Z2", 3, "cyl:v,0,1"),
+        ("S3", 3, "rect:0,0,1,1"),
+        ("S3", 3, "cyl:v,0,1"),  # 36 keys
+    ])
+    def test_summaries_per_key_equal_the_per_labelling_loop(self, name, n, spec):
+        """`rank` and `support_norms` read the block of each key's first labelling
+        once, the rank weighted by the |G|^(L-c) labellings of a key: exactly the
+        values of the loop over every labelling."""
+        bb = BlockBoundary(group_by_name(name), parse_region(TorusLattice(n), spec), 1.0)
+        assert (bb.rank(), bb.support_norms()) == summaries_per_labelling(bb)
+
+    @pytest.mark.parametrize("name, n, spec, n_keys", [
+        ("S3", 4, "rect:0,0,2,2", 6),
+        ("Z3", 3, "cyl:h,0,1", 9),
+    ])
+    def test_support_certificate_builds_each_key_once(self, monkeypatch, name, n, spec, n_keys):
+        """`support_and_sigma` calls `block` once per key in `rank` and once in
+        `support_norms`, and `interior_sum` once per block built."""
+        calls = dict.fromkeys(["block", "interior_sum"], 0)
+        for attr in calls:
+            def counting(*args, _attr=attr, _inner=getattr(BlockBoundary, attr)):
+                calls[_attr] += 1
+                return _inner(*args)
+            monkeypatch.setattr(BlockBoundary, attr, counting)
+        support_and_sigma(group_by_name(name), parse_region(TorusLattice(n), spec), 1.0)
+        assert calls == {"block": 2 * n_keys, "interior_sum": n_keys}
 
     @pytest.mark.parametrize("name, n, spec", [
         ("Z2", 4, "rect:0,0,2,2"),
