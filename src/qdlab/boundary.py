@@ -31,9 +31,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .groups import FiniteGroup
 from .lattice import (
@@ -45,6 +45,9 @@ from .lattice import (
 )
 from .linalg import RANK_CUTOFF, require_fits
 from .quantum_double import gamma_beta
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class BoundaryError(ValueError):
@@ -351,6 +354,8 @@ class BlockBoundary:
         and four int arrays over the labellings are checked against the dense
         budget first, and again with the matrix and one anchor's rows and
         positions for the largest key before the matrix is made."""
+        import scipy.sparse as sp
+
         G, n, nv, n_f = self.group, self.n, len(self.boundary_vertices), self.n_labellings
         chain_dim, n_keys = n**nv, n ** len(self._walks)
         keys, words = self._fold

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .groups import FiniteGroup
 from .lattice import Edge
@@ -23,6 +23,9 @@ from .linalg import (
     vectorize,
 )
 from .quantum_double import QuantumDoubleModel, gibbs_state
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 BOHR_FREQUENCIES = tuple(range(-4, 5))
 
@@ -328,6 +331,8 @@ class HTilde:
     def matrix(self) -> sp.csr_matrix:
         """H~ in CSR, built on the first `apply` as a running sum over the edges: one
         COO of every edge's entries would hold them all at once, with int64 indices."""
+        import scipy.sparse as sp
+
         total = sp.csr_matrix((self.dim, self.dim), dtype=self.dtype)
         for pos, gen_e in self.local.values():
             total = total + _embedded(self.model, pos, gen_e)
@@ -350,6 +355,8 @@ def _embedded(model: QuantumDoubleModel, pos: list[int], gen_e: sp.csr_matrix) -
     (idx[i, r], idx[j, r]) for every state r of the other legs: one copy of L_e per r,
     its columns relabelled by idx, then its rows put in doubled order. The indices are
     int32, as scipy stores them: HTilde's budget check keeps the dimension below 2^29."""
+    import scipy.sparse as sp
+
     legs = (model.local_dim,) * (2 * model.n_edges)
     idx = np.arange(model.dim**2, dtype=np.int32).reshape(legs).transpose(sites_first_axes(model.n_edges, pos))
     idx = idx.reshape(gen_e.shape[0], -1)  # a sum of place values: idx[i, r] = idx[i, 0] + idx[0, r]
@@ -369,6 +376,8 @@ def _local_generator(gen: DaviesGenerator, dec: JumpDecomposition, d: int) -> sp
     of a jump's block holds at most the nonzeros of R's row x and of its column y, so
     B's row counts bound the product's entries; the build's arrays are checked
     against the dense budget before B's first triplet is made."""
+    import scipy.sparse as sp
+
     jumps = [(w, _phase_split(s)[1]) for comps in dec.components for w, s in comps.items()]
     entries = products = 0  # B's triplets; the sum over B's rows of their squared counts
     for _, r in jumps:

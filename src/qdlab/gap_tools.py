@@ -3,8 +3,10 @@ the gap-recursion combinators."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -13,11 +15,15 @@ from .lattice import Region, RegionSplit, classify_region, rectangles_up_to
 from .linalg import (
     ConvergenceError,
     LinearMapHandle,
-    apply_on_sites,
     lowest_eigs_matrix_free,
+    require_fits,
+    sites_first_axes,
 )
 from .peps import RegionNetwork
 from .quantum_double import QuantumDoubleModel, gamma_beta
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 # -- region ground projectors ---------------------------------------------------------
@@ -40,6 +46,13 @@ class RegionProjector:
     each block, on the modes that `BlockBoundary.rank` counts
     (`linalg.RANK_CUTOFF`).  T is real, so P x = T (G^+ (T^T x)): three sparse
     products with vectors, and no product of the two matrices.
+
+    T reaches only some of the doubled states, its support rows: 128 of 256 on
+    the overlap of the smallest martingale split, 4,096 of 16,384 on each of
+    its halves.  P is zero off them, and on them it is T_S G^+ T_S^T
+    (`on_support`), with T_S the support rows of T renumbered in order, so
+    that every column keeps its entries' order.  `support` and T_S are made on
+    first use, by an embedding (`EmbeddedProjector`).
     """
 
     def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):
@@ -52,27 +65,79 @@ class RegionProjector:
         self.rank = bb.rank()
         self._t = net.t_sparse
 
+    @functools.cached_property
+    def _support_rows(self) -> tuple[np.ndarray, sp.csc_matrix]:
+        """(support, T_S): the sorted rows T reaches, and T on them."""
+        import scipy.sparse as sp
+
+        t = self._t
+        index = t.indices.dtype
+        # a mask of the reached rows, the support, each support row's new number and T_S's rows
+        require_fits((self.dim * (1 + 8 + 2 * index.itemsize) + t.indices.nbytes,), np.uint8)
+        reached = np.zeros(self.dim, bool)
+        reached[t.indices] = True
+        support = np.flatnonzero(reached)
+        renumber = np.empty(self.dim, index)
+        renumber[support] = np.arange(support.size, dtype=index)
+        return support, sp.csc_matrix((t.data, renumber[t.indices], t.indptr), shape=(support.size, t.shape[1]))
+
+    @property
+    def support(self) -> np.ndarray:
+        return self._support_rows[0]
+
+    def on_support(self, y: np.ndarray) -> np.ndarray:
+        """P on its support rows, T_S (G^+ (T_S^T y)), for y indexed by `support` along its first axis."""
+        return _sandwich(self._support_rows[1], self._gram_pinv, y)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P x for a vector x or for every column of a (dim, m) block at once."""
-        return self._t @ (self._gram_pinv @ (self._t.T @ x))
+        return _sandwich(self._t, self._gram_pinv, x)
+
+
+def _sandwich(t, middle, y: np.ndarray) -> np.ndarray:
+    """t (middle (t^T y)), for a real t."""
+    return t @ (middle @ (t.T @ y))
 
 
 class EmbeddedProjector:
-    """A region projector acting on the doubled space of an ambient edge set."""
+    """A region projector acting on the doubled space of an ambient edge set:
+    P x 1, with P on the doubled legs of the region's edges.
+
+    Its matrix view, one row per ket-and-bra state of the region's edges and one
+    column per state of the other legs (`linalg.sites_first_axes`), is zero off
+    P's support rows, so `index` holds the ambient positions of the support rows
+    times every column, and `apply` runs P's `on_support` on x gathered there and
+    scatters the result into zeros, with no transposed copy of x.
+    """
 
     def __init__(self, proj: RegionProjector, ambient_edges: list):
         self.proj = proj
-        self.n = proj.model.local_dim
+        n = proj.model.local_dim
         self.ambient = list(ambient_edges)
         pos = {e: i for i, e in enumerate(self.ambient)}
         missing = [e for e in proj.edges if e not in pos]
         if missing:
             raise ValueError(f"region edges {missing} missing from ambient patch")
-        self.inner = [pos[e] for e in proj.edges]
-        self.dim = self.n ** (2 * len(self.ambient))
+        n_amb = len(self.ambient)
+        self.dim = n ** (2 * n_amb)
+        axes = sites_first_axes(n_amb, [pos[e] for e in proj.edges])
+        place = n ** np.arange(2 * n_amb - 1, -1, -1, dtype=np.intp)  # place value of each ambient leg
+
+        def offsets(legs):
+            """The ambient offset of each state of `legs`, in row-major order."""
+            return functools.reduce(np.add.outer, (place[leg] * np.arange(n) for leg in legs), np.intp(0)).ravel()
+
+        rows = 2 * len(proj.edges)
+        cols = n ** (2 * n_amb - rows)
+        # the offsets of every region state, of the support rows and of every column, and the index
+        require_fits((n**rows + len(proj.support) * (cols + 1) + cols,), np.intp)
+        self.index = np.add.outer(offsets(axes[:rows])[proj.support], offsets(axes[rows:]))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return apply_on_sites(x, self.n, len(self.ambient), self.inner, self.proj.apply)
+        y = self.proj.on_support(np.asarray(x)[self.index])
+        out = np.zeros(self.dim, y.dtype)
+        out[self.index] = y
+        return out
 
 
 def complement_gap(projectors, dim: int, kernel_vectors, seed: int = 0, tol: float = 1e-9) -> tuple[float, float]:

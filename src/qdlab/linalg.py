@@ -1,4 +1,15 @@
-"""Dense tensor algebra, vectorization, and (matrix-free) eigensolvers."""
+"""Dense tensor algebra, vectorization, and (matrix-free) eigensolvers.
+
+Importing any qdlab module loads numpy only; scipy is imported inside the
+functions that use it. The boundary certificates (`boundary.verify_leading_term`,
+`boundary.support_and_sigma`) load no scipy module. `scipy.sparse` is loaded by
+the first sparse build: a region's T (`peps.RegionNetwork.t_sparse`), a
+reduced-basis group function (`boundary.BlockBoundary.group_function_matrix`),
+both made by every `gap_tools.RegionProjector`, or a Davies L_e and H~
+(`davies.HTilde`). `scipy.sparse.linalg`, with ARPACK and `scipy.linalg`, is
+loaded by the first `lowest_eigs_matrix_free` solve of a map above 64
+dimensions; smaller maps are solved by dense `eigh`.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 RANK_CUTOFF = 1e-10  # singular values below cutoff * sigma_max count as zero
 HERMITIAN_TOL = 1e-12
@@ -194,6 +204,8 @@ def lowest_eigs_matrix_free(
         mat = np.column_stack([matvec(col) for col in np.eye(h.dim, dtype=dtype).T])
         vals, vecs = np.linalg.eigh((mat + dagger(mat)) / 2)
     else:
+        import scipy.sparse.linalg as spla
+
         op = spla.LinearOperator((h.dim, h.dim), matvec=matvec, dtype=dtype)
         try:
             vals, vecs = spla.eigsh(op, k=k, sigma=None, which="SA", v0=v0, tol=tol, maxiter=ARPACK_MAXITER)

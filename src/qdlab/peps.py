@@ -30,9 +30,9 @@ with q = gamma_{beta/2} (see its docstring), and contracts no network.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .groups import FiniteGroup
 from .lattice import (
@@ -44,6 +44,9 @@ from .lattice import (
 )
 from . import linalg
 from .quantum_double import QuantumDoubleModel, gamma_beta
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 # -- weights -------------------------------------------------------------------
@@ -203,6 +206,8 @@ class RegionNetwork:
         broadcasting, and become the matrix's indices and data without a copy;
         they and the column pointers are checked against the dense budget before
         any of them is made."""
+        import scipy.sparse as sp
+
         G, lat, cls = self.group, self.lattice, self.cls
         n, mul, inv = G.order, G.mul, G.inv
         n_edges = len(self.edges)

@@ -32,8 +32,10 @@ from qdlab.lattice import (
     TorusLattice,
     classify_region,
 )
+from qdlab.gap_tools import EmbeddedProjector
 from qdlab.linalg import (
-    LinalgError, LinearMapHandle, dagger, hermitian_spectrum, kron, matrix_power_hermitian, require_fits, vectorize,
+    LinalgError, LinearMapHandle, apply_on_sites, dagger, hermitian_spectrum, kron, matrix_power_hermitian,
+    require_fits, vectorize,
 )
 from qdlab.peps import PLAQ_SIDES, STAR_SIDES, RegionNetwork, edge_tensor, star_leg_weights, weight_plaq
 from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
@@ -705,6 +707,14 @@ def region_projector_w(model: QuantumDoubleModel, region: Region, beta: float) -
     bb = BlockBoundary(model.group, region, beta)
     halfinv = bb.group_function_matrix(lambda v: (bb.kappa * v) ** -0.5)
     return RegionNetwork(model, region, beta).t_sparse @ halfinv
+
+
+def embedded_apply_by_transposes(emb: EmbeddedProjector, x: np.ndarray) -> np.ndarray:
+    """P x 1 on x through x's whole matrix view: two transposed copies of x bring the
+    region's legs first (`linalg.apply_on_sites`) and P's `apply` runs on every row,
+    the support rows and the rows where P is zero alike."""
+    inner = [emb.ambient.index(e) for e in emb.proj.edges]
+    return apply_on_sites(x, emb.proj.model.local_dim, len(emb.ambient), inner, emb.proj.apply)
 
 
 # -- the Davies generator on dense operators -------------------------------------------

@@ -12,6 +12,7 @@ from qdlab.gap_tools import (
     delta_function,
     martingale_measurement,
     n_beta,
+    parent_hamiltonian,
     recursion_bound,
 )
 from qdlab import linalg
@@ -21,7 +22,7 @@ from qdlab.groups import group_by_name, make_cyclic, make_symmetric
 from qdlab.lattice import TorusLattice, parse_region, split_region
 from qdlab.peps import RegionNetwork
 from qdlab.quantum_double import QuantumDoubleModel
-from oracles import embed_by_digits, region_projector_w, reversed_word_scatter
+from oracles import embed_by_digits, embedded_apply_by_transposes, region_projector_w, reversed_word_scatter
 
 
 @pytest.mark.parametrize("beta", [0.0, -0.5])
@@ -166,13 +167,65 @@ def test_embedded_projector_in_a_scrambled_ambient_order():
     extra = [e for e in parse_region(lat, "rect:1,1,1,1").edges() if e not in edges][:2]
     ambient = [edges[2], extra[0], edges[0], extra[1], edges[1]]
     dense_p = np.random.default_rng(1).standard_normal((64, 64))
-    block = SimpleNamespace(model=QuantumDoubleModel(make_cyclic(2), lat), edges=edges, dim=64,
-                            apply=lambda m: dense_p @ m)
+    block = SimpleNamespace(model=QuantumDoubleModel(make_cyclic(2), lat), edges=edges, support=np.arange(64),
+                            on_support=lambda m: dense_p @ m)
     emb = EmbeddedProjector(block, ambient)
     pos = [ambient.index(e) for e in edges]
     oracle = embed_by_digits(dense_p, pos + [5 + i for i in pos], 2, 10)
     for x in np.random.default_rng(2).standard_normal((3, emb.dim)):
         assert np.abs(emb.apply(x) - oracle @ x).max() < 1e-12
+
+
+def _benchmark_split():
+    lat = TorusLattice(4)
+    return QuantumDoubleModel(make_cyclic(2), lat), split_region(parse_region(lat, "rect:0,0,3,1"), "ABC-cols", 1, 1)
+
+
+@pytest.mark.parametrize("part", ["overlap", "r1", "r2"])
+def test_embedded_projector_equals_the_transposes_path(part):
+    """Z2 N=4 rect:0,0,3,1, ABC-cols at 1, 1: the embedded overlap and halves, applied
+    on their support rows, equal the whole-matrix-view path entry for entry, on a real
+    and a complex vector. T reaches 128 of the overlap's 256 rows and 4,096 of each
+    half's 16,384."""
+    model, split = _benchmark_split()
+    region = split.overlaps[0] if part == "overlap" else getattr(split, part)
+    emb = EmbeddedProjector(RegionProjector(model, region, 1.0), list(split.whole.edges()))
+    assert emb.proj.support.size == {"overlap": 128, "r1": 4096, "r2": 4096}[part]
+    rng = np.random.default_rng(6)
+    for x in (rng.standard_normal(emb.dim), rng.standard_normal(emb.dim) + 1j * rng.standard_normal(emb.dim)):
+        assert np.array_equal(emb.apply(x), embedded_apply_by_transposes(emb, x))
+
+
+def test_parent_family_applies_equal_the_transposes_path():
+    """Every embedded rectangle of the Z2 N=2 parent Hamiltonian, entry for entry."""
+    ph = parent_hamiltonian(QuantumDoubleModel(make_cyclic(2), TorusLattice(2)), 1.0)
+    x = np.random.default_rng(7).standard_normal(ph.dim)
+    for emb in ph.projectors:
+        assert np.array_equal(emb.apply(x), embedded_apply_by_transposes(emb, x))
+
+
+def test_support_and_index_budgets_are_exact(monkeypatch):
+    """The overlap of the benchmark split (T 256 x 256 with 256 int32 row indices,
+    128 rows reached) in its whole region (20 doubled legs). Its support rows need a
+    mask, the support (at most 256 intp), each row's new number and T_S's rows,
+    256 x 17 + 1,024 = 5,376 bytes. The embedding needs the offsets of the 256
+    overlap states, of the 128 support rows and of the 4,096 states of the other
+    legs, and the 128 x 4,096 index: 528,768 intp entries. Each budget admits its
+    request at exactly its bytes and refuses it one byte below."""
+    model, split = _benchmark_split()
+    proj = RegionProjector(model, split.overlaps[0], 1.0)
+    ambient = list(split.whole.edges())
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 5376 - 1)
+    with pytest.raises(FeasibilityError, match=r"uint8 array of shape \(5376,\)"):
+        proj.support
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 5376)
+    assert proj.support.size == 128
+    count = (256 + 128 * (4096 + 1) + 4096) * np.dtype(np.intp).itemsize
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", count - 1)
+    with pytest.raises(FeasibilityError, match=r"array of shape \(528768,\)"):
+        EmbeddedProjector(proj, ambient)
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", count)
+    assert EmbeddedProjector(proj, ambient).index.shape == (128, 4096)
 
 
 def test_complement_gap_against_a_dense_spectrum():
