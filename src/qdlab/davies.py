@@ -43,7 +43,13 @@ class RateError(ValueError):
 
 @dataclass(frozen=True)
 class CouplingSet:
-    """Per-edge Hermitian jump operators; identical on every edge (translation invariant)."""
+    """Per-edge Hermitian jump operators; identical on every edge (translation invariant).
+
+    So `DaviesGenerator.build` computes the jumps, and `HTilde` each L_e, once per
+    translation class of edges, and every edge of a class shares them, its support
+    listed in the leg order of the class's first edge, translated. Couplings that
+    differ from edge to edge would need to be part of that class key.
+    """
 
     operators: tuple[np.ndarray, ...]
     label: str = "custom"
@@ -157,6 +163,11 @@ class JumpDecomposition:
     nonzero entry, has S(w) = c R(w): float64 for c = +-1, complex for c = +-i
     (a Hermitian S real up to a phase has one of these four). Every default
     coupling operator is of this kind; any other S gives complex S(w).
+
+    The edges of one translation class (`DaviesGenerator.build`) share one
+    `components` list: the S(w) of the class's first edge, the representative.
+    Each other edge's `support` is the representative's, translated onto it and
+    kept in the representative's leg order, so the S(w) are the same matrices.
     """
 
     support: tuple[Edge, ...]
@@ -272,11 +283,24 @@ class DaviesGenerator:
         validate_coupling(coupling.operators)
         rates = rates or kms_rates(beta)
         gen = cls(model=model, beta=beta, coupling=coupling, rates=rates)
-        stored = 0  # bytes of every stored S(w), checked against the dense budget
+        lat = model.lattice
+        stars, plaqs = set(model.stars()), set(model.plaquettes())
+        reps = {}  # translation class -> its first edge
+        stored = 0  # bytes of each class's S(w), checked against the dense budget
         for e in model.edge_list:
-            gen.jumps[e] = dec = fourier_components(model, e, coupling.operators)
-            stored += sum(s.nbytes for comps in dec.components for s in comps.values())
-            require_fits((stored,), np.uint8)
+            # the coupling is the same on every edge, so an edge's jumps follow from its
+            # orientation and which of its stars and plaquettes the model has
+            key = (e.orientation, tuple(v in stars for v in lat.vertices_of_edge(e)),
+                   tuple(p in plaqs for p in lat.plaquettes_of_edge(e)))
+            r = reps.setdefault(key, e)
+            if r == e:
+                gen.jumps[e] = dec = fourier_components(model, e, coupling.operators)
+                stored += sum(s.nbytes for comps in dec.components for s in comps.values())
+                require_fits((stored,), np.uint8)
+            else:
+                rep = gen.jumps[r]
+                support = tuple(lat.norm_edge(f.orientation, f.x + e.x - r.x, f.y + e.y - r.y) for f in rep.support)
+                gen.jumps[e] = JumpDecomposition(support=support, components=rep.components)
         return gen
 
 
@@ -307,19 +331,32 @@ class HTilde:
     applies the L_e of a subset of the edges one by one, for the local gap check.
     Both return the dtype of their input and the matrices they apply, so on real
     L_e a real vector stays real and the eigensolves run in real arithmetic.
+
+    The edges of a translation class share their S(w) (`JumpDecomposition`), so
+    they share one L_e too: it is built, and its row-sum norm taken, once per
+    class, and each edge holds that one CSR matrix with its own positions, those
+    of its support in the representative's translated leg order.
     """
 
     def __init__(self, gen: DaviesGenerator):
-        self.model = gen.model
-        self.dim = self.model.dim**2
-        self.local = {}  # edge -> (positions of its support edges, L_e)
-        self.norm_bound = 0.0  # sum_e ||L_e||_inf >= ||H~||, as L_e is Hermitian
+        shared = {}  # id of a class's shared S(w) -> its L_e
+        local = {}
         for e, dec in gen.jumps.items():
-            pos = [self.model.edge_pos[f] for f in dec.support]
-            gen_e = _local_generator(gen, dec, self.model.local_dim ** len(pos))
-            self.local[e] = (pos, gen_e)
-            self.norm_bound += float(abs(gen_e).sum(axis=1).max())
-        self.dtype = np.result_type(*(gen_e.dtype for _, gen_e in self.local.values()))
+            if id(dec.components) not in shared:
+                shared[id(dec.components)] = _local_generator(gen, dec, gen.model.local_dim ** len(dec.support))
+            local[e] = ([gen.model.edge_pos[f] for f in dec.support], shared[id(dec.components)])
+        self._hold(gen.model, local)
+
+    def _hold(self, model: QuantumDoubleModel, local: dict) -> None:
+        """Keep `local`, edge -> (positions of its support edges, L_e), on `model`,
+        with the norm bound, and check the budget of assembling `matrix`."""
+        self.model = model
+        self.dim = model.dim**2
+        self.local = local
+        norms = {id(gen_e): float(abs(gen_e).sum(axis=1).max()) for _, gen_e in local.values()}
+        # sum_e ||L_e||_inf >= ||H~||, as L_e is Hermitian
+        self.norm_bound = sum(norms[id(gen_e)] for _, gen_e in local.values())
+        self.dtype = np.result_type(*(gen_e.dtype for _, gen_e in local.values()))
         # `matrix` adds each embedded L_e to a running sum, holding the old sum, the new
         # one before scipy prunes it (each at most every embedded entry) and the edge's
         # embedded copies: a value and an int32 column index each, and three row pointers
@@ -347,6 +384,14 @@ class HTilde:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
+
+    def on_patch(self, e: Edge, patch: QuantumDoubleModel) -> "HTilde":
+        """H~_e alone on `patch`, a model holding e's support: the same L_e object,
+        at the patch's positions of that support."""
+        pos, gen_e = self.local[e]
+        out = HTilde.__new__(HTilde)
+        out._hold(patch, {e: ([patch.edge_pos[self.model.edge_list[i]] for i in pos], gen_e)})
+        return out
 
 
 def _embedded(model: QuantumDoubleModel, pos: list[int], gen_e: sp.csr_matrix) -> sp.csr_matrix:
@@ -585,12 +630,12 @@ def gap_chain(
 
     ineqs = []
     # (0) per-edge local bound H~_e >= local_pref Pi_e^perp, checked at one edge
-    # on the patch of its stars and plaquettes, from the torus's jumps of that edge;
-    # the chain reuses its constants
+    # on the patch of its stars and plaquettes, from the torus's jumps and L_e of
+    # that edge; the chain reuses its constants
     e0 = model.edge_list[0]
     patch = _local_patch(model, e0)[0]
     gen0 = DaviesGenerator(patch, beta, gen.coupling, gen.rates, {e0: gen.jumps[e0]})
-    lg = local_gap_check(gen0, HTilde(gen0), e0, gibbs_state(patch, beta), seed=seed, tol=tol)
+    lg = local_gap_check(gen0, ht.on_patch(e0, patch), e0, gibbs_state(patch, beta), seed=seed, tol=tol)
     local_pref = lg.bound
     ineqs.append(
         ChainInequality(

@@ -18,7 +18,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from qdlab.boundary import BlockBoundary, BoundaryError, reduced_character
-from qdlab.davies import BOHR_FREQUENCIES, CouplingSet, DaviesGenerator, _local_patch
+from qdlab.davies import (
+    BOHR_FREQUENCIES, CouplingSet, DaviesGenerator, _embedded, _local_generator, _local_patch, fourier_components,
+)
 from qdlab.groups import FiniteGroup
 from qdlab.lattice import (
     CYL_H,
@@ -786,6 +788,16 @@ def fourier_components_eigh(model: QuantumDoubleModel, e: Edge, s_op: np.ndarray
         w: sum((projs[k + w] @ s_emb @ p for k, p in projs.items() if k + w in projs), np.zeros_like(s_emb))
         for w in BOHR_FREQUENCIES
     }
+
+
+def embedded_local_generator_per_edge(gen: DaviesGenerator, e: Edge) -> sp.csr_matrix:
+    """The edge's L_e on the doubled space, built from the edge's own jumps: its
+    `fourier_components` and `_local_generator` on its own support, in that
+    support's order, with no class shared with another edge."""
+    model = gen.model
+    dec = fourier_components(model, e, gen.coupling.operators)
+    gen_e = _local_generator(gen, dec, model.local_dim ** len(dec.support))
+    return _embedded(model, [model.edge_pos[f] for f in dec.support], gen_e)
 
 
 def c2_explicit_basis(coupling: CouplingSet) -> float:

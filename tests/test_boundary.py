@@ -326,6 +326,33 @@ class TestKappaEpsilon:
         assert vals[0] > vals[1] > vals[2]
 
 
+DECAY_RECTS = {"Z2": 4, "Z3": 3}  # largest side of the rectangles a x b, 1 <= b <= a
+
+
+@pytest.mark.parametrize("name", list(DECAY_RECTS))
+def test_leading_term_decays_at_the_theorem_rate(name):
+    """The measured leading-term norm of the a x b rectangles (N = a + 2, beta = 1)
+    stays below epsilon = 3|G|^2 (gamma/(1+gamma))^{v_int} and falls at its rate:
+    - from the (n-1) x n to the n x n rectangle (n the largest side), by a factor
+      within 1% of gamma/(1+gamma) per interior vertex (Z2 0.4613 against 0.4621,
+      Z3 0.3614 against 0.3642);
+    - measured/epsilon on the n x n rectangle is within 1% of (|G|-1)/(3|G|^2)
+      (Z2 0.0837 against 0.0833, Z3 0.0746 against 0.0741)."""
+    grp, side = group_by_name(name), DECAY_RECTS[name]
+    n = grp.order
+    certs = {}
+    for a in range(1, side + 1):
+        for b in range(1, a + 1):
+            reg = Region(TorusLattice(a + 2), RECT, x0=0, a=a, y0=0, b=b)
+            certs[a, b] = verify_leading_term(grp, reg, 1.0), len(classify_region(reg).interior_vertices)
+    assert all(cert.measured <= cert.epsilon for cert, _ in certs.values())
+    (small, v_small), (large, v_large) = certs[side, side - 1], certs[side, side]
+    g = gamma_beta(1.0, n)
+    per_vertex = (large.measured / small.measured) ** (1.0 / (v_large - v_small))
+    assert per_vertex == pytest.approx(g / (1 + g), rel=0.01)
+    assert large.measured / large.epsilon == pytest.approx((n - 1) / (3 * n * n), rel=0.01)
+
+
 class TestBlocks:
     @pytest.mark.parametrize("name, n, spec", [
         ("Z2", 4, "rect:0,0,2,2"),
@@ -661,8 +688,8 @@ class TestBlocks:
         assert supp.extras["rank"] == supp.extras["leading_rank"] == 2821109907456
 
     def test_non_vacuous_certificates_z2_3x3(self):
-        """The one instance with epsilon < 1 that fits: both certificates pass on
-        their hypothesis, pinned at their values."""
+        """The smallest Z2 rectangle with epsilon < 1 at beta = 1: both certificates
+        pass on their hypothesis, pinned at their values."""
         grp, lat = make_cyclic(2), TorusLattice(5)
         reg = Region(lat, RECT, x0=0, a=3, y0=0, b=3)
         lead = verify_leading_term(grp, reg, 1.0)
@@ -673,3 +700,21 @@ class TestBlocks:
             assert cert.passed and not cert.vacuous
         assert supp.extras["inverse_norm"] == pytest.approx(0.04879172144804957, rel=1e-10)
         assert supp.extras["rank"] == supp.extras["leading_rank"] == 16777216
+
+    @pytest.mark.parametrize("name, a, b, epsilon, measured, rank", [
+        ("Z2", 4, 3, 0.11686751366315634, 0.009834730517843893, 2**28),
+        ("Z2", 4, 4, 0.011533206919775519, 0.0009654302057060526, 2**32),
+        ("Z3", 3, 3, 0.47490401394530535, 0.035411334817479156, 3**24),
+    ], ids=["Z2-4x3", "Z2-4x4", "Z3-3x3"])
+    def test_non_vacuous_certificates(self, name, a, b, epsilon, measured, rank):
+        """The other rectangles with epsilon < 1 at beta = 1 that run in under 0.3 s
+        (N = longer side + 2): both certificates pass on their hypothesis, with the
+        leading rank, pinned at their values."""
+        reg = Region(TorusLattice(a + 2), RECT, x0=0, a=a, y0=0, b=b)
+        lead = verify_leading_term(group_by_name(name), reg, 1.0)
+        supp = support_and_sigma(group_by_name(name), reg, 1.0)
+        for cert in (lead, supp):
+            assert cert.epsilon == pytest.approx(epsilon, rel=1e-10)
+            assert cert.measured == pytest.approx(measured, rel=1e-10)
+            assert cert.passed and not cert.vacuous
+        assert supp.extras["rank"] == supp.extras["leading_rank"] == rank

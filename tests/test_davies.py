@@ -37,8 +37,8 @@ from qdlab.lattice import TorusLattice, parse_region
 from qdlab.linalg import FeasibilityError, dagger, matrix_power_hermitian
 from qdlab.quantum_double import QuantumDoubleModel, gibbs_state
 from oracles import (
-    apply_dissipator, c2_explicit_basis, fourier_components_eigh, iota, iota_inverse, kernel_projector_oracle,
-    local_term_sum,
+    apply_dissipator, c2_explicit_basis, embedded_local_generator_per_edge, fourier_components_eigh, iota,
+    iota_inverse, kernel_projector_oracle, local_term_sum,
 )
 
 BETA = 1.0
@@ -217,14 +217,14 @@ def test_htilde_budget_counts_the_embedded_bytes(cylinder_patch, monkeypatch):
     budget = htilde_budget(ht)
     m = ht.matrix
     embedded = []
-    built = {id(gen.jumps[e]): gen_e for e, (_, gen_e) in ht.local.items()}
+    built = {id(gen.jumps[e].components): gen_e for e, (_, gen_e) in ht.local.items()}
 
     def counted(*args):
         embedded.append(args)
         return _embedded(*args)
 
     monkeypatch.setattr(davies, "_embedded", counted)
-    monkeypatch.setattr(davies, "_local_generator", lambda gen, dec, d: built[id(dec)])
+    monkeypatch.setattr(davies, "_local_generator", lambda gen, dec, d: built[id(dec.components)])
     monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
     assert (HTilde(gen).matrix != m).nnz == 0
     assert len(embedded) == model.n_edges
@@ -304,10 +304,13 @@ def test_local_gap_check_leaves_the_matrix_unbuilt(cylinder_patch):
 
 
 def test_jump_budget_counts_the_stored_bytes(cylinder_patch, monkeypatch):
-    """The build budgets the bytes its S(w) take: float64 for the real-phase operators,
-    so a budget that fits them but not complex S(w) admits the default build."""
+    """The build budgets the bytes its S(w) take, each array once, as the edges of a
+    translation class share theirs: float64 for the real-phase operators, so a
+    budget that fits them but not complex S(w) admits the default build."""
     model, gen, _, _ = cylinder_patch
-    jumps = [s for dec in gen.jumps.values() for comps in dec.components for s in comps.values()]
+    held = {id(s): s for dec in gen.jumps.values() for comps in dec.components for s in comps.values()}
+    jumps = list(held.values())
+    assert len(jumps) < sum(len(comps) for dec in gen.jumps.values() for comps in dec.components)
     stored = sum(s.nbytes for s in jumps)
     assert stored < sum(s.size for s in jumps) * np.dtype(complex).itemsize
     monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", stored)
@@ -318,18 +321,84 @@ def test_jump_budget_counts_the_stored_bytes(cylinder_patch, monkeypatch):
 
 
 def test_patch_generator_from_the_torus_jumps():
-    """gap_chain's first link builds the support patch's H~ from the torus's edge-0
-    jumps alone; on Z2 N=2 it equals the one built on the patch, entry for entry."""
+    """gap_chain's first link takes the support patch's H~_e from the torus's edge-0
+    L_e alone (`HTilde.on_patch`); on Z2 N=2 it equals the one built on the patch,
+    entry for entry."""
     torus = QuantumDoubleModel(make_cyclic(2), TorusLattice(2))
     gen = DaviesGenerator.build(torus, BETA)
     e0 = torus.edge_list[0]
     patch = _local_patch(torus, e0)[0]
     on_patch = DaviesGenerator.build(patch, BETA)
     assert gen.jumps[e0].support == on_patch.jumps[e0].support
-    pos, gen_e = HTilde(DaviesGenerator(patch, BETA, gen.coupling, gen.rates, {e0: gen.jumps[e0]})).local[e0]
+    patch_ht = HTilde(gen).on_patch(e0, patch)
+    assert list(patch_ht.local) == [e0] and patch_ht.dim == patch.dim**2
+    pos, gen_e = patch_ht.local[e0]
     pos_patch, gen_patch = HTilde(on_patch).local[e0]
     assert pos == pos_patch
     assert (gen_e != gen_patch).nnz == 0
+
+
+CLASS_MODELS = {
+    # name: (group order, N, region, "star" for the four edges of the star at (0, 0)
+    # or None for the torus, translation classes of edges)
+    "Z2 N=2 torus": (2, 2, None, 2),
+    "Z2 N=2 cyl:v,0,1": (2, 2, "cyl:v,0,1", 3),
+    "Z2 N=3 cyl:v,0,1": (2, 3, "cyl:v,0,1", 3),
+    "Z3 N=3 rect:0,0,1,1": (3, 3, "rect:0,0,1,1", 4),
+    "Z2 N=3 star": (2, 3, "star", 4),
+}
+
+
+@pytest.fixture(scope="module", params=list(CLASS_MODELS))
+def class_model(request):
+    """A model, its generator and H~, with the calls of `fourier_components` and
+    `_local_generator` that building them made."""
+    order, n, spec, classes = CLASS_MODELS[request.param]
+    lat = TorusLattice(n)
+    model = QuantumDoubleModel(make_cyclic(order), lat)
+    if spec == "star":
+        model = QuantumDoubleModel(model.group, lat, tuple(e for e, _ in lat.edges_of_star((0, 0))))
+    elif spec is not None:
+        model = model.restrict(parse_region(lat, spec))
+    calls = {"fourier_components": 0, "_local_generator": 0}
+
+    def counted(name):
+        inner = getattr(davies, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(davies, name, counted(name))
+        gen = DaviesGenerator.build(model, BETA)
+        ht = HTilde(gen)
+    return model, gen, ht, calls, classes
+
+
+def test_jumps_and_local_generators_are_built_once_per_class(class_model):
+    """One `fourier_components` and one `_local_generator` call per translation class:
+    3 classes of 6 edges on the benchmark patch, 2 of 8 on the torus. The edges of a
+    class share the S(w) and the L_e objects, and each has its own support."""
+    model, gen, ht, calls, classes = class_model
+    assert calls == {"fourier_components": classes, "_local_generator": classes}
+    assert len({id(dec.components) for dec in gen.jumps.values()}) == classes
+    assert len({id(gen_e) for _, gen_e in ht.local.values()}) == classes
+    for e, dec in gen.jumps.items():
+        assert e in dec.support
+        assert sorted(dec.support) == sorted(_local_patch(model, e)[0].edge_list)
+
+
+def test_each_shared_local_generator_equals_the_edges_own_build(class_model):
+    """Each edge's embedded L_e, taken from its class, equals the one built from the
+    edge's own jumps on its own support to 1e-13 of its largest entry."""
+    model, gen, ht, _, _ = class_model
+    for e in model.edge_list:
+        own = embedded_local_generator_per_edge(gen, e)
+        shared = _embedded(model, *ht.local[e])
+        assert abs(shared - own).max() <= 1e-13 * abs(own).max()
 
 
 def test_gap_chain_refuses_nonpositive_beta_on_entry(monkeypatch):
@@ -494,9 +563,41 @@ def test_final_link_needs_a_resolved_parent_gap(gap_parent, passed):
 
 
 @pytest.fixture(scope="module")
-def z2_chain():
-    """The whole chain on the Z2 N=2 torus at beta = 1: about 7 s with 1 BLAS thread."""
-    return gap_chain(QuantumDoubleModel(make_cyclic(2), TorusLattice(2)), BETA)
+def z2_chain_traced():
+    """The whole chain on the Z2 N=2 torus at beta = 1 (about 4 s with 1 BLAS thread),
+    with the L_e that `_local_generator` built and the H~ the local check read."""
+    built, checked = [], []
+
+    def build(*args):
+        built.append(_local_generator(*args))
+        return built[-1]
+
+    def check(gen, htilde, *args, **kwargs):
+        checked.append(htilde)
+        return local_gap_check(gen, htilde, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(davies, "_local_generator", build)
+        mp.setattr(davies, "local_gap_check", check)
+        report = gap_chain(QuantumDoubleModel(make_cyclic(2), TorusLattice(2)), BETA)
+    return report, built, checked
+
+
+@pytest.fixture(scope="module")
+def z2_chain(z2_chain_traced):
+    return z2_chain_traced[0]
+
+
+def test_gap_chain_local_check_reuses_the_torus_local_generator(z2_chain_traced):
+    """The chain builds the torus's two L_e, one per translation class, and no
+    more: the local check on edge 0's patch applies the torus's L_e object."""
+    _, built, checked = z2_chain_traced
+    assert len(built) == 2 and len(checked) == 1
+    torus = QuantumDoubleModel(make_cyclic(2), TorusLattice(2))
+    (e0, (pos, gen_e)), = checked[0].local.items()
+    assert e0 == torus.edge_list[0]
+    assert any(gen_e is b for b in built)
+    assert [checked[0].model.edge_list[i] for i in pos] == list(_local_patch(torus, e0)[0].edge_list)
 
 
 def test_gap_chain_on_the_z2_torus(z2_chain):

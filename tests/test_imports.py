@@ -1,7 +1,8 @@
 """Which scipy modules each step of a qdlab run loads, in a fresh interpreter (the
 test process has imported scipy already): importing qdlab loads numpy only, and
-the boundary certificates load no scipy at all; the first region projector loads
-scipy.sparse, and only an ARPACK eigensolve loads scipy.sparse.linalg."""
+the boundary certificates and the Davies jumps load no scipy at all; H~ and the
+first region projector load scipy.sparse, and only an ARPACK eigensolve loads
+scipy.sparse.linalg."""
 
 import json
 import subprocess
@@ -32,6 +33,11 @@ for group, n, spec in ((make_cyclic(2), 4, "rect:0,0,2,2"), (make_symmetric(3), 
     boundary.verify_leading_term(group, region, 1.0)
     boundary.support_and_sigma(group, region, 1.0)
 steps["certificates"] = loaded()
+lat = TorusLattice(2)
+gen = davies.DaviesGenerator.build(QuantumDoubleModel(make_cyclic(2), lat).restrict(parse_region(lat, "cyl:v,0,1")), 1.0)
+steps["davies build"] = loaded()
+davies.HTilde(gen).matrix
+steps["htilde"] = loaded()
 lat = TorusLattice(3)
 proj = gap_tools.RegionProjector(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,1,1"), 1.0)
 proj.apply(np.ones(proj.dim))
@@ -47,6 +53,7 @@ def test_scipy_loads_only_where_it_is_used():
     run = subprocess.run([sys.executable, "-c", STEPS], capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     steps = json.loads(run.stdout)
-    assert steps["import"] == steps["certificates"] == []
+    assert steps["import"] == steps["certificates"] == steps["davies build"] == []
+    assert "scipy.sparse" in steps["htilde"] and "scipy.sparse.linalg" not in steps["htilde"]
     assert "scipy.sparse" in steps["projector"] and "scipy.sparse.linalg" not in steps["projector"]
     assert "scipy.sparse.linalg" in steps["eigensolve"]
