@@ -24,6 +24,10 @@ The walks are folded once, over all |G|^L labellings in row-major order, into
 each labelling's holonomy tuple as one base-|G| number (its key) and its vertex
 words u_v; everything else reads that fold by the labelling's index, and all
 but the leading-term norm read only the first labelling of each key.
+
+A block's coefficients are interior sums of plaquette weights over the gauge
+configurations that carry its chain values inside; one variable elimination
+gives them for every key and anchor tuple at once, for any group and region.
 """
 
 from __future__ import annotations
@@ -36,13 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .groups import FiniteGroup
-from .lattice import (
-    RECT,
-    Edge,
-    Region,
-    RegionClassification,
-    classify_region,
-)
+from .lattice import Region, RegionClassification, classify_region
 from .linalg import RANK_CUTOFF, require_fits
 from .quantum_double import gamma_beta
 
@@ -54,12 +52,7 @@ class BoundaryError(ValueError):
     pass
 
 
-def reduced_character(group: FiniteGroup, g: int) -> float:
-    """chi~_reg(g) = chi_reg(g) - 1."""
-    return group.regular_character(g) - 1.0
-
-
-# -- plaquette-constant closed form ---------------------------------------------------
+# -- plaquette constants ---------------------------------------------------------------
 
 
 def kappa_epsilon(cls: RegionClassification, beta: float, order: int) -> tuple[float, float]:
@@ -70,23 +63,6 @@ def kappa_epsilon(cls: RegionClassification, beta: float, order: int) -> tuple[f
     ratio = g / (1 + g)
     eps = 3.0 * order**2 * (ratio**v_int if v_int > 0 else 1.0)
     return kappa, eps
-
-
-def interior_sum_closed_form(group: FiniteGroup, cls: RegionClassification, holonomy: int, beta: float) -> float:
-    """sum over interior extensions of prod_p (1 + gamma chi_reg) in closed form.
-
-    Holds for a proper rectangle classified as `cls` whose boundary labels have
-    the holonomy `holonomy` (its digit in `BlockBoundary`'s holonomy key, from
-    any anchor and in either direction).  The formula needs chi_reg of the
-    ordered product of the reduced labels around the perimeter; the holonomy is
-    conjugate to that product or to its inverse, and chi_reg is a class
-    function with chi(g^{-1}) = chi(g).
-    """
-    g = gamma_beta(beta, group.order)
-    n_p = cls.n_plaquettes
-    return group.order ** len(cls.interior_edges) * (
-        (1 + g) ** n_p + (g**n_p) * reduced_character(group, holonomy)
-    )
 
 
 @dataclass
@@ -114,11 +90,11 @@ class BlockBoundary:
     boundary vertices keep the holonomies, so each holonomy tuple is shared by
     |G|^(L-c) labellings, for L boundary edges and c components.  The walks
     follow the classified boundary edges alone, the same for rectangles and
-    cylinders (see the module docstring).  `block` takes f by its row-major
-    index, reads its holonomy key from the one fold of all labellings, looks the
-    block up by it, and on a miss takes its coefficients from one
-    `interior_sum` call for all its anchor tuples and decomposes m once with
-    `eigh`, so at most |G|^c blocks are built.
+    cylinders (see the module docstring).  One `interior_sum` call per boundary
+    gives the interior sums of every key's anchor tuples, read at the key's
+    first labelling; `block` takes f by its row-major index, reads its holonomy
+    key from the one fold of all labellings, and builds the key's block once
+    from those sums, decomposing m with `eigh`, so at most |G|^c blocks are built.
     The leading-term norm, the rank, the support norms and
     `group_function_matrix` all read those eigenvalues, under the one cutoff
     `linalg.RANK_CUTOFF`; all but the first read one labelling per key (`_first`).
@@ -210,19 +186,18 @@ class BlockBoundary:
         return [int((keys == k).argmax()) for k in range(self.n ** len(self._walks))]
 
     @cached_property
-    def _interior(self) -> tuple[list, list, np.ndarray]:
-        """For `interior_sum`: each plaquette's (edge, sign) steps, each region edge's
-        (edge, away, toward) and the weight 1 + gamma chi_reg(h) of each h in G."""
-        G, lat = self.group, self.region.lattice
-        loops = [lat.edges_of_plaquette(p) for p in self.region.plaquettes()]
-        relations = [(e, *lat.vertices_of_edge(e)) for e in self.cls.edges]
-        weight = 1.0 + self.gamma * np.array([G.regular_character(h) for h in G.elements()])
-        return loops, relations, weight
+    def _subgroups(self) -> list[list[tuple[int, ...]]]:
+        """Each holonomy key's admissible anchor tuples, in key order: per component,
+        the anchors that commute with its holonomy."""
+        G, n, c = self.group, self.n, len(self._walks)
+        commuting = [[a for a in G.elements() if G.conj(h, a) == a] for h in G.elements()]
+        return [list(itertools.product(*(commuting[key // n ** (c - 1 - k) % n] for k in range(c))))
+                for key in range(n**c)]
 
-    # -- label plumbing ---------------------------------------------------------
-
-    def phys_of_gamma(self, e: Edge, gam: int) -> int:
-        return self.group.inv[gam] if self.cls.gamma_inverted[e] else gam
+    @cached_property
+    def _sums(self) -> list[np.ndarray]:
+        """`interior_sum` split by holonomy key."""
+        return np.split(self.interior_sum(), np.cumsum([len(t) for t in self._subgroups])[:-1])
 
     def _anchor_values(self, words, anchors) -> np.ndarray:
         """Per boundary vertex, its chain value a(v) = u_v a u_v^{-1} for the component
@@ -232,64 +207,82 @@ class BlockBoundary:
         a = a.reshape(a.shape[:1] + (1,) * (u.ndim - a.ndim) + a.shape[1:])
         return G.mul[G.mul[u, a], G.inv[u]]
 
-    # -- per-block data ----------------------------------------------------------
+    def interior_sum(self) -> np.ndarray:
+        """The interior sum of every (holonomy key, anchor tuple) pair, read at the
+        key's first labelling (`_first`), in key order and `_subgroups` order: over
+        the interior edge labels and vertex values, prod_p (1 + gamma chi_reg(hol_p))
+        times [a(away) = g a(toward) g^{-1}] on every region edge, the boundary
+        vertices holding their chain values.
 
-    def _anchor_subgroup(self, holonomies: tuple[int, ...]) -> list[tuple[int, ...]]:
-        G = self.group
-        per_comp = [[a for a in G.elements() if G.conj(w, a) == a] for w in holonomies]
-        return list(itertools.product(*per_comp))
+        Variable elimination (Dechter, Artificial Intelligence 113, 1999) with the
+        pairs on one batch axis: each plaquette and each interior edge gives a factor
+        over the interior edges and vertices it reads, plus the batch axis where it
+        reads a boundary label or chain value.  The boundary edges' relations hold
+        for every pair, since the walk's words build the chain values along them and
+        an admissible anchor closes each walk.  Each step sums out the variable whose
+        joined factor has the fewest indices, with one `np.einsum` over the factors
+        that read it, once that joined factor fits the dense budget."""
+        G, n, cls, lat = self.group, self.n, self.cls, self.region.lattice
+        pairs = [(f, t) for f, subgroup in zip(self._first, self._subgroups) for t in subgroup]
+        fs, anchors = np.array([f for f, _ in pairs]), np.array([t for _, t in pairs])
+        reduced = (fs[:, None] // n ** np.arange(len(self.boundary_edges) - 1, -1, -1) % n).T
+        inverted = np.array([[cls.gamma_inverted[e]] for e in self.boundary_edges])
+        # per pair, each boundary edge's physical label, then each boundary vertex's chain value
+        fixed = np.concatenate([np.where(inverted, G.inv[reduced], reduced),
+                                self._anchor_values(self._fold[1][:, fs], anchors.T)])
+        row = {x: i for i, x in enumerate([*self.boundary_edges, *self.boundary_vertices])}
+        axis = {x: i + 1 for i, x in enumerate([*cls.interior_edges, *cls.interior_vertices])}  # 0: the batch
 
-    def interior_sum(self, g_phys: dict[Edge, int], holonomy: int, subgroup: list[tuple], words) -> list[float]:
-        """Interior-extension sums for the block of physical boundary labels `g_phys`
-        (first component's holonomy `holonomy`, vertex words `words`), one per
-        anchor tuple of `subgroup`: `interior_sum_closed_form` on a rectangle with
-        an abelian group or trivial anchors, the rest one broadcast with an axis
-        per such anchor tuple, then per interior edge and interior vertex (the
-        gauge configurations, laid out as in `RegionNetwork.t_sparse`). A cell is
-        prod_p (1 + gamma chi_reg(hol_p)), in plaquette order, masked by
-        a(away) = g a(toward) g^{-1} on every region edge, which fixes the interior
-        vertices: a row's running sum in C order adds its unmasked cells in the
-        order of the interior edge assignments. The stacked tuples, at most |G|^c,
-        multiply the cells and running sums, checked against the dense budget first."""
-        G, n, sums = self.group, self.n, {}
-        rest = [t for t in subgroup if self.region.kind != RECT or (any(t) and not G.is_abelian())]
-        if rest:
-            free = [*self.cls.interior_edges, *self.cls.interior_vertices]
-            require_fits((2, len(rest)) + (n,) * len(free))
-            loops, relations, weight = self._interior
-            label = dict(g_phys)  # edge or vertex -> its group element, an axis where free
-            values = self._anchor_values(np.asarray(words)[:, None], np.array(rest).T)  # [v, anchor tuple]
-            label.update(zip(self.boundary_vertices, values.reshape(values.shape + (1,) * len(free))))
-            for i, x in enumerate(free):
-                label[x] = np.arange(n).reshape((n,) + (1,) * (len(free) - 1 - i))
-            cells = np.ones((n,) * len(free))
-            for loop_edges in loops:
-                loop = 0
-                for e, sign in loop_edges:
-                    loop = G.mul[loop, label[e] if sign > 0 else G.inv[label[e]]]
-                cells *= weight[loop]
-            cells = np.repeat(cells[None], len(rest), axis=0)
-            for e, away, toward in relations:
-                cells *= label[away] == G.conj(label[e], label[toward])
-            sums = dict(zip(rest, np.cumsum(cells.reshape(len(rest), -1), axis=1)[:, -1].tolist()))
-        return [sums[t] if t in sums else interior_sum_closed_form(G, self.cls, holonomy, self.beta) for t in subgroup]
+        def labelled(xs):
+            """xs's values, each on its axis of the factor over the axes `ids`, and `ids`."""
+            at = [axis.get(x, 0) for x in xs]
+            ids = sorted(set(at))
+            return [(fixed[row[x]] if i == 0 else np.arange(n)).reshape((-1,) + (1,) * (len(ids) - 1 - ids.index(i)))
+                    for x, i in zip(xs, at)], ids
+
+        weight = 1.0 + self.gamma * np.array([G.regular_character(h) for h in G.elements()])
+        factors = []
+        for p in self.region.plaquettes():
+            loop = lat.edges_of_plaquette(p)
+            labels, ids = labelled([e for e, _ in loop])
+            hol = 0
+            for (_, sign), label in zip(loop, labels):
+                hol = G.mul[hol, label if sign > 0 else G.inv[label]]
+            factors.append((weight[hol], ids))
+        for e in cls.interior_edges:
+            (g, away, toward), ids = labelled([e, *lat.vertices_of_edge(e)])
+            factors.append((1.0 * (away == G.conj(g, toward)), ids))
+        sizes, left = [len(pairs)] + [n] * len(axis), set(axis.values())
+        while left:
+            joined = {x: sorted(set().union(*(ids for _, ids in factors if x in ids))) for x in left}
+            x = min(left, key=lambda x: (len(joined[x]), x))
+            left.remove(x)
+            require_fits([sizes[i] for i in joined[x]])
+            local = {i: k for k, i in enumerate(joined[x])}
+            operands = []
+            for a, ids in factors:
+                if x in ids:
+                    operands += [a, [local[i] for i in ids]]
+            out = [i for i in joined[x] if i != x]
+            factors = [(a, ids) for a, ids in factors if x not in ids]
+            factors.append((np.einsum(*operands, [local[i] for i in out]), out))
+        sums = np.ones(len(pairs))
+        for a, _ in factors:
+            sums = sums * a
+        return sums
 
     def block(self, f: int) -> BoundaryBlock:
-        """The block of the labelling of row-major index f, looked up by its holonomy key."""
-        keys, words = self._fold
-        key = int(keys[f])
+        """The block of the labelling of row-major index f: its holonomy key's, with
+        the coefficients read off the key's interior sums."""
+        key = int(self._fold[0][f])
         cached = self._block_cache.get(key)
         if cached is not None:
             return cached
-        G, n, ne, c = self.group, self.n, len(self.boundary_edges), len(self._walks)
-        f_hat = [f // n ** (ne - 1 - i) % n for i in range(ne)]  # the labels: f's base-|G| digits
-        holonomies = tuple(key // n ** (c - 1 - k) % n for k in range(c))
-        g_phys = {e: self.phys_of_gamma(e, gam) for e, gam in zip(self.boundary_edges, f_hat)}
-        subgroup = self._anchor_subgroup(holonomies)
+        G, subgroup = self.group, self._subgroups[key]
         coeffs, v_int = {}, len(self.cls.interior_vertices)
-        for anchors, inner in zip(subgroup, self.interior_sum(g_phys, holonomies[0], subgroup, words[:, f])):
+        for anchors, inner in zip(subgroup, self._sums[key].tolist()):
             vc = 1.0 + self.gamma if all(a == 0 for a in anchors) else self.gamma
-            coeffs[anchors] = n**ne * vc**v_int * inner / self.kappa
+            coeffs[anchors] = self.n_labellings * vc**v_int * inner / self.kappa
         # group-algebra matrix over the product subgroup: right-multiplication perms
         order = {t: i for i, t in enumerate(subgroup)}
         m = np.zeros((len(subgroup), len(subgroup)))

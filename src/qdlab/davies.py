@@ -634,7 +634,7 @@ def gap_chain(
     # that edge; the chain reuses its constants
     e0 = model.edge_list[0]
     patch = _local_patch(model, e0)[0]
-    gen0 = DaviesGenerator(patch, beta, gen.coupling, gen.rates, {e0: gen.jumps[e0]})
+    gen0 = DaviesGenerator(patch, beta, gen.coupling, gen.rates)
     lg = local_gap_check(gen0, ht.on_patch(e0, patch), e0, gibbs_state(patch, beta), seed=seed, tol=tol)
     local_pref = lg.bound
     ineqs.append(

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from qdlab.boundary import BlockBoundary, BoundaryError, reduced_character
+from qdlab.boundary import BlockBoundary, BoundaryError
 from qdlab.davies import (
     BOHR_FREQUENCIES, CouplingSet, DaviesGenerator, _embedded, _local_generator, _local_patch, fourier_components,
 )
@@ -31,6 +31,7 @@ from qdlab.lattice import (
     Edge,
     GeometryError,
     Region,
+    RegionClassification,
     TorusLattice,
     classify_region,
 )
@@ -94,6 +95,11 @@ def delta_projector(group: FiniteGroup) -> np.ndarray:
 # -- scalar contractions -----------------------------------------------------------
 
 
+def reduced_character(group: FiniteGroup, g: int) -> float:
+    """chi~_reg(g) = chi_reg(g) - 1."""
+    return group.regular_character(g) - 1.0
+
+
 def vertex_contraction_scalar(group: FiniteGroup, a: int, beta: float) -> tuple[float, float]:
     """(closed form, brute force) of the full vertex loop: delta_{a,1} + gamma_beta."""
     closed = (1.0 if a == 0 else 0.0) + gamma_beta(beta, group.order)
@@ -144,6 +150,24 @@ def gathering_check(
 # -- interior sums -------------------------------------------------------------------
 
 
+def interior_sum_closed_form(group: FiniteGroup, cls: RegionClassification, holonomy: int, beta: float) -> float:
+    """The sum over interior extensions of prod_p (1 + gamma chi_reg) in closed form.
+
+    Holds for a proper rectangle classified as `cls` whose boundary labels have
+    the holonomy `holonomy` (its digit in `BlockBoundary`'s holonomy key, from
+    any anchor and in either direction), and so for every anchor tuple of an
+    abelian group and the trivial anchors of any group.  The formula needs
+    chi_reg of the ordered product of the reduced labels around the perimeter;
+    the holonomy is conjugate to that product or to its inverse, and chi_reg is
+    a class function with chi(g^{-1}) = chi(g).
+    """
+    g = gamma_beta(beta, group.order)
+    n_p = cls.n_plaquettes
+    return group.order ** len(cls.interior_edges) * (
+        (1 + g) ** n_p + (g**n_p) * reduced_character(group, holonomy)
+    )
+
+
 def interior_sum_brute_force(group: FiniteGroup, region: Region, f_hat: dict[Edge, int], beta: float) -> float:
     """Sum over all interior extensions of prod_p (1 + gamma chi_reg(g|_p)).
 
@@ -171,7 +195,7 @@ def interior_sum_brute_force(group: FiniteGroup, region: Region, f_hat: dict[Edg
 
 
 def interior_sum_enumerated(bb: BlockBoundary, g_phys: dict[Edge, int], anchors: tuple, words: list[int]) -> float:
-    """`BlockBoundary.interior_sum` off its closed form, one interior edge assignment
+    """The interior sum of one labelling's anchor tuple, one interior edge assignment
     at a time: the vertex values spread from the boundary chain values over the
     region edges until they settle, an assignment that contradicts them adds
     nothing, and the others add prod_p (1 + gamma chi_reg(hol_p)) in enumeration order."""
@@ -193,6 +217,35 @@ def interior_sum_enumerated(bb: BlockBoundary, g_phys: dict[Edge, int], anchors:
             val *= 1.0 + bb.gamma * G.regular_character(loop)
         total += val
     return total
+
+
+def interior_sum_broadcast(bb: BlockBoundary, g_phys: dict[Edge, int], subgroup: list[tuple], words) -> list[float]:
+    """`interior_sum_enumerated` for every anchor tuple of `subgroup` as one masked
+    broadcast, with an axis per anchor tuple, then per interior edge and interior
+    vertex.  A cell is prod_p (1 + gamma chi_reg(hol_p)), in plaquette order,
+    masked by a(away) = g a(toward) g^{-1} on every region edge, which fixes the
+    interior vertices: a row's running sum in C order adds its unmasked cells in
+    the order of the interior edge assignments, as the enumeration does."""
+    G, n, cls, lat = bb.group, bb.n, bb.cls, bb.region.lattice
+    free = [*cls.interior_edges, *cls.interior_vertices]
+    require_fits((2, len(subgroup)) + (n,) * len(free))
+    weight = 1.0 + bb.gamma * np.array([G.regular_character(h) for h in G.elements()])
+    label = dict(g_phys)  # edge or vertex -> its group element, an axis where free
+    values = bb._anchor_values(np.asarray(words)[:, None], np.array(subgroup).T)  # [v, anchor tuple]
+    label.update(zip(bb.boundary_vertices, values.reshape(values.shape + (1,) * len(free))))
+    for i, x in enumerate(free):
+        label[x] = np.arange(n).reshape((n,) + (1,) * (len(free) - 1 - i))
+    cells = np.ones((n,) * len(free))
+    for p in bb.region.plaquettes():
+        loop = 0
+        for e, sign in lat.edges_of_plaquette(p):
+            loop = G.mul[loop, label[e] if sign > 0 else G.inv[label[e]]]
+        cells *= weight[loop]
+    cells = np.repeat(cells[None], len(subgroup), axis=0)
+    for e in cls.edges:
+        away, toward = lat.vertices_of_edge(e)
+        cells *= label[away] == G.conj(label[e], label[toward])
+    return np.cumsum(cells.reshape(len(subgroup), -1), axis=1)[:, -1].tolist()
 
 
 def consistent_vertex_values(group, lat, cls, g_all, values) -> bool:
@@ -243,6 +296,16 @@ def holonomy_key(bb: BlockBoundary, hols: tuple[int, ...]) -> int:
     for h in hols:
         key = key * bb.n + h
     return key
+
+
+def first_labelling_inputs(bb: BlockBoundary, key: int) -> tuple[dict[Edge, int], list[int]]:
+    """(physical labels, vertex words) of the first labelling with holonomy key `key`,
+    where `BlockBoundary.interior_sum` reads the key's sums. A physical label is the
+    reduced one, inverted where the reduced label is gamma = g^{-1}."""
+    f, ne = bb._first[key], len(bb.boundary_edges)
+    f_hat = [f // bb.n ** (ne - 1 - i) % bb.n for i in range(ne)]
+    g_phys = {e: bb.group.inv[g] if bb.cls.gamma_inverted[e] else g for e, g in zip(bb.boundary_edges, f_hat)}
+    return g_phys, holonomy_walk(bb, f_hat)[1]
 
 
 def labellings(bb: BlockBoundary):

@@ -13,7 +13,6 @@ from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
 from qdlab.boundary import (
     BlockBoundary,
     BoundaryError,
-    interior_sum_closed_form,
     kappa_epsilon,
     support_and_sigma,
     verify_leading_term,
@@ -22,11 +21,14 @@ from oracles import (
     boundary_state_edge,
     delta_projector,
     edge_boundary_entry,
+    first_labelling_inputs,
     gathering_check,
     group_function_matrix_oracle,
     holonomy_key,
     holonomy_walk,
+    interior_sum_broadcast,
     interior_sum_brute_force,
+    interior_sum_closed_form,
     interior_sum_enumerated,
     labellings,
     leading_term_edge,
@@ -214,36 +216,50 @@ class TestInteriorSums:
         """Z2 cyl:v,0,2 @ N=3 has interior vertices (1,0), (1,1), (1,2) and 9 interior
         edges, so the vertex values reach them from the boundary. In an abelian group
         every chain value is its component's anchor and the rungs tie the two
-        components: equal anchors give the full brute-force sum, unequal ones 0."""
+        components: equal anchors give the full brute-force sum, unequal ones exactly
+        0. Each labelling reads its holonomy key's sums, which equal the enumeration
+        at the key's first labelling."""
         grp = make_cyclic(2)
         reg = parse_region(TorusLattice(3), "cyl:v,0,2")
         bb = BlockBoundary(grp, reg, 1.0)
         assert len(bb.cls.interior_vertices) == 3 and len(bb.cls.interior_edges) == 9
+        enumerated = {}  # holonomy key -> the enumeration at its first labelling
         rng = np.random.default_rng(5)
         for _ in range(10):
             f_hat = tuple(int(g) for g in rng.integers(0, 2, len(bb.boundary_edges)))
-            g_phys = {e: bb.phys_of_gamma(e, gam) for e, gam in zip(bb.boundary_edges, f_hat)}
-            (holonomy, _), words = holonomy_walk(bb, f_hat)
+            key = holonomy_key(bb, holonomy_walk(bb, f_hat)[0])
             bf = interior_sum_brute_force(grp, reg, dict(zip(bb.boundary_edges, f_hat)), 1.0)
-            subgroup = list(itertools.product(range(2), repeat=2))
-            for anchors, got in zip(subgroup, bb.interior_sum(g_phys, holonomy, subgroup, words), strict=True):
+            subgroup = bb._subgroups[key]
+            assert subgroup == list(itertools.product(range(2), repeat=2))
+            if key not in enumerated:
+                g_phys, words = first_labelling_inputs(bb, key)
+                enumerated[key] = [interior_sum_enumerated(bb, g_phys, t, words) for t in subgroup]
+            for anchors, got, want in zip(subgroup, bb._sums[key].tolist(), enumerated[key], strict=True):
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
                 if anchors[0] == anchors[1]:
                     assert abs(got - bf) <= 1e-10 * max(abs(bf), 1.0)
                 else:
                     assert got == 0.0
 
-
-def block_inputs(bb):
-    """(holonomies, physical labels, vertex words) of one labelling per holonomy key:
-    the first edge of each component's walk runs over G and every other label is 1,
-    so the component's holonomy is that label or its inverse."""
-    firsts = [walk[0][0] for walk in bb._walks]
-    for labels in itertools.product(range(bb.n), repeat=len(firsts)):
-        f_hat = [0] * len(bb.boundary_edges)
-        for i, g in zip(firsts, labels):
-            f_hat[i] = g
-        holonomies, words = holonomy_walk(bb, f_hat)
-        yield holonomies, {e: bb.phys_of_gamma(e, gam) for e, gam in zip(bb.boundary_edges, f_hat)}, words
+    @pytest.mark.parametrize("name, n, spec, trivial_only", [
+        ("Z2", 6, "rect:0,0,4,4", False),  # 24 interior edges, 9 interior vertices
+        ("Z3", 5, "rect:0,0,3,3", False),  # 12 interior edges, 4 interior vertices
+        ("S3", 4, "rect:0,0,2,2", True),
+    ])
+    def test_rectangle_sums_equal_the_closed_form(self, name, n, spec, trivial_only):
+        """On a rectangle the closed form holds for every anchor tuple of an abelian
+        group and for the trivial anchors of any group; the elimination's sums equal
+        it to 1e-12 relative, also where no enumeration fits."""
+        grp = group_by_name(name)
+        bb = BlockBoundary(grp, parse_region(TorusLattice(n), spec), 1.0)
+        checked = 0
+        for key, (subgroup, sums) in enumerate(zip(bb._subgroups, bb._sums, strict=True)):
+            expect = interior_sum_closed_form(grp, bb.cls, key, 1.0)  # one component: the key is its holonomy
+            for anchors, got in zip(subgroup, sums.tolist(), strict=True):
+                if not trivial_only or anchors == (0,):
+                    assert got == pytest.approx(expect, rel=1e-12)
+                    checked += 1
+        assert checked == (grp.order if trivial_only else grp.order**2)
 
 
 class TestInteriorBroadcast:
@@ -254,40 +270,40 @@ class TestInteriorBroadcast:
         ("Z2", 3, "cyl:v,0,2"),  # three interior vertices
     ])
     def test_broadcast_matches_the_enumeration(self, name, n, spec):
-        """Every anchor tuple of every holonomy key: the one broadcast over a key's
-        anchor tuples equals, row by row, the enumeration with its vertex-value
-        fixpoint bit for bit. The rectangle's trivial anchors take the closed form,
-        which agrees to roundoff."""
+        """Every anchor tuple of every holonomy key, at the key's first labelling: the
+        masked broadcast oracle equals the enumeration with its vertex-value fixpoint
+        bit for bit, and the elimination's sums, in another summation order, equal it
+        to 1e-12 relative (zero where it is zero)."""
         bb = BlockBoundary(group_by_name(name), parse_region(TorusLattice(n), spec), 1.0)
-        keys, broadcast = set(), 0
-        for holonomies, g_phys, words in block_inputs(bb):
-            keys.add(holonomies)
-            subgroup = bb._anchor_subgroup(holonomies)
-            sums = bb.interior_sum(g_phys, holonomies[0], subgroup, words)
-            for anchors, got in zip(subgroup, sums, strict=True):
-                expect = interior_sum_enumerated(bb, g_phys, anchors, words)
-                if bb.region.kind == RECT and all(a == 0 for a in anchors):
-                    assert got == pytest.approx(expect, rel=1e-12)
-                else:
-                    assert got == expect
-                    broadcast += 1
-        assert len(keys) == bb.n ** len(bb._walks)
-        assert broadcast > 0
+        assert len(bb._sums) == bb.n ** len(bb._walks)
+        nonzero = 0
+        for key, (subgroup, sums) in enumerate(zip(bb._subgroups, bb._sums, strict=True)):
+            g_phys, words = first_labelling_inputs(bb, key)
+            expect = [interior_sum_enumerated(bb, g_phys, anchors, words) for anchors in subgroup]
+            assert interior_sum_broadcast(bb, g_phys, subgroup, words) == expect
+            for got, want in zip(sums.tolist(), expect, strict=True):
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                nonzero += want != 0.0
+        assert nonzero > 0
 
-    def test_budget_counts_the_cells_and_their_running_sum(self, monkeypatch):
-        """S3 N=4 rect:0,0,2,2 has 4 interior edges and 1 interior vertex. The block
-        of the trivial holonomy stacks its 5 non-trivial anchors in one broadcast,
-        5 * 6^5 float64 cells and as many running sums, 622,080 bytes. A budget of
-        exactly that builds the block; one byte less refuses it before the cells
-        are made. The fold of the labellings, which `block` reads, is made under
-        the default budget beforehand and shared."""
+    def test_budget_counts_the_largest_joined_factor(self, monkeypatch):
+        """S3 N=4 rect:0,0,2,2 has 4 interior edges and 1 interior vertex, and its 6
+        keys have 18 anchor tuples in all (the centralizers: 6, 3, 3, 2, 2, 2). Each
+        interior edge lies on two plaquettes and its edge relation reads the interior
+        vertex, so the first variable summed out joins 4 variables and the batch:
+        18 * 6^4 float64 entries, 186,624 bytes, the largest joined factor. A budget
+        of exactly that builds the blocks; one byte less refuses them inside
+        `interior_sum`, before the factor exists. The fold of the labellings and the
+        first labelling of each key are made under the default budget beforehand and
+        shared."""
         bb = BlockBoundary(make_symmetric(3), parse_region(TorusLattice(4), "rect:0,0,2,2"), 1.0)
         assert (len(bb.cls.interior_edges), len(bb.cls.interior_vertices)) == (4, 1)
-        assert len(bb.block(0).subgroup) == 6
-        budget = 2 * 5 * 6**5 * 8
+        assert sorted(map(len, bb._subgroups)) == [2, 2, 2, 3, 3, 6]
+        budget = 18 * 6**4 * 8
         expect = bb.block(0).coeffs
         admitted, refused = (BlockBoundary(bb.group, bb.region, 1.0) for _ in range(2))
         admitted._fold = refused._fold = bb._fold
+        admitted._first = refused._first = bb._first
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
         assert admitted.block(0).coeffs == expect
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget - 1)
@@ -299,7 +315,7 @@ class TestInteriorBroadcast:
         finally:
             tracemalloc.stop()
         assert [entry.name for entry in info.traceback[-2:]] == ["interior_sum", "require_fits"]
-        assert peak < 6**5 * 8
+        assert peak < budget
 
 
 class TestKappaEpsilon:
@@ -509,7 +525,7 @@ class TestBlocks:
     ])
     def test_support_certificate_builds_each_key_once(self, monkeypatch, name, n, spec, n_keys):
         """`support_and_sigma` calls `block` once per key in `rank` and once in
-        `support_norms`, and `interior_sum` once per block built."""
+        `support_norms`, and `interior_sum` once, for the sums of every key."""
         calls = dict.fromkeys(["block", "interior_sum"], 0)
         for attr in calls:
             def counting(*args, _attr=attr, _inner=getattr(BlockBoundary, attr)):
@@ -517,7 +533,7 @@ class TestBlocks:
                 return _inner(*args)
             monkeypatch.setattr(BlockBoundary, attr, counting)
         support_and_sigma(group_by_name(name), parse_region(TorusLattice(n), spec), 1.0)
-        assert calls == {"block": 2 * n_keys, "interior_sum": n_keys}
+        assert calls == {"block": 2 * n_keys, "interior_sum": 1}
 
     @pytest.mark.parametrize("name, n, spec", [
         ("Z2", 4, "rect:0,0,2,2"),
