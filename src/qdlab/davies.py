@@ -235,12 +235,12 @@ def fourier_components(model: QuantumDoubleModel, e: Edge, operators) -> JumpDec
     transitions raising the number of satisfied terms by w, so that
     e^{itH} S e^{-itH} = sum_w e^{-iwt} S(w). The sums run over the integer
     scale Q_k of `level_projectors` and are divided by scale^2 once, so an
-    entry is exactly zero where the transition is absent, and an S(w) that is
-    zero is not stored. An S that is real up to its phase c (`_phase_split`)
-    is summed as the real R = S c^* and stored as c R(w): scale Q_k and R are
-    small-integer matrices, so these are the values of the complex sums, bit
-    for bit. FeasibilityError is raised before the stored S(w) of the edge
-    exceed the dense budget in bytes.
+    entry is exactly zero where the transition is absent, `_local_generator`
+    lays down nothing for it, and an S(w) that is zero is not stored. An S that
+    is real up to its phase c (`_phase_split`) is summed as the real R = S c^*
+    and stored as c R(w): scale Q_k and R are small-integer matrices, so these
+    are the values of the complex sums, bit for bit. FeasibilityError is raised
+    before the stored S(w) of the edge exceed the dense budget in bytes.
     """
     sub, levels, scale = level_projectors(model, e)
     components = []
@@ -316,12 +316,12 @@ class HTilde:
     on row-major vectors and c = e^{-beta w/2}, H~_e is, on the ket and bra legs of
     that support, the sparse D^2 x D^2 Dirichlet form
 
-        L_e = sum_{alpha,w} g(w)/2 D^dag D = B^dag B,    D = c (1 x S^T) - S x 1,
+        L_e = sum_{alpha,w} g(w)/2 D^dag D,    D = c (1 x S^T) - S x 1,
 
-    with B the stack of the sqrt(g(w)/2) D, and the identity on every other leg;
-    `linalg.sites_first_axes` gives the leg layout. L_e is Hermitian and positive
-    semidefinite by construction. `fourier_components` leaves an entry of S(w)
-    exactly zero where its transition is absent, so B holds only the true jumps.
+    and the identity on every other leg; `linalg.sites_first_axes` gives the leg
+    layout. L_e is Hermitian and positive semidefinite. `_local_generator` builds it
+    from its expansion A x 1 + 1 x B - (K + K^dag) into Kronecker products and
+    stores nothing where the terms cancel.
     S -> S c^* with |c| = 1 multiplies D by c^*, so L_e is unchanged: it is built
     from the real R of each S(w) = c R (`_phase_split`) and is float64 when every
     S(w) of the edge is real up to a phase, as for the default coupling; otherwise
@@ -415,43 +415,39 @@ def _embedded(model: QuantumDoubleModel, pos: list[int], gen_e: sp.csr_matrix) -
 
 
 def _local_generator(gen: DaviesGenerator, dec: JumpDecomposition, d: int) -> sp.csr_matrix:
-    """L_e = B^dag B of HTilde in CSR, on the edge's support of dimension d. B stacks
-    d^2 rows per jump (w, R), R = S(w) c^* the real form of S(w) when it is real up
-    to a phase: sqrt(g(w)/2) (c (1 x R^T) - R x 1), written entry by entry. Row (x, y)
-    of a jump's block holds at most the nonzeros of R's row x and of its column y, so
-    B's row counts bound the product's entries; the build's arrays are checked
-    against the dense budget before B's first triplet is made."""
+    """L_e of HTilde in CSR on the edge's support (dimension d), from its expansion
+    A x 1 + 1 x B - (K + K^dag) over the J jumps (w, R), R = S(w) c^* the real form of
+    S(w), g = g(w)/2, c = e^{-beta w/2}: A = sum g R^dag R and B = sum g c^2 conj(R) R^T
+    are laid down from their nonzeros; K = sum g c R x conj(R) is the realignment of
+    V^T diag(g c) conj(V), V's rows the vec(R), as entry ((p, q), (k, l)) of X x Y is
+    entry ((p, k), (q, l)) of vec(X) vec(Y)^T. One CSR sums the triplets and drops each
+    entry within (d + J) eps max|L_e|, the sums' rounding error, where terms cancel."""
     import scipy.sparse as sp
 
-    jumps = [(w, _phase_split(s)[1]) for comps in dec.components for w, s in comps.items()]
-    entries = products = 0  # B's triplets; the sum over B's rows of their squared counts
-    for _, r in jumps:
-        in_rows, in_cols = np.count_nonzero(r, axis=1), np.count_nonzero(r, axis=0)
-        nnz = int(in_rows.sum())
-        entries += 2 * d * nnz
-        products += d * int(in_rows @ in_rows + in_cols @ in_cols) + 2 * nnz**2
-    value = np.result_type(*(r for _, r in jumps)).itemsize
-    # held at once at most: every R; B's triplets (int64 rows and columns) as pieces and
-    # joined, with their int32 COO indices; B, its conjugate and scipy's CSC copy of B
-    # for the product; the product and its CSR copy; the five matrices' int64 pointers
-    held = sum(r.nbytes for _, r in jumps) + entries * (2 * (16 + value) + 8 + 3 * (4 + value))
-    require_fits((held + products * 2 * (8 + value) + 8 * (2 * len(jumps) + 3) * (d * d + 1),), np.uint8)
-    a = np.arange(d)[:, None]
-    rows, cols, vals = [], [], []
-    for j, (w, r) in enumerate(jumps):
-        # the half makes H~ equal to -iota L iota^{-1}: the +-omega pairing in the
-        # Dirichlet form double counts each squared commutator
-        amp = np.sqrt(0.5 * gen.rates(w))
-        c = float(np.exp(-gen.beta * w / 2.0))
-        p, k = np.nonzero(r)
-        v = np.broadcast_to(r[p, k], (d, p.size))
-        rows += [((j * d + a) * d + k).ravel(), ((j * d + p) * d + a).ravel()]  # c (1 x R^T), then R x 1
-        cols += [(a * d + p).ravel(), (k * d + a).ravel()]
-        vals += [(amp * c * v).ravel(), (-amp * v).ravel()]
-    b = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(len(jumps) * d * d, d * d)
-    )
-    return (b.conj().T @ b).tocsr()
+    # the half makes H~ equal to -iota L iota^{-1}: the +-omega pairing in the
+    # Dirichlet form double counts each squared commutator
+    jumps = [(0.5 * gen.rates(w), np.exp(-gen.beta * w / 2.0), _phase_split(s)[1])
+             for comps in dec.components for w, s in comps.items()]
+    a = sum(g * (r.conj().T @ r) for g, _, r in jumps)
+    b = sum(g * c**2 * (r.conj() @ r.T) for g, c, r in jumps)
+    v = sp.csr_matrix(np.reshape([r for *_, r in jumps], (len(jumps), d * d)))
+    sizes, value = np.diff(v.indptr), v.dtype.itemsize
+    products = min(int(sizes @ sizes), np.unique(v.indices).size ** 2)  # entries of V^T diag(g c) conj(V)
+    entries = d * (np.count_nonzero(a) + np.count_nonzero(b)) + 2 * products  # L_e's triplets
+    # held at once at most: every R, their stack, A and B; V's nonzeros six times; the
+    # product with five int32 arrays; the triplets, one's pieces, their COO copy and the CSR
+    require_fits((16 * d * d * (2 * len(jumps) + 2) + v.nnz * 6 * (8 + value) + products * (5 * 4 + value)
+                  + entries * (3 * 8 + 3 * 4 + 2 * value) + 8 * 4 * (d * d + len(jumps) + 1),), np.uint8)
+    m = (v.multiply(np.array([[g * c] for g, c, _ in jumps])).T @ v.conj()).tocoo()
+    k_rows, k_cols = m.row // d * d + m.col // d, m.row % d * d + m.col % d
+    (ap, ak), (bq, bl), x = np.nonzero(a), np.nonzero(b), np.arange(d)[:, None]
+    rows = np.concatenate([(ap * d + x).ravel(), (x * d + bq).ravel(), k_rows, k_cols])
+    cols = np.concatenate([(ak * d + x).ravel(), (x * d + bl).ravel(), k_cols, k_rows])
+    data = np.concatenate([np.tile(a[ap, ak], d), np.tile(b[bq, bl], d), -m.data, -m.data.conj()])
+    out = sp.csr_matrix((data, (rows, cols)), shape=(d * d, d * d))
+    out.data[np.abs(out.data) <= (d + len(jumps)) * np.finfo(float).eps * np.abs(out.data).max()] = 0
+    out.eliminate_zeros()
+    return out
 
 
 # -- kernel projectors (iota images) -----------------------------------------------------------
@@ -531,8 +527,10 @@ def local_gap_check(
     seed: int = 0,
     tol: float = 1e-7,
 ) -> LocalGapCheck:
-    """lambda_min( H~_e - bound * Pi_e^perp ) >= -1e-9 with the stated constants."""
-    model = gen.model
+    """lambda_min( H~_e - bound * Pi_e^perp ) >= -1e-9 with the stated constants, on
+    the model H~ is held on: c1 and Pi_e are taken there, and only the coupling, the
+    rates and beta from `gen`."""
+    model = htilde.model
     c1 = c1_constant(model, e)
     c2 = c2_constant(gen.coupling)
     g_min = gen.rates.g_min
@@ -630,12 +628,11 @@ def gap_chain(
 
     ineqs = []
     # (0) per-edge local bound H~_e >= local_pref Pi_e^perp, checked at one edge
-    # on the patch of its stars and plaquettes, from the torus's jumps and L_e of
-    # that edge; the chain reuses its constants
+    # on the patch of its stars and plaquettes, with the torus's L_e of that edge;
+    # the chain reuses its constants
     e0 = model.edge_list[0]
     patch = _local_patch(model, e0)[0]
-    gen0 = DaviesGenerator(patch, beta, gen.coupling, gen.rates)
-    lg = local_gap_check(gen0, ht.on_patch(e0, patch), e0, gibbs_state(patch, beta), seed=seed, tol=tol)
+    lg = local_gap_check(gen, ht.on_patch(e0, patch), e0, gibbs_state(patch, beta), seed=seed, tol=tol)
     local_pref = lg.bound
     ineqs.append(
         ChainInequality(

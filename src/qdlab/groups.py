@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ class FiniteGroup:
     mul: np.ndarray
     inv: np.ndarray
     label: str = "G"
-    _abelian: bool = field(init=False, repr=False, default=False)
 
     def __post_init__(self):
         mul = np.asarray(self.mul, dtype=np.int64)
@@ -38,7 +37,6 @@ class FiniteGroup:
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "inv", np.asarray(self.inv, dtype=np.int64))
         self._validate()
-        object.__setattr__(self, "_abelian", bool(np.array_equal(mul, mul.T)))
 
     # -- validation -------------------------------------------------------
 
@@ -69,9 +67,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def is_abelian(self) -> bool:
-        return self._abelian
 
     def conj(self, g: int, a: int) -> int:
         """g a g^{-1}."""

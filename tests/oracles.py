@@ -19,7 +19,8 @@ import scipy.sparse as sp
 
 from qdlab.boundary import BlockBoundary, BoundaryError
 from qdlab.davies import (
-    BOHR_FREQUENCIES, CouplingSet, DaviesGenerator, _embedded, _local_generator, _local_patch, fourier_components,
+    BOHR_FREQUENCIES, CouplingSet, DaviesGenerator, JumpDecomposition, _embedded, _local_generator, _local_patch,
+    _phase_split, fourier_components,
 )
 from qdlab.groups import FiniteGroup
 from qdlab.lattice import (
@@ -851,6 +852,28 @@ def fourier_components_eigh(model: QuantumDoubleModel, e: Edge, s_op: np.ndarray
         w: sum((projs[k + w] @ s_emb @ p for k, p in projs.items() if k + w in projs), np.zeros_like(s_emb))
         for w in BOHR_FREQUENCIES
     }
+
+
+def local_generator_by_stack(gen: DaviesGenerator, dec: JumpDecomposition, d: int) -> sp.csr_matrix:
+    """L_e = B^dag B in CSR, on the edge's support of dimension d: B stacks d^2 rows
+    per jump (w, R), R = S(w) c^* the real form of S(w), holding
+    sqrt(g(w)/2) (c (1 x R^T) - R x 1) written entry by entry. The product stores the
+    entries where the Dirichlet-form terms cancel as roundoff."""
+    jumps = [(w, _phase_split(s)[1]) for comps in dec.components for w, s in comps.items()]
+    a = np.arange(d)[:, None]
+    rows, cols, vals = [], [], []
+    for j, (w, r) in enumerate(jumps):
+        amp = np.sqrt(0.5 * gen.rates(w))
+        c = float(np.exp(-gen.beta * w / 2.0))
+        p, k = np.nonzero(r)
+        v = np.broadcast_to(r[p, k], (d, p.size))
+        rows += [((j * d + a) * d + k).ravel(), ((j * d + p) * d + a).ravel()]  # c (1 x R^T), then R x 1
+        cols += [(a * d + p).ravel(), (k * d + a).ravel()]
+        vals += [(amp * c * v).ravel(), (-amp * v).ravel()]
+    b = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(len(jumps) * d * d, d * d)
+    )
+    return (b.conj().T @ b).tocsr()
 
 
 def embedded_local_generator_per_edge(gen: DaviesGenerator, e: Edge) -> sp.csr_matrix:

@@ -556,7 +556,7 @@ class TestBlocks:
         assert {len(fs) for fs in by_key.values()} == {grp.order ** (n_edges - n_comp)}
         rng = np.random.default_rng(6)
         for fs in by_key.values():
-            if grp.is_abelian():
+            if np.array_equal(grp.mul, grp.mul.T):
                 sample = fs
             else:
                 sample = [fs[i] for i in rng.choice(len(fs), 6, replace=False)]

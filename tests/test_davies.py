@@ -38,7 +38,7 @@ from qdlab.linalg import FeasibilityError, dagger, matrix_power_hermitian
 from qdlab.quantum_double import QuantumDoubleModel, gibbs_state
 from oracles import (
     apply_dissipator, c2_explicit_basis, embedded_local_generator_per_edge, fourier_components_eigh, iota,
-    iota_inverse, kernel_projector_oracle, local_term_sum,
+    iota_inverse, kernel_projector_oracle, local_generator_by_stack, local_term_sum,
 )
 
 BETA = 1.0
@@ -249,24 +249,25 @@ def test_htilde_budget_bounds_the_traced_peak(cylinder_patch):
     assert m.data.nbytes + m.indices.nbytes + m.indptr.nbytes < peak <= htilde_budget(ht)
 
 
-def local_generator_budget(dec, d):
-    """The bytes `_local_generator` budgets for one edge, from the nonzeros of each
-    real form R: the R; two triplets per nonzero and state, as int64 pieces, joined
-    and as int32 COO indices; B, its conjugate and a CSC copy; twice the product
-    B^dag B, whose entries are at most the sum over B's rows of their squared
-    counts, row (x, y) of a jump's block holding at most the nonzeros of R's row x
-    and column y; and five sets of int64 pointers."""
-    jumps = [_phase_split(s)[1] for comps in dec.components for s in comps.values()]
-    value = np.result_type(*jumps).itemsize
-    held = entries = products = 0
-    for r in jumps:
-        x, y = np.nonzero(r)
-        per_row = np.bincount(x, minlength=d)[:, None] + np.bincount(y, minlength=d)[None, :]
-        held += r.nbytes
-        entries += 2 * d * x.size
-        products += int((per_row**2).sum())
-    held += entries * (2 * (8 + 8 + value) + 2 * 4 + 3 * (4 + value))
-    return held + products * 2 * (8 + value) + 8 * (2 * len(jumps) + 3) * (d * d + 1)
+def local_generator_budget(gen, dec, d):
+    """The bytes `_local_generator` budgets for one edge, from its J jumps R and the
+    nonzeros of A = sum g R^dag R and B = sum g c^2 conj(R) R^T: every R, their stack,
+    A and B at 16 bytes an entry; six copies of the jumps' nonzeros (int64 index,
+    value); the product's entries, at most sum nnz(R)^2 and the square of the
+    positions some R holds, as five int32 arrays and a value; L_e's triplets,
+    d nnz(A) + d nnz(B) and twice the product's, as three int64 and three int32
+    arrays and two values; and four sets of int64 pointers."""
+    jumps = [(0.5 * gen.rates(w), np.exp(-gen.beta * w / 2.0), _phase_split(s)[1])
+             for comps in dec.components for w, s in comps.items()]
+    a = sum(g * (r.conj().T @ r) for g, _, r in jumps)
+    b = sum(g * c**2 * (r.conj() @ r.T) for g, c, r in jumps)
+    sizes = np.array([np.count_nonzero(r) for *_, r in jumps])
+    positions = np.count_nonzero(sum(np.abs(r) for *_, r in jumps))
+    products = min(int(sizes @ sizes), positions**2)
+    entries = d * (np.count_nonzero(a) + np.count_nonzero(b)) + 2 * products
+    value = np.result_type(*(r for *_, r in jumps)).itemsize
+    held = 16 * d * d * (2 * len(jumps) + 2) + sizes.sum() * 6 * (8 + value) + products * (5 * 4 + value)
+    return held + entries * (3 * 8 + 3 * 4 + 2 * value) + 8 * 4 * (d * d + len(jumps) + 1)
 
 
 def test_local_generator_budget_bounds_its_traced_peak(cylinder_patch, monkeypatch):
@@ -277,7 +278,7 @@ def test_local_generator_budget_bounds_its_traced_peak(cylinder_patch, monkeypat
     e = max(gen.jumps, key=lambda e: len(gen.jumps[e].support))
     dec = gen.jumps[e]
     d = model.local_dim ** len(dec.support)
-    budget = local_generator_budget(dec, d)
+    budget = local_generator_budget(gen, dec, d)
     assert d == 64
     monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
     tracemalloc.start()
@@ -292,6 +293,53 @@ def test_local_generator_budget_bounds_its_traced_peak(cylinder_patch, monkeypat
     with pytest.raises(FeasibilityError) as info:
         _local_generator(gen, dec, d)
     assert [entry.name for entry in info.traceback[-2:]] == ["_local_generator", "require_fits"]
+
+
+def named_model(name):
+    """The `gap_chain` patch (Z2 cyl:v,0,1), the Z3 N=3 plaquette (Z3 rect:0,0,1,1) or
+    the four edges of one Z3 N=3 star (Z3 star: 81-dim supports whose S(w) hold ninths)."""
+    if name == "Z2 cyl:v,0,1":
+        lat = TorusLattice(2)
+        return QuantumDoubleModel(make_cyclic(2), lat).restrict(parse_region(lat, "cyl:v,0,1"))
+    lat = TorusLattice(3)
+    if name == "Z3 rect:0,0,1,1":
+        return QuantumDoubleModel(make_cyclic(3), lat).restrict(parse_region(lat, "rect:0,0,1,1"))
+    return QuantumDoubleModel(make_cyclic(3), lat, tuple(e for e, _ in lat.edges_of_star((0, 0))))
+
+
+@pytest.mark.parametrize("name, beta, custom, stack_has_roundoff", [
+    ("Z2 cyl:v,0,1", 0.3, False, True), ("Z2 cyl:v,0,1", 1.0, False, True), ("Z2 cyl:v,0,1", 2.5, False, False),
+    ("Z2 cyl:v,0,1", 0.3, True, False), ("Z2 cyl:v,0,1", 1.0, True, True), ("Z2 cyl:v,0,1", 2.5, True, True),
+    ("Z3 rect:0,0,1,1", 1.0, False, True), ("Z3 star", 1.0, False, True), ("Z3 star", 2.5, True, True),
+])
+def test_local_generator_equals_the_stack_oracle(name, beta, custom, stack_has_roundoff):
+    """With the default rates or the KMS table g(w) = e^{beta w/2} (1 + 0.3 |w|), each
+    class's L_e from the Kronecker expansion equals B^dag B from the stacked jumps to
+    1e-13 of its largest entry. It stores every entry of the oracle above 1e-12 of
+    that and none below: cancelled terms store nothing, also where the S(w) hold
+    ninths (the Z3 star) and, with that table, the cancelling terms of K come from
+    different jumps. The stack's product stores such entries in seven of the nine cases."""
+    model = named_model(name)
+    table = {w: float(np.exp(beta * w / 2) * (1 + 0.3 * abs(w))) for w in BOHR_FREQUENCIES}
+    gen = DaviesGenerator.build(model, beta, rates=kms_rates(beta, "custom", table) if custom else None)
+    decs = {id(dec.components): dec for dec in gen.jumps.values()}.values()  # one per translation class
+    pairs = [(_local_generator(gen, dec, d), local_generator_by_stack(gen, dec, d))
+             for dec in decs for d in [model.local_dim ** len(dec.support)]]
+    for gen_e, oracle in pairs:
+        top = abs(oracle).max()
+        assert abs(gen_e - oracle).max() <= 1e-13 * top
+        above = abs(oracle) > 1e-12 * top
+        assert abs(gen_e).multiply(above).nnz == above.nnz
+        assert abs(gen_e.data).min() >= 1e-12 * top
+    assert any(abs(o.data).min() < 1e-12 * abs(o).max() for _, o in pairs) is stack_has_roundoff
+
+
+def test_patch_entry_counts(cylinder_patch):
+    """The `gap_chain` patch's L_e hold 11,008 entries over its six edges (the stack's
+    product held 11,264), and H~ holds 9,728 (13,824)."""
+    _, _, ht, _ = cylinder_patch
+    assert sum(gen_e.nnz for _, gen_e in ht.local.values()) == 11_008
+    assert ht.matrix.nnz == 9_728
 
 
 def test_local_gap_check_leaves_the_matrix_unbuilt(cylinder_patch):
@@ -565,22 +613,29 @@ def test_final_link_needs_a_resolved_parent_gap(gap_parent, passed):
 @pytest.fixture(scope="module")
 def z2_chain_traced():
     """The whole chain on the Z2 N=2 torus at beta = 1 (about 4 s with 1 BLAS thread),
-    with the L_e that `_local_generator` built and the H~ the local check read."""
-    built, checked = [], []
+    with the generators and L_e that `_local_generator` built, the generator and H~
+    the local check read, and the entry count of the H~ whose gap the chain took."""
+    built, checked, matrix_nnz = [], [], []
 
     def build(*args):
-        built.append(_local_generator(*args))
-        return built[-1]
+        built.append((args[0], _local_generator(*args)))
+        return built[-1][1]
 
     def check(gen, htilde, *args, **kwargs):
-        checked.append(htilde)
+        checked.append((gen, htilde))
         return local_gap_check(gen, htilde, *args, **kwargs)
+
+    def gap(htilde, *args, **kwargs):
+        out = davies_gap(htilde, *args, **kwargs)
+        matrix_nnz.append(htilde.matrix.nnz)
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(davies, "_local_generator", build)
         mp.setattr(davies, "local_gap_check", check)
+        mp.setattr(davies, "davies_gap", gap)
         report = gap_chain(QuantumDoubleModel(make_cyclic(2), TorusLattice(2)), BETA)
-    return report, built, checked
+    return report, built, checked, matrix_nnz
 
 
 @pytest.fixture(scope="module")
@@ -590,14 +645,24 @@ def z2_chain(z2_chain_traced):
 
 def test_gap_chain_local_check_reuses_the_torus_local_generator(z2_chain_traced):
     """The chain builds the torus's two L_e, one per translation class, and no
-    more: the local check on edge 0's patch applies the torus's L_e object."""
-    _, built, checked = z2_chain_traced
+    more: the local check on edge 0's patch applies the torus's L_e object, and
+    reads the chain's own generator, the one those L_e were built from."""
+    _, built, checked, _ = z2_chain_traced
     assert len(built) == 2 and len(checked) == 1
     torus = QuantumDoubleModel(make_cyclic(2), TorusLattice(2))
-    (e0, (pos, gen_e)), = checked[0].local.items()
+    gen, htilde = checked[0]
+    assert all(gen is g for g, _ in built)
+    assert len(gen.jumps) == torus.n_edges
+    (e0, (pos, gen_e)), = htilde.local.items()
     assert e0 == torus.edge_list[0]
-    assert any(gen_e is b for b in built)
-    assert [checked[0].model.edge_list[i] for i in pos] == list(_local_patch(torus, e0)[0].edge_list)
+    assert any(gen_e is b for _, b in built)
+    assert [htilde.model.edge_list[i] for i in pos] == list(_local_patch(torus, e0)[0].edge_list)
+
+
+def test_gap_chain_torus_htilde_entry_count(z2_chain_traced):
+    """The torus H~ holds 6,602,752 entries; built from the stack's product, whose
+    L_e keep the entries where their terms cancel, it held 7,127,040."""
+    assert z2_chain_traced[3] == [6_602_752]
 
 
 def test_gap_chain_on_the_z2_torus(z2_chain):
