@@ -17,6 +17,7 @@ from .linalg import (
     apply_on_sites,
     dagger,
     lowest_eigs_matrix_free,
+    lowest_eigs_sparse,
     matrix_power_hermitian,
     require_fits,
     sites_first_axes,
@@ -309,7 +310,7 @@ class DaviesGenerator:
 
 class HTilde:
     """H~ = sum_e H~_e on the doubled space, equal to -iota L iota^{-1}, held as one
-    CSR matrix `matrix`, so that `apply` is one sparse product.
+    CSR matrix `matrix`, whose connected blocks `davies_gap` solves.
 
     The jumps S(w) of edge e act only on its support, the edges of its stars and
     plaquettes, whose space has dimension D. With iota delta_{alpha,w} iota^{-1} = c (1 x S^T) - (S x 1)
@@ -327,10 +328,10 @@ class HTilde:
     S(w) of the edge is real up to a phase, as for the default coupling; otherwise
     it is complex. `local` keeps each L_e; `matrix` is their sum, each embedded
     into the doubled space (`_embedded`), float64 when every L_e is, and is built
-    only when `apply` first needs it; its budget is checked here. `apply_edges`
-    applies the L_e of a subset of the edges one by one, for the local gap check.
-    Both return the dtype of their input and the matrices they apply, so on real
-    L_e a real vector stays real and the eigensolves run in real arithmetic.
+    on first use; its budget is checked here. `apply_edges` applies the L_e of a
+    subset of the edges one by one, for the local gap check. It returns the dtype
+    of its input and the L_e it applies, so on real L_e a real vector stays real
+    and the eigensolves run in real arithmetic, as they do on a float64 `matrix`.
 
     The edges of a translation class share their S(w) (`JumpDecomposition`), so
     they share one L_e too: it is built, and its row-sum norm taken, once per
@@ -366,8 +367,8 @@ class HTilde:
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
-        """H~ in CSR, built on the first `apply` as a running sum over the edges: one
-        COO of every edge's entries would hold them all at once, with int64 indices."""
+        """H~ in CSR, built on first use as a running sum over the edges: one COO of
+        every edge's entries would hold them all at once, with int64 indices."""
         import scipy.sparse as sp
 
         total = sp.csr_matrix((self.dim, self.dim), dtype=self.dtype)
@@ -381,9 +382,6 @@ class HTilde:
             pos, gen_e = self.local[e]
             out += apply_on_sites(x, self.model.local_dim, self.model.n_edges, pos, lambda m: gen_e @ m)
         return out
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
 
     def on_patch(self, e: Edge, patch: QuantumDoubleModel) -> "HTilde":
         """H~_e alone on `patch`, a model holding e's support: the same L_e object,
@@ -555,11 +553,11 @@ def local_gap_check(
 
 def davies_gap(htilde: HTilde, tfd: np.ndarray, seed: int = 0, tol: float = 1e-8) -> float:
     """Smallest nonzero eigenvalue of H~, deflating the thermofield double with a
-    shift of H~'s norm bound, which no eigenvalue exceeds."""
-    vals = lowest_eigs_matrix_free(
-        LinearMapHandle(dim=htilde.dim, apply=htilde.apply), k=1, seed=seed, tol=tol, deflate=[tfd],
-        shift=htilde.norm_bound,
-    )
+    shift of H~'s norm bound, which no eigenvalue exceeds. H~ is solved on the
+    connected blocks of its CSR matrix (`linalg.lowest_eigs_sparse`): `seed` and
+    `tol` matter only for a block above `linalg.DENSE_SOLVE_MAX_DIM` (64) indices,
+    which ARPACK solves."""
+    vals = lowest_eigs_sparse(htilde.matrix, k=1, tol=tol, seed=seed, deflate=[tfd], shift=htilde.norm_bound)
     return float(vals[0])
 
 

@@ -7,8 +7,12 @@ the first sparse build: a region's T (`peps.RegionNetwork.t_sparse`), a
 reduced-basis group function (`boundary.BlockBoundary.group_function_matrix`),
 both made by every `gap_tools.RegionProjector`, or a Davies L_e and H~
 (`davies.HTilde`). `scipy.sparse.linalg`, with ARPACK and `scipy.linalg`, is
-loaded by the first `lowest_eigs_matrix_free` solve of a map above 64
-dimensions; smaller maps are solved by dense `eigh`.
+loaded by the first `lowest_eigs_matrix_free` solve of a map above
+DENSE_SOLVE_MAX_DIM = 64 dimensions; smaller maps are solved by dense `eigh`.
+`lowest_eigs_sparse` (the Davies gap, `davies.davies_gap`) loads it only for a
+connected block of its sparse matrix above that size: on the Z2 N=2 `cyl:v,0,1`
+patch every block is solved by dense `eigvalsh`, and no scipy module is loaded
+for the solve.
 """
 
 from __future__ import annotations
@@ -55,11 +59,14 @@ def require_fits(shape: Sequence[int], dtype=np.float64) -> None:
 
 
 # ARPACK restarts allowed per solve (each restart takes up to ncv - k matvecs);
-# ARPACK's own default is 10 n. The two solves of the benchmark's gap_chain
-# workload (both real, dsaupd) take 76 matvecs in all, 53 for the Davies gap (each
-# one CSR product with H~) and 23 for the local check (each an edge's L_e): 51 and
-# 21 inside ARPACK, far below this cap, and per solve one probe and one residual check.
+# ARPACK's own default is 10 n. The one ARPACK solve of the benchmark's gap_chain
+# workload, the local check (real, dsaupd), takes about 23 matvecs, each an edge's
+# L_e: 21 inside ARPACK, far below this cap, one probe and one residual check. Its
+# Davies gap is solved block by block, densely (`lowest_eigs_sparse`).
 ARPACK_MAXITER = 1000
+
+# Maps and blocks of at most this many dimensions are solved by dense eigh, not ARPACK.
+DENSE_SOLVE_MAX_DIM = 64
 
 # ARPACK's Lanczos misses an eigenvalue that is exactly 0 (on diag(0, d) with d uniform
 # in [1, 2] it returns min d) but finds it at 1, so the solver works on H + SOLVE_SHIFT * 1.
@@ -188,11 +195,7 @@ def lowest_eigs_matrix_free(
     probe = h.apply(v0)
     dtype = complex if any(np.iscomplexobj(v) for v in (probe, *deflate)) else float
     require_fits(workspace, dtype)
-    basis = np.array([np.ravel(v) for v in deflate], dtype=dtype).reshape(len(deflate), h.dim)
-    if len(basis):
-        dev = np.abs(basis.conj() @ basis.T - np.eye(len(basis))).max()
-        if dev > 1e-8:
-            raise LinalgError(f"deflation vectors are not orthonormal (max |V^dagger V - I| = {dev:.2e})")
+    basis = _deflation_basis(deflate, h.dim, dtype)
 
     def matvec(x):
         y = np.asarray(h.apply(x)) + SOLVE_SHIFT * x
@@ -200,7 +203,7 @@ def lowest_eigs_matrix_free(
             y = y + shift * v * (v.conj() @ x)
         return y
 
-    if h.dim <= 64:
+    if h.dim <= DENSE_SOLVE_MAX_DIM:
         mat = np.column_stack([matvec(col) for col in np.eye(h.dim, dtype=dtype).T])
         vals, vecs = np.linalg.eigh((mat + dagger(mat)) / 2)
     else:
@@ -217,9 +220,155 @@ def lowest_eigs_matrix_free(
             r = np.linalg.norm(matvec(vecs[:, i]) - vals[i] * vecs[:, i])
             if r > max(tol * 100, 1e-7) * max(1.0, abs(vals[i])):
                 raise ConvergenceError(f"eigenpair {i} residual {r:.3e} above tolerance")
-    inside = np.sum(np.abs(basis.conj() @ vecs[:, :k]) ** 2, axis=0)
+    _require_off_span(_inside(basis, vecs[:, :k]), shift)
+    return vals[:k] - SOLVE_SHIFT
+
+
+def _deflation_basis(deflate: Sequence[np.ndarray], dim: int, dtype) -> np.ndarray:
+    """The deflation vectors as the rows of one array; LinalgError unless they are orthonormal (to 1e-8)."""
+    basis = np.array([np.ravel(v) for v in deflate], dtype=dtype).reshape(len(deflate), dim)
+    if len(basis):
+        dev = np.abs(basis.conj() @ basis.T - np.eye(len(basis))).max()
+        if dev > 1e-8:
+            raise LinalgError(f"deflation vectors are not orthonormal (max |V^dagger V - I| = {dev:.2e})")
+    return basis
+
+
+def _inside(basis: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The weight of each column of `vecs` inside the span of the rows of `basis`."""
+    return np.sum(np.abs(basis.conj() @ vecs) ** 2, axis=0)
+
+
+def _require_off_span(inside: np.ndarray, shift: float) -> None:
     if (inside > 0.5).any():
         raise LinalgError(
             f"an eigenvector lies in the deflated span: the spectrum off it is not below the shift {shift}"
         )
-    return vals[:k] - SOLVE_SHIFT
+
+
+def connected_components(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The least index of the connected component of each index of a square sparse
+    matrix in CSR (`indptr`, `indices`) whose sparsity pattern is symmetric.
+
+    Each round, every row takes the least label among its columns and hooks the
+    root of its own label onto it too; pointer jumping then points each index at
+    its root. A round that changes no label ends it. Hooking the roots keeps the
+    rounds few: 10 on a randomly numbered path of 10^4 indices, which takes 3,176
+    rounds without it.
+    """
+    lab = np.arange(len(indptr) - 1, dtype=indices.dtype)
+    rows = np.flatnonzero(np.diff(indptr))  # reduceat takes no empty segments
+    starts = indptr[rows]
+    while True:
+        low = np.minimum.reduceat(lab[indices], starts)
+        new = lab.copy()
+        np.minimum.at(new, lab[rows], low)
+        new[rows] = np.minimum(new[rows], low)
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def _blocks(m, basis: np.ndarray) -> np.ndarray:
+    """The block of each index of m: its connected component, merged with the others
+    that a row of `basis` touches. Blocks are numbered in the order of their least index."""
+    lab = connected_components(m.indptr, m.indices)
+    for v in basis:
+        touched = np.unique(lab[np.flatnonzero(v)])
+        merge = np.arange(len(lab), dtype=lab.dtype)
+        merge[touched] = touched[0]
+        lab = merge[lab]
+    is_root = np.zeros(len(lab), dtype=bool)
+    is_root[lab] = True
+    return np.cumsum(is_root, dtype=lab.dtype)[lab] - 1
+
+
+def lowest_eigs_sparse(
+    m,
+    k: int = 1,
+    tol: float = 1e-9,
+    seed: int = 0,
+    deflate: Sequence[np.ndarray] = (),
+    shift: float = 100.0,
+) -> np.ndarray:
+    """k lowest eigenvalues of a Hermitian CSR matrix m, deflating the given
+    orthonormal vectors with `shift` as `lowest_eigs_matrix_free` does.
+
+    m is block diagonal on the connected components of its sparsity graph
+    (`connected_components`). The components a deflation vector touches are merged
+    into one block, so that m + shift sum_v v v^dagger is block diagonal too, and
+    each block is solved alone. Blocks of at most DENSE_SOLVE_MAX_DIM indices are
+    solved exactly: those of one size that no vector touches by one batched
+    `eigvalsh` (a block of one index is its diagonal entry), a touched one by `eigh`.
+    Larger blocks go to `lowest_eigs_matrix_free` on their submatrix, with `tol`
+    and `seed`, and a single block spanning the whole space to it on m itself. The
+    k lowest of all the blocks' values are returned.
+
+    The contract is that of `lowest_eigs_matrix_free`: deflation vectors that are
+    not orthonormal raise LinalgError, and so does a returned eigenvector mostly
+    inside their span; a stack of blocks that would not fit the dense budget raises
+    FeasibilityError before it is made; a real m with real deflation vectors is
+    solved in real arithmetic. A sparsity pattern that is not symmetric, where an
+    entry would join two components one way only, raises LinalgError.
+    """
+    n = m.shape[0]
+    dtype = complex if any(np.iscomplexobj(a) for a in (m.data, *deflate)) else float
+    basis = _deflation_basis(deflate, n, dtype)
+    require_fits((m.nnz,), np.int64)  # the largest of the arrays with one index per entry
+    block = _blocks(m, basis)
+    sizes = np.bincount(block)
+    if len(sizes) == 1:
+        return lowest_eigs_matrix_free(LinearMapHandle(dim=n, apply=lambda x: m @ x), k, tol, seed, deflate, shift)
+
+    rows = np.repeat(np.arange(n, dtype=block.dtype), np.diff(m.indptr))
+    entry_block = block[rows]
+    if (entry_block != block[m.indices]).any():
+        raise LinalgError("the sparsity pattern is not symmetric: an entry joins two components one way only")
+    members = np.argsort(block)  # indices grouped by block
+    first = np.cumsum(sizes) - sizes
+    pos = np.empty(n, dtype=block.dtype)  # each index's place in its block
+    pos[members] = np.arange(n) - np.repeat(first, sizes)
+    place = pos[rows] * sizes[entry_block] + pos[m.indices]  # each entry's place in its block, row-major
+
+    touched = np.zeros(len(sizes), dtype=bool)
+    touched[block[basis.any(axis=0)]] = True
+    plain = (sizes <= DENSE_SOLVE_MAX_DIM) & ~touched
+    # the stacks of the plain blocks, by size, share one buffer
+    by_size = np.flatnonzero(plain)[np.argsort(sizes[plain], kind="stable")]
+    area = sizes[by_size] ** 2
+    require_fits((int(area.sum()),), dtype)
+    stacks = np.zeros(area.sum(), dtype=dtype)
+    offset = np.zeros(len(sizes), dtype=np.intp)
+    offset[by_size] = np.cumsum(area) - area
+    e = plain[entry_block]
+    np.add.at(stacks, offset[entry_block[e]] + place[e], m.data[e])  # adds duplicate entries, as m @ x does
+    vals, inside = [], []
+    for size, count in zip(*np.unique(sizes[by_size], return_counts=True)):
+        stack = stacks[:count * size * size].reshape(count, size, size)
+        stacks = stacks[count * size * size:]
+        vals.append(stack[:, 0, 0].real if size == 1 else np.linalg.eigvalsh(stack).ravel())
+        inside.append(np.zeros(vals[-1].size))
+    for b in np.flatnonzero(~plain):
+        idx = members[first[b]:first[b] + sizes[b]]
+        on = basis[:, idx]
+        on = on[on.any(axis=1)]  # the vectors supported on this block, restricted to it
+        if sizes[b] <= DENSE_SOLVE_MAX_DIM:
+            e = entry_block == b
+            dense = shift * on.T @ on.conj()
+            np.add.at(dense.ravel(), place[e], m.data[e])
+            w, vecs = np.linalg.eigh(dense)
+            vals.append(w)
+            inside.append(_inside(on, vecs))
+        else:
+            size = int(sizes[b])
+            sub = m[idx][:, idx]
+            vals.append(lowest_eigs_matrix_free(LinearMapHandle(dim=size, apply=lambda x, sub=sub: sub @ x),
+                                                min(k, size), tol, seed, list(on), shift))
+            inside.append(np.zeros(vals[-1].size))
+    vals, inside = np.concatenate(vals), np.concatenate(inside)
+    low = np.argpartition(vals, k - 1)[:k] if k < vals.size else np.arange(vals.size)
+    low = low[np.argsort(vals[low])]
+    _require_off_span(inside[low], shift)
+    return vals[low]

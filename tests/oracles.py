@@ -19,8 +19,8 @@ import scipy.sparse as sp
 
 from qdlab.boundary import BlockBoundary, BoundaryError
 from qdlab.davies import (
-    BOHR_FREQUENCIES, CouplingSet, DaviesGenerator, JumpDecomposition, _embedded, _local_generator, _local_patch,
-    _phase_split, fourier_components,
+    BOHR_FREQUENCIES, CouplingSet, DaviesGenerator, HTilde, JumpDecomposition, _embedded, _local_generator,
+    _local_patch, _phase_split, fourier_components,
 )
 from qdlab.groups import FiniteGroup
 from qdlab.lattice import (
@@ -38,8 +38,8 @@ from qdlab.lattice import (
 )
 from qdlab.gap_tools import EmbeddedProjector
 from qdlab.linalg import (
-    LinalgError, LinearMapHandle, apply_on_sites, dagger, hermitian_spectrum, kron, matrix_power_hermitian,
-    require_fits, vectorize,
+    LinalgError, LinearMapHandle, apply_on_sites, dagger, hermitian_spectrum, kron, lowest_eigs_matrix_free,
+    matrix_power_hermitian, require_fits, vectorize,
 )
 from qdlab.peps import PLAQ_SIDES, STAR_SIDES, RegionNetwork, edge_tensor, star_leg_weights, weight_plaq
 from qdlab.quantum_double import QuantumDoubleModel, gamma_beta
@@ -886,6 +886,16 @@ def embedded_local_generator_per_edge(gen: DaviesGenerator, e: Edge) -> sp.csr_m
     return _embedded(model, [model.edge_pos[f] for f in dec.support], gen_e)
 
 
+def davies_gap_arpack(htilde: HTilde, tfd: np.ndarray, seed: int = 0, tol: float = 1e-8) -> float:
+    """The Davies gap by one deflated ARPACK solve over the whole doubled space, each
+    matvec one product with H~'s CSR matrix, with no split into connected blocks."""
+    vals = lowest_eigs_matrix_free(
+        LinearMapHandle(dim=htilde.dim, apply=lambda x: htilde.matrix @ x), k=1, seed=seed, tol=tol, deflate=[tfd],
+        shift=htilde.norm_bound,
+    )
+    return float(vals[0])
+
+
 def c2_explicit_basis(coupling: CouplingSet) -> float:
     """min of sum_a ||[X, S_a]||^2 over traceless unit X, compressed onto the orthonormal
     traceless basis E_gh (g != h) and diag(1, ..., 1, -l, 0, ...) / sqrt(l (l + 1))."""
@@ -977,3 +987,17 @@ def random_state(dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def block_diagonal(sizes, seed, dtype):
+    """A random Hermitian matrix of dense blocks of the given sizes, each shifted by a
+    random multiple of the identity so that the lowest eigenvalues come from several
+    blocks, with its indices randomly permuted: (CSR matrix, dense copy, the block of
+    each index)."""
+    rng = np.random.default_rng(seed)
+    blocks = [random_hermitian(s, seed + i) + rng.uniform(-8.0, 8.0) * np.eye(s) for i, s in enumerate(sizes)]
+    if dtype is float:
+        blocks = [b.real for b in blocks]
+    perm = rng.permutation(sum(sizes))
+    m = sp.block_diag(blocks, format="csr")[perm][:, perm]
+    return m, m.toarray(), np.repeat(np.arange(len(sizes)), sizes)[perm]

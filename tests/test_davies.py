@@ -34,11 +34,11 @@ from qdlab.davies import (
 from qdlab.gap_tools import complement_gap
 from qdlab.groups import group_by_name, make_cyclic
 from qdlab.lattice import TorusLattice, parse_region
-from qdlab.linalg import FeasibilityError, dagger, matrix_power_hermitian
+from qdlab.linalg import FeasibilityError, LinearMapHandle, dagger, matrix_power_hermitian
 from qdlab.quantum_double import QuantumDoubleModel, gibbs_state
 from oracles import (
-    apply_dissipator, c2_explicit_basis, embedded_local_generator_per_edge, fourier_components_eigh, iota,
-    iota_inverse, kernel_projector_oracle, local_generator_by_stack, local_term_sum,
+    apply_dissipator, c2_explicit_basis, davies_gap_arpack, embedded_local_generator_per_edge,
+    fourier_components_eigh, iota, iota_inverse, kernel_projector_oracle, local_generator_by_stack, local_term_sum,
 )
 
 BETA = 1.0
@@ -63,7 +63,7 @@ def dense_of(apply, dim):
 def test_htilde_equals_minus_iota_l_iota_inverse(patch):
     model, gen, ht, rho = patch
     assert ht.dim == 256
-    h = dense_of(ht.apply, ht.dim)
+    h = dense_of(lambda x: ht.matrix @ x, ht.dim)
     rho_sqrt = matrix_power_hermitian(rho, 0.5)
     rho_sqrt_inv = matrix_power_hermitian(rho, -0.5)
 
@@ -92,7 +92,7 @@ def test_complex_coupling_stays_complex(patch):
     rho_sqrt = matrix_power_hermitian(rho, 0.5)
     rho_sqrt_inv = matrix_power_hermitian(rho, -0.5)
     expect = dense_of(lambda v: -iota(apply_dissipator(gen, iota_inverse(v, rho_sqrt_inv)), rho_sqrt), ht.dim)
-    assert np.abs(dense_of(ht.apply, ht.dim) - expect).max() < TOL
+    assert np.abs(dense_of(lambda x: ht.matrix @ x, ht.dim) - expect).max() < TOL
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +115,7 @@ def test_htilde_on_proper_subset_supports(cylinder_patch):
         x = rng.standard_normal(ht.dim) + 1j * rng.standard_normal(ht.dim)
         q = iota_inverse(x, rho_sqrt_inv)
         expect = -iota(apply_dissipator(gen, q), rho_sqrt)
-        assert np.abs(ht.apply(x) - expect).max() < TOL * np.abs(expect).max()
+        assert np.abs(ht.matrix @ x - expect).max() < TOL * np.abs(expect).max()
         for e in model.edge_list:
             expect = -iota(apply_dissipator(gen, q, edges=[e]), rho_sqrt)
             assert np.abs(ht.apply_edges(x, [e]) - expect).max() < TOL * np.abs(expect).max()
@@ -142,51 +142,93 @@ def test_davies_gap_scales_with_the_rates(cylinder_patch):
 
 
 class RealOnlyHTilde(HTilde):
-    """Counts the vectors each of its two products takes, and refuses a complex one."""
+    """Counts the vectors `apply_edges` takes, and refuses a complex one."""
 
     def __init__(self, gen):
         super().__init__(gen)
-        self.calls = {"apply": 0, "apply_edges": 0}
-
-    def _take(self, name, x):
-        if np.iscomplexobj(x):
-            raise TypeError(f"complex input to a real H~ in {name}")
-        self.calls[name] += 1
-
-    def apply(self, x):
-        self._take("apply", x)
-        return super().apply(x)
+        self.calls = 0
 
     def apply_edges(self, x, edges):
-        self._take("apply_edges", x)
+        if np.iscomplexobj(x):
+            raise TypeError("complex input to a real H~ in apply_edges")
+        self.calls += 1
         return super().apply_edges(x, edges)
 
 
-def test_default_coupling_solves_run_real(cylinder_patch):
-    """With real L_e, H~ is a float64 matrix and a real vector stays real, so the
-    Davies gap (through `apply`) and the local check (through `apply_edges`) run
-    their eigensolves in real arithmetic, with the values of the complex solves."""
-    model, gen, ht, rho = cylinder_patch
-    assert ht.matrix.dtype == np.float64
-    x = np.random.default_rng(5).standard_normal(ht.dim)
-    assert ht.apply(x).dtype == ht.apply_edges(x, model.edge_list).dtype == float
-    real_ht = RealOnlyHTilde(gen)
+@pytest.fixture(scope="module")
+def z3_plaquette():
+    """Z3 N=3 plaquette `rect:0,0,1,1` (d = 81): the block of H~ that holds the
+    thermofield double has 81 indices, so ARPACK solves it."""
+    lat = TorusLattice(3)
+    model = QuantumDoubleModel(make_cyclic(3), lat).restrict(parse_region(lat, "rect:0,0,1,1"))
+    gen = DaviesGenerator.build(model, BETA)
+    return model, gen, HTilde(gen), gibbs_state(model, BETA)
+
+
+@pytest.fixture(scope="module")
+def z2_rectangle():
+    """Z2 N=3 `rect:0,0,2,1` (d = 128): the block of H~ that holds the thermofield
+    double has 128 indices."""
+    lat = TorusLattice(3)
+    model = QuantumDoubleModel(make_cyclic(2), lat).restrict(parse_region(lat, "rect:0,0,2,1"))
+    gen = DaviesGenerator.build(model, BETA)
+    return model, gen, HTilde(gen), gibbs_state(model, BETA)
+
+
+def test_default_coupling_solves_run_real(request):
+    """With real L_e, H~ is a float64 matrix and a real vector stays real. So the
+    Davies gap reaches the dense `eigvalsh` and `eigh` of its blocks, and on the Z3
+    plaquette the ARPACK handle of its block of 81 indices, only with float64
+    arrays, and the local check runs its eigensolve (through `apply_edges`) in real
+    arithmetic. The cylinder's gap keeps the value pinned for the complex solves."""
+    solve = linalg.lowest_eigs_matrix_free
+    seen, gaps = [], {}
+
+    def spy(name, fn):
+        def wrapped(a, *args, **kwargs):
+            seen.append((name, a.dtype))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    def arpack(h, *args, **kwargs):
+        return solve(LinearMapHandle(dim=h.dim, apply=spy("handle", h.apply)), *args, **kwargs)
+
+    for fixture, reached in (("cylinder_patch", {"eigvalsh", "eigh"}), ("z3_plaquette", {"eigvalsh", "handle"})):
+        model, gen, ht, rho = request.getfixturevalue(fixture)
+        assert ht.matrix.dtype == np.float64
+        x = np.random.default_rng(5).standard_normal(ht.dim)
+        assert (ht.matrix @ x).dtype == ht.apply_edges(x, model.edge_list).dtype == float
+        tfd = thermofield_vector(model, BETA, rho)
+        seen.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
+            mp.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+            mp.setattr(linalg, "lowest_eigs_matrix_free", arpack)
+            gap = davies_gap(ht, tfd)
+        assert {name for name, _ in seen} == reached
+        assert {dtype for _, dtype in seen} == {np.dtype(float)}
+        real_ht = RealOnlyHTilde(gen)
+        check = local_gap_check(gen, real_ht, model.edge_list[0], rho)
+        assert check.passed and abs(check.min_eig) < 1e-9
+        assert real_ht.calls > 0
+        gaps[fixture] = gap
+    assert gaps["cylinder_patch"] == pytest.approx(2.697855988183939, rel=1e-9)
+
+
+@pytest.mark.parametrize("fixture", ["cylinder_patch", "z3_plaquette", "z2_rectangle"])
+def test_davies_gap_agrees_with_the_whole_space_solve(fixture, request):
+    """The gap from the connected blocks of H~ (largest 64, 81 and 128 indices) is
+    that of one deflated ARPACK solve over the whole doubled space."""
+    model, _, ht, rho = request.getfixturevalue(fixture)
     tfd = thermofield_vector(model, BETA, rho)
-    assert davies_gap(real_ht, tfd) == pytest.approx(2.697855988183939, rel=1e-9)
-    check = local_gap_check(gen, real_ht, model.edge_list[0], rho)
-    assert check.passed and abs(check.min_eig) < 1e-9
-    assert real_ht.calls["apply"] > 0 and real_ht.calls["apply_edges"] > 0
+    assert davies_gap(ht, tfd) == pytest.approx(davies_gap_arpack(ht, tfd), rel=1e-12)
 
 
 @pytest.fixture(scope="module", params=["Z2 cyl:v,0,1", "Z3 rect:0,0,1,1"])
 def embedding_patch(request, cylinder_patch):
     """The cylinder patch (four supports with other legs, two full) and the Z3 N=3
     plaquette (four full supports, so H~ is the sum of the L_e themselves)."""
-    if request.param == "Z2 cyl:v,0,1":
-        return cylinder_patch[2]
-    lat = TorusLattice(3)
-    model = QuantumDoubleModel(make_cyclic(3), lat).restrict(parse_region(lat, "rect:0,0,1,1"))
-    return HTilde(DaviesGenerator.build(model, BETA))
+    return (cylinder_patch if request.param == "Z2 cyl:v,0,1" else request.getfixturevalue("z3_plaquette"))[2]
 
 
 def test_htilde_matrix_is_the_sum_of_the_edge_terms(embedding_patch):
@@ -195,7 +237,7 @@ def test_htilde_matrix_is_the_sum_of_the_edge_terms(embedding_patch):
     rng = np.random.default_rng(11)
     for x in (rng.standard_normal(ht.dim), rng.standard_normal(ht.dim) + 1j * rng.standard_normal(ht.dim)):
         expect = sum(ht.apply_edges(x, [e]) for e in ht.model.edge_list)
-        assert np.abs(ht.apply(x) - expect).max() <= 1e-13 * np.abs(expect).max()
+        assert np.abs(ht.matrix @ x - expect).max() <= 1e-13 * np.abs(expect).max()
     assert abs(ht.matrix - ht.matrix.T).max() <= 1e-14 * abs(ht.matrix).max()
 
 
@@ -547,7 +589,7 @@ def test_c2_constant_against_an_explicit_basis(name):
 def test_thermofield_double_is_in_the_kernel(patch):
     model, _, ht, rho = patch
     tfd = thermofield_vector(model, BETA, rho)
-    assert np.linalg.norm(ht.apply(tfd)) < TOL
+    assert np.linalg.norm(ht.matrix @ tfd) < TOL
 
 
 def test_kernel_projector_range_against_matrix_units(patch):
@@ -562,7 +604,7 @@ def test_davies_gap_against_the_dense_spectrum(patch):
     """H~ from its 256 columns has a 1-dim kernel; davies_gap is its lowest nonzero
     eigenvalue (3.2436)."""
     model, _, ht, rho = patch
-    vals = np.linalg.eigvalsh(dense_of(ht.apply, ht.dim))
+    vals = np.linalg.eigvalsh(dense_of(lambda x: ht.matrix @ x, ht.dim))
     assert np.count_nonzero(np.abs(vals) < 1e-9) == 1
     assert davies_gap(ht, thermofield_vector(model, BETA, rho)) == pytest.approx(vals[1], rel=1e-9)
 

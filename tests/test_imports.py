@@ -2,7 +2,8 @@
 test process has imported scipy already): importing qdlab loads numpy only, and
 the boundary certificates and the Davies jumps load no scipy at all; H~ and the
 first region projector load scipy.sparse, and only an ARPACK eigensolve loads
-scipy.sparse.linalg."""
+scipy.sparse.linalg: the Davies gap of a patch whose connected blocks of H~ all
+have at most 64 indices loads neither it nor scipy.sparse.csgraph."""
 
 import json
 import subprocess
@@ -34,10 +35,14 @@ for group, n, spec in ((make_cyclic(2), 4, "rect:0,0,2,2"), (make_symmetric(3), 
     boundary.support_and_sigma(group, region, 1.0)
 steps["certificates"] = loaded()
 lat = TorusLattice(2)
-gen = davies.DaviesGenerator.build(QuantumDoubleModel(make_cyclic(2), lat).restrict(parse_region(lat, "cyl:v,0,1")), 1.0)
+model = QuantumDoubleModel(make_cyclic(2), lat).restrict(parse_region(lat, "cyl:v,0,1"))
+gen = davies.DaviesGenerator.build(model, 1.0)
 steps["davies build"] = loaded()
-davies.HTilde(gen).matrix
+ht = davies.HTilde(gen)
+ht.matrix
 steps["htilde"] = loaded()
+davies.davies_gap(ht, davies.thermofield_vector(model, 1.0))
+steps["davies gap"] = loaded()
 lat = TorusLattice(3)
 proj = gap_tools.RegionProjector(QuantumDoubleModel(make_cyclic(2), lat), parse_region(lat, "rect:0,0,1,1"), 1.0)
 proj.apply(np.ones(proj.dim))
@@ -55,5 +60,7 @@ def test_scipy_loads_only_where_it_is_used():
     steps = json.loads(run.stdout)
     assert steps["import"] == steps["certificates"] == steps["davies build"] == []
     assert "scipy.sparse" in steps["htilde"] and "scipy.sparse.linalg" not in steps["htilde"]
+    # every connected block of this H~ has at most 64 indices, so no ARPACK solve runs
+    assert not {"scipy.sparse.csgraph", "scipy.sparse.linalg"} & set(steps["davies gap"])
     assert "scipy.sparse" in steps["projector"] and "scipy.sparse.linalg" not in steps["projector"]
     assert "scipy.sparse.linalg" in steps["eigensolve"]

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qdlab import linalg
 from qdlab.linalg import (
@@ -7,13 +10,17 @@ from qdlab.linalg import (
     FeasibilityError,
     LinalgError,
     LinearMapHandle,
+    connected_components,
     dagger,
     hermitian_spectrum,
     kron,
     lowest_eigs_matrix_free,
+    lowest_eigs_sparse,
     vectorize,
 )
-from oracles import devectorize, handle_from_dense, matrix_exp_hermitian, random_hermitian, random_state
+from oracles import (
+    block_diagonal, devectorize, handle_from_dense, matrix_exp_hermitian, random_hermitian, random_state,
+)
 
 
 class TestVectorize:
@@ -189,3 +196,105 @@ class TestEigsMatrixFree:
 
         found = sign * lowest_eigs_matrix_free(LinearMapHandle(dim=vals.size, apply=apply), k=1)[0]
         assert found == pytest.approx(vals.min() if sign > 0 else vals.max(), abs=1e-9)
+
+
+
+@pytest.fixture
+def arpack_dims(monkeypatch):
+    """The dimensions of the maps `lowest_eigs_sparse` hands to `lowest_eigs_matrix_free`."""
+    dims, solve = [], linalg.lowest_eigs_matrix_free
+
+    def spy(h, *args, **kwargs):
+        dims.append(h.dim)
+        return solve(h, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "lowest_eigs_matrix_free", spy)
+    return dims
+
+
+SIZES = (1, 1, 1, 2, 3, 5, 8, 13, 40, 64, 65, 100)
+
+
+class TestEigsSparse:
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    @pytest.mark.parametrize("sizes", [SIZES, (100,)], ids=["blocks", "one block"])
+    def test_agrees_with_dense(self, sizes, dtype, arpack_dims):
+        """Each index is labelled by the least index of its block; blocks of 1 to 64
+        indices are solved densely and larger ones by ARPACK, and the 6 lowest values
+        are dense eigh's."""
+        m, dense, owner = block_diagonal(sizes, 3, dtype)
+        assert m.dtype == dtype
+        least = np.array([np.flatnonzero(owner == b).min() for b in range(len(sizes))])
+        assert np.array_equal(connected_components(m.indptr, m.indices), least[owner])
+        vals = lowest_eigs_sparse(m, k=6)
+        assert np.allclose(vals, np.linalg.eigvalsh(dense)[:6], atol=1e-8)
+        assert sorted(arpack_dims) == [s for s in sorted(sizes) if s > linalg.DENSE_SOLVE_MAX_DIM]
+
+    def test_duplicate_entries_are_added(self):
+        """A CSR matrix holding each entry as two halves, in no order, has the spectrum of their sums."""
+        m, dense, _ = block_diagonal(SIZES[:10], 4, complex)
+        coo = m.tocoo()
+        rows, cols = np.tile(coo.row, 2), np.tile(coo.col, 2)
+        order = np.lexsort((np.random.default_rng(4).random(rows.size), rows))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m.shape[0]))])
+        halves = sp.csr_matrix((np.tile(coo.data / 2, 2)[order], cols[order], indptr), shape=m.shape)
+        assert not halves.has_canonical_format
+        assert np.allclose(lowest_eigs_sparse(halves, k=m.shape[0]), np.linalg.eigvalsh(dense), atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    @pytest.mark.parametrize("pair", [(3, 5), (40, 30)], ids=["dense", "arpack"])
+    def test_a_deflation_vector_merges_the_blocks_it_touches(self, pair, dtype, arpack_dims):
+        """A unit vector on two blocks joins them into one of 8 or 70 indices, and the
+        values are those of m + s v v^dagger; solving the blocks apart would miss them."""
+        sizes = (1, 2, 13) + pair
+        m, dense, owner = block_diagonal(sizes, 5, dtype)
+        rng = np.random.default_rng(6)
+        v = np.where(owner >= 3, rng.standard_normal(m.shape[0]), 0.0).astype(dtype)
+        v /= np.linalg.norm(v)
+        expect = np.linalg.eigvalsh(dense + 4.0 * np.outer(v, v.conj()))[:3]
+        assert np.allclose(lowest_eigs_sparse(m, k=3, deflate=[v], shift=4.0), expect, atol=1e-8)
+        assert arpack_dims == ([70] if pair == (40, 30) else [])
+
+    @pytest.mark.parametrize("sizes", [SIZES, (100,)], ids=["blocks", "one block"])
+    def test_deflation_vectors_must_be_orthonormal(self, sizes):
+        m = block_diagonal(sizes, 7, float)[0]
+        e0, e1 = np.eye(m.shape[0])[:2]
+        with pytest.raises(LinalgError, match="not orthonormal"):
+            lowest_eigs_sparse(m, deflate=[e0, (e0 + e1) / np.sqrt(2)])
+
+    @pytest.mark.parametrize("size", [1, 80], ids=["dense", "arpack"])
+    def test_deflation_past_the_shift_raises(self, size):
+        """A block with spectrum (0, 200, 201, ...) beside singletons at 300, its ground
+        state deflated with shift 100: the lowest value, 100, is that of a vector in the
+        deflated span."""
+        rng = np.random.default_rng(8)
+        q = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        block = (q * np.concatenate([[0.0], np.arange(200.0, 199.0 + size)])) @ q.T
+        m = sp.block_diag([block, 300.0 * np.eye(5)], format="csr")
+        with pytest.raises(LinalgError, match="shift 100"):
+            lowest_eigs_sparse(m, deflate=[np.concatenate([q[:, 0], np.zeros(5)])], shift=100.0)
+
+    def test_stack_budget_is_checked_before_any_stack_is_made(self, monkeypatch):
+        """200 blocks, each a path of 64 indices: their stack holds 6.25 MiB, 43 times
+        their 38,000 entries. Under a 4 MiB budget it is refused, and the call never
+        holds as much as half of it."""
+        path = sp.diags([np.ones(63), 2.0 * np.ones(64), np.ones(63)], [-1, 0, 1])
+        m = sp.block_diag([path] * 200, format="csr")
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 2**22)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FeasibilityError, match=r"\(819200,\)"):
+                lowest_eigs_sparse(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 819200 * 8 / 2
+
+    def test_a_long_path_is_one_component(self):
+        """A path of 10^4 indices numbered at random, the largest diameter their count
+        allows, is labelled as one component."""
+        n = 10**4
+        p = np.random.default_rng(9).permutation(n)
+        a = sp.coo_matrix((np.ones(n - 1), (p[:-1], p[1:])), shape=(n, n))
+        a = (a + a.T).tocsr()
+        assert not connected_components(a.indptr, a.indices).any()
