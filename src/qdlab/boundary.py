@@ -95,8 +95,8 @@ class BlockBoundary:
     first labelling; `block` takes f by its row-major index, reads its holonomy
     key from the one fold of all labellings, and builds the key's block once
     from those sums, decomposing m with `eigh`, so at most |G|^c blocks are built.
-    The leading-term norm, the rank, the support norms and
-    `group_function_matrix` all read those eigenvalues, under the one cutoff
+    The leading-term norm, the rank, the support norms, `group_function_matrix`
+    and `orbit_half_inverse` all read those eigenvalues, under the one cutoff
     `linalg.RANK_CUTOFF`; all but the first read one labelling per key (`_first`).
     """
 
@@ -220,8 +220,10 @@ class BlockBoundary:
         reads a boundary label or chain value.  The boundary edges' relations hold
         for every pair, since the walk's words build the chain values along them and
         an admissible anchor closes each walk.  Each step sums out the variable whose
-        joined factor has the fewest indices, with one `np.einsum` over the factors
-        that read it, once that joined factor fits the dense budget."""
+        joined factor has the fewest indices (the first axis among equals), with one
+        `np.einsum` over the factors that read it, once that joined factor fits the
+        dense budget; each variable's joined index set is kept, and only the summed
+        variable's neighbours update theirs."""
         G, n, cls, lat = self.group, self.n, self.cls, self.region.lattice
         pairs = [(f, t) for f, subgroup in zip(self._first, self._subgroups) for t in subgroup]
         fs, anchors = np.array([f for f, _ in pairs]), np.array([t for _, t in pairs])
@@ -252,20 +254,23 @@ class BlockBoundary:
         for e in cls.interior_edges:
             (g, away, toward), ids = labelled([e, *lat.vertices_of_edge(e)])
             factors.append((1.0 * (away == G.conj(g, toward)), ids))
-        sizes, left = [len(pairs)] + [n] * len(axis), set(axis.values())
-        while left:
-            joined = {x: sorted(set().union(*(ids for _, ids in factors if x in ids))) for x in left}
-            x = min(left, key=lambda x: (len(joined[x]), x))
-            left.remove(x)
-            require_fits([sizes[i] for i in joined[x]])
-            local = {i: k for k, i in enumerate(joined[x])}
+        sizes = [len(pairs)] + [n] * len(axis)
+        joined = {x: set().union(*(ids for _, ids in factors if x in ids)) for x in axis.values()}
+        while joined:
+            x = min(joined, key=lambda x: (len(joined[x]), x))
+            ids_x = sorted(joined.pop(x))
+            require_fits([sizes[i] for i in ids_x])
+            local = {i: k for k, i in enumerate(ids_x)}
             operands = []
             for a, ids in factors:
                 if x in ids:
                     operands += [a, [local[i] for i in ids]]
-            out = [i for i in joined[x] if i != x]
+            out = [i for i in ids_x if i != x]
             factors = [(a, ids) for a, ids in factors if x not in ids]
             factors.append((np.einsum(*operands, [local[i] for i in out]), out))
+            for y in out:
+                if y in joined:  # x's neighbours meet in the new factor, and x is gone
+                    joined[y] = joined[y].union(out) - {x}
         sums = np.ones(len(pairs))
         for a, _ in factors:
             sums = sums * a
@@ -331,8 +336,8 @@ class BlockBoundary:
 
     def group_function_matrix(self, func) -> sp.csc_matrix:
         """func(m) per block, applied on the kept modes only (e.g. x -> 1/(kappa x)
-        gives the pseudo-inverse of the Gram kappa m, which `RegionProjector` holds),
-        as a sparse CSC matrix on the reduced basis:
+        gives the pseudo-inverse of the Gram kappa m), as a sparse CSC matrix on the
+        reduced basis:
         block diagonal over f, and within the block of f the sum over anchors a of
         d_a times the permutation that takes the chain state h to h a(v) at every
         boundary vertex v, where d is func(m)'s identity column (anchors with
@@ -340,16 +345,15 @@ class BlockBoundary:
 
         Every holonomy key is taken, by |G|^(L-c) labellings, and its block is
         built once, from its first labelling (`_first`). Each anchor's rows for
-        all the labellings with that key are sums of one small table per boundary
-        vertex, the first half of the vertices and the second added as one outer
-        sum, and go straight to their places in column order: column (f, h) holds
-        one entry per anchor, in subgroup order, so nothing is sorted. The fold
-        and four int arrays over the labellings are checked against the dense
-        budget first, and again with the matrix and one anchor's rows and
-        positions for the largest key before the matrix is made."""
+        all the labellings with that key (`_translated`) go straight to their
+        places in column order: column (f, h) holds one entry per anchor, in
+        subgroup order, so nothing is sorted. The fold and four int arrays over
+        the labellings are checked against the dense budget first, and again with
+        the matrix and one anchor's rows and positions for the largest key before
+        the matrix is made."""
         import scipy.sparse as sp
 
-        G, n, nv, n_f = self.group, self.n, len(self.boundary_vertices), self.n_labellings
+        n, nv, n_f = self.n, len(self.boundary_vertices), self.n_labellings
         chain_dim, n_keys = n**nv, n ** len(self._walks)
         keys, words = self._fold
         # `_first`'s bool mask (within an intp array), and each f's entry count, running count and first entry
@@ -376,25 +380,72 @@ class BlockBoundary:
         np.multiply.outer(per_col.astype(index), np.arange(chain_dim, dtype=index), out=pointers)
         pointers += start[:-1, None].astype(index)
         indptr[-1] = nnz
-        strides = n ** np.arange(nv - 1, -1, -1, dtype=index)
-        right = G.mul.astype(index)  # right[h, a] = h a
+        every = [np.arange(n)] * nv
         for k, (key_anchors, key_weights) in enumerate(zip(anchors, weights)):
             fs = np.flatnonzero(keys == k)
-            u, offsets = words[:, fs], (fs * chain_dim).astype(index)
             pos = start[fs, None] + np.arange(chain_dim) * len(key_weights)  # the first anchor's entries
             for a, d in zip(key_anchors, key_weights):
-                value = self._anchor_values(u, a)  # a(v) per vertex and f
-                steps = strides[:, None, None] * right[:, value].transpose(1, 2, 0)  # [v, f, h_v]: digit of h_v a(v)
-                head, tail = _outer_sum(steps[: nv // 2]), _outer_sum(steps[nv // 2 :])
-                rows[pos] = (offsets[:, None, None] + head[:, :, None] + tail[:, None, :]).reshape(len(fs), chain_dim)
+                rows[pos] = self._translated(fs, a, every, index)
                 data[pos] = d
                 pos += 1
         return sp.csc_matrix((data, rows, indptr), shape=(dim, dim))
 
+    def orbit_half_inverse(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """H, a half-inverse of the Gram kappa S~ on its kept modes (H H^T = G^+), per
+        holonomy key in key order as (orbits, scale): H's column (f, h0, j) holds
+        scale[t, j] = V[t, j] (kappa lambda_j)^{-1/2} at the reduced index
+        orbits[(f, h0), t] of (f, h0 t), V = vecs[:, kept] and lambda = vals[kept]
+        of the key's block.
 
-def _outer_sum(tables: np.ndarray) -> np.ndarray:
+        Within a key's block the anchor subgroup S acts freely on the chain states
+        by h -> h a(v), since a(v) = a at each component's anchor vertex, and on the
+        orbit of h0, in the basis h0 t (t in S, in subgroup order), S~ is m; so
+        T H has orthonormal columns, one per kept mode of each orbit, `rank` of them.
+        Each orbit is read at its representative h0 whose anchor-vertex values are
+        the least elements of their cosets g S_c, component by component; the rows
+        of `orbits` run over the key's labellings f, then those h0 in row-major
+        order. `orbits` are views of one intp array over the reduced basis (each
+        index once), checked against the dense budget with the fold, a key's mask and
+        labellings, and twice one anchor's indices for a key (the sum that makes them
+        holds a second copy at its peak) before any is made."""
+        G, n, nv, n_f = self.group, self.n, len(self.boundary_vertices), self.n_labellings
+        chain_dim, n_keys = n**nv, n ** len(self._walks)
+        keys, words = self._fold
+        held = (2 * n_f + (n_f + 2 * (n_f // n_keys)) * chain_dim) * np.dtype(np.intp).itemsize
+        require_fits((keys.nbytes + words.nbytes + held,), np.uint8)
+        anchor_slots = [int(np.argmax(self._vertex_component == c)) for c in range(len(self._walks))]
+        every = np.arange(n)
+        indices, start, out = np.empty(n_f * chain_dim, np.intp), 0, []
+        for k, f in enumerate(self._first):
+            blk = self.block(f)
+            fs, domains = np.flatnonzero(keys == k), [every] * nv
+            for c, slot in enumerate(anchor_slots):
+                domains[slot] = np.unique(G.mul[:, sorted({t[c] for t in blk.subgroup})].min(axis=1))
+            orbits = indices[start : start + len(fs) * chain_dim].reshape(-1, len(blk.subgroup))
+            start += orbits.size
+            for i, t in enumerate(blk.subgroup):
+                orbits[:, i] = self._translated(fs, t, domains, np.intp).ravel()
+            out.append((orbits, blk.vecs[:, blk.kept] / np.sqrt(self.kappa * blk.vals[blk.kept])))
+        return out
+
+    def _translated(self, fs: np.ndarray, anchors, domains: list, index) -> np.ndarray:
+        """The reduced index of (f, h a(v)) for the labellings `fs` and the anchor tuple
+        `anchors`, as an array over fs and the chain states h whose h_v run over
+        domains[v], in row-major order: a sum of one small table per boundary vertex,
+        the first half of the vertices and the second added as one outer sum."""
+        nv = len(self.boundary_vertices)
+        strides = self.n ** np.arange(nv - 1, -1, -1, dtype=index)
+        value = self._anchor_values(self._fold[1][:, fs], anchors)  # a(v) per vertex and f
+        right = self.group.mul.astype(index)  # right[h, a] = h a
+        steps = [s * right[h][:, a].T for s, h, a in zip(strides, domains, value)]  # [f, h_v]: digit of h_v a(v)
+        head, tail = _outer_sum(steps[: nv // 2]), _outer_sum(steps[nv // 2 :])
+        offsets = (fs * self.n**nv).astype(index)
+        return (offsets[:, None, None] + head[:, :, None] + tail[:, None, :]).reshape(len(fs), -1)
+
+
+def _outer_sum(tables: list[np.ndarray]) -> np.ndarray:
     """sum_v tables[v][f, h_v] as an array over f and the states of all the v, in row-major order."""
-    out = np.zeros((tables.shape[1], 1), tables.dtype)
+    out = np.zeros((len(tables[0]), 1), tables[0].dtype)
     for t in tables:
         out = (out[:, :, None] + t[:, None, :]).reshape(len(out), -1)
     return out

@@ -428,11 +428,14 @@ def _local_generator(gen: DaviesGenerator, dec: JumpDecomposition, d: int) -> sp
              for comps in dec.components for w, s in comps.items()]
     a = sum(g * (r.conj().T @ r) for g, _, r in jumps)
     b = sum(g * c**2 * (r.conj() @ r.T) for g, c, r in jumps)
-    v = sp.csr_matrix(np.reshape([r for *_, r in jumps], (len(jumps), d * d)))
+    flat = [r.ravel() for *_, r in jumps]
+    nonzero = [np.flatnonzero(r) for r in flat]  # V's rows from the R's nonzeros
+    v = sp.csr_matrix((np.concatenate([r[i] for r, i in zip(flat, nonzero)]), np.concatenate(nonzero),
+                       np.cumsum([0] + [i.size for i in nonzero])), shape=(len(jumps), d * d))
     sizes, value = np.diff(v.indptr), v.dtype.itemsize
     products = min(int(sizes @ sizes), np.unique(v.indices).size ** 2)  # entries of V^T diag(g c) conj(V)
     entries = d * (np.count_nonzero(a) + np.count_nonzero(b)) + 2 * products  # L_e's triplets
-    # held at once at most: every R, their stack, A and B; V's nonzeros six times; the
+    # held at once at most: every R, a flat copy of each, A and B; V's nonzeros six times; the
     # product with five int32 arrays; the triplets, one's pieces, their COO copy and the CSR
     require_fits((16 * d * d * (2 * len(jumps) + 2) + v.nnz * 6 * (8 + value) + products * (5 * 4 + value)
                   + entries * (3 * 8 + 3 * 4 + 2 * value) + 8 * 4 * (d * d + len(jumps) + 1),), np.uint8)

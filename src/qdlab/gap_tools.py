@@ -32,27 +32,28 @@ if TYPE_CHECKING:
 class RegionProjector:
     """Orthogonal projector onto Im(V_X) on the doubled space of the region.
 
-    P = T G^+ T^dagger, the projector onto Im T, held as its two factors: the
-    network's reduced map (boundary weights already undone), the gauge-orbit
+    P = Q Q^T, the projector onto Im T, for the isometry Q = T H (Q^T Q = 1): T is
+    the network's reduced map (boundary weights already undone), the gauge-orbit
     scatter
 
         T = sum_{g,h} |G|^{E_b/2} prod_{interior v} (delta(h_v = 1) + q)
             prod_p (1 + q |G| delta(hol_p(g) = 1)) |ket(g, h), g><gamma(g), h_dangling|
 
     of `RegionNetwork` (Kitaev, quant-ph/9707021; Schuch, Cirac and
-    Perez-Garcia, arXiv:1001.3807), and G^+ the pseudo-inverse of its Gram, the
-    slim block boundary kappa S~.  G^+ is lifted to `BlockBoundary`'s reduced
-    basis, whose order the network's reduced axes share, from the one `eigh` of
-    each block, on the modes that `BlockBoundary.rank` counts
-    (`linalg.RANK_CUTOFF`).  T is real, so P x = T (G^+ (T^T x)): three sparse
-    products with vectors, and no product of the two matrices.
+    Perez-Garcia, arXiv:1001.3807), and H, with H H^T the pseudo-inverse of T's
+    Gram kappa S~, combines the columns of T on each anchor orbit of the reduced
+    basis with the kept eigenvectors of its block
+    (`BlockBoundary.orbit_half_inverse`, under `linalg.RANK_CUTOFF`). So Q has
+    one column per kept mode of each orbit: `rank`, the rank that
+    `BlockBoundary.rank` counts, is Q's column count. Q is real, so
+    P x = Q (Q^T x): two sparse products with vectors.
 
-    T reaches only some of the doubled states, its support rows: 128 of 256 on
-    the overlap of the smallest martingale split, 4,096 of 16,384 on each of
-    its halves.  P is zero off them, and on them it is T_S G^+ T_S^T
-    (`on_support`), with T_S the support rows of T renumbered in order, so
-    that every column keeps its entries' order.  `support` and T_S are made on
-    first use, by an embedding (`EmbeddedProjector`).
+    Q reaches the same doubled states as T, its support rows: 128 of 256 on the
+    overlap of the smallest martingale split, 4,096 of 16,384 on each of its
+    halves.  P is zero off them, and on them it is Q_S Q_S^T (`on_support`),
+    with Q_S the support rows of Q renumbered in order, so that every column
+    keeps its entries' order.  `support` and Q_S are made on first use, by an
+    embedding (`EmbeddedProjector`).
     """
 
     def __init__(self, model: QuantumDoubleModel, region: Region, beta: float):
@@ -60,43 +61,72 @@ class RegionProjector:
         net = RegionNetwork(model, region, beta)
         self.edges = net.edges
         self.dim = net.phys_dim
-        bb = BlockBoundary(model.group, region, beta)
-        self._gram_pinv = bb.group_function_matrix(lambda v: 1.0 / (bb.kappa * v))
-        self.rank = bb.rank()
-        self._t = net.t_sparse
+        half_inverse = BlockBoundary(model.group, region, beta).orbit_half_inverse()
+        self.q = _isometry(net.t_sparse, half_inverse)
+        self.rank = self.q.shape[1]
 
     @functools.cached_property
     def _support_rows(self) -> tuple[np.ndarray, sp.csc_matrix]:
-        """(support, T_S): the sorted rows T reaches, and T on them."""
+        """(support, Q_S): the sorted rows Q reaches, and Q on them."""
         import scipy.sparse as sp
 
-        t = self._t
-        index = t.indices.dtype
-        # a mask of the reached rows, the support, each support row's new number and T_S's rows
-        require_fits((self.dim * (1 + 8 + 2 * index.itemsize) + t.indices.nbytes,), np.uint8)
+        q = self.q
+        index = q.indices.dtype
+        # a mask of the reached rows, the support, each support row's new number and Q_S's rows
+        require_fits((self.dim * (1 + 8 + 2 * index.itemsize) + q.indices.nbytes,), np.uint8)
         reached = np.zeros(self.dim, bool)
-        reached[t.indices] = True
+        reached[q.indices] = True
         support = np.flatnonzero(reached)
         renumber = np.empty(self.dim, index)
         renumber[support] = np.arange(support.size, dtype=index)
-        return support, sp.csc_matrix((t.data, renumber[t.indices], t.indptr), shape=(support.size, t.shape[1]))
+        return support, sp.csc_matrix((q.data, renumber[q.indices], q.indptr), shape=(support.size, q.shape[1]))
 
     @property
     def support(self) -> np.ndarray:
         return self._support_rows[0]
 
     def on_support(self, y: np.ndarray) -> np.ndarray:
-        """P on its support rows, T_S (G^+ (T_S^T y)), for y indexed by `support` along its first axis."""
-        return _sandwich(self._support_rows[1], self._gram_pinv, y)
+        """P on its support rows, Q_S (Q_S^T y), for y indexed by `support` along its first axis."""
+        q_s = self._support_rows[1]
+        return q_s @ (q_s.T @ y)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P x for a vector x or for every column of a (dim, m) block at once."""
-        return _sandwich(self._t, self._gram_pinv, x)
+        return self.q @ (self.q.T @ x)
 
 
-def _sandwich(t, middle, y: np.ndarray) -> np.ndarray:
-    """t (middle (t^T y)), for a real t."""
-    return t @ (middle @ (t.T @ y))
+def _isometry(t: sp.csc_matrix, half_inverse: list[tuple[np.ndarray, np.ndarray]]) -> sp.csc_matrix:
+    """Q = T H as a CSC matrix, for T with the same number of entries in each column
+    and H as `BlockBoundary.orbit_half_inverse` gives it: column (f, h0, j) gathers
+    the entries of T's columns orbits[(f, h0), t], each times scale[t, j], in
+    column order; scipy's `sum_duplicates` adds those that meet at one row, and the
+    entries that cancel to exact zeros are dropped. The gathered rows, values and
+    column pointers are checked against the dense budget before any of them is
+    made, with the larger of one key's gather from T and the copy that scipy makes
+    of the rows and values left when duplicates shrink them below half."""
+    import scipy.sparse as sp
+
+    width = t.nnz // t.shape[1]
+    index = t.indices.dtype
+    shapes = [(len(orbits), scale.shape[1], scale.shape[0] * width) for orbits, scale in half_inverse]
+    nnz, n_cols = sum(m * k * e for m, k, e in shapes), sum(m * k for m, k, _ in shapes)
+    extra = max(nnz // 2, *(m * e for m, _, e in shapes))
+    require_fits(((nnz + extra) * (index.itemsize + 8) + (n_cols + 1) * index.itemsize,), np.uint8)
+    rows, data, indptr = np.empty(nnz, index), np.empty(nnz), np.zeros(n_cols + 1, index)
+    t_rows, t_data = t.indices.reshape(-1, width), t.data.reshape(-1, width)
+    start = col = 0
+    for (orbits, scale), (m, k, e) in zip(half_inverse, shapes):
+        stop = start + m * k * e
+        indptr[col + 1 : col + 1 + m * k] = np.arange(start + e, stop + 1, e, dtype=index)
+        col += m * k
+        rows[start:stop].reshape(m, k, e)[:] = np.take(t_rows, orbits, axis=0).reshape(m, 1, e)
+        np.multiply(np.take(t_data, orbits, axis=0)[:, None], scale.T[:, :, None],
+                    out=data[start:stop].reshape(m, k, len(scale), width))
+        start = stop
+    q = sp.csc_matrix((data, rows, indptr), shape=(t.shape[0], n_cols))
+    q.sum_duplicates()
+    q.eliminate_zeros()
+    return q
 
 
 class EmbeddedProjector:
@@ -105,9 +135,10 @@ class EmbeddedProjector:
 
     Its matrix view, one row per ket-and-bra state of the region's edges and one
     column per state of the other legs (`linalg.sites_first_axes`), is zero off
-    P's support rows, so `index` holds the ambient positions of the support rows
-    times every column, and `apply` runs P's `on_support` on x gathered there and
-    scatters the result into zeros, with no transposed copy of x.
+    P's support rows, the rows its isometry Q reaches, so `index` holds the
+    ambient positions of the support rows times every column, and `apply` runs
+    P's `on_support`, Q_S (Q_S^T y), on x gathered there and scatters the result
+    into zeros, with no transposed copy of x.
     """
 
     def __init__(self, proj: RegionProjector, ambient_edges: list):

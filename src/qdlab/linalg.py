@@ -3,10 +3,10 @@
 Importing any qdlab module loads numpy only; scipy is imported inside the
 functions that use it. The boundary certificates (`boundary.verify_leading_term`,
 `boundary.support_and_sigma`) load no scipy module. `scipy.sparse` is loaded by
-the first sparse build: a region's T (`peps.RegionNetwork.t_sparse`), a
-reduced-basis group function (`boundary.BlockBoundary.group_function_matrix`),
-both made by every `gap_tools.RegionProjector`, or a Davies L_e and H~
-(`davies.HTilde`). `scipy.sparse.linalg`, with ARPACK and `scipy.linalg`, is
+the first sparse build: a region's T (`peps.RegionNetwork.t_sparse`, made by
+every `gap_tools.RegionProjector` with its isometry Q), a reduced-basis group
+function (`boundary.BlockBoundary.group_function_matrix`), or a Davies L_e and
+H~ (`davies.HTilde`). `scipy.sparse.linalg`, with ARPACK and `scipy.linalg`, is
 loaded by the first `lowest_eigs_matrix_free` solve of a map above
 DENSE_SOLVE_MAX_DIM = 64 dimensions; smaller maps are solved by dense `eigh`.
 `lowest_eigs_sparse` (the Davies gap, `davies.davies_gap`) loads it only for a

@@ -127,12 +127,17 @@ def edge_tensor(group: FiniteGroup, beta: float, variant: str = "full") -> np.nd
 # -- region networks --------------------------------------------------------------
 
 def _spread(small: np.ndarray, axes: list[int], ndim: int) -> np.ndarray:
-    """`small`, whose k-th axis is configuration axis axes[k], shaped to broadcast
-    against an array over all `ndim` configuration axes."""
+    """`small`, whose k-th axis is configuration axis axes[k] of size n, shaped to
+    broadcast against an array over the first ndim - ndim // 2 configuration axes
+    and one trailing axis that merges the last ndim // 2: it is expanded over that
+    trailing block, so that a broadcast against it runs contiguous inner loops of
+    n^(ndim // 2)."""
+    n, head = small.shape[0], ndim - ndim // 2
     shape = [1] * ndim
     for a in axes:
-        shape[a] = small.shape[0]
-    return small.transpose(np.argsort(axes)).reshape(shape)
+        shape[a] = n
+    spread = small.transpose(np.argsort(axes)).reshape(shape)
+    return np.broadcast_to(spread, shape[:head] + [n] * (ndim - head)).reshape(shape[:head] + [n ** (ndim - head)])
 
 
 class RegionNetwork:
@@ -201,11 +206,14 @@ class RegionNetwork:
         that share its reduced labels. On a gamma-inverted boundary edge the axis
         runs over gamma = g_e^{-1}, the column digit, so the small tables of that
         edge are indexed by g_e = gamma^{-1} before they are spread. The row and
-        value arrays are each one array over the configuration axes, summed or
-        multiplied from small per-edge, per-vertex and per-plaquette tables by
-        broadcasting, and become the matrix's indices and data without a copy;
-        they and the column pointers are checked against the dense budget before
-        any of them is made."""
+        value arrays are each one array over the configuration axes, with the last
+        ndim // 2 of them merged into one trailing axis, summed or multiplied from
+        small per-edge, per-vertex and per-plaquette tables by broadcasting; each
+        table is first expanded over that trailing block (`_spread`), so every
+        broadcast runs contiguous inner loops of |G|^(ndim // 2) and the arrays
+        still ravel in C order. They become the matrix's indices and data without
+        a copy; they and the column pointers are checked against the dense budget
+        before any of them is made."""
         import scipy.sparse as sp
 
         G, lat, cls = self.group, self.lattice, self.cls
@@ -214,7 +222,7 @@ class RegionNetwork:
         order = [*cls.boundary_edges, *cls.boundary_vertices, *cls.interior_edges, *cls.interior_vertices]
         axis = {x: i for i, x in enumerate(order)}
         ndim = len(axis)
-        shape = (n,) * ndim
+        shape = (n,) * (ndim - ndim // 2) + (n ** (ndim // 2),)  # the last ndim // 2 axes merged
         nnz, n_cols = n**ndim, self.reduced_dim
         index = np.dtype(np.int32 if max(self.phys_dim, nnz) < 2**31 else np.int64)  # scipy's choice, so no copy
         linalg.require_fits((nnz * (index.itemsize + 8) + (n_cols + 1) * index.itemsize,), np.uint8)

@@ -8,6 +8,7 @@ import pytest
 from qdlab.gap_tools import (
     EmbeddedProjector,
     RegionProjector,
+    _isometry,
     complement_gap,
     delta_function,
     martingale_measurement,
@@ -51,42 +52,44 @@ def test_martingale_certificate_on_the_smallest_split():
     ("Z2", 4, "rect:1,0,1,1"),
     ("S3", 3, "rect:0,0,1,1"),
     ("Z2", 3, "cyl:v,0,1"),
+    ("Z3", 3, "rect:0,0,1,1"),
 ])
 def test_region_projector_matches_w_w_transpose(name, n, spec):
-    """P x = T (G^+ (T^T x)) against W (W^T x), W = T times the half-inverse of its
-    Gram, to 1e-12 relative, for a vector and for a 3-column block: on the martingale
-    split's whole region and its overlap, on S3 and on a cylinder."""
+    """P x = Q (Q^T x) against W (W^T x), W = T times the half-inverse of its Gram, to
+    1e-12 relative, for a vector and for a 3-column block: on the martingale split's
+    whole region and its overlap, on S3, on a cylinder and on Z3. Q is an isometry
+    with the rank that `BlockBoundary.rank` counts."""
     lat = TorusLattice(n)
     model, region = QuantumDoubleModel(group_by_name(name), lat), parse_region(lat, spec)
     p, w = RegionProjector(model, region, 1.0), region_projector_w(model, region, 1.0)
+    assert _isometry_defect(p.q) <= 1e-12
+    assert p.q.shape[1] == p.rank == BlockBoundary(model.group, region, 1.0).rank()
     rng = np.random.default_rng(3)
     for x in (rng.standard_normal(p.dim), rng.standard_normal((p.dim, 3))):
         want = w @ (w.T @ x)
         assert np.abs(p.apply(x) - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _projector_defect(m) -> float:
-    """The larger of the row-sum and column-sum norms of M^2 - M for a sparse M; it
-    bounds the spectral norm."""
-    d = abs(m @ m - m)
-    return max(float(d.sum(axis=0).max()), float(d.sum(axis=1).max()))
+def _isometry_defect(q) -> float:
+    """max |Q^T Q - 1| over the entries, for a sparse Q."""
+    d = (q.T @ q).tocsr()
+    d.setdiag(d.diagonal() - 1.0)
+    return float(abs(d).max())
 
 
 def test_s3_region_projector_is_an_orthogonal_projector():
-    """S3 N=3 rect:0,0,1,1 (1.7M doubled dims): M = T^T T G^+, on the reduced basis,
-    is idempotent with the trace that `BlockBoundary.rank` counts, so T G^+ T^T is a
-    projector of that rank. Control: with each plaquette word folded in reverse
-    order the same construction is no projector."""
+    """S3 N=3 rect:0,0,1,1 (1.7M doubled dims): Q^T Q = 1 on the 653,184 columns that
+    `BlockBoundary.rank` counts, so Q Q^T is an orthogonal projector of that rank.
+    Control: with each plaquette word folded in reverse order, the same half-inverse
+    H gives a Q' = T' H that is no isometry."""
     lat = TorusLattice(3)
     model = QuantumDoubleModel(make_symmetric(3), lat)
     region = parse_region(lat, "rect:0,0,1,1")
-    p = RegionProjector(model, region, 1.0)
-    assert p.rank == BlockBoundary(model.group, region, 1.0).rank() == 653184
-    m = (p._t.T @ p._t @ p._gram_pinv).tocsr()
-    assert _projector_defect(m) <= 1e-12
-    assert m.diagonal().sum() == pytest.approx(653184, abs=1e-6)
-    control = reversed_word_scatter(RegionNetwork(model, region, 1.0))
-    assert _projector_defect((control.T @ control @ p._gram_pinv).tocsr()) > 0.1
+    p, bb = RegionProjector(model, region, 1.0), BlockBoundary(model.group, region, 1.0)
+    assert p.q.shape[1] == p.rank == bb.rank() == 653184
+    assert _isometry_defect(p.q) <= 1e-12
+    control = _isometry(reversed_word_scatter(RegionNetwork(model, region, 1.0)), bb.orbit_half_inverse())
+    assert _isometry_defect(control) > 0.1
 
 
 def _refused_build(monkeypatch, budget, group, n, spec):
@@ -107,16 +110,19 @@ def _refused_build(monkeypatch, budget, group, n, spec):
 
 
 def test_half_inverse_over_budget_is_refused_before_it_is_made(monkeypatch):
-    """S3 N=3 rect:0,0,1,1: the Gram's pseudo-inverse, laid out as its half-inverse
-    is, holds 5,038,848 entries (int32 rows and float64 values), 1,679,617 column
-    pointers, and one anchor's rows and positions for 216 labellings; with the
-    fold's 5 uint8 arrays and 4 int64 arrays over the 1,296 labellings that is
-    70,591,860 bytes. A 64 MiB budget refuses it before any of them is made: the
-    build allocates less than 1/4 MiB."""
-    info, peak = _refused_build(monkeypatch, 2**26, make_symmetric(3), 3, "rect:0,0,1,1")
-    assert info.match(r"uint8 array of shape \(70591860,\)")
-    assert info.traceback[-2].name == "group_function_matrix"
+    """S3 N=3 rect:0,0,1,1: the half-inverse H holds the orbit index of each of the
+    1,679,616 reduced states; with twice one anchor's indices for a key's 216
+    labellings, each key's mask and labellings and the fold's 5 uint8 arrays over
+    the 1,296 labellings that is 17,943,120 bytes. One byte less refuses H before
+    any of them is made: the build allocates less than 1/4 MiB. At the count H is
+    made, and T, which needs 26,873,860 bytes, is refused."""
+    info, peak = _refused_build(monkeypatch, 17943120 - 1, make_symmetric(3), 3, "rect:0,0,1,1")
+    assert info.match(r"uint8 array of shape \(17943120,\)")
+    assert info.traceback[-2].name == "orbit_half_inverse"
     assert peak < 2**18
+    info, _ = _refused_build(monkeypatch, 17943120, make_symmetric(3), 3, "rect:0,0,1,1")
+    assert info.match(r"uint8 array of shape \(26873860,\)")
+    assert info.traceback[-2].name == "t_sparse"
 
 
 def test_holonomy_fold_over_budget_is_refused_before_it_is_made(monkeypatch):
@@ -132,15 +138,15 @@ def test_holonomy_fold_over_budget_is_refused_before_it_is_made(monkeypatch):
 
 def test_t_over_budget_is_refused_after_the_half_inverse(monkeypatch):
     """Z2 N=4 rect:0,0,3,1, the martingale split's whole region: the check of the
-    Gram's pseudo-inverse counts 2,238,756 bytes (10,528 of them the fold's and
-    four int64 arrays over the labellings) and T's 3,407,876 (its 1 MiB of rows,
-    2 MiB of values and 1/4 MiB of column pointers). A 3 MiB budget admits the
-    first and refuses T before its row array is made: the peak stays within
-    2,228,228 bytes and half of that array."""
+    half-inverse H counts 1,054,976 bytes (its 65,536 orbit indices, twice one
+    anchor's indices for a key, a key's mask and labellings and the fold) and T's
+    3,407,876 (its 1 MiB of rows, 2 MiB of values and 1/4 MiB of column pointers).
+    A 3 MiB budget admits the first and refuses T before its row array is made:
+    the peak stays within H's count."""
     info, peak = _refused_build(monkeypatch, 3 * 2**20, make_cyclic(2), 4, "rect:0,0,3,1")
     assert info.match(r"uint8 array of shape \(3407876,\)")
     assert info.traceback[-2].name == "t_sparse"
-    assert peak < 2228228 + 2**19
+    assert peak < 1054976
 
 
 def test_martingale_measurement_rejects_the_trivial_group():
@@ -205,20 +211,30 @@ def test_parent_family_applies_equal_the_transposes_path():
 
 
 def test_support_and_index_budgets_are_exact(monkeypatch):
-    """The overlap of the benchmark split (T 256 x 256 with 256 int32 row indices,
-    128 rows reached) in its whole region (20 doubled legs). Its support rows need a
-    mask, the support (at most 256 intp), each row's new number and T_S's rows,
-    256 x 17 + 1,024 = 5,376 bytes. The embedding needs the offsets of the 256
+    """The overlap of the benchmark split (T 256 x 256 with one int32 row each, Q
+    with 128 columns of one entry) in its whole region (20 doubled legs). Q = T H
+    gathers 256 entries (int32 rows and float64 values), with room for the 128
+    that scipy copies when duplicates shrink them below half, and 129 column
+    pointers: 384 x 12 + 516 = 5,124 bytes. Q's support rows need a mask, the
+    support (at most 256 intp), each row's new number and Q_S's 128 rows,
+    256 x 17 + 512 = 4,864 bytes. The embedding needs the offsets of the 256
     overlap states, of the 128 support rows and of the 4,096 states of the other
     legs, and the 128 x 4,096 index: 528,768 intp entries. Each budget admits its
     request at exactly its bytes and refuses it one byte below."""
     model, split = _benchmark_split()
     proj = RegionProjector(model, split.overlaps[0], 1.0)
+    t = RegionNetwork(model, split.overlaps[0], 1.0).t_sparse
+    half_inverse = BlockBoundary(model.group, split.overlaps[0], 1.0).orbit_half_inverse()
     ambient = list(split.whole.edges())
-    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 5376 - 1)
-    with pytest.raises(FeasibilityError, match=r"uint8 array of shape \(5376,\)"):
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 5124 - 1)
+    with pytest.raises(FeasibilityError, match=r"uint8 array of shape \(5124,\)"):
+        _isometry(t, half_inverse)
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 5124)
+    assert _isometry(t, half_inverse).nnz == 128
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 4864 - 1)
+    with pytest.raises(FeasibilityError, match=r"uint8 array of shape \(4864,\)"):
         proj.support
-    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 5376)
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 4864)
     assert proj.support.size == 128
     count = (256 + 128 * (4096 + 1) + 4096) * np.dtype(np.intp).itemsize
     monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", count - 1)

@@ -349,12 +349,14 @@ class TestRegionContraction:
 class TestScatterLayout:
     @pytest.mark.parametrize(
         "name, n, spec",
-        [("Z3", 3, "rect:0,0,1,1"), ("S3", 3, "rect:0,0,1,1"), ("Z2", 3, "cyl:v,0,1")],
-        ids=["Z3-plaquette", "S3-plaquette", "Z2-cylinder"],
+        [("Z3", 3, "rect:0,0,1,1"), ("S3", 3, "rect:0,0,1,1"), ("Z2", 3, "cyl:v,0,1"), ("Z2", 4, "rect:0,0,3,1")],
+        ids=["Z3-plaquette", "S3-plaquette", "Z2-cylinder", "Z2-martingale-region"],
     )
     def test_t_equals_the_coo_scatter(self, name, n, spec):
         """T, laid out in column order, against the COO scatter sorted by scipy, entry
-        for entry: on Z3 and S3 the gamma-inverted edges have g^-1 != g."""
+        for entry: on Z3 and S3 the gamma-inverted edges have g^-1 != g, and the 18
+        configuration axes of the Z2 N=4 region split into 9 leading axes and a
+        trailing block of 2^9."""
         lat = TorusLattice(n)
         net = RegionNetwork(QuantumDoubleModel(group_by_name(name), lat), parse_region(lat, spec), 1.0)
         t, want = net.t_sparse, t_scatter_oracle(net)
